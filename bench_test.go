@@ -249,18 +249,16 @@ func BenchmarkAblation_FPInvalidation(b *testing.B) {
 	}
 }
 
-// robSweepBench runs the shipped rob-sweep example scenario on a fresh
-// session with the given batch width. Fresh sessions each iteration keep
-// the simulation cache from turning later iterations into pure hits; the
-// benchmark therefore measures end-to-end sweep execution — trace
-// service included.
-func robSweepBench(b *testing.B, batchConfigs int) {
+// BenchmarkRobSweep runs the shipped rob-sweep example scenario on a
+// fresh session per iteration. Fresh sessions keep the simulation cache
+// from turning later iterations into pure hits; the benchmark therefore
+// measures end-to-end sweep execution — trace service included.
+func BenchmarkRobSweep(b *testing.B) {
 	sp, err := scenario.Load("examples/scenarios/rob-sweep.json")
 	if err != nil {
 		b.Fatal(err)
 	}
 	o := benchOptions()
-	o.BatchConfigs = batchConfigs
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := benchSession(b, o)
@@ -273,13 +271,3 @@ func robSweepBench(b *testing.B, batchConfigs int) {
 		}
 	}
 }
-
-// BenchmarkRobSweep_Batched executes the rob-sweep example with the
-// default batch width: the three ROB points of each workload advance
-// over one shared trace in a single pass.
-func BenchmarkRobSweep_Batched(b *testing.B) { robSweepBench(b, 0) }
-
-// BenchmarkRobSweep_Unbatched is the same sweep with batching disabled
-// (every cell a standalone scalar run) — the before side of the
-// batched/unbatched comparison.
-func BenchmarkRobSweep_Unbatched(b *testing.B) { robSweepBench(b, 1) }

@@ -48,7 +48,6 @@ func main() {
 	storeBytes := flag.Int64("store-bytes", 0, "on-disk result store byte bound (0 = unbounded)")
 	traceDir := flag.String("trace-dir", "", "persistent on-disk trace store directory (empty = disabled); repeated runs skip trace regeneration")
 	traceBytes := flag.Int64("trace-bytes", 0, "on-disk trace store byte bound (0 = unbounded)")
-	batch := flag.Int("batch", 0, "configs executed per shared-trace batch (0 = default, 1 = unbatched)")
 	flag.Parse()
 
 	// Record which flags the user actually set: defaults must not clobber
@@ -78,7 +77,6 @@ func main() {
 	opt.StoreBytes = *storeBytes
 	opt.TraceDir = *traceDir
 	opt.TraceBytes = *traceBytes
-	opt.BatchConfigs = *batch
 
 	// Ctrl-C / SIGTERM cancels the session context: queued simulations are
 	// never started, running ones finish, and the harness exits promptly

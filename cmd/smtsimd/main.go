@@ -20,9 +20,8 @@
 //	GET /v1/metrics
 //	    Cache hit/miss/eviction/in-flight counters, configured bounds,
 //	    request/row totals, the trace tier's hit/miss/generated counters
-//	    (under "trace"), batch counters, and (when -store-dir is set) the
-//	    persistent store's diskHits/diskMisses/diskBytes/diskEvictions,
-//	    as JSON.
+//	    (under "trace"), and (when -store-dir is set) the persistent
+//	    store's diskHits/diskMisses/diskBytes/diskEvictions, as JSON.
 //	GET /healthz
 //	    Liveness probe; 200 "ok".
 //
@@ -47,9 +46,7 @@
 // one workload decode the trace once, and single-thread fairness
 // references reuse the traces their SMT runs already generated. With
 // -trace-dir the tier persists traces on disk (versioned, checksummed;
-// corrupt files read as misses) so restarts skip regeneration; -batch
-// controls how many configurations advance over one shared trace in a
-// single batched pass (results are bit-identical either way).
+// corrupt files read as misses) so restarts skip regeneration.
 //
 // Scheduling across clients is fair by default: each request is
 // attributed to a client identity (the X-Client header when present,
@@ -114,7 +111,6 @@ func main() {
 	storeBytes := flag.Int64("store-bytes", 0, "on-disk result store byte bound (0 = unbounded)")
 	traceDir := flag.String("trace-dir", "", "persistent on-disk trace store directory (empty = disabled)")
 	traceBytes := flag.Int64("trace-bytes", 0, "on-disk trace store byte bound (0 = unbounded)")
-	batch := flag.Int("batch", 0, "configs executed per shared-trace batch (0 = default, 1 = unbatched)")
 	scheduler := flag.String("scheduler", sched.Default, "work-queue scheduling policy (fifo|fair)")
 	maxInflight := flag.Int("max-inflight-per-client", 0, "concurrent scenario requests per client identity (0 = unbounded)")
 	flag.Parse()
@@ -130,7 +126,6 @@ func main() {
 	opt.StoreBytes = *storeBytes
 	opt.TraceDir = *traceDir
 	opt.TraceBytes = *traceBytes
-	opt.BatchConfigs = *batch
 	opt.Scheduler = *scheduler
 
 	srv, err := newServer(opt, *maxBody)
@@ -363,7 +358,7 @@ func (s *server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	// sweep not yet started are never simulated, the wait aborts, and
 	// the request counts as canceled, not failed. The client identity
 	// rides the same context so the session's scheduler attributes every
-	// job this sweep queues — batches and references included.
+	// job this sweep queues — references included.
 	ctx := sched.WithRequester(r.Context(), client)
 	if format == "ndjson" {
 		s.streamScenario(ctx, w, sp)
@@ -483,9 +478,7 @@ func (s *server) streamScenario(ctx context.Context, w http.ResponseWriter, sp *
 // The trace object reports the shared trace tier: hits/misses/generated
 // count how often a grid cell's instruction traces were served from
 // memory versus generated fresh (disk* subfields mirror the persistent
-// tier enabled by -trace-dir), and batches/batchedCells count how much
-// simulation work rode the batched executor — K configurations advanced
-// over one shared trace in a single pass.
+// tier enabled by -trace-dir).
 // Goroutines is the process's live goroutine count — a leak gauge: it
 // returns to its post-startup baseline when the daemon is idle, so CI's
 // leak-smoke step (and any monitor) can assert sweeps do not strand
@@ -512,8 +505,6 @@ type metricsDoc struct {
 	DiskEvictions   uint64           `json:"diskEvictions"`
 	DiskWriteErrors uint64           `json:"diskWriteErrors"`
 	Trace           tracestore.Stats `json:"trace"`
-	Batches         uint64           `json:"batches"`
-	BatchedCells    uint64           `json:"batchedCells"`
 	Scheduler       sched.Snapshot   `json:"scheduler"`
 }
 
@@ -523,7 +514,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	disk := s.session.StoreStats()
-	batches, cells := s.session.BatchStats()
 	schedSnap := s.session.SchedStats()
 	enc.Encode(metricsDoc{
 		Cache:           s.session.CacheStats(),
@@ -540,8 +530,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		DiskEvictions:   disk.Evictions,
 		DiskWriteErrors: disk.WriteErrors,
 		Trace:           s.session.TraceStats(),
-		Batches:         batches,
-		BatchedCells:    cells,
 		Scheduler:       schedSnap,
 	})
 }

@@ -84,7 +84,7 @@
 // `smtload -restart-check` proves the contract against a live daemon,
 // and the restart-smoke CI job replays it on every push.
 //
-// # Trace tier and batched execution
+// # Trace tier
 //
 // Instruction traces are the other deduplicated artifact. Every trace
 // has a pure identity — (benchmark, length, per-context derived seed,
@@ -98,20 +98,12 @@
 // -trace-bytes (experiments.Options.TraceDir/TraceBytes) add an on-disk
 // tier with the same discipline as the result store — versioned
 // checksummed entries (trace.CodecVersion), atomic writes, corrupt or
-// stale files read as misses, byte-bounded LRU eviction.
-//
-// Batched execution turns that sharing into locality: cells of one
-// workload that agree on trace identity are grouped
-// (experiments.Options.BatchConfigs per group, default 8; -batch on the
-// CLIs) and executed by core.RunBatch, which advances K independent
-// pipeline.Core instances round-robin over the one shared trace — one
-// trace materialization feeds N pipelines in a single pass. Each core
-// owns all its mutable state and traces are immutable after generation,
-// so batched results are bit-identical to scalar runs — guaranteed by
-// TestRunBatchMatchesRun (deep equality per config) and
-// TestBatchedMatchesScalar (byte equality of every output format on
-// every shipped example sweep), with batches/batchedCells and the trace
-// tier's counters visible in /v1/metrics.
+// stale files read as misses, byte-bounded LRU eviction. Every cell runs
+// through the one scalar path, core.RunTraced, against the session's
+// tier; traces are immutable after generation, so sharing them cannot
+// change a result. TestSweepSharesTraces locks the sharing (every
+// identity generated exactly once, repeats served as hits), and the
+// tier's counters are visible in /v1/metrics under "trace".
 //
 // # Scheduling and fairness
 //
@@ -128,7 +120,7 @@
 // queue as a context value (sched.WithRequester / sched.Requester):
 // smtsimd stamps each request with its X-Client header or remote host,
 // and the identity threads unchanged through scenario execution into
-// every job the sweep queues — batches and fairness references included.
+// every job the sweep queues — grid cells and fairness references alike.
 // Scheduling only reorders execution, never results (simulations are
 // deterministic and reductions collect in fixed order), so the
 // bit-identity guarantees above are policy-independent; the starvation

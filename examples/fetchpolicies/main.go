@@ -27,7 +27,16 @@ func main() {
 
 	cfg := core.DefaultConfig()
 	cfg.TraceLen = 12_000
-	st := core.NewSTCache(cfg)
+	// Single-thread reference IPCs (IPC_ST of the fairness metric) are
+	// policy-independent: compute them once, before the policy loop.
+	stv := make([]float64, len(w.Benchmarks))
+	for i, b := range w.Benchmarks {
+		res, err := core.RunSingle(cfg, b)
+		if err != nil {
+			log.Fatal(err)
+		}
+		stv[i] = res.Threads[0].IPC
+	}
 
 	type row struct {
 		policy core.PolicyKind
@@ -39,10 +48,6 @@ func main() {
 	for _, pol := range core.Policies() {
 		cfg.Policy = pol
 		res, err := core.Run(cfg, w)
-		if err != nil {
-			log.Fatal(err)
-		}
-		stv, err := st.STVector(w)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -20,7 +20,9 @@ func TestCalibrationShapes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TraceLen = 10_000
 	cfg.MaxCycles = 6_000_000
-	st := NewSTCache(cfg)
+	// Single-thread references (IPC_ST of the fairness metric), one
+	// reference run per benchmark.
+	ref := map[string]float64{}
 
 	pols := []PolicyKind{PolicyICount, PolicySTALL, PolicyFLUSH, PolicyDCRA, PolicyHillClimbing, PolicyRaT}
 	sample := []int{0, 3, 6, 9} // four workloads per group
@@ -45,9 +47,16 @@ func TestCalibrationShapes(t *testing.T) {
 				if res.Truncated {
 					t.Errorf("%s/%s truncated", ws[idx].Name(), p)
 				}
-				stv, err := st.STVector(ws[idx])
-				if err != nil {
-					t.Fatal(err)
+				var stv []float64
+				for _, b := range ws[idx].Benchmarks {
+					if _, ok := ref[b]; !ok {
+						st, err := RunSingle(cfg, b)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ref[b] = st.Threads[0].IPC
+					}
+					stv = append(stv, ref[b])
 				}
 				thrus = append(thrus, metrics.Throughput(res.IPCs()))
 				fairs = append(fairs, metrics.Fairness(stv, res.IPCs()))
@@ -65,6 +74,10 @@ func TestCalibrationShapes(t *testing.T) {
 	if mem.thru[PolicyRaT] <= mem.thru[PolicyICount] {
 		t.Errorf("MEM2: RaT throughput (%.3f) must beat ICOUNT (%.3f)",
 			mem.thru[PolicyRaT], mem.thru[PolicyICount])
+	}
+	if mem.thru[PolicyRaT] <= mem.thru[PolicySTALL] {
+		t.Errorf("MEM2: RaT throughput (%.3f) must beat STALL (%.3f)",
+			mem.thru[PolicyRaT], mem.thru[PolicySTALL])
 	}
 	if mem.thru[PolicyRaT] <= 1.5*mem.thru[PolicyFLUSH] {
 		t.Errorf("MEM2: RaT (%.3f) must beat FLUSH (%.3f) by a wide margin",
@@ -103,4 +116,12 @@ func TestCalibrationShapes(t *testing.T) {
 				p, ilp.thru[p], ilp.thru[PolicyICount])
 		}
 	}
+}
+
+func avg(xs []float64) float64 {
+	var s float64
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
 }

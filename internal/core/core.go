@@ -11,14 +11,11 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/rescontrol"
 	"repro/internal/runahead"
-	"repro/internal/simcache"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
@@ -201,8 +198,7 @@ func buildPolicy(kind PolicyKind) (pipeline.Policy, runahead.Config, error) {
 }
 
 // withRunDefaults fills in the zero config fields Run documents as
-// defaulted. Trace identity (TraceLen, Seed) is fixed after this, which
-// batch grouping relies on.
+// defaulted.
 func (cfg Config) withRunDefaults() Config {
 	if cfg.TraceLen <= 0 {
 		cfg.TraceLen = trace.DefaultLen
@@ -216,36 +212,21 @@ func (cfg Config) withRunDefaults() Config {
 	return cfg
 }
 
-// runState is one configuration's simulation, advanced in bounded slices
-// so several configurations can share a pass over one trace set. The
-// phase sequence and every coverage/limit check are exactly Run's
-// historical loop: a runState advanced to completion — alone or
-// interleaved with any number of sibling states — produces a Result
-// bit-identical to the former monolithic Run, because each pipeline.Core
-// is fully self-contained and traces are immutable.
-type runState struct {
-	cfg Config
-	w   workload.Workload
-	c   *pipeline.Core
-
-	phase      int // 0 = warm, 1 = measure, 2 = done
-	warm       uint64
-	span       uint64
-	truncated  bool
-	startCycle uint64
-	startStats []pipeline.ThreadStats
+// Run executes workload w under cfg and returns its measurement.
+func Run(cfg Config, w workload.Workload) (*Result, error) {
+	return RunTraced(cfg, w, nil)
 }
 
-const (
-	phaseWarm = iota
-	phaseMeasure
-	phaseDone
-)
-
-// newRunState builds the machine for one normalized configuration over
-// already-materialized traces and pre-warms its caches.
-func newRunState(cfg Config, w workload.Workload, traces []*trace.Trace) (*runState, error) {
+// RunTraced is Run against an explicit trace tier (nil = the process-wide
+// default): the workload's traces are served from the tier, shared with
+// every other run of the same identity, and treated as read-only.
+func RunTraced(cfg Config, w workload.Workload, ts *tracestore.Store) (*Result, error) {
+	cfg = cfg.withRunDefaults()
 	pol, ra, err := buildPolicy(cfg.Policy)
+	if err != nil {
+		return nil, err
+	}
+	traces, err := w.TracesVia(ts, cfg.TraceLen, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -262,103 +243,50 @@ func newRunState(cfg Config, w workload.Workload, traces []*trace.Trace) (*runSt
 
 	// Phase 1 — timed, unmeasured warm phase: cache contents, branch
 	// predictor weights, and policy state (DCRA classification, hill-
-	// climbing epochs) converge before measurement begins.
-	warm := cfg.WarmupInsts
-	if warm <= 0 {
-		warm = cfg.TraceLen / 2
+	// climbing epochs) converge before measurement begins. Coverage is
+	// checked before the limit, both only between 256-cycle step blocks.
+	warm := uint64(cfg.WarmupInsts)
+	if cfg.WarmupInsts <= 0 {
+		warm = uint64(cfg.TraceLen / 2)
 	}
-	return &runState{
-		cfg:  cfg,
-		w:    w,
-		c:    c,
-		warm: uint64(warm),
-		// Phase 2 — FAME measurement: run until every thread has committed
-		// a further MinIterations full trace executions *beyond its
-		// snapshot* (relative targets, so warm-phase overshoot cannot
-		// shrink any thread's measured iteration count below the FAME
-		// requirement).
-		span: uint64(cfg.TraceLen) * uint64(cfg.MinIterations),
-	}, nil
-}
-
-// covered reports whether every thread's committed count reached its
-// per-thread target.
-func (r *runState) covered(target func(tid int) uint64) bool {
-	for tid := 0; tid < r.c.NumThreads(); tid++ {
-		if r.c.Committed(tid) < target(tid) {
-			return false
+	truncated := false
+	for !covered(c, func(int) uint64 { return warm }) {
+		if c.Cycle() >= cfg.MaxCycles/2 {
+			truncated = true
+			break
 		}
+		stepBlock(c)
 	}
-	return true
-}
 
-// snapshot records the measurement window start.
-func (r *runState) snapshot() {
-	r.startCycle = r.c.Cycle()
-	r.startStats = make([]pipeline.ThreadStats, r.c.NumThreads())
-	for tid := range r.startStats {
-		r.startStats[tid] = *r.c.Stats(tid)
+	// Phase 2 — FAME measurement: run until every thread has committed a
+	// further MinIterations full trace executions *beyond its snapshot*
+	// (relative targets, so warm-phase overshoot cannot shrink any
+	// thread's measured iteration count below the FAME requirement).
+	startCycle := c.Cycle()
+	start := make([]pipeline.ThreadStats, c.NumThreads())
+	for tid := range start {
+		start[tid] = *c.Stats(tid)
 	}
-}
-
-// advance runs the phase coverage/limit checks and, unless they complete
-// the run, one 256-cycle step block; it reports whether the run is done.
-// Coverage is checked before the limit and phases transition without
-// stepping, exactly as the historical per-phase loop did, so a state's
-// cycle-by-cycle behaviour does not depend on how advance calls are
-// interleaved with other states'.
-func (r *runState) advance() bool {
-	for {
-		switch r.phase {
-		case phaseWarm:
-			if r.covered(func(int) uint64 { return r.warm }) {
-				r.snapshot()
-				r.phase = phaseMeasure
-				continue
-			}
-			if r.c.Cycle() >= r.cfg.MaxCycles/2 {
-				r.truncated = true
-				r.snapshot()
-				r.phase = phaseMeasure
-				continue
-			}
-		case phaseMeasure:
-			if r.covered(func(tid int) uint64 {
-				return r.startStats[tid].Committed.Value() + r.span
-			}) {
-				r.phase = phaseDone
-				return true
-			}
-			if r.c.Cycle() >= r.cfg.MaxCycles {
-				r.truncated = true
-				r.phase = phaseDone
-				return true
-			}
-		default:
-			return true
+	span := uint64(cfg.TraceLen) * uint64(cfg.MinIterations)
+	for !covered(c, func(tid int) uint64 { return start[tid].Committed.Value() + span }) {
+		if c.Cycle() >= cfg.MaxCycles {
+			truncated = true
+			break
 		}
-		// Step in small batches to keep the coverage check off the
-		// per-cycle path.
-		for i := 0; i < 256; i++ {
-			r.c.Step()
-		}
-		return false
+		stepBlock(c)
 	}
-}
 
-// result assembles the measurement of a completed state.
-func (r *runState) result() *Result {
-	cycles := r.c.Cycle() - r.startCycle
+	cycles := c.Cycle() - startCycle
 	res := &Result{
-		Workload:  r.w.Name(),
-		Policy:    r.cfg.Policy,
+		Workload:  w.Name(),
+		Policy:    cfg.Policy,
 		Cycles:    cycles,
-		Truncated: r.truncated,
+		Truncated: truncated,
 	}
-	for tid := 0; tid < r.c.NumThreads(); tid++ {
-		cur, prev := r.c.Stats(tid), &r.startStats[tid]
+	for tid := 0; tid < c.NumThreads(); tid++ {
+		cur, prev := c.Stats(tid), &start[tid]
 		tr := ThreadResult{
-			Benchmark:        r.w.Benchmarks[tid],
+			Benchmark:        w.Benchmarks[tid],
 			Committed:        cur.Committed.Value() - prev.Committed.Value(),
 			Executed:         cur.Executed.Value() - prev.Executed.Value(),
 			L2MissLoads:      cur.L2MissLoads.Value() - prev.L2MissLoads.Value(),
@@ -377,130 +305,26 @@ func (r *runState) result() *Result {
 		res.ExecutedTotal += tr.Executed
 		res.CommittedTotal += tr.Committed
 	}
-	return res
+	return res, nil
 }
 
-// Run executes workload w under cfg and returns its measurement.
-func Run(cfg Config, w workload.Workload) (*Result, error) {
-	return RunTraced(cfg, w, nil)
+// covered reports whether every thread's committed count reached its
+// per-thread target.
+func covered(c *pipeline.Core, target func(tid int) uint64) bool {
+	for tid := 0; tid < c.NumThreads(); tid++ {
+		if c.Committed(tid) < target(tid) {
+			return false
+		}
+	}
+	return true
 }
 
-// RunTraced is Run against an explicit trace tier (nil = the process-wide
-// default): the workload's traces are served from the tier, shared with
-// every other run of the same identity, and treated as read-only.
-func RunTraced(cfg Config, w workload.Workload, ts *tracestore.Store) (*Result, error) {
-	cfg = cfg.withRunDefaults()
-	if _, _, err := buildPolicy(cfg.Policy); err != nil {
-		return nil, err
+// stepBlock advances the machine 256 cycles: stepping in small blocks
+// keeps the coverage check off the per-cycle path.
+func stepBlock(c *pipeline.Core) {
+	for i := 0; i < 256; i++ {
+		c.Step()
 	}
-	traces, err := w.TracesVia(ts, cfg.TraceLen, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	r, err := newRunState(cfg, w, traces)
-	if err != nil {
-		return nil, err
-	}
-	for !r.advance() {
-	}
-	return r.result(), nil
-}
-
-// RunBatch executes workload w under each configuration in one pass over
-// a single shared trace set: the traces are materialized (or served from
-// the tier) once, one independent machine is built per configuration, and
-// the machines advance round-robin until each completes. Because every
-// machine owns all of its mutable state and advances through exactly the
-// checks Run performs, each returned Result is bit-identical to what
-// Run(cfgs[i], w) returns — batching changes the schedule of the host
-// process, never the simulated machines.
-//
-// All configurations must agree on trace identity (TraceLen and Seed
-// after defaulting); RunBatch rejects mixed-identity batches. Any error —
-// a bad policy anywhere in the batch, an invalid workload — fails the
-// whole batch, so callers that need per-cell error attribution fall back
-// to per-cell Run.
-func RunBatch(cfgs []Config, w workload.Workload, ts *tracestore.Store) ([]*Result, error) {
-	return RunBatchObserved(cfgs, w, ts, BatchObserver{})
-}
-
-// BatchObserver lets a RunBatchObserved caller watch a batch between
-// round-robin rounds. Both hooks are optional, run on the calling
-// goroutine, and never observe a machine mid-round.
-type BatchObserver struct {
-	// Finished is called once per configuration, with its final Result,
-	// in the round its machine completes — possibly many rounds before
-	// the batch as a whole returns. Streaming callers publish each cell
-	// here instead of waiting for the full batch.
-	Finished func(i int, r *Result)
-
-	// Drop is polled after each round for every still-running
-	// configuration; returning true removes configuration i from the
-	// batch immediately — its machine stops advancing, Finished is never
-	// called for it, and its slot in the returned slice is nil. Callers
-	// use it to cancel cells whose requesters have gone away without
-	// discarding the rest of the batch.
-	Drop func(i int) bool
-}
-
-// RunBatchObserved is RunBatch with per-round observation hooks; a zero
-// observer makes it RunBatch exactly. Every error return happens before
-// any machine advances, so on error no hook has been called.
-func RunBatchObserved(cfgs []Config, w workload.Workload, ts *tracestore.Store, obs BatchObserver) ([]*Result, error) {
-	if len(cfgs) == 0 {
-		return nil, nil
-	}
-	norm := make([]Config, len(cfgs))
-	for i := range cfgs {
-		norm[i] = cfgs[i].withRunDefaults()
-		if _, _, err := buildPolicy(norm[i].Policy); err != nil {
-			return nil, err
-		}
-	}
-	for i := 1; i < len(norm); i++ {
-		if norm[i].TraceLen != norm[0].TraceLen || norm[i].Seed != norm[0].Seed {
-			return nil, fmt.Errorf(
-				"core: RunBatch config %d trace identity (len=%d, seed=%d) differs from config 0 (len=%d, seed=%d)",
-				i, norm[i].TraceLen, norm[i].Seed, norm[0].TraceLen, norm[0].Seed)
-		}
-	}
-	traces, err := w.TracesVia(ts, norm[0].TraceLen, norm[0].Seed)
-	if err != nil {
-		return nil, err
-	}
-	states := make([]*runState, len(norm))
-	for i, cfg := range norm {
-		st, err := newRunState(cfg, w, traces)
-		if err != nil {
-			return nil, err
-		}
-		states[i] = st
-	}
-	out := make([]*Result, len(states))
-	for live := len(states); live > 0; {
-		for i, st := range states {
-			if st == nil || st.phase == phaseDone {
-				continue
-			}
-			if st.advance() {
-				live--
-				out[i] = st.result()
-				if obs.Finished != nil {
-					obs.Finished(i, out[i])
-				}
-			}
-		}
-		if obs.Drop == nil {
-			continue
-		}
-		for i, st := range states {
-			if st != nil && st.phase != phaseDone && obs.Drop(i) {
-				states[i] = nil
-				live--
-			}
-		}
-	}
-	return out, nil
 }
 
 // deltaMean computes the mean of a RunningMean over the measurement window
@@ -521,102 +345,4 @@ func RunSingle(cfg Config, benchmark string) (*Result, error) {
 	cfg.Policy = PolicyICount
 	w := workload.Workload{Group: "ST", Benchmarks: []string{benchmark}}
 	return Run(cfg, w)
-}
-
-// STCache memoizes single-thread reference IPCs keyed by benchmark (the
-// machine configuration is fixed per cache instance). It is safe for
-// concurrent use: simultaneous requests for one benchmark share a single
-// simulation, singleflight-style. Errors memoize like results — a
-// reference run's outcome is a pure function of the configuration, so a
-// retry could never succeed.
-type STCache struct {
-	cfg Config
-	g   *simcache.Cache[string, float64]
-}
-
-// NewSTCache builds a cache for the given machine configuration. The
-// cache is unbounded: its key space is the 24-benchmark table, not
-// untrusted input.
-func NewSTCache(cfg Config) *STCache {
-	return &STCache{cfg: cfg, g: simcache.New[string, float64](0, 0, nil)}
-}
-
-// compute runs the reference simulation and publishes its result.
-func (s *STCache) compute(benchmark string, c *simcache.Call[float64]) {
-	res, err := RunSingle(s.cfg, benchmark)
-	if err != nil {
-		c.Fulfill(0, err)
-		return
-	}
-	c.Fulfill(res.Threads[0].IPC, nil)
-}
-
-// IPC returns the single-thread IPC for a benchmark, computing and
-// memoizing it on first use. Concurrent callers for the same benchmark
-// block until the one computation finishes.
-func (s *STCache) IPC(benchmark string) (float64, error) {
-	c, created := s.g.Begin(benchmark) //lint:ctxflow STCache is a ctx-free memo by design: a reference run must complete into the memo even if one requester dies, so the computation is never tied to a caller's context
-	if created {
-		s.compute(benchmark, c)
-	}
-	//lint:ctxflow reference runs are bounded CPU-pure work; waiting uncancellably matches the memo contract above
-	return c.Wait()
-}
-
-// Begin registers benchmark and returns the computation the caller must
-// run (on a worker of its choosing) if it is the first requester, or nil
-// when the reference is already computed or in flight. Worker pools use it
-// to avoid parking a pool slot on a run some other worker owns.
-func (s *STCache) Begin(benchmark string) func() {
-	c, created := s.g.Begin(benchmark) //lint:ctxflow registration into the shared memo is deliberately context-free; cancellation belongs to the worker pool that runs the returned thunk
-	if !created {
-		return nil
-	}
-	return func() { s.compute(benchmark, c) }
-}
-
-// Prewarm computes the reference runs for all benchmarks concurrently,
-// bounded by workers (<=0 selects GOMAXPROCS), and returns the first
-// error. Results are memoized, so subsequent IPC and STVector calls are
-// lookups. Duplicate names cost nothing: only first registrations occupy
-// a worker.
-func (s *STCache) Prewarm(benchmarks []string, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for _, b := range benchmarks {
-		fn := s.Begin(b)
-		if fn == nil {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			fn()
-		}()
-	}
-	wg.Wait()
-	for _, b := range benchmarks {
-		if _, err := s.IPC(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// STVector returns the IPC_ST vector for a workload.
-func (s *STCache) STVector(w workload.Workload) ([]float64, error) {
-	out := make([]float64, 0, len(w.Benchmarks))
-	for _, b := range w.Benchmarks {
-		v, err := s.IPC(b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

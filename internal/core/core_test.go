@@ -136,31 +136,6 @@ func TestRaTDCRAComposition(t *testing.T) {
 	}
 }
 
-func TestSTCacheMemoizes(t *testing.T) {
-	st := NewSTCache(fastCfg())
-	a, err := st.IPC("gzip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := st.IPC("gzip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("memoized value changed")
-	}
-	if a <= 0 {
-		t.Fatalf("gzip ST IPC = %v", a)
-	}
-	v, err := st.STVector(workload.Workload{Group: "x", Benchmarks: []string{"gzip", "gzip"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v) != 2 || v[0] != v[1] {
-		t.Fatalf("vector = %v", v)
-	}
-}
-
 func TestTruncationReported(t *testing.T) {
 	cfg := fastCfg()
 	cfg.MaxCycles = 2_000 // absurdly small

@@ -20,7 +20,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/core"
@@ -31,7 +30,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/simcache"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/tracestore"
 	"repro/internal/workload"
 )
@@ -97,19 +95,7 @@ type Options struct {
 	// policies behave identically). Scheduling only reorders execution,
 	// never results: outputs stay bit-identical under any policy.
 	Scheduler string
-	// BatchConfigs caps how many same-workload, same-trace-identity cells
-	// one worker executes in a single pass over the shared traces (the
-	// batched-config path; 0 selects the default, 1 disables batching).
-	// Batched results are bit-identical to unbatched — each configuration
-	// still runs on its own fully independent machine — so the knob only
-	// trades worker-level parallelism against per-cell dispatch overhead.
-	BatchConfigs int
 }
-
-// DefaultBatchConfigs is the batch cap when Options.BatchConfigs is zero:
-// large enough that a policy sweep over one workload shares a pass, small
-// enough that a grid still spreads across the worker pool.
-const DefaultBatchConfigs = 8
 
 // Default returns the full-suite options.
 func Default() Options {
@@ -178,12 +164,6 @@ type Session struct {
 	cache  *simcache.Cache[runKey, *core.Result]
 	store  *resultstore.Store // nil unless Options.StoreDir is set
 	traces *tracestore.Store
-	batch  int
-
-	// batches counts batched passes executed and batchedCells the cells
-	// they carried; the difference from total cells is the scalar path.
-	batches      atomic.Uint64
-	batchedCells atomic.Uint64
 
 	mu         sync.Mutex
 	scheduler  sched.Scheduler[job] // jobs not yet picked up by a worker
@@ -191,22 +171,13 @@ type Session struct {
 	maxWorkers int
 }
 
-// cell is one registered simulation: the call its requesters hold plus
-// the configuration that computes it.
-type cell struct {
+// job is one queued simulation: the call its requesters hold plus the
+// workload and configuration that compute it.
+type job struct {
 	key  runKey
 	call *simcache.Call[*core.Result]
+	w    workload.Workload
 	cfg  core.Config
-}
-
-// job is one queued unit of work: cells of a single workload that share
-// one trace identity, executed by one worker in a single pass over the
-// shared traces (or individually, for a singleton). Cells whose
-// requesters have all canceled by pick-up time are abandoned one by one,
-// so cancellation granularity is unchanged from single-cell jobs.
-type job struct {
-	w     workload.Workload
-	cells []cell
 }
 
 // NewSession builds a session, validating the workload selection up
@@ -257,10 +228,6 @@ func NewSession(opt Options) (*Session, error) {
 	} else {
 		traces = tracestore.New(memBytes)
 	}
-	batch := opt.BatchConfigs
-	if batch <= 0 {
-		batch = DefaultBatchConfigs
-	}
 	scheduler, err := sched.New[job](opt.Scheduler)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
@@ -272,7 +239,6 @@ func NewSession(opt Options) (*Session, error) {
 		cache:      simcache.New[runKey, *core.Result](opt.CacheEntries, opt.CacheBytes, resultBytes),
 		store:      store,
 		traces:     traces,
-		batch:      batch,
 		scheduler:  scheduler,
 	}, nil
 }
@@ -310,12 +276,12 @@ func (s *Session) StoreStats() resultstore.Stats {
 // configured (the smtsimd /v1/metrics "trace" payload).
 func (s *Session) TraceStats() tracestore.Stats { return s.traces.Stats() }
 
-// BatchStats reports how much simulation work took the batched path:
-// passes executed and the cells they carried. Singleton groups, disk-tier
-// hits and fallback cells run scalar and are not counted.
-func (s *Session) BatchStats() (batches, cells uint64) {
-	return s.batches.Load(), s.batchedCells.Load()
-}
+// BatchStats always reports zero: the session has a single scalar
+// execution path.
+//
+// Deprecated: batched execution was removed; kept so existing callers
+// still compile.
+func (s *Session) BatchStats() (batches, cells uint64) { return 0, 0 }
 
 // SchedStats snapshots the work-queue scheduler: policy name, queued
 // jobs/cells, and per-requester accounting (the smtsimd /v1/metrics
@@ -339,7 +305,7 @@ func (s *Session) BaseConfig() core.Config { return s.base }
 // eventually popped, and results are identical under any policy.
 func (s *Session) dispatch(requester string, j job) {
 	s.mu.Lock()
-	s.scheduler.Push(sched.Job[job]{Requester: requester, Cells: len(j.cells), Payload: j})
+	s.scheduler.Push(sched.Job[job]{Requester: requester, Cells: 1, Payload: j})
 	if s.workers < s.maxWorkers {
 		s.workers++
 		//lint:gorolife bounded pool: s.workers accounts every spawn under s.mu, and work decrements it under s.mu before returning, so Close/tests observe drain via the counter
@@ -348,12 +314,12 @@ func (s *Session) dispatch(requester string, j job) {
 	s.mu.Unlock()
 }
 
-// work drains the queue in scheduler order. Each popped job's cells are
-// first filtered for abandonment — a cell whose requesters have all
-// canceled is never simulated and its key becomes free to recompute —
-// and the survivors run to completion and populate the cache. The job's
-// cells count against its requester's in-service account from pop to
-// Done, which is what the fair policy's ICOUNT-style priority reads.
+// work drains the queue in scheduler order. A popped job whose
+// requesters have all canceled is abandoned — never simulated, its key
+// free to recompute — and every other job runs to completion and
+// populates the cache. A job counts against its requester's in-service
+// account from pop to Done, which is what the fair policy's ICOUNT-style
+// priority reads.
 func (s *Session) work() {
 	for {
 		s.mu.Lock()
@@ -365,14 +331,8 @@ func (s *Session) work() {
 		}
 		s.mu.Unlock()
 		j := sj.Payload
-		live := j.cells[:0]
-		for _, c := range j.cells {
-			if !s.cache.Abandon(c.key, c.call, context.Canceled) {
-				live = append(live, c)
-			}
-		}
-		if len(live) > 0 {
-			s.runCells(j.w, live)
+		if !s.cache.Abandon(j.key, j.call, context.Canceled) {
+			j.call.Fulfill(s.run(j.w, j.cfg))
 		}
 		s.mu.Lock()
 		s.scheduler.Done(sj)
@@ -380,10 +340,16 @@ func (s *Session) work() {
 	}
 }
 
-// simulate executes one cell the scalar way — trace-tier materialization,
-// simulation, write-behind persistence — and returns its result with the
-// session's error attribution.
-func (s *Session) simulate(w workload.Workload, cfg core.Config) (*core.Result, error) {
+// run computes one cell. It first probes the persistent result tier — a
+// stored result is bit-identical to what the simulation would produce, so
+// a hit skips the simulation entirely — and otherwise simulates against
+// the session's trace tier and writes the result behind.
+func (s *Session) run(w workload.Workload, cfg core.Config) (*core.Result, error) {
+	if s.store != nil {
+		if r, ok := s.store.Get(w.Name(), cfg); ok {
+			return r, nil
+		}
+	}
 	r, err := core.RunTraced(cfg, w, s.traces)
 	if err != nil {
 		return nil, fmt.Errorf("%s under %s: %w", w.Name(), cfg.Policy, err)
@@ -395,69 +361,6 @@ func (s *Session) simulate(w workload.Workload, cfg core.Config) (*core.Result, 
 		_ = s.store.Put(w.Name(), cfg, r)
 	}
 	return r, nil
-}
-
-// runCells executes a job's surviving cells. Every cell first probes the
-// persistent result tier — a stored result is bit-identical to what the
-// simulation would produce, so a hit skips the simulation entirely. What
-// remains runs batched when there is more than one cell (one pass over
-// the shared traces, K independent machines) or scalar for a singleton.
-// A batch that fails as a whole — a bad policy anywhere in it — falls
-// back to per-cell scalar execution so each cell gets its own result or
-// error, exactly as an unbatched session would have produced.
-func (s *Session) runCells(w workload.Workload, cells []cell) {
-	if s.store != nil {
-		rest := cells[:0]
-		for _, c := range cells {
-			if r, ok := s.store.Get(w.Name(), c.cfg); ok {
-				c.call.Fulfill(r, nil)
-				continue
-			}
-			rest = append(rest, c)
-		}
-		cells = rest
-	}
-	if len(cells) == 0 {
-		return
-	}
-	if len(cells) == 1 {
-		c := cells[0]
-		c.call.Fulfill(s.simulate(w, c.cfg))
-		return
-	}
-	cfgs := make([]core.Config, len(cells))
-	for i, c := range cells {
-		cfgs[i] = c.cfg
-	}
-	// Cells publish as their machine completes (streaming clients see
-	// rows mid-batch, exactly as they would unbatched), and cells whose
-	// requesters all cancel mid-batch are abandoned between rounds —
-	// their machines stop advancing, their keys free to recompute, the
-	// rest of the batch undisturbed.
-	var done uint64
-	_, err := core.RunBatchObserved(cfgs, w, s.traces, core.BatchObserver{
-		Finished: func(i int, r *core.Result) {
-			if s.store != nil {
-				_ = s.store.Put(w.Name(), cells[i].cfg, r)
-			}
-			cells[i].call.Fulfill(r, nil)
-			done++
-		},
-		Drop: func(i int) bool {
-			return s.cache.Abandon(cells[i].key, cells[i].call, context.Canceled)
-		},
-	})
-	if err != nil {
-		// Every batch error precedes the first round: no cell has been
-		// fulfilled or dropped, so each gets its own scalar run (and its
-		// own error attribution), exactly as an unbatched session.
-		for _, c := range cells {
-			c.call.Fulfill(s.simulate(w, c.cfg))
-		}
-		return
-	}
-	s.batches.Add(1)
-	s.batchedCells.Add(done)
 }
 
 // StartRun schedules (or joins) the simulation of one workload under one
@@ -477,65 +380,8 @@ func (s *Session) StartRunCtx(ctx context.Context, w workload.Workload, cfg core
 	if !created {
 		return c
 	}
-	s.dispatch(sched.Requester(ctx), job{w: w, cells: []cell{{key: key, call: c, cfg: cfg}}})
+	s.dispatch(sched.Requester(ctx), job{key: key, call: c, w: w, cfg: cfg})
 	return c
-}
-
-// traceIdentity is the part of a configuration that determines which
-// traces a run consumes; only cells agreeing on it may share a batch.
-type traceIdentity struct {
-	len  int
-	seed uint64
-}
-
-// identityOf normalizes a configuration's trace identity the same way
-// core.Run does, so grouping here never builds a batch core.RunBatch
-// would reject.
-func identityOf(cfg core.Config) traceIdentity {
-	id := traceIdentity{len: cfg.TraceLen, seed: cfg.Seed}
-	if id.len <= 0 {
-		id.len = trace.DefaultLen
-	}
-	return id
-}
-
-// StartRunBatchCtx schedules one workload under many configurations,
-// returning the pending calls in input order. Cells this call registers
-// (rather than joins) are grouped by trace identity and queued in batches
-// of at most Options.BatchConfigs; a worker executes each batch in one
-// pass over the workload's shared traces. Results and errors are
-// bit-identical to per-cell StartRunCtx dispatch — batching changes only
-// the host process's schedule.
-func (s *Session) StartRunBatchCtx(ctx context.Context, w workload.Workload, cfgs []core.Config) []*simcache.Call[*core.Result] {
-	calls := make([]*simcache.Call[*core.Result], len(cfgs))
-	groups := map[traceIdentity][]cell{}
-	var order []traceIdentity // deterministic dispatch order
-	for i, cfg := range cfgs {
-		key := runKey{workload: w.Name(), config: cfg.Canonical()}
-		c, created := s.cache.BeginCtx(ctx, key)
-		calls[i] = c
-		if !created {
-			continue // joined an existing cell (or a duplicate in cfgs)
-		}
-		id := identityOf(cfg)
-		if _, ok := groups[id]; !ok {
-			order = append(order, id)
-		}
-		groups[id] = append(groups[id], cell{key: key, call: c, cfg: cfg})
-	}
-	requester := sched.Requester(ctx)
-	for _, id := range order {
-		cells := groups[id]
-		for len(cells) > 0 {
-			n := len(cells)
-			if n > s.batch {
-				n = s.batch
-			}
-			s.dispatch(requester, job{w: w, cells: cells[:n:n]})
-			cells = cells[n:]
-		}
-	}
-	return calls
 }
 
 // RunConfig executes (and caches) one workload under one complete
@@ -580,21 +426,6 @@ func (s *Session) StartReference(benchmark string, cfg core.Config) {
 // following the same queue rules as StartRunCtx.
 func (s *Session) StartReferenceCtx(ctx context.Context, benchmark string, cfg core.Config) {
 	s.StartRunCtx(ctx, referenceWorkload(benchmark), referenceConfig(cfg))
-}
-
-// StartReferenceBatchCtx schedules a benchmark's single-thread reference
-// runs for many machines at once. References for configurations that
-// differ only in policy collapse to one canonical cell, and the distinct
-// remainder — which shares the reference workload and trace identity —
-// batches like any other cells. A reference run's context-0 trace has
-// the same identity as the SMT run's context-0 trace for that benchmark,
-// so the trace tier serves both from one object.
-func (s *Session) StartReferenceBatchCtx(ctx context.Context, benchmark string, cfgs []core.Config) {
-	rcfgs := make([]core.Config, len(cfgs))
-	for i, cfg := range cfgs {
-		rcfgs[i] = referenceConfig(cfg)
-	}
-	s.StartRunBatchCtx(ctx, referenceWorkload(benchmark), rcfgs)
 }
 
 // Reference blocks for a benchmark's single-thread reference IPC on the

@@ -183,3 +183,29 @@ func TestNewSessionValidatesGroups(t *testing.T) {
 		t.Fatalf("error does not list valid groups: %v", err)
 	}
 }
+
+// TestSweepSharesTraces: a sweep's trace tier serves every cell of a
+// workload from one generation per context, and the single-thread
+// fairness references hit the traces the SMT runs already generated
+// (context 0 has the same identity in both).
+func TestSweepSharesTraces(t *testing.T) {
+	if testing.Short() {
+		t.Skip("harness run")
+	}
+	s := mustSession(t, tinyOptions())
+	if _, err := s.RunScenario(sweepSpec()); err != nil {
+		t.Fatal(err)
+	}
+	st := s.TraceStats()
+	if st.Generated == 0 {
+		t.Fatal("sweep generated no traces")
+	}
+	if st.Hits == 0 {
+		t.Errorf("trace tier saw no hits across an 8-cell sweep: %+v", st)
+	}
+	// Every distinct identity generated exactly once.
+	if st.Generated != st.Misses {
+		t.Errorf("generated %d != misses %d: some identity generated twice",
+			st.Generated, st.Misses)
+	}
+}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sched"
+	"repro/internal/simcache"
 	"repro/internal/workload"
 )
 
@@ -69,15 +70,15 @@ func TestFairMatchesFIFO(t *testing.T) {
 	}
 }
 
-// TestStarvationRegression pins the bug this PR fixes, both ways: a
+// TestStarvationRegression pins head-of-line starvation, both ways: a
 // one-cell request enqueued behind a 16-cell sweep on a one-worker pool
-// is served as soon as the in-flight batch completes under the fair
+// is served as soon as the in-flight sweep cell completes under the fair
 // scheduler (long before the sweep drains), and dead last under FIFO.
 func TestStarvationRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness run")
 	}
-	const bigCells, batch = 16, 8
+	const bigCells = 16
 	for _, tc := range []struct {
 		policy  string
 		starved bool
@@ -88,21 +89,19 @@ func TestStarvationRegression(t *testing.T) {
 		t.Run(tc.policy, func(t *testing.T) {
 			o := tinyOptions()
 			o.Workers = 1
-			o.BatchConfigs = batch
 			o.Scheduler = tc.policy
 			s := mustSession(t, o)
 			w := workload.MustByGroup("MEM2")[0]
 
-			// The sweep: 16 cells sharing one trace identity, queued as
-			// two 8-cell jobs. The single worker starts on the first job
-			// immediately.
+			// The sweep: 16 cells, each its own queued job. The single
+			// worker starts on the first cell immediately.
 			bigCtx := sched.WithRequester(context.Background(), "big")
-			cfgs := make([]core.Config, bigCells)
-			for i := range cfgs {
-				cfgs[i] = s.BaseConfig()
-				cfgs[i].Pipeline.ROBSize = 64 + 8*i
+			bigCalls := make([]*simcache.Call[*core.Result], bigCells)
+			for i := range bigCalls {
+				cfg := s.BaseConfig()
+				cfg.Pipeline.ROBSize = 64 + 8*i
+				bigCalls[i] = s.StartRunCtx(bigCtx, w, cfg)
 			}
-			bigCalls := s.StartRunBatchCtx(bigCtx, w, cfgs)
 
 			// The probe: one cell from another client, queued behind the
 			// entire sweep.
@@ -114,10 +113,9 @@ func TestStarvationRegression(t *testing.T) {
 			if _, err := smallCall.Wait(); err != nil {
 				t.Fatal(err)
 			}
-			// At the instant the probe completes, the sweep's second job
-			// (8 cells) is still pending under fair — queued or just
-			// popped, but nowhere near simulated — and fully drained
-			// under FIFO. On a one-worker pool, pop order is completion
+			// At the instant the probe completes, most of the sweep is
+			// still pending under fair — queued or just popped, but
+			// nowhere near simulated — and fully drained under FIFO. On a one-worker pool, pop order is completion
 			// order, so an empty queue at probe completion proves every
 			// sweep cell finished first.
 			snap := s.SchedStats()
@@ -127,8 +125,8 @@ func TestStarvationRegression(t *testing.T) {
 					t.Errorf("fifo: %d cells still queued after the probe completed, want 0 (probe must be served last)", snap.QueuedCells)
 				}
 			} else {
-				if pending < batch {
-					t.Errorf("fair: only %d sweep cells pending at probe completion, want >= %d (probe must preempt the backlog)", pending, batch)
+				if pending < bigCells/2 {
+					t.Errorf("fair: only %d sweep cells pending at probe completion, want >= %d (probe must preempt the backlog)", pending, bigCells/2)
 				}
 				if _, ok := snap.Clients["big"]; !ok {
 					t.Errorf("fair: pending sweep not attributed to its requester: %+v", snap.Clients)

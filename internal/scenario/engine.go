@@ -24,9 +24,9 @@ import (
 // never be simulated, while a cell that is already running finishes and
 // populates the shared cache. The context also carries the requester
 // identity for fair scheduling (sched.WithRequester): the engine threads
-// it unchanged into every dispatch — grid cells, batches, and fairness
-// references alike — so the runner's scheduler can attribute all of a
-// sweep's work to the client that asked for it.
+// it unchanged into every dispatch — grid cells and fairness references
+// alike — so the runner's scheduler can attribute all of a sweep's work
+// to the client that asked for it.
 type Runner interface {
 	// BaseConfig returns the configuration scenario deltas apply onto.
 	BaseConfig() core.Config
@@ -40,25 +40,6 @@ type Runner interface {
 	// ReferenceCtx blocks for a benchmark's single-thread reference IPC
 	// on the given machine, or until ctx is done.
 	ReferenceCtx(ctx context.Context, benchmark string, cfg core.Config) (float64, error)
-}
-
-// BatchRunner is an optional Runner extension for batched-config
-// execution: a runner that implements it receives a workload's whole
-// configuration row in one call and may execute cells that share trace
-// identity in a single pass over the shared traces. The engine
-// type-asserts for it and falls back to per-cell dispatch otherwise, so
-// a minimal Runner keeps working unchanged. Batched dispatch must be
-// observationally identical to per-cell dispatch — same results, same
-// errors — which experiments.Session guarantees by running every batched
-// machine independently.
-type BatchRunner interface {
-	Runner
-	// StartRunBatchCtx schedules one workload under many configurations,
-	// returning the pending calls in input order.
-	StartRunBatchCtx(ctx context.Context, w workload.Workload, cfgs []core.Config) []*simcache.Call[*core.Result]
-	// StartReferenceBatchCtx schedules a benchmark's single-thread
-	// reference runs for many machines, without blocking.
-	StartReferenceBatchCtx(ctx context.Context, benchmark string, cfgs []core.Config)
 }
 
 // metric is one per-cell reduction. compute receives the cell's full
@@ -240,29 +221,9 @@ func ExecuteStreamCtx(ctx context.Context, r Runner, sp *Spec, emit func(Row) er
 	// Dispatch the whole grid (plus references, when a metric reads them)
 	// before collecting anything, so the pool stays saturated. Every cell
 	// is registered under the sweep's context: whatever cancellation
-	// leaves unstarted is never simulated. A BatchRunner receives each
-	// workload's configuration row whole, letting it execute cells that
-	// share trace identity in one pass; collection order (and therefore
-	// every output byte) is the same either way.
-	br, batching := r.(BatchRunner)
-	var cfgs []core.Config
-	if batching {
-		cfgs = make([]core.Config, len(combos))
-		for ci, combo := range combos {
-			cfgs[ci] = combo.Config
-		}
-	}
+	// leaves unstarted is never simulated.
 	calls := make([][]*simcache.Call[*core.Result], len(ws))
 	for wi, w := range ws {
-		if batching {
-			calls[wi] = br.StartRunBatchCtx(ctx, w, cfgs)
-			if needRef {
-				for _, b := range w.Benchmarks {
-					br.StartReferenceBatchCtx(ctx, b, cfgs)
-				}
-			}
-			continue
-		}
 		calls[wi] = make([]*simcache.Call[*core.Result], len(combos))
 		for ci, combo := range combos {
 			calls[wi][ci] = r.StartRunCtx(ctx, w, combo.Config)

@@ -23,8 +23,8 @@
 // Requester identity rides the context: the smtsimd daemon stamps each
 // request's context with WithRequester (the X-Client header, or the
 // client's remote address), the context threads unchanged through
-// scenario.ExecuteStreamCtx into Session.StartRunCtx/StartRunBatchCtx —
-// batched jobs and single-thread fairness references included — and the
+// scenario.ExecuteStreamCtx into Session.StartRunCtx — grid cells and
+// single-thread fairness references alike — and the
 // session recovers the identity with Requester at dispatch time. Code
 // that never stamps a context (the figure CLIs) lands in the single
 // anonymous "" bucket, where every policy degenerates to FIFO.
@@ -54,8 +54,8 @@ func Names() []string { return []string{PolicyFIFO, PolicyFair} }
 
 // Job is one queued unit of work: an opaque payload plus the accounting
 // identity the scheduler orders by. Cells is the job's weight — the grid
-// cells it will execute — so a max-size batch and a one-cell probe are
-// not interchangeable units.
+// cells it will execute — which the fair policy's in-service accounting
+// sums per requester.
 type Job[T any] struct {
 	// Requester identifies who asked for this job ("" = anonymous).
 	Requester string
