@@ -222,6 +222,16 @@ func Run(cfg Config, w workload.Workload) (*Result, error) {
 // every other run of the same identity, and treated as read-only.
 func RunTraced(cfg Config, w workload.Workload, ts *tracestore.Store) (*Result, error) {
 	cfg = cfg.withRunDefaults()
+	c, err := newMachine(cfg, w, ts)
+	if err != nil {
+		return nil, err
+	}
+	return measure(c, cfg, w), nil
+}
+
+// newMachine builds the cache-warmed pipeline a run of w under cfg (with
+// its run defaults applied) measures.
+func newMachine(cfg Config, w workload.Workload, ts *tracestore.Store) (*pipeline.Core, error) {
 	pol, ra, err := buildPolicy(cfg.Policy)
 	if err != nil {
 		return nil, err
@@ -240,7 +250,11 @@ func RunTraced(cfg Config, w workload.Workload, ts *tracestore.Store) (*Result, 
 		return nil, err
 	}
 	c.WarmupCaches()
+	return c, nil
+}
 
+// measure runs the warm phase and the FAME measurement window on c.
+func measure(c *pipeline.Core, cfg Config, w workload.Workload) *Result {
 	// Phase 1 — timed, unmeasured warm phase: cache contents, branch
 	// predictor weights, and policy state (DCRA classification, hill-
 	// climbing epochs) converge before measurement begins. Coverage is
@@ -305,7 +319,7 @@ func RunTraced(cfg Config, w workload.Workload, ts *tracestore.Store) (*Result, 
 		res.ExecutedTotal += tr.Executed
 		res.CommittedTotal += tr.Committed
 	}
-	return res, nil
+	return res
 }
 
 // covered reports whether every thread's committed count reached its

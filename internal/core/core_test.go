@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/workload"
@@ -160,6 +161,56 @@ func TestRegisterOverrideApplied(t *testing.T) {
 	for _, th := range res.Threads {
 		if th.RegsNormal > 128 || th.RegsRunahead > 128 {
 			t.Fatalf("occupancy exceeds 64+64 files: %+v", th)
+		}
+	}
+}
+
+// TestParanoidEveryPolicy runs every policy kind — the evaluation set,
+// round-robin, the Figure 4 ablations, MLP and RaT+DCRA — on a real MEM2
+// and ILP2 workload with the pipeline's per-cycle invariant checks on, so
+// the no-prefetch suppression, runahead-cache forwarding, FP invalidation
+// and FLUSH squash paths all meet the wakeup oracle. Checking must not
+// perturb the machine: each Result deep-equals the unchecked run's.
+func TestParanoidEveryPolicy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paranoid policy sweep")
+	}
+	kinds := append(Policies(), PolicyRR,
+		PolicyRaTNoPrefetch, PolicyRaTNoFetch, PolicyRaTCache,
+		PolicyRaTNoFPInv, PolicyMLP, PolicyRaTDCRA)
+	workloads := []workload.Workload{
+		workload.MustByGroup("MEM2")[0],
+		workload.MustByGroup("ILP2")[0],
+	}
+	for _, w := range workloads {
+		for _, p := range kinds {
+			cfg := fastCfg()
+			cfg.TraceLen = 2_000
+			cfg.Policy = p
+			cfg = cfg.withRunDefaults()
+			want, err := Run(cfg, w)
+			if err != nil {
+				t.Fatalf("%s %s: %v", w.Name(), p, err)
+			}
+			c, err := newMachine(cfg, w, nil)
+			if err != nil {
+				t.Fatalf("%s %s: %v", w.Name(), p, err)
+			}
+			c.SetParanoid(true)
+			if got := measure(c, cfg, w); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: paranoid run differs:\n got  %+v\n want %+v", w.Name(), p, got, want)
+			}
+			// The runahead variants must actually run ahead on MEM2, or
+			// their fold paths went unchecked.
+			if _, ra, _ := buildPolicy(p); ra.Enabled && w.Group == "MEM2" {
+				eps := uint64(0)
+				for _, th := range want.Threads {
+					eps += th.RunaheadEpisodes
+				}
+				if eps == 0 {
+					t.Errorf("%s %s: no runahead episode", w.Name(), p)
+				}
+			}
 		}
 	}
 }

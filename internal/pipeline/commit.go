@@ -15,9 +15,10 @@ import (
 // checkpoint and resumes normal execution.
 func (c *Core) commitStage(now uint64) {
 	n := len(c.threads)
+	start := int(now % uint64(n)) // reduce before converting: int(now) goes negative past 2^63
 	budget := c.cfg.Width
 	for k := 0; k < n && budget > 0; k++ {
-		t := c.threads[(int(now)+k)%n]
+		t := c.threads[(start+k)%n]
 		c.commitThread(t, now, &budget)
 	}
 }
@@ -130,7 +131,7 @@ func (c *Core) enterRunahead(t *thread, head *DynInst, now uint64) {
 	head.inv = true
 	head.completed = true
 	if head.dst >= 0 {
-		c.fileFor(head.tmpl.Dst).MarkReady(head.dst, true)
+		c.markReady(head.tmpl.Dst, head.dst, true)
 	}
 }
 
@@ -293,6 +294,58 @@ func (c *Core) CheckInvariants() error {
 		if q.count > q.cap {
 			return fmt.Errorf("queue %d over capacity: %d > %d", q.kind, q.count, q.cap)
 		}
+		if err := c.checkWakeup(q); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// checkWakeup holds the broadcast-maintained wakeup state of q's live
+// entries against a fresh poll of the register file: pending reaches zero
+// exactly when every source has produced, and, for a runahead thread,
+// invSrc is set exactly when a fold-relevant source is ready and INV.
+func (c *Core) checkWakeup(q *issueQueue) error {
+	for _, di := range q.entries {
+		if di.issued || di.folded || di.squashed {
+			continue
+		}
+		if ready := c.operandsReady(di); (di.pending == 0) != ready {
+			return fmt.Errorf("queue %d: inst %d has pending %d but operands ready=%v",
+				q.kind, di.id, di.pending, ready)
+		}
+		if c.threads[di.tid].mode != ModeRunahead {
+			continue
+		}
+		if inv := c.operandInvForIssue(di); di.invSrc != inv {
+			return fmt.Errorf("queue %d: inst %d has invSrc %v but fold-relevant operand INV=%v",
+				q.kind, di.id, di.invSrc, inv)
+		}
+	}
+	return nil
+}
+
+// operandsReady polls whether all of di's renamed sources have produced
+// (the oracle for pending == 0).
+func (c *Core) operandsReady(di *DynInst) bool {
+	if di.src1 >= 0 && !c.fileFor(di.tmpl.Src1).Ready(di.src1) {
+		return false
+	}
+	if di.src2 >= 0 && !c.fileFor(di.tmpl.Src2).Ready(di.src2) {
+		return false
+	}
+	return true
+}
+
+// operandInvForIssue polls whether a fold-relevant source of di is ready
+// and INV (the oracle for invSrc): for memory ops only the address source
+// counts; for everything else, either source.
+func (c *Core) operandInvForIssue(di *DynInst) bool {
+	if c.regKnownInv(di.tmpl.Src1, di.src1) {
+		return true
+	}
+	if di.tmpl.Op.IsMem() {
+		return false
+	}
+	return c.regKnownInv(di.tmpl.Src2, di.src2)
 }

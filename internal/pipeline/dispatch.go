@@ -14,9 +14,10 @@ import (
 // paper studies.
 func (c *Core) dispatchStage(now uint64) {
 	n := len(c.threads)
+	start := int(now % uint64(n)) // reduce before converting: int(now) goes negative past 2^63
 	budget := c.cfg.Width
 	for k := 0; k < n && budget > 0; k++ {
-		t := c.threads[(int(now)+k)%n]
+		t := c.threads[(start+k)%n]
 		for budget > 0 && t.fq.len() > 0 {
 			di := t.fq.front()
 			if di.fetchReadyAt > now {
@@ -77,17 +78,18 @@ func (c *Core) tryDispatch(t *thread, di *DynInst, now uint64) bool {
 			return false
 		}
 		di.dst = p
+		ws := c.waitersFor(di.tmpl.Dst, p)
+		*ws = (*ws)[:0]
 	}
 
-	// Rename sources and take references on in-flight producers.
+	// Rename sources, take references on in-flight producers, and wait on
+	// the ones that have not produced. No fold-relevant source can be
+	// ready and INV here: in runahead mode dispatchOperandInv folded the
+	// instruction above, and a normal-mode thread holds no INV values.
 	di.src1 = t.mapGet(di.tmpl.Src1)
 	di.src2 = t.mapGet(di.tmpl.Src2)
-	if di.src1 >= 0 {
-		c.fileFor(di.tmpl.Src1).IncRef(di.src1)
-	}
-	if di.src2 >= 0 {
-		c.fileFor(di.tmpl.Src2).IncRef(di.src2)
-	}
+	c.watchSource(di, di.tmpl.Src1, di.src1)
+	c.watchSource(di, di.tmpl.Src2, di.src2)
 	if di.tmpl.HasDst() {
 		di.prevWriter = t.writers[di.tmpl.Dst]
 		if di.prevWriter != nil {
@@ -104,6 +106,22 @@ func (c *Core) tryDispatch(t *thread, di *DynInst, now uint64) bool {
 	t.rob.pushBack(di)
 	c.robCount++
 	return true
+}
+
+// watchSource takes a reference on a renamed source backed by a physical
+// register and, if its producer has not produced yet, counts it pending
+// and joins the register's waiter list.
+func (c *Core) watchSource(di *DynInst, a isa.Reg, p regfile.PhysReg) {
+	if p < 0 {
+		return
+	}
+	f := c.fileFor(a)
+	f.IncRef(p)
+	if !f.Ready(p) {
+		di.pending++
+		ws := c.waitersFor(a, p)
+		*ws = append(*ws, wheelRef{di, di.id})
+	}
 }
 
 // dispatchOperandInv reports whether di's relevant source operands are

@@ -68,6 +68,14 @@ type DynInst struct {
 	prevWriterID uint64
 	// iq is the queue the instruction was dispatched to (IQNone if folded).
 	iq IQKind
+	// pending counts renamed sources whose producers have not yet produced;
+	// the producers' markReady broadcasts count it down to zero, at which
+	// point the instruction may be selected.
+	pending int8
+	// invSrc records that a fold-relevant source (src1 for memory ops,
+	// either source otherwise) became ready and INV: in runahead mode the
+	// instruction folds at its next queue scan.
+	invSrc bool
 
 	// fetchReadyAt is when the front-end pipe delivers it to rename.
 	fetchReadyAt uint64
@@ -91,6 +99,17 @@ type DynInst struct {
 	isL2Miss     bool // demand load served by main memory
 	retired      bool // left the ROB via commit or pseudo-retire
 	pooled       bool // sitting in the core's free list (recycling guard)
+}
+
+// foldsOn reports whether register p of a's file is a fold-relevant source
+// of d: for memory operations only the address source (src1) counts — a
+// store whose data is INV still computes its address — and for everything
+// else either source does.
+func (d *DynInst) foldsOn(a isa.Reg, p regfile.PhysReg) bool {
+	if !d.tmpl.Op.IsMem() {
+		return true
+	}
+	return d.src1 == p && d.tmpl.Src1.IsFP() == a.IsFP()
 }
 
 // ID returns the global age identifier.

@@ -5,14 +5,17 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/regfile"
 )
 
-// issueStage performs wakeup and select for each issue queue: instructions
-// whose operands are ready issue oldest-first to a free functional unit,
-// within the global issue width. In runahead mode, instructions whose
-// operands are poisoned are folded here (never executed), releasing their
-// queue slot without consuming issue bandwidth — the "light thread"
-// behaviour of §3.2.
+// issueStage selects from each issue queue in turn (Int, LS, FP):
+// instructions whose operands have all been produced issue oldest-first to
+// a free functional unit, within the global issue width. In runahead mode,
+// instructions with a poisoned fold-relevant operand are folded here
+// (never executed), releasing their queue slot without consuming issue
+// bandwidth — the "light thread" behaviour of §3.2. Readiness is not
+// polled: producers broadcast it into each waiting consumer (markReady),
+// so the scan reads only per-instruction flags.
 func (c *Core) issueStage(now uint64) {
 	budget := c.cfg.Width
 	for _, kind := range [...]IQKind{IQInt, IQLS, IQFP} {
@@ -21,7 +24,10 @@ func (c *Core) issueStage(now uint64) {
 }
 
 // scanQueue walks one queue in age order, compacting out entries that have
-// left (issued, folded, squashed) and issuing the ready ones.
+// left (issued, folded, squashed), folding runahead entries whose invSrc
+// is set, keeping entries with sources still pending, and issuing the
+// rest. A fold here broadcasts at once, so a younger consumer later in
+// this queue, or in a queue scanned after it, sees the poison this cycle.
 func (c *Core) scanQueue(q *issueQueue, now uint64, budget *int) {
 	units := c.fuBusy[q.kind]
 	kept := q.entries[:0]
@@ -32,16 +38,12 @@ func (c *Core) scanQueue(q *issueQueue, now uint64, budget *int) {
 		t := c.threads[di.tid]
 
 		// Runahead folding on poisoned operands.
-		if t.mode == ModeRunahead && c.operandInvForIssue(di) {
+		if di.invSrc && t.mode == ModeRunahead {
 			c.foldInQueue(t, di)
 			continue
 		}
 
-		if !c.operandsReady(di) {
-			kept = append(kept, di)
-			continue
-		}
-		if *budget == 0 {
+		if di.pending > 0 || *budget == 0 {
 			kept = append(kept, di)
 			continue
 		}
@@ -80,28 +82,23 @@ func (c *Core) scanQueue(q *issueQueue, now uint64, budget *int) {
 	q.entries = kept
 }
 
-// operandsReady reports whether all renamed sources have produced.
-func (c *Core) operandsReady(di *DynInst) bool {
-	if di.src1 >= 0 && !c.fileFor(di.tmpl.Src1).Ready(di.src1) {
-		return false
+// markReady publishes that the producer of register p (in a's file) has
+// produced: the register file records it, and every consumer still waiting
+// on p counts one source down, noting a poisoned fold-relevant source.
+// Waiters whose instruction has since been recycled fail the id check and
+// are skipped; decrementing a squashed or folded one is harmless, as
+// nothing reads its wakeup state again.
+func (c *Core) markReady(a isa.Reg, p regfile.PhysReg, inv bool) {
+	c.fileFor(a).MarkReady(p, inv)
+	for _, w := range *c.waitersFor(a, p) {
+		if !w.live() {
+			continue
+		}
+		w.di.pending--
+		if inv && w.di.foldsOn(a, p) {
+			w.di.invSrc = true
+		}
 	}
-	if di.src2 >= 0 && !c.fileFor(di.tmpl.Src2).Ready(di.src2) {
-		return false
-	}
-	return true
-}
-
-// operandInvForIssue reports whether di must fold due to poisoned
-// operands: for memory ops only the address source counts; for everything
-// else, either source.
-func (c *Core) operandInvForIssue(di *DynInst) bool {
-	if c.regKnownInv(di.tmpl.Src1, di.src1) {
-		return true
-	}
-	if di.tmpl.Op.IsMem() {
-		return false
-	}
-	return c.regKnownInv(di.tmpl.Src2, di.src2)
 }
 
 // foldInQueue folds an instruction discovered invalid after dispatch: its
@@ -113,7 +110,7 @@ func (c *Core) foldInQueue(t *thread, di *DynInst) {
 	di.inv = true
 	c.releaseRefs(di)
 	if di.dst >= 0 {
-		c.fileFor(di.tmpl.Dst).MarkReady(di.dst, true)
+		c.markReady(di.tmpl.Dst, di.dst, true)
 	}
 	c.iqs[di.iq].count--
 	t.iqHeld[di.iq]--
@@ -304,8 +301,10 @@ func (c *Core) detectMisses(now uint64) {
 	c.pendingDetect = kept
 }
 
-// completeStage drains completions scheduled for this cycle: results
-// become ready, dependents can wake next scan, and branches resolve.
+// completeStage drains completions scheduled for this cycle: each result
+// is broadcast to its waiting consumers (markReady), so a consumer whose
+// last source this was is selectable in this cycle's issue scan, and
+// branches resolve.
 func (c *Core) completeStage(now uint64) {
 	slot := now % wheelSize
 	for _, ref := range c.wheel[slot] {
@@ -315,7 +314,7 @@ func (c *Core) completeStage(now uint64) {
 		}
 		di.completed = true
 		if di.dst >= 0 {
-			c.fileFor(di.tmpl.Dst).MarkReady(di.dst, di.inv)
+			c.markReady(di.tmpl.Dst, di.dst, di.inv)
 		}
 		if di.tmpl.Op.IsBranch() {
 			c.resolveBranch(di, now)

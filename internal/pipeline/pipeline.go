@@ -8,6 +8,20 @@
 // pipeline order (commit, issue, dispatch, fetch) so a resource freed in
 // cycle N is usable in cycle N+1, not N — the usual discrete-timing
 // discipline for synchronous pipeline models.
+//
+// Issue is wakeup-driven rather than polled. At dispatch an instruction
+// counts its sources whose producers have not produced (pending) and joins
+// each such physical register's waiter list; every site that makes a
+// register ready — completion, a runahead fold in the queue, and the
+// trigger load's poisoning at runahead entry — goes through markReady,
+// which counts the waiters down and sets invSrc on those for which the
+// register is a poisoned fold-relevant source. The invariants, checked
+// against a register-file poll by paranoid mode every cycle, are: a live
+// queue entry has pending == 0 exactly when all its sources are ready,
+// and, in a runahead thread, invSrc exactly when a fold-relevant source is
+// ready and INV. Because a fold broadcasts at once, poison cascades within
+// a cycle along the scan order: an IQInt fold folds its IQLS consumers in
+// the same cycle, an IQLS fold reaches IQInt consumers in the next.
 package pipeline
 
 import (
@@ -82,6 +96,12 @@ type Core struct {
 	iqs    [4]*issueQueue // indexed by IQKind; IQNone unused
 	fuBusy [4][]uint64    // per-class unit busy-until cycles
 
+	// intWaiters and fpWaiters hold, per physical register, the queued
+	// consumers waiting for it to produce (see markReady). A register's
+	// list is reset when it is allocated, so entries left by squashed
+	// consumers never outlive the allocation they waited on.
+	intWaiters, fpWaiters [][]wheelRef
+
 	wheel         [wheelSize][]wheelRef
 	pendingDetect []wheelRef // L2 misses awaiting detection
 	cycle         uint64
@@ -112,11 +132,13 @@ func New(cfg Config, traces []*trace.Trace, pol Policy) (*Core, error) {
 		pol = ICount{}
 	}
 	c := &Core{
-		cfg:    cfg,
-		hier:   mem.NewHierarchy(cfg.Mem),
-		intRF:  regfile.New("int", cfg.IntRegs),
-		fpRF:   regfile.New("fp", cfg.FPRegs),
-		policy: pol,
+		cfg:        cfg,
+		hier:       mem.NewHierarchy(cfg.Mem),
+		intRF:      regfile.New("int", cfg.IntRegs),
+		fpRF:       regfile.New("fp", cfg.FPRegs),
+		intWaiters: make([][]wheelRef, cfg.IntRegs),
+		fpWaiters:  make([][]wheelRef, cfg.FPRegs),
+		policy:     pol,
 	}
 	c.iqs[IQInt] = &issueQueue{kind: IQInt, cap: cfg.IntIQ, entries: make([]*DynInst, 0, cfg.IntIQ)}
 	c.iqs[IQFP] = &issueQueue{kind: IQFP, cap: cfg.FPIQ, entries: make([]*DynInst, 0, cfg.FPIQ)}
@@ -353,6 +375,14 @@ func (c *Core) fileFor(a isa.Reg) *regfile.File {
 		return c.fpRF
 	}
 	return nil
+}
+
+// waitersFor returns the consumer list of physical register p in a's file.
+func (c *Core) waitersFor(a isa.Reg, p regfile.PhysReg) *[]wheelRef {
+	if a.IsFP() {
+		return &c.fpWaiters[p]
+	}
+	return &c.intWaiters[p]
 }
 
 // --- ICOUNT -------------------------------------------------------------------

@@ -113,6 +113,33 @@ func TestRoundRobinLargeCycle(t *testing.T) {
 	}
 }
 
+// TestStepLargeCycle is the same regression for the core's own rotating
+// stages: dispatch and commit picked their first thread with
+// (int(now)+k)%n, which past 2^63 indexed threads[-2] and panicked. A
+// 3-thread machine must step through cycle counts past 2^63 and up to the
+// top of the range, holding its invariants and committing for every
+// thread.
+func TestStepLargeCycle(t *testing.T) {
+	for _, start := range []uint64{1<<63 + 5, math.MaxUint64 - 49} {
+		c, err := pipeline.New(pipeline.DefaultConfig(),
+			[]*trace.Trace{ilpTrace(100), ilpTrace(100), ilpTrace(100)}, RoundRobin{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.WarmupICache()
+		c.SetParanoid(true)
+		c.SetCycle(start)
+		for i := 0; i < 50; i++ {
+			c.Step()
+		}
+		for tid := 0; tid < 3; tid++ {
+			if c.Committed(tid) == 0 {
+				t.Errorf("start %d: thread %d committed nothing in 50 cycles", start, tid)
+			}
+		}
+	}
+}
+
 func TestRoundRobinNoStarvation(t *testing.T) {
 	c := runCore(t, RoundRobin{}, []*trace.Trace{ilpTrace(500), ilpTrace(500)}, 3000)
 	if c.Committed(0) == 0 || c.Committed(1) == 0 {
