@@ -45,8 +45,15 @@
 // trace tier shared by every cell of every sweep: N configurations of
 // one workload decode the trace once, and single-thread fairness
 // references reuse the traces their SMT runs already generated. With
-// -trace-dir the tier persists traces on disk (versioned, checksummed;
-// corrupt files read as misses) so restarts skip regeneration.
+// -trace-dir the tier persists traces on disk so restarts skip
+// regeneration.
+//
+// Both directories are internal/blobstore stores: one shared entry
+// envelope (magic, version, identity echo, payload, CRC-32), atomic
+// temp-file-then-rename writes, byte-bounded LRU eviction, and corrupt,
+// torn or stale files read as misses that are deleted and recomputed.
+// The blobstore package documentation states the durability contract:
+// no fsync, so a crash costs recomputation, never a wrong answer.
 //
 // Scheduling across clients is fair by default: each request is
 // attributed to a client identity (the X-Client header when present,

@@ -67,14 +67,18 @@
 // simulation is a deterministic pure function of (workload,
 // core.Config.Canonical()), so its result can be persisted and replayed:
 // a memory-cache miss probes the store before simulating, and every
-// completed simulation is written behind its result (atomic
-// temp-file-then-rename, so a killed process never leaves a torn entry).
-// Entries are content-addressed files carrying a versioned,
-// self-describing header — schema version, config fingerprint, workload
-// name, and the full canonical configuration — plus a checksum trailer;
-// anything unexpected on read (truncation, corruption, a stale schema
-// version, an identity mismatch) is a clean miss that deletes the entry
-// and recomputes, never a wrong answer. The store is byte-bounded:
+// completed simulation is written behind its result. The disk mechanics
+// belong to internal/blobstore, which both persistent tiers share: an
+// entry is a file named by the SHA-256 of its identity (here the
+// workload name and the full canonical configuration) and holds one
+// envelope — magic, version, the identity echoed back, the payload and
+// a CRC-32 trailer. Anything unexpected on read (truncation, corruption,
+// a stale version, an identity mismatch) is a clean miss that deletes
+// the entry and recomputes, never a wrong answer. Writes go to a temp
+// file renamed into place; there is no fsync, so a crash may lose recent
+// entries or leave a torn one, which the next read catches and
+// recomputes — the blobstore package documentation states this
+// durability contract in full. The store is byte-bounded:
 // least-recently-accessed entries are deleted past StoreBytes, with
 // recency persisted in file modification times. A killed-and-restarted
 // smtsimd over the same -store-dir therefore serves previously-run
@@ -96,12 +100,12 @@
 // single-thread fairness references reuse the context-0 traces the SMT
 // runs already produced. Like results, traces can persist: -trace-dir /
 // -trace-bytes (experiments.Options.TraceDir/TraceBytes) add an on-disk
-// tier with the same discipline as the result store — versioned
-// checksummed entries (trace.CodecVersion), atomic writes, corrupt or
-// stale files read as misses, byte-bounded LRU eviction. Every cell runs
-// through the one scalar path, core.RunTraced, against the session's
-// tier; traces are immutable after generation, so sharing them cannot
-// change a result. TestSweepSharesTraces locks the sharing (every
+// tier that is another internal/blobstore store — the same envelope,
+// writes, eviction and durability contract as the result store, with
+// trace.CodecVersion folded into the entry version so a codec change
+// turns old files into misses. Every cell runs through the one scalar
+// path, core.RunTraced, against the session's tier; traces are immutable
+// after generation, so sharing them cannot change a result. TestSweepSharesTraces locks the sharing (every
 // identity generated exactly once, repeats served as hits), and the
 // tier's counters are visible in /v1/metrics under "trace".
 //

@@ -38,6 +38,7 @@ var TargetPackages = []string{
 	"repro/internal/experiments",
 	"repro/internal/workload",
 	"repro/internal/simcache",
+	"repro/internal/blobstore",
 	"repro/internal/resultstore",
 	"repro/internal/tracestore",
 	"repro/cmd/smtsimd",

@@ -43,6 +43,7 @@ import (
 var TargetPackages = []string{
 	"repro/internal/simcache",
 	"repro/internal/sched",
+	"repro/internal/blobstore",
 	"repro/internal/resultstore",
 	"repro/internal/tracestore",
 	"repro/internal/experiments",

@@ -143,6 +143,43 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 	}
 }
 
+// TestUnwritableStoreKeepsResults sabotages the store mid-session: its
+// directory is replaced by a regular file, so every write fails with
+// ENOTDIR (even for root). Persistence is write-behind and best-effort,
+// so RunConfig must still return exactly the result of an unstored
+// session while the failures are counted.
+func TestUnwritableStoreKeepsResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation run")
+	}
+	dir := t.TempDir()
+	w := workload.Workload{Group: "AD", Benchmarks: []string{"art", "mcf"}}
+
+	s := mustSession(t, storeOptions(dir))
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.RunConfig(w, s.BaseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	plain := mustSession(t, storeOptions(""))
+	want, err := plain.RunConfig(w, plain.BaseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("result under a failing store differs from an unstored run:\nwant: %+v\n got: %+v", want, got)
+	}
+	if st := s.StoreStats(); st.WriteErrors == 0 || st.Hits != 0 {
+		t.Errorf("store stats = %+v, want counted write errors and no hits", st)
+	}
+}
+
 // TestStorelessSessionUnchanged: sessions without StoreDir report zero
 // store stats and never touch disk.
 func TestStorelessSessionUnchanged(t *testing.T) {

@@ -8,341 +8,86 @@
 // the result a recomputation would produce, and the store can never
 // serve anything a fresh run would not.
 //
-// # Format
-//
-// Entries are single files named by the SHA-256 of the key, holding a
-// versioned, self-describing record:
-//
-//	magic "SMRS" | schema version | fingerprint | workload | canonical
-//	config | result payload | CRC-32
-//
-// The header repeats the full identity of the entry (the short
-// core.Config.Fingerprint plus the collision-free canonical string and
-// the workload name), and the trailer checksums everything before it.
-// A reader that finds anything unexpected — wrong magic, a schema
-// version it does not speak, a checksum mismatch from truncation or
-// corruption, or a header identity that is not the key being asked for
-// — treats the entry as a clean miss and deletes it: the caller
-// recomputes and rewrites, and a damaged store degrades to recomputation,
-// never to a wrong answer.
-//
-// # Writes and eviction
-//
-// Writes are atomic: an entry is encoded to a temp file in the store
-// directory and renamed into place, so a crashed or killed writer can
-// leave at most a stale temp file (swept at the next Open), never a
-// half-written entry under a live name. Several processes may share one
-// directory — renames are atomic per entry and deterministic keys make
-// double-writes identical.
-//
-// The store is byte-bounded (MaxBytes; 0 = unbounded): when a write
-// pushes the tracked footprint past the bound, least-recently-accessed
-// entries are deleted until it fits. Access recency persists across
-// restarts through file modification times (bumped on every hit).
-// Eviction, like corruption, only ever costs recomputation.
+// The disk mechanics — file naming, the checksummed envelope, atomic
+// writes, byte-bounded LRU eviction and the durability contract — are
+// internal/blobstore's. This package is the codec: the identity
+// workload + "\x00" + canonical config, and the core.Result payload.
 package resultstore
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"math"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
-	"time"
 
+	"repro/internal/blobstore"
 	"repro/internal/core"
 )
 
-const (
-	// magic opens every entry file.
-	magic = "SMRS"
-	// schemaVersion names the encoding this package writes. Any change to
-	// the payload layout (new core.Result fields, different field order)
-	// must bump it; readers treat every other version as a miss.
-	schemaVersion uint16 = 1
-	// suffix names entry files; anything else in the directory is ignored.
-	suffix = ".smtres"
-	// tmpPrefix names in-progress writes; stale ones (a writer killed
-	// between create and rename) are swept at Open.
-	tmpPrefix = ".tmp-"
-)
+// schemaVersion names the encoding this package writes. Any change to the
+// identity or payload layout (new core.Result fields, different field
+// order) must bump it; readers treat every other version as a miss.
+const schemaVersion uint16 = 2
 
-// Stats is a point-in-time snapshot of store effectiveness, shaped for
-// the smtsimd /v1/metrics endpoint.
-type Stats struct {
-	// Hits counts Get calls served from disk; Misses counts Get calls
-	// that found nothing usable (absent, stale-version, corrupt, or
-	// mismatched entries all read as misses).
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	// Evictions counts entries deleted to respect MaxBytes.
-	Evictions uint64 `json:"evictions"`
-	// WriteErrors counts Put calls that failed to land an entry.
-	WriteErrors uint64 `json:"writeErrors"`
-	// Files and Bytes describe the tracked population.
-	Files int   `json:"files"`
-	Bytes int64 `json:"bytes"`
-	// MaxBytes echoes the configured bound (0 = unbounded).
-	MaxBytes int64 `json:"maxBytes"`
-}
+// format is the result tier's blob format.
+var format = blobstore.Format{Magic: "SMRS", Version: schemaVersion, Suffix: ".smtres"}
 
-// fileEntry is the in-memory accounting for one entry file.
-type fileEntry struct {
-	size int64
-	seq  uint64 // logical access clock; highest = most recently used
-}
+// Stats is the store's counter snapshot, shaped for the smtsimd
+// /v1/metrics endpoint.
+type Stats = blobstore.Stats
 
-// Store is the on-disk tier. All methods are safe for concurrent use.
+// Store is the on-disk result tier. All methods are safe for concurrent
+// use.
 type Store struct {
-	dir      string
-	maxBytes int64
-
-	mu      sync.Mutex
-	entries map[string]*fileEntry // file name -> accounting
-	bytes   int64
-	seq     uint64
-	hits    uint64
-	misses  uint64
-	evicted uint64
-	werrs   uint64
+	blobs *blobstore.Store
 }
 
 // Open opens (creating if needed) a store rooted at dir, bounded to
-// maxBytes of entry files (0 = unbounded). Existing entries are adopted
-// with their file modification times as access recency, and the bound is
-// enforced immediately, so a shrunken bound takes effect at open.
+// maxBytes of entry files (0 = unbounded).
 func Open(dir string, maxBytes int64) (*Store, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("resultstore: empty directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("resultstore: %w", err)
-	}
-	s := &Store{dir: dir, maxBytes: maxBytes, entries: map[string]*fileEntry{}}
-
-	des, err := os.ReadDir(dir)
+	b, err := blobstore.Open(dir, maxBytes, format)
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
-	type adopted struct {
-		name  string
-		size  int64
-		mtime time.Time
-	}
-	var found []adopted
-	for _, de := range des {
-		if de.IsDir() {
-			continue
-		}
-		if strings.HasPrefix(de.Name(), tmpPrefix) {
-			// A writer died between create and rename. Temp files are
-			// invisible to lookups and exempt from the byte bound, so
-			// left alone they would leak disk across kill/restart cycles.
-			os.Remove(filepath.Join(dir, de.Name()))
-			continue
-		}
-		if !strings.HasSuffix(de.Name(), suffix) {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue // raced with another process's eviction
-		}
-		found = append(found, adopted{de.Name(), info.Size(), info.ModTime()})
-	}
-	// Oldest first, so adopted entries get ascending sequence numbers and
-	// eviction order matches on-disk recency.
-	sort.Slice(found, func(i, j int) bool {
-		if !found[i].mtime.Equal(found[j].mtime) {
-			return found[i].mtime.Before(found[j].mtime)
-		}
-		return found[i].name < found[j].name
-	})
-	for _, f := range found {
-		s.seq++
-		s.entries[f.name] = &fileEntry{size: f.size, seq: s.seq}
-		s.bytes += f.size
-	}
-	s.mu.Lock()
-	s.evict()
-	s.mu.Unlock()
-	return s, nil
+	return &Store{blobs: b}, nil
 }
 
 // Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
+func (s *Store) Dir() string { return s.blobs.Dir() }
 
-// fileName derives the entry file for a key: content addressing by the
-// SHA-256 of the full identity, so distinct keys can never share a file.
-func fileName(workload, canonical string) string {
-	h := sha256.New()
-	h.Write([]byte(workload))
-	h.Write([]byte{0})
-	h.Write([]byte(canonical))
-	return hex.EncodeToString(h.Sum(nil)) + suffix
+// identity is the full, collision-free key of a cell.
+func identity(workload string, cfg core.Config) []byte {
+	return []byte(workload + "\x00" + cfg.Canonical())
 }
 
 // Get probes the store for a previously stored result. Every failure
-// mode — no entry, unreadable file, wrong magic or schema version,
-// checksum mismatch, identity mismatch — is a miss (ok=false), and any
-// entry that decoded wrong is deleted so the post-recompute rewrite
-// starts clean. A hit returns a Result bit-identical to the one stored
-// and marks the entry most recently accessed.
+// mode is a miss (ok=false); a hit returns a Result bit-identical to the
+// one stored.
 func (s *Store) Get(workload string, cfg core.Config) (*core.Result, bool) {
-	canonical := cfg.Canonical()
-	name := fileName(workload, canonical)
-	path := filepath.Join(s.dir, name)
-
-	// File I/O runs outside the lock: per-key dedup lives upstream (the
-	// session's singleflight cache), so the mutex only needs to cover the
-	// accounting — holding it across reads would serialize every worker's
-	// probe and stall Stats behind disk.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		s.mu.Lock()
-		s.misses++
-		// The file is gone or unreadable (e.g. deleted by a sharing
-		// process's GC): keeping its accounting would inflate Bytes and
-		// make evict chase ghosts.
-		s.forget(name)
-		s.mu.Unlock()
-		return nil, false
-	}
-	res, err := decodeEntry(data, cfg.Fingerprint(), workload, canonical)
-	if err != nil {
-		os.Remove(path)
-		s.mu.Lock()
-		s.misses++
-		s.forget(name)
-		s.mu.Unlock()
-		return nil, false
-	}
-	// Persist recency for the next process; best-effort.
-	now := time.Now()
-	os.Chtimes(path, now, now)
-	s.mu.Lock()
-	s.hits++
-	s.seq++
-	if e, ok := s.entries[name]; ok {
-		e.seq = s.seq
-	} else {
-		// Written by another process sharing the directory: adopt it,
-		// then re-enforce the bound the adoption may have broken (a
-		// hit-only process must still respect MaxBytes).
-		s.entries[name] = &fileEntry{size: int64(len(data)), seq: s.seq}
-		s.bytes += int64(len(data))
-		s.evict()
-	}
-	s.mu.Unlock()
-	return res, true
+	var r *core.Result
+	ok := s.blobs.Get(identity(workload, cfg), func(payload []byte) (err error) {
+		r, err = decodePayload(payload)
+		return err
+	})
+	return r, ok
 }
 
 // Put stores a result, atomically replacing any previous entry for the
-// key, then enforces the byte bound. Failures are counted and returned
-// but leave the store consistent: callers for whom persistence is
+// key. Failures are counted and returned; callers for whom persistence is
 // best-effort (the experiment session) may ignore the error.
 func (s *Store) Put(workload string, cfg core.Config, r *core.Result) error {
-	canonical := cfg.Canonical()
-	name := fileName(workload, canonical)
-	data := encodeEntry(schemaVersion, cfg.Fingerprint(), workload, canonical, r)
-
-	// Like Get, the write itself runs outside the lock; only the
-	// accounting (and eviction decisions) serialize.
-	fail := func(err error) error {
-		s.mu.Lock()
-		s.werrs++
-		s.mu.Unlock()
+	if err := s.blobs.Put(identity(workload, cfg), encodePayload(r)); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	tmp, err := os.CreateTemp(s.dir, tmpPrefix+"*")
-	if err != nil {
-		return fail(err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fail(err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, name)); err != nil {
-		os.Remove(tmp.Name())
-		return fail(err)
-	}
-	s.mu.Lock()
-	s.forget(name) // replacing an entry drops its old accounting
-	s.seq++
-	s.entries[name] = &fileEntry{size: int64(len(data)), seq: s.seq}
-	s.bytes += int64(len(data))
-	s.evict()
-	s.mu.Unlock()
 	return nil
 }
 
-// forget drops an entry's accounting without touching the file or the
-// eviction counter. Caller holds mu.
-func (s *Store) forget(name string) {
-	if e, ok := s.entries[name]; ok {
-		s.bytes -= e.size
-		delete(s.entries, name)
-	}
-}
-
-// evict deletes least-recently-accessed entries until the byte bound
-// holds. Caller holds mu.
-func (s *Store) evict() {
-	for s.maxBytes > 0 && s.bytes > s.maxBytes && len(s.entries) > 0 {
-		victim, min := "", uint64(math.MaxUint64)
-		//lint:deterministic victim selection minimizes seq, a per-store monotonic counter that is unique across entries, so iteration order cannot change which entry wins
-		for name, e := range s.entries {
-			if e.seq < min {
-				victim, min = name, e.seq
-			}
-		}
-		s.forget(victim)
-		s.evicted++
-		os.Remove(filepath.Join(s.dir, victim))
-	}
-}
-
 // Stats returns a consistent snapshot of the counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Stats{
-		Hits:        s.hits,
-		Misses:      s.misses,
-		Evictions:   s.evicted,
-		WriteErrors: s.werrs,
-		Files:       len(s.entries),
-		Bytes:       s.bytes,
-		MaxBytes:    s.maxBytes,
-	}
-}
+func (s *Store) Stats() Stats { return s.blobs.Stats() }
 
-// ---- codec ----
-
-// encodeEntry renders one entry file: header (magic, version, identity),
-// payload (every core.Result field, floats as IEEE-754 bit patterns so
-// decode round-trips exactly), CRC-32 trailer over everything before it.
-// version is a parameter so compatibility tests can write stale entries;
-// production callers pass schemaVersion.
-func encodeEntry(version uint16, fingerprint, workload, canonical string, r *core.Result) []byte {
+// encodePayload renders every core.Result field, floats as IEEE-754 bit
+// patterns so decode round-trips exactly.
+func encodePayload(r *core.Result) []byte {
 	var b []byte
-	b = append(b, magic...)
-	b = binary.LittleEndian.AppendUint16(b, version)
-	b = appendString(b, fingerprint)
-	b = appendString(b, workload)
-	b = appendString(b, canonical)
-
 	b = appendString(b, r.Workload)
 	b = appendString(b, string(r.Policy))
 	b = binary.LittleEndian.AppendUint64(b, r.Cycles)
@@ -365,37 +110,13 @@ func encodeEntry(version uint16, fingerprint, workload, canonical string, r *cor
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.RegsRunahead))
 		b = binary.LittleEndian.AppendUint64(b, t.CyclesInRunahead)
 	}
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	return b
 }
 
-// decodeEntry parses and verifies one entry file against the key the
-// caller is looking up. Every defect returns an error — the store maps
-// them all to a miss.
-func decodeEntry(data []byte, fingerprint, workload, canonical string) (*core.Result, error) {
-	if len(data) < len(magic)+2+4 {
-		return nil, fmt.Errorf("resultstore: entry too short (%d bytes)", len(data))
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	d := &decoder{data: body}
-	if string(d.bytes(len(magic))) != magic {
-		return nil, fmt.Errorf("resultstore: bad magic")
-	}
-	if v := d.uint16(); v != schemaVersion {
-		return nil, fmt.Errorf("resultstore: schema version %d, want %d", v, schemaVersion)
-	}
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return nil, fmt.Errorf("resultstore: checksum mismatch")
-	}
-	if got := d.string(); got != fingerprint {
-		return nil, fmt.Errorf("resultstore: fingerprint %q, want %q", got, fingerprint)
-	}
-	if got := d.string(); got != workload {
-		return nil, fmt.Errorf("resultstore: workload %q, want %q", got, workload)
-	}
-	if got := d.string(); got != canonical {
-		return nil, fmt.Errorf("resultstore: canonical config mismatch")
-	}
-
+// decodePayload parses one encodePayload rendering; every defect is an
+// error, which the store maps to a miss.
+func decodePayload(data []byte) (*core.Result, error) {
+	d := &decoder{data: data}
 	r := &core.Result{
 		Workload:       d.string(),
 		Policy:         core.PolicyKind(d.string()),
@@ -405,7 +126,7 @@ func decodeEntry(data []byte, fingerprint, workload, canonical string) (*core.Re
 		Truncated:      d.bool(),
 	}
 	n := d.uint32()
-	if d.err == nil && uint64(n)*89 > uint64(len(body)) { // 89 = minimum encoded thread size
+	if d.err == nil && uint64(n)*89 > uint64(len(data)) { // 89 = minimum encoded thread size
 		return nil, fmt.Errorf("resultstore: implausible thread count %d", n)
 	}
 	for i := uint32(0); i < n && d.err == nil; i++ {
@@ -427,8 +148,8 @@ func decodeEntry(data []byte, fingerprint, workload, canonical string) (*core.Re
 	if d.err != nil {
 		return nil, d.err
 	}
-	if d.off != len(body) {
-		return nil, fmt.Errorf("resultstore: %d trailing bytes", len(body)-d.off)
+	if d.off != len(data) {
+		return nil, fmt.Errorf("resultstore: %d trailing bytes", len(data)-d.off)
 	}
 	return r, nil
 }
@@ -447,9 +168,9 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// decoder is a bounds-checked cursor over an entry body: the first
-// overrun latches err and every later read returns zero values, so
-// decodeEntry can parse straight-line and check once.
+// decoder is a bounds-checked cursor over a payload: the first overrun
+// latches err and every later read returns zero values, so decodePayload
+// can parse straight-line and check once.
 type decoder struct {
 	data []byte
 	off  int
@@ -466,14 +187,6 @@ func (d *decoder) bytes(n int) []byte {
 	out := d.data[d.off : d.off+n]
 	d.off += n
 	return out
-}
-
-func (d *decoder) uint16() uint16 {
-	b := d.bytes(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
 }
 
 func (d *decoder) uint32() uint32 {

@@ -9,27 +9,19 @@
 // exact trace objects its SMT run generated.
 //
 // The in-memory tier is always present. An optional on-disk tier (Open
-// with a directory) persists encoded traces across process restarts in the
-// same format discipline as internal/resultstore: versioned, checksummed,
-// atomically renamed into place, with every defect reading as a clean miss
-// that deletes the damaged entry. A damaged or stale store only ever costs
+// with a directory) persists encoded traces across process restarts; it is
+// an internal/blobstore store, which owns the entry format, eviction and
+// the durability contract. A damaged or stale store only ever costs
 // regeneration, never a wrong trace.
 package tracestore
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"repro/internal/blobstore"
 	"repro/internal/simcache"
 	"repro/internal/trace"
 )
@@ -83,7 +75,7 @@ const DefaultMemBytes = 256 << 20
 // Store is the trace tier. All methods are safe for concurrent use.
 type Store struct {
 	mem       *simcache.Cache[Key, *trace.Trace]
-	disk      *diskTier // nil without a persistent tier
+	disk      *blobstore.Store // nil without a persistent tier
 	generated atomic.Uint64
 }
 
@@ -94,13 +86,11 @@ func New(memBytes int64) *Store {
 }
 
 // Open builds a store with a persistent tier rooted at dir, bounded to
-// diskBytes of entry files (0 = unbounded). Stale temp files are swept
-// and existing entries adopted with file modification times as recency,
-// exactly as resultstore does.
+// diskBytes of entry files (0 = unbounded).
 func Open(memBytes int64, dir string, diskBytes int64) (*Store, error) {
-	d, err := openDisk(dir, diskBytes)
+	d, err := blobstore.Open(dir, diskBytes, diskFormat)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tracestore: %w", err)
 	}
 	s := New(memBytes)
 	s.disk = d
@@ -132,14 +122,17 @@ func (s *Store) Generate(name string, opt trace.Options) (*trace.Trace, error) {
 		//lint:ctxflow joining an in-flight generation waits on the same uncancellable contract as owning it
 		return call.Wait()
 	}
-	if t, ok := s.disk.get(key); ok {
+	if t, ok := s.diskGet(key); ok {
 		call.Fulfill(t, nil)
 		return t, nil
 	}
 	t, err := trace.Generate(p, opt)
 	if err == nil {
 		s.generated.Add(1)
-		s.disk.put(key, t)
+		if s.disk != nil {
+			// Write-behind is best-effort; failures count in DiskWriteErrors.
+			_ = s.disk.Put(key.identity(), t.AppendBinary(make([]byte, 0, t.EncodedSize())))
+		}
 	}
 	call.Fulfill(t, err)
 	return t, err
@@ -162,337 +155,47 @@ func (s *Store) Stats() Stats {
 		Generated: s.generated.Load(),
 	}
 	if s.disk != nil {
-		d := s.disk.stats()
-		st.DiskHits = d.hits
-		st.DiskMisses = d.misses
-		st.DiskFiles = d.files
-		st.DiskBytes = d.bytes
-		st.DiskEvictions = d.evicted
-		st.DiskWriteErrors = d.werrs
+		d := s.disk.Stats()
+		st.DiskHits = d.Hits
+		st.DiskMisses = d.Misses
+		st.DiskFiles = d.Files
+		st.DiskBytes = d.Bytes
+		st.DiskEvictions = d.Evictions
+		st.DiskWriteErrors = d.WriteErrors
 	}
 	return st
 }
 
 // ---- persistent tier ----
 
-const (
-	// diskMagic opens every entry file.
-	diskMagic = "SMTT"
-	// diskSchemaVersion names the entry envelope this package writes; the
-	// header additionally carries trace.CodecVersion for the payload.
-	// Readers treat any other version of either as a miss.
-	diskSchemaVersion uint16 = 1
-	// diskSuffix names entry files; anything else in the directory is
-	// ignored.
-	diskSuffix = ".smttr"
-	// diskTmpPrefix names in-progress writes; stale ones are swept at Open.
-	diskTmpPrefix = ".tmp-"
-)
+// diskFormat is the trace tier's blob format. The low byte of its version
+// is trace.CodecVersion, so a codec bump turns every older file into a
+// clean miss; the high byte counts changes to the identity layout.
+var diskFormat = blobstore.Format{Magic: "SMTT", Version: 2<<8 | trace.CodecVersion, Suffix: ".smttr"}
 
-// diskStats mirrors the resultstore counter set for the persistent tier.
-type diskStats struct {
-	hits    uint64
-	misses  uint64
-	evicted uint64
-	werrs   uint64
-	files   int
-	bytes   int64
-}
-
-// diskEntry is the in-memory accounting for one entry file.
-type diskEntry struct {
-	size int64
-	seq  uint64 // logical access clock; highest = most recently used
-}
-
-// diskTier is the on-disk store. A nil *diskTier is a valid no-op tier:
-// get always misses and put does nothing, so the memory-only path never
-// branches on configuration.
-type diskTier struct {
-	dir      string
-	maxBytes int64
-
-	mu      sync.Mutex
-	entries map[string]*diskEntry
-	bytes   int64
-	seq     uint64
-	hits    uint64
-	misses  uint64
-	evicted uint64
-	werrs   uint64
-}
-
-// openDisk opens (creating if needed) the persistent tier rooted at dir,
-// sweeping stale temp files and adopting existing entries oldest-first so
-// eviction order matches on-disk recency.
-func openDisk(dir string, maxBytes int64) (*diskTier, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("tracestore: empty directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("tracestore: %w", err)
-	}
-	d := &diskTier{dir: dir, maxBytes: maxBytes, entries: map[string]*diskEntry{}}
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("tracestore: %w", err)
-	}
-	type adopted struct {
-		name  string
-		size  int64
-		mtime time.Time
-	}
-	var found []adopted
-	for _, de := range des {
-		if de.IsDir() {
-			continue
-		}
-		if strings.HasPrefix(de.Name(), diskTmpPrefix) {
-			os.Remove(filepath.Join(dir, de.Name()))
-			continue
-		}
-		if !strings.HasSuffix(de.Name(), diskSuffix) {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue // raced with a sharing process's eviction
-		}
-		found = append(found, adopted{de.Name(), info.Size(), info.ModTime()})
-	}
-	sort.Slice(found, func(i, j int) bool {
-		if !found[i].mtime.Equal(found[j].mtime) {
-			return found[i].mtime.Before(found[j].mtime)
-		}
-		return found[i].name < found[j].name
-	})
-	for _, f := range found {
-		d.seq++
-		d.entries[f.name] = &diskEntry{size: f.size, seq: d.seq}
-		d.bytes += f.size
-	}
-	d.mu.Lock()
-	d.evict()
-	d.mu.Unlock()
-	return d, nil
-}
-
-// fileName derives the entry file for a key: content addressing by the
-// SHA-256 of the full identity, so distinct keys never share a file.
-func fileName(k Key) string {
-	h := sha256.New()
-	h.Write([]byte(k.Benchmark))
-	var fixed [8 * 4]byte
-	binary.LittleEndian.PutUint64(fixed[0:], uint64(k.Len))
-	binary.LittleEndian.PutUint64(fixed[8:], k.Seed)
-	binary.LittleEndian.PutUint64(fixed[16:], k.DataBase)
-	binary.LittleEndian.PutUint64(fixed[24:], k.CodeBase)
-	h.Write(fixed[:])
-	return hex.EncodeToString(h.Sum(nil)) + diskSuffix
-}
-
-// get probes the tier for a stored trace. Every failure mode — absent,
-// unreadable, wrong magic or version, checksum mismatch, key mismatch,
-// undecodable payload — is a miss, and defective entries are deleted so
-// the post-regenerate rewrite starts clean.
-func (d *diskTier) get(k Key) (*trace.Trace, bool) {
-	if d == nil {
-		return nil, false
-	}
-	name := fileName(k)
-	path := filepath.Join(d.dir, name)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		d.mu.Lock()
-		d.misses++
-		d.forget(name)
-		d.mu.Unlock()
-		return nil, false
-	}
-	t, err := decodeDiskEntry(data, k)
-	if err != nil {
-		os.Remove(path)
-		d.mu.Lock()
-		d.misses++
-		d.forget(name)
-		d.mu.Unlock()
-		return nil, false
-	}
-	now := time.Now()
-	os.Chtimes(path, now, now) // persist recency; best-effort
-	d.mu.Lock()
-	d.hits++
-	d.seq++
-	if e, ok := d.entries[name]; ok {
-		e.seq = d.seq
-	} else {
-		// Written by a sharing process: adopt, then re-enforce the bound.
-		d.entries[name] = &diskEntry{size: int64(len(data)), seq: d.seq}
-		d.bytes += int64(len(data))
-		d.evict()
-	}
-	d.mu.Unlock()
-	return t, true
-}
-
-// put stores a trace atomically (temp file + rename) and enforces the
-// byte bound. Persistence is best-effort: failures are counted, and the
-// caller proceeds with the in-memory trace either way.
-func (d *diskTier) put(k Key, t *trace.Trace) {
-	if d == nil {
-		return
-	}
-	name := fileName(k)
-	data := encodeDiskEntry(diskSchemaVersion, uint16(trace.CodecVersion), k, t)
-	fail := func() {
-		d.mu.Lock()
-		d.werrs++
-		d.mu.Unlock()
-	}
-	tmp, err := os.CreateTemp(d.dir, diskTmpPrefix+"*")
-	if err != nil {
-		fail()
-		return
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		fail()
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		fail()
-		return
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(d.dir, name)); err != nil {
-		os.Remove(tmp.Name())
-		fail()
-		return
-	}
-	d.mu.Lock()
-	d.forget(name)
-	d.seq++
-	d.entries[name] = &diskEntry{size: int64(len(data)), seq: d.seq}
-	d.bytes += int64(len(data))
-	d.evict()
-	d.mu.Unlock()
-}
-
-// forget drops an entry's accounting without touching the file or the
-// eviction counter. Caller holds mu.
-func (d *diskTier) forget(name string) {
-	if e, ok := d.entries[name]; ok {
-		d.bytes -= e.size
-		delete(d.entries, name)
-	}
-}
-
-// evict deletes least-recently-accessed entries until the byte bound
-// holds. Caller holds mu.
-func (d *diskTier) evict() {
-	for d.maxBytes > 0 && d.bytes > d.maxBytes && len(d.entries) > 0 {
-		victim, min := "", uint64(1<<63)
-		//lint:deterministic victim selection minimizes seq, a per-store monotonic counter that is unique across entries, so iteration order cannot change which entry wins
-		for name, e := range d.entries {
-			if victim == "" || e.seq < min {
-				victim, min = name, e.seq
-			}
-		}
-		d.forget(victim)
-		d.evicted++
-		os.Remove(filepath.Join(d.dir, victim))
-	}
-}
-
-// stats snapshots the counters. Safe on a nil tier (all zero).
-func (d *diskTier) stats() diskStats {
-	if d == nil {
-		return diskStats{}
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return diskStats{
-		hits:    d.hits,
-		misses:  d.misses,
-		evicted: d.evicted,
-		werrs:   d.werrs,
-		files:   len(d.entries),
-		bytes:   d.bytes,
-	}
-}
-
-// encodeDiskEntry renders one entry file:
-//
-//	magic "SMTT" | schema version | codec version | key echo | trace
-//	payload | CRC-32
-//
-// The header repeats the full key so a hash collision (or a file renamed
-// by hand) can never serve the wrong trace, and the trailer checksums
-// everything before it. The versions are parameters so compatibility
-// tests can write stale entries.
-func encodeDiskEntry(schema, codec uint16, k Key, t *trace.Trace) []byte {
-	b := make([]byte, 0, len(diskMagic)+2+2+4+len(k.Benchmark)+8*4+t.EncodedSize()+4)
-	b = append(b, diskMagic...)
-	b = binary.LittleEndian.AppendUint16(b, schema)
-	b = binary.LittleEndian.AppendUint16(b, codec)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(k.Benchmark)))
+// identity encodes the key as the bytes its entry file is named by:
+// the benchmark name, then Len, Seed, DataBase and CodeBase as
+// little-endian uint64s.
+func (k Key) identity() []byte {
+	b := make([]byte, 0, len(k.Benchmark)+8*4)
 	b = append(b, k.Benchmark...)
 	b = binary.LittleEndian.AppendUint64(b, uint64(k.Len))
 	b = binary.LittleEndian.AppendUint64(b, k.Seed)
 	b = binary.LittleEndian.AppendUint64(b, k.DataBase)
-	b = binary.LittleEndian.AppendUint64(b, k.CodeBase)
-	b = t.AppendBinary(b)
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	return binary.LittleEndian.AppendUint64(b, k.CodeBase)
 }
 
-// decodeDiskEntry parses and verifies one entry file against the key
-// being looked up. Every defect returns an error — get maps them all to
-// a miss.
-func decodeDiskEntry(data []byte, k Key) (*trace.Trace, error) {
-	headerLen := len(diskMagic) + 2 + 2 + 4 + len(k.Benchmark) + 8*4
-	if len(data) < headerLen+4 {
-		return nil, fmt.Errorf("tracestore: entry too short (%d bytes)", len(data))
+// diskGet probes the persistent tier, if any, for k's trace.
+func (s *Store) diskGet(k Key) (*trace.Trace, bool) {
+	if s.disk == nil {
+		return nil, false
 	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return nil, fmt.Errorf("tracestore: checksum mismatch")
-	}
-	if string(body[:len(diskMagic)]) != diskMagic {
-		return nil, fmt.Errorf("tracestore: bad magic")
-	}
-	off := len(diskMagic)
-	if v := binary.LittleEndian.Uint16(body[off:]); v != diskSchemaVersion {
-		return nil, fmt.Errorf("tracestore: schema version %d, want %d", v, diskSchemaVersion)
-	}
-	off += 2
-	if v := binary.LittleEndian.Uint16(body[off:]); v != uint16(trace.CodecVersion) {
-		return nil, fmt.Errorf("tracestore: codec version %d, want %d", v, trace.CodecVersion)
-	}
-	off += 2
-	n := binary.LittleEndian.Uint32(body[off:])
-	off += 4
-	if uint64(n) != uint64(len(k.Benchmark)) || off+int(n) > len(body) ||
-		string(body[off:off+int(n)]) != k.Benchmark {
-		return nil, fmt.Errorf("tracestore: benchmark mismatch")
-	}
-	off += int(n)
-	if len(body)-off < 8*4 {
-		return nil, fmt.Errorf("tracestore: truncated key echo")
-	}
-	if binary.LittleEndian.Uint64(body[off:]) != uint64(k.Len) ||
-		binary.LittleEndian.Uint64(body[off+8:]) != k.Seed ||
-		binary.LittleEndian.Uint64(body[off+16:]) != k.DataBase ||
-		binary.LittleEndian.Uint64(body[off+24:]) != k.CodeBase {
-		return nil, fmt.Errorf("tracestore: key mismatch")
-	}
-	off += 8 * 4
-	t, err := trace.DecodeBinary(body[off:])
-	if err != nil {
-		return nil, err
-	}
-	if t.Name != k.Benchmark || t.Len() != k.Len {
-		return nil, fmt.Errorf("tracestore: payload identity mismatch")
-	}
-	return t, nil
+	var t *trace.Trace
+	ok := s.disk.Get(k.identity(), func(payload []byte) (err error) {
+		if t, err = trace.DecodeBinary(payload); err == nil && (t.Name != k.Benchmark || t.Len() != k.Len) {
+			err = fmt.Errorf("tracestore: payload identity mismatch")
+		}
+		return err
+	})
+	return t, ok
 }
