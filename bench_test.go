@@ -262,7 +262,7 @@ func BenchmarkRobSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := benchSession(b, o)
-		rs, err := s.RunScenario(sp)
+		rs, err := s.RunScenarioCtx(context.Background(), sp)
 		if err != nil {
 			b.Fatal(err)
 		}

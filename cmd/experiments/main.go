@@ -13,8 +13,7 @@
 //	experiments -scenario examples/scenarios/rob-sweep.json -format json
 //	experiments -scenario examples/scenarios/l2-latency.json -format csv -quick
 //
-// Figure output is plain text shaped like the paper's figures;
-// EXPERIMENTS.md records a captured run against the published numbers.
+// Figure output is plain text shaped like the paper's figures.
 // Scenario output renders as an aligned table, JSON, or CSV (-format,
 // falling back to the spec's "format" field).
 package main

@@ -20,12 +20,12 @@
 // any mismatch or transport failure exits 1 after printing a diff
 // summary. Ctrl-C (or SIGTERM) cancels the run's context — in-flight
 // HTTP requests abort and the in-process reference sweeps stop at the
-// next queued cell — and the process exits 130. On success the daemon's /v1/metrics document prints to stdout
-// (ready for jq in CI), and per-request wall-clock latency percentiles
-// (min/p50/p99/max) print to stderr so scheduler policies can be
-// compared under the same load. -client names this process in the
-// daemon's X-Client header, keying its fair-scheduler and admission
-// accounting; unset, the daemon falls back to the remote address.
+// next queued cell — and the process exits 130. On success the daemon's
+// /v1/metrics document prints to stdout (ready for jq in CI), and
+// per-request wall-clock latency percentiles (min/p50/p99/max) print to
+// stderr. -client names this process in the daemon's X-Client header,
+// keying its fair-queue and admission accounting; unset, the daemon
+// falls back to the remote address.
 //
 // -restart-check is the warm-restart proof for a daemon running with
 // -store-dir: run smtload once against a fresh daemon (populating the
@@ -112,7 +112,7 @@ func main() {
 	wg.Wait()
 
 	// Latency summary before the verification pass: wall clock per request
-	// as the client saw it, the number a scheduler policy actually moves.
+	// as the client saw it, the number the fair queue actually moves.
 	durs := make([]time.Duration, *n)
 	for i := range replies {
 		durs[i] = replies[i].dur

@@ -13,8 +13,8 @@ import (
 // reference run threads its context into the session, so a canceled
 // smtload (Ctrl-C) stops simulating reference grids instead of running
 // every remaining spec to completion. Before the fix, reference() called
-// RunScenario — the non-Ctx variant — and cancellation could not reach
-// the sweep at all.
+// RunScenario — the non-Ctx variant, since removed — and cancellation
+// could not reach the sweep at all.
 func TestReferenceHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

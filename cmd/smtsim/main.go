@@ -129,15 +129,17 @@ func main() {
 		// runs up to -j of them concurrently, and a Ctrl-C abandons the
 		// ones no worker has picked up yet.
 		for _, b := range w.Benchmarks {
-			sess.StartReferenceCtx(ctx, b, cfg)
+			rw, rcfg := core.Reference(cfg, b)
+			sess.StartRunCtx(ctx, rw, rcfg)
 		}
 		stv := make([]float64, 0, len(w.Benchmarks))
 		for _, b := range w.Benchmarks {
-			v, err := sess.ReferenceCtx(ctx, b, cfg)
+			rw, rcfg := core.Reference(cfg, b)
+			ref, err := sess.RunConfigCtx(ctx, rw, rcfg)
 			if err != nil {
 				fail(err)
 			}
-			stv = append(stv, v)
+			stv = append(stv, ref.Threads[0].IPC)
 		}
 		fmt.Printf("fairness (vs single-thread ICOUNT): %s\n",
 			report.F(metrics.Fairness(stv, res.IPCs())))

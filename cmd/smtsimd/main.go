@@ -55,20 +55,19 @@
 // The blobstore package documentation states the durability contract:
 // no fsync, so a crash costs recomputation, never a wrong answer.
 //
-// Scheduling across clients is fair by default: each request is
-// attributed to a client identity (the X-Client header when present,
-// otherwise the remote address) and the session's work queue interleaves
-// queued jobs ICOUNT-style — the client with the fewest grid cells in
-// service pops next — so a one-cell probe submitted behind a 4096-cell
-// sweep is served long before the sweep drains. -scheduler fifo restores
-// the old strict arrival order; scheduling only reorders execution, never
-// results. -max-inflight-per-client N (0 = unbounded) additionally caps
-// concurrent scenario requests per client identity, answering breaches
-// with 429 and a Retry-After hint. /v1/metrics reports the queue depth
-// ("queued"), admission rejections ("rejected"), the scheduler's
-// per-client accounting ("scheduler") and the live goroutine count
-// ("goroutines") — a leak gauge that returns to its post-startup
-// baseline when the daemon goes idle.
+// Scheduling across clients is fair: each request is attributed to a
+// client identity (the X-Client header when present, otherwise the
+// remote address) and the session's work queue interleaves queued jobs
+// ICOUNT-style — the client with the fewest grid cells in service pops
+// next — so a one-cell probe submitted behind a 4096-cell sweep is
+// served long before the sweep drains. Scheduling only reorders
+// execution, never results. -max-inflight-per-client N (0 = unbounded)
+// additionally caps concurrent scenario requests per client identity,
+// answering breaches with 429 and a Retry-After hint. /v1/metrics
+// reports the queue depth ("queued"), admission rejections
+// ("rejected"), the queue's per-client accounting ("scheduler") and the
+// live goroutine count ("goroutines") — a leak gauge that returns to its
+// post-startup baseline when the daemon goes idle.
 //
 // Cancellation is first-class: every sweep executes under its request's
 // context, so a client that disconnects mid-sweep stops consuming the
@@ -118,7 +117,6 @@ func main() {
 	storeBytes := flag.Int64("store-bytes", 0, "on-disk result store byte bound (0 = unbounded)")
 	traceDir := flag.String("trace-dir", "", "persistent on-disk trace store directory (empty = disabled)")
 	traceBytes := flag.Int64("trace-bytes", 0, "on-disk trace store byte bound (0 = unbounded)")
-	scheduler := flag.String("scheduler", sched.Default, "work-queue scheduling policy (fifo|fair)")
 	maxInflight := flag.Int("max-inflight-per-client", 0, "concurrent scenario requests per client identity (0 = unbounded)")
 	flag.Parse()
 
@@ -133,7 +131,6 @@ func main() {
 	opt.StoreBytes = *storeBytes
 	opt.TraceDir = *traceDir
 	opt.TraceBytes = *traceBytes
-	opt.Scheduler = *scheduler
 
 	srv, err := newServer(opt, *maxBody)
 	if err != nil {
@@ -145,8 +142,7 @@ func main() {
 	if *storeDir != "" {
 		log.Printf("smtsimd persistent result store at %s (bound %d bytes)", *storeDir, *storeBytes)
 	}
-	log.Printf("smtsimd listening on %s (cache bounds: %d entries, %d bytes; scheduler %s)",
-		*addr, *entries, *bytes, *scheduler)
+	log.Printf("smtsimd listening on %s (cache bounds: %d entries, %d bytes)", *addr, *entries, *bytes)
 	// No WriteTimeout: NDJSON responses legitimately stream for as long
 	// as a sweep simulates. Header and idle timeouts still bound what a
 	// stalled or idle client can pin.
@@ -222,7 +218,7 @@ func newServer(opt experiments.Options, maxBody int64) (*server, error) {
 // clientID attributes a request to a client identity: the X-Client
 // header when the client names itself (smtload -client, the CI smoke
 // jobs), otherwise the remote host. Both the admission bound and the
-// fair scheduler key on this identity.
+// fair queue key on this identity.
 func (s *server) clientID(r *http.Request) string {
 	if id := r.Header.Get("X-Client"); id != "" {
 		return id
@@ -364,7 +360,7 @@ func (s *server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	// the client disconnects (or the connection dies), cells of this
 	// sweep not yet started are never simulated, the wait aborts, and
 	// the request counts as canceled, not failed. The client identity
-	// rides the same context so the session's scheduler attributes every
+	// rides the same context so the session's fair queue attributes every
 	// job this sweep queues — references included.
 	ctx := sched.WithRequester(r.Context(), client)
 	if format == "ndjson" {
@@ -495,7 +491,7 @@ func (s *server) streamScenario(ctx context.Context, w http.ResponseWriter, sp *
 // counts started cells, so a daemon sitting on a deep backlog no longer
 // reports an idle picture. Rejected counts requests refused by the
 // per-client admission bound (429s), and the scheduler object is the
-// work queue's own view: policy name, queued jobs/cells, and per-client
+// work queue's own view: queued jobs/cells, in-service cells, and per-client
 // queued/in-service accounting (active clients only).
 type metricsDoc struct {
 	Cache           simcache.Stats   `json:"cache"`

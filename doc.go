@@ -105,63 +105,67 @@
 // trace.CodecVersion folded into the entry version so a codec change
 // turns old files into misses. Every cell runs through the one scalar
 // path, core.RunTraced, against the session's tier; traces are immutable
-// after generation, so sharing them cannot change a result. TestSweepSharesTraces locks the sharing (every
-// identity generated exactly once, repeats served as hits), and the
-// tier's counters are visible in /v1/metrics under "trace".
+// after generation, so sharing them cannot change a result.
+// TestSweepSharesTraces locks the sharing (every identity generated
+// exactly once, repeats served as hits), and the tier's counters are
+// visible in /v1/metrics under "trace".
 //
 // # Scheduling and fairness
 //
-// The session's work queue is itself policy-pluggable (internal/sched;
-// experiments.Options.Scheduler, smtsimd -scheduler fifo|fair). The
-// original dispatch was a single FIFO, so one max-size sweep ahead of a
-// one-cell request starved it for the whole sweep — head-of-line
-// blocking in a daemon that simulates SMT fetch policies invented to
-// prevent exactly that. The default fair policy applies the paper's
-// ICOUNT idea to the serving layer: each queued job carries a requester
-// identity and a cell count, and workers pop the next job from the
-// requester with the fewest cells currently in service, ties rotating
-// round-robin toward the least recently served. Identity reaches the
-// queue as a context value (sched.WithRequester / sched.Requester):
-// smtsimd stamps each request with its X-Client header or remote host,
-// and the identity threads unchanged through scenario execution into
-// every job the sweep queues — grid cells and fairness references alike.
-// Scheduling only reorders execution, never results (simulations are
-// deterministic and reductions collect in fixed order), so the
-// bit-identity guarantees above are policy-independent; the starvation
-// regression test in internal/experiments locks both the fix and the
-// FIFO baseline behavior. The daemon adds per-client admission control
-// on top (-max-inflight-per-client, 429 + Retry-After on breach) and
-// reports the queue in /v1/metrics: "queued" (cells accepted but not yet
-// started — the complement of the cache's inFlight), "rejected", and a
-// "scheduler" object with the policy name and per-client queued and
-// in-service cells. cmd/smtload prints per-request latency percentiles
-// (min/p50/p99/max) and takes -client to name itself, so policies can be
-// compared under identical load.
+// The session's work queue is fair (internal/sched): a single FIFO would
+// let one max-size sweep ahead of a one-cell request starve it for the
+// whole sweep — head-of-line blocking in a daemon that simulates SMT
+// fetch policies invented to prevent exactly that. The queue applies the
+// paper's ICOUNT idea to the serving layer: each queued job carries a
+// requester identity and a cell count, and workers pop the next job from
+// the requester with the fewest cells currently in service, ties
+// rotating round-robin toward the least recently served. A lone
+// requester pops in push order. Identity reaches the queue as a context
+// value (sched.WithRequester / sched.Requester): smtsimd stamps each
+// request with its X-Client header or remote host, and the identity
+// threads unchanged through scenario execution into every job the sweep
+// queues — grid cells and fairness references alike. Scheduling only
+// reorders execution, never results (simulations are deterministic and
+// reductions collect in fixed order), so the bit-identity guarantees
+// above hold for attributed and anonymous sweeps alike; the starvation
+// regression test in internal/experiments locks the fix. The daemon adds
+// per-client admission control on top (-max-inflight-per-client, 429 +
+// Retry-After on breach) and reports the queue in /v1/metrics: "queued"
+// (cells accepted but not yet started — the complement of the cache's
+// inFlight), "rejected", and a "scheduler" object with queued and
+// in-service cells in total and per client. cmd/smtload prints
+// per-request latency percentiles (min/p50/p99/max) and takes -client to
+// name itself.
+//
+// The fairness metric's single-thread reference is defined once, by
+// core.Reference: the benchmark alone, under ICOUNT, on the SMT run's
+// machine. core.RunSingle runs it directly; the scenario engine
+// dispatches it through the session like any other cell, so references
+// share the canonical-config cache and collapse across policies.
 //
 // # Cancellation and shutdown
 //
 // Execution is cancellation-correct at every layer. The session's worker
-// pool is a scheduler-ordered queue drained by at most Workers goroutines
-// (spawned on demand, exiting when idle), and each layer has a
-// context-taking form —
-// experiments.Session.StartRunCtx / RunConfigCtx / ReferenceCtx /
-// RunScenarioCtx, scenario.ExecuteCtx / ExecuteStreamCtx,
-// simcache.Cache.BeginCtx / Call.WaitCtx — threading the requester's
-// context down to the queue. When every requester interested in a queued
-// cell has canceled before a worker picks it up, the cell is abandoned:
-// never simulated, its key freed for recomputation, its waiters failed
-// with the cancellation error (simcache.Cache.Abandon; the abandoned
-// count surfaces as cache "canceled" in metrics). A cell already running
-// always finishes and populates the cache — results are deterministic
-// and shared, so completing them is never waste. For smtsimd this means
-// a client that disconnects mid-sweep stops consuming the pool: queued
-// cells die, the request counts under the "canceled" /v1/metrics counter
-// (client behavior, distinct from "failures", which is simulator
-// trouble), and live requests are unaffected. SIGINT/SIGTERM shut the
-// daemon down gracefully — the listener closes, in-flight responses
-// drain up to -drain, then the process exits 0 — while cmd/experiments,
-// cmd/smtsim and cmd/smtload treat Ctrl-C as cancellation of the same
-// session context (queued simulations never start; exit status 130).
+// pool is the fair queue drained by at most Workers goroutines (spawned
+// on demand, exiting when idle), and every dispatch entry point takes a
+// context — experiments.Session.StartRunCtx / RunConfigCtx /
+// RunScenarioCtx, scenario.ExecuteStreamCtx, simcache.Cache.BeginCtx /
+// Call.WaitCtx — threading the requester's context down to the queue.
+// When every requester interested in a queued cell has canceled before a
+// worker picks it up, the cell is abandoned: never simulated, its key
+// freed for recomputation, its waiters failed with the cancellation
+// error (simcache.Cache.Abandon; the abandoned count surfaces as cache
+// "canceled" in metrics). A cell already running always finishes and
+// populates the cache — results are deterministic and shared, so
+// completing them is never waste. For smtsimd this means a client that
+// disconnects mid-sweep stops consuming the pool: queued cells die, the
+// request counts under the "canceled" /v1/metrics counter (client
+// behavior, distinct from "failures", which is simulator trouble), and
+// live requests are unaffected. SIGINT/SIGTERM shut the daemon down
+// gracefully — the listener closes, in-flight responses drain up to
+// -drain, then the process exits 0 — while cmd/experiments, cmd/smtsim
+// and cmd/smtload treat Ctrl-C as cancellation of the same session
+// context (queued simulations never start; exit status 130).
 //
 // # Static analysis and invariants
 //
@@ -213,7 +217,7 @@
 // /v1/metrics, and CI's leak-smoke step asserts the count returns to
 // its post-startup baseline after a full smtload run.
 //
-// Start with README.md for a tour, DESIGN.md for the architecture and the
-// substitutions made for unavailable artifacts, and EXPERIMENTS.md for the
-// measured-versus-published comparison of every table and figure.
+// examples/scenarios/README.md documents the scenario format and the
+// daemon, internal/analysis/README.md the lint suite, and bench/README.md
+// the benchmark.
 package repro

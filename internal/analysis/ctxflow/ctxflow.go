@@ -5,8 +5,10 @@
 //     this module drops the caller's context on the floor — the exact
 //     bug class that used to leak goroutines and simulate abandoned
 //     cells. The one sanctioned caller is a convenience wrapper that
-//     itself has a Ctx sibling (StartRun delegating to StartRunCtx may
-//     call other non-Ctx variants: its own Ctx twin is the real API).
+//     itself has a Ctx sibling (a Step delegating to StepCtx may call
+//     other non-Ctx variants: its own Ctx twin is the real API). The
+//     module's dispatch layers keep only their Ctx forms, so the rule
+//     guards against a context-free twin coming back.
 //
 //  2. context.Background() / context.TODO() manufacture a context
 //     nobody can cancel. Outside package main (where the root context

@@ -351,12 +351,20 @@ func deltaMean(cur, prev *stats.RunningMean) float64 {
 	return (cur.Sum() - prev.Sum()) / float64(dn)
 }
 
-// RunSingle measures one benchmark running alone — the IPC_ST reference
-// of the fairness metric (eq. 2). Per Luo et al., the reference machine is
-// the baseline processor (ICOUNT, no runahead), identical for every
-// policy being compared.
-func RunSingle(cfg Config, benchmark string) (*Result, error) {
+// Reference returns the single-thread run behind the fairness metric's
+// IPC_ST (eq. 2) for one benchmark of an SMT run on cfg: the benchmark
+// alone, on the same machine under the baseline policy. Per Luo et al.,
+// the reference processor is the baseline machine (ICOUNT, no runahead),
+// identical for every policy being compared — but it shares the SMT
+// run's geometry, seed and trace length, or the speedup would compare
+// different machines or even different instruction streams.
+func Reference(cfg Config, benchmark string) (workload.Workload, Config) {
 	cfg.Policy = PolicyICount
-	w := workload.Workload{Group: "ST", Benchmarks: []string{benchmark}}
-	return Run(cfg, w)
+	return workload.Workload{Group: "ST", Benchmarks: []string{benchmark}}, cfg
+}
+
+// RunSingle measures one benchmark running alone: the Reference run.
+func RunSingle(cfg Config, benchmark string) (*Result, error) {
+	w, ref := Reference(cfg, benchmark)
+	return Run(ref, w)
 }

@@ -64,3 +64,31 @@ func TestParsePolicy(t *testing.T) {
 		t.Errorf("error does not list valid policies: %v", err)
 	}
 }
+
+// TestReferenceMapping pins the fairness reference: the benchmark alone
+// in group ST, under ICOUNT, with every other Canonical() field of the
+// SMT run's machine unchanged — whatever policy the SMT run used.
+func TestReferenceMapping(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Pipeline.ROBSize = 200
+	cfg.Pipeline.IntRegs = 192
+	cfg.Pipeline.Mem.MemLatency = 250
+	cfg.TraceLen = 1234
+	cfg.MaxCycles = 77_000
+	cfg.Seed = 9
+	cfg.RunaheadExitPenalty = 3
+	for _, p := range allPolicies() {
+		cfg.Policy = p
+		w, ref := Reference(cfg, "mcf")
+		if w.Group != "ST" || len(w.Benchmarks) != 1 || w.Benchmarks[0] != "mcf" {
+			t.Errorf("%s: reference workload = %+v, want group ST running mcf alone", p, w)
+		}
+		if ref.Policy != PolicyICount {
+			t.Errorf("%s: reference policy = %s, want ICOUNT", p, ref.Policy)
+		}
+		ref.Policy = cfg.Policy
+		if ref.Canonical() != cfg.Canonical() {
+			t.Errorf("%s: reference changed more than the policy:\n got: %s\nwant: %s", p, ref.Canonical(), cfg.Canonical())
+		}
+	}
+}

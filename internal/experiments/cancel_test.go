@@ -53,7 +53,7 @@ func TestCanceledCellsNeverSimulate(t *testing.T) {
 		calls = append(calls, s.StartRunCtx(ctx, w, cfg))
 	}
 	for i, c := range calls {
-		if _, err := c.Wait(); !errors.Is(err, context.Canceled) {
+		if _, err := c.WaitCtx(context.Background()); !errors.Is(err, context.Canceled) {
 			t.Fatalf("cell %d: err = %v, want context.Canceled", i, err)
 		}
 		if _, err := c.WaitCtx(ctx); !errors.Is(err, context.Canceled) {
@@ -97,11 +97,11 @@ func TestCanceledScenarioLeavesSessionDeterministic(t *testing.T) {
 		t.Fatalf("canceled sweep dispatched %d cells, want 0", st.Misses)
 	}
 
-	got, err := s.RunScenario(sweepSpec())
+	got, err := s.RunScenarioCtx(context.Background(), sweepSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mustSession(t, o).RunScenario(sweepSpec())
+	want, err := mustSession(t, o).RunScenarioCtx(context.Background(), sweepSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

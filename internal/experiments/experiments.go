@@ -9,8 +9,8 @@
 // the Table 1 machine — still simulate each distinct point exactly once.
 //
 // The harness is deliberately a library: cmd/experiments wraps it with
-// flags (including -scenario for arbitrary JSON sweeps), bench_test.go
-// wraps it with testing.B, and EXPERIMENTS.md quotes its output.
+// flags (including -scenario for arbitrary JSON sweeps), and bench_test.go
+// wraps it with testing.B.
 package experiments
 
 import (
@@ -83,18 +83,6 @@ type Options struct {
 	TraceDir        string
 	TraceBytes      int64
 	TraceCacheBytes int64
-	// Scheduler selects the work-queue dispatch policy by name
-	// (internal/sched): "fifo" is strict arrival order, "fair" (the
-	// default, also chosen by "") interleaves queued jobs across active
-	// requesters ICOUNT-style — the requester with the fewest grid cells
-	// in service pops next, ties rotating round-robin — so a one-cell
-	// request queued behind a max-size sweep is served at the next free
-	// worker instead of after the whole sweep. Requesters are identified
-	// by the context stamp sched.WithRequester (smtsimd stamps each HTTP
-	// request; unstamped contexts share one anonymous bucket, where both
-	// policies behave identically). Scheduling only reorders execution,
-	// never results: outputs stay bit-identical under any policy.
-	Scheduler string
 }
 
 // Default returns the full-suite options.
@@ -146,18 +134,21 @@ type runKey struct {
 // The pool is a work queue drained by at most Options.Workers
 // goroutines, spawned on demand and exiting when the queue empties — a
 // request for N cells costs N queue entries, not N parked goroutines,
-// and an idle session holds no goroutines at all. The order workers pop
-// jobs in is a pluggable policy (internal/sched, Options.Scheduler):
-// FIFO, or the default ICOUNT-style fair interleaving across active
-// requesters. Cancellation happens at the queue boundary: a cell whose
-// interested requesters (the contexts passed to StartRunCtx) have all
-// gone away by the time a worker pops it is abandoned, never simulated.
-// A cell already running always finishes and populates the cache —
-// results are deterministic and shared, so completing them is never
-// wasted work.
+// and an idle session holds no goroutines at all. Workers pop jobs from
+// a fair queue (internal/sched) that interleaves active requesters
+// ICOUNT-style; a lone requester's jobs pop in push order. Requesters
+// are identified by the context stamp sched.WithRequester (smtsimd
+// stamps each HTTP request; unstamped contexts share one anonymous
+// bucket), and the order never changes a result. Cancellation happens
+// at the queue boundary: a cell whose interested requesters (the
+// contexts passed to StartRunCtx) have all gone away by the time a
+// worker pops it is abandoned, never simulated. A cell already running
+// always finishes and populates the cache — results are deterministic
+// and shared, so completing them is never wasted work.
 //
-// Session implements scenario.Runner, so scenario.Execute dispatches
-// onto the same pool and cache the figures use.
+// Session implements scenario.Runner, so scenario.ExecuteStreamCtx
+// dispatches onto the same pool and cache the figures use — grid cells
+// and their core.Reference fairness runs alike.
 type Session struct {
 	opt    Options
 	base   core.Config
@@ -166,8 +157,8 @@ type Session struct {
 	traces *tracestore.Store
 
 	mu         sync.Mutex
-	scheduler  sched.Scheduler[job] // jobs not yet picked up by a worker
-	workers    int                  // live worker goroutines
+	queue      sched.Queue[job] // jobs not yet picked up by a worker
+	workers    int              // live worker goroutines
 	maxWorkers int
 }
 
@@ -228,10 +219,6 @@ func NewSession(opt Options) (*Session, error) {
 	} else {
 		traces = tracestore.New(memBytes)
 	}
-	scheduler, err := sched.New[job](opt.Scheduler)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
 	return &Session{
 		opt:        opt,
 		base:       base,
@@ -239,7 +226,6 @@ func NewSession(opt Options) (*Session, error) {
 		cache:      simcache.New[runKey, *core.Result](opt.CacheEntries, opt.CacheBytes, resultBytes),
 		store:      store,
 		traces:     traces,
-		scheduler:  scheduler,
 	}, nil
 }
 
@@ -283,15 +269,15 @@ func (s *Session) TraceStats() tracestore.Stats { return s.traces.Stats() }
 // still compile.
 func (s *Session) BatchStats() (batches, cells uint64) { return 0, 0 }
 
-// SchedStats snapshots the work-queue scheduler: policy name, queued
-// jobs/cells, and per-requester accounting (the smtsimd /v1/metrics
+// SchedStats snapshots the work queue: queued jobs/cells, in-service
+// cells, and per-requester accounting (the smtsimd /v1/metrics
 // "scheduler" payload). Queued cells are work accepted but not yet
 // picked up by a worker — the complement of simcache.Stats.InFlight,
 // which only counts started cells.
 func (s *Session) SchedStats() sched.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.scheduler.Snapshot()
+	return s.queue.Snapshot()
 }
 
 // BaseConfig returns the configuration scenario deltas apply onto: the
@@ -301,11 +287,11 @@ func (s *Session) BaseConfig() core.Config { return s.base }
 // dispatch queues one job under a requester identity and ensures a
 // worker will drain it. Workers spawn lazily up to the pool bound and
 // exit when the queue empties, so the pool leaks nothing between sweeps.
-// The scheduling policy decides pop order only; every queued job is
-// eventually popped, and results are identical under any policy.
+// The queue decides pop order only; every queued job is eventually
+// popped, and results are identical in any order.
 func (s *Session) dispatch(requester string, j job) {
 	s.mu.Lock()
-	s.scheduler.Push(sched.Job[job]{Requester: requester, Cells: 1, Payload: j})
+	s.queue.Push(sched.Job[job]{Requester: requester, Cells: 1, Payload: j})
 	if s.workers < s.maxWorkers {
 		s.workers++
 		//lint:gorolife bounded pool: s.workers accounts every spawn under s.mu, and work decrements it under s.mu before returning, so Close/tests observe drain via the counter
@@ -314,16 +300,16 @@ func (s *Session) dispatch(requester string, j job) {
 	s.mu.Unlock()
 }
 
-// work drains the queue in scheduler order. A popped job whose
+// work drains the queue in its fair order. A popped job whose
 // requesters have all canceled is abandoned — never simulated, its key
 // free to recompute — and every other job runs to completion and
 // populates the cache. A job counts against its requester's in-service
-// account from pop to Done, which is what the fair policy's ICOUNT-style
+// account from pop to Done, which is what the queue's ICOUNT-style
 // priority reads.
 func (s *Session) work() {
 	for {
 		s.mu.Lock()
-		sj, ok := s.scheduler.Pop()
+		sj, ok := s.queue.Pop()
 		if !ok {
 			s.workers--
 			s.mu.Unlock()
@@ -331,12 +317,20 @@ func (s *Session) work() {
 		}
 		s.mu.Unlock()
 		j := sj.Payload
-		if !s.cache.Abandon(j.key, j.call, context.Canceled) {
-			j.call.Fulfill(s.run(j.w, j.cfg))
+		var res *core.Result
+		var err error
+		abandoned := s.cache.Abandon(j.key, j.call, context.Canceled)
+		if !abandoned {
+			res, err = s.run(j.w, j.cfg)
 		}
+		// Release the in-service account before waking the waiters, so a
+		// requester holding its result never sees its cell in service.
 		s.mu.Lock()
-		s.scheduler.Done(sj)
+		s.queue.Done(sj)
 		s.mu.Unlock()
+		if !abandoned {
+			j.call.Fulfill(res, err)
+		}
 	}
 }
 
@@ -363,17 +357,12 @@ func (s *Session) run(w workload.Workload, cfg core.Config) (*core.Result, error
 	return r, nil
 }
 
-// StartRun schedules (or joins) the simulation of one workload under one
-// complete configuration, returning its call immediately. The simulation
-// executes on the worker pool and is never canceled once scheduled.
-func (s *Session) StartRun(w workload.Workload, cfg core.Config) *simcache.Call[*core.Result] {
-	return s.StartRunCtx(context.Background(), w, cfg)
-}
-
-// StartRunCtx is StartRun with cancellation interest: if every context
-// registered against the cell (this one, plus any concurrent requester's)
-// is done before a worker picks the cell up, it is abandoned unrun. A
-// cell a worker already started always finishes and populates the cache.
+// StartRunCtx schedules (or joins) the simulation of one workload under
+// one complete configuration, returning its call immediately. If every
+// context registered against the cell (this one, plus any concurrent
+// requester's) is done before a worker picks the cell up, it is abandoned
+// unrun. A cell a worker already started always finishes and populates
+// the cache.
 func (s *Session) StartRunCtx(ctx context.Context, w workload.Workload, cfg core.Config) *simcache.Call[*core.Result] {
 	key := runKey{workload: w.Name(), config: cfg.Canonical()}
 	c, created := s.cache.BeginCtx(ctx, key)
@@ -384,63 +373,12 @@ func (s *Session) StartRunCtx(ctx context.Context, w workload.Workload, cfg core
 	return c
 }
 
-// RunConfig executes (and caches) one workload under one complete
-// configuration, blocking for the result.
-func (s *Session) RunConfig(w workload.Workload, cfg core.Config) (*core.Result, error) {
-	return s.StartRun(w, cfg).Wait()
-}
-
-// RunConfigCtx is RunConfig bounded by ctx: the wait returns ctx's error
+// RunConfigCtx executes (and caches) one workload under one complete
+// configuration, blocking for the result. The wait returns ctx's error
 // as soon as ctx is done, and a cell no live request is interested in is
 // never simulated.
 func (s *Session) RunConfigCtx(ctx context.Context, w workload.Workload, cfg core.Config) (*core.Result, error) {
 	return s.StartRunCtx(ctx, w, cfg).WaitCtx(ctx)
-}
-
-// referenceWorkload is the single-thread workload of a fairness
-// reference, and referenceConfig the machine it runs on: the same
-// configuration as the SMT run being normalized, under the baseline
-// policy (per Luo et al., the reference processor is the baseline
-// machine, identical for every policy being compared — but it must share
-// the SMT run's geometry, seed and trace length, or the speedup would
-// compare different machines or even different instruction streams).
-func referenceWorkload(benchmark string) workload.Workload {
-	return workload.Workload{Group: "ST", Benchmarks: []string{benchmark}}
-}
-
-func referenceConfig(cfg core.Config) core.Config {
-	cfg.Policy = core.PolicyICount
-	return cfg
-}
-
-// StartReference schedules (or joins) a benchmark's single-thread
-// reference run for the given machine, without blocking. References live
-// in the same canonical-config cache as every other run, so references
-// for configurations differing only in policy collapse to one
-// simulation.
-func (s *Session) StartReference(benchmark string, cfg core.Config) {
-	s.StartReferenceCtx(context.Background(), benchmark, cfg)
-}
-
-// StartReferenceCtx is StartReference with cancellation interest,
-// following the same queue rules as StartRunCtx.
-func (s *Session) StartReferenceCtx(ctx context.Context, benchmark string, cfg core.Config) {
-	s.StartRunCtx(ctx, referenceWorkload(benchmark), referenceConfig(cfg))
-}
-
-// Reference blocks for a benchmark's single-thread reference IPC on the
-// given machine (the IPC_ST of the fairness metric).
-func (s *Session) Reference(benchmark string, cfg core.Config) (float64, error) {
-	return s.ReferenceCtx(context.Background(), benchmark, cfg)
-}
-
-// ReferenceCtx is Reference bounded by ctx.
-func (s *Session) ReferenceCtx(ctx context.Context, benchmark string, cfg core.Config) (float64, error) {
-	res, err := s.RunConfigCtx(ctx, referenceWorkload(benchmark), referenceConfig(cfg))
-	if err != nil {
-		return 0, err
-	}
-	return res.Threads[0].IPC, nil
 }
 
 // configFor builds the session configuration for a policy and an
@@ -455,18 +393,13 @@ func (s *Session) configFor(pol core.PolicyKind, regs int) core.Config {
 	return cfg
 }
 
-// RunScenario executes a declarative sweep on this session's worker pool
-// and cache. Points that coincide with figure runs (or with each other)
-// are simulated once.
-func (s *Session) RunScenario(sp *scenario.Spec) (*scenario.ResultSet, error) {
-	return scenario.Execute(s, sp)
-}
-
-// RunScenarioCtx is RunScenario bounded by ctx: cells not yet started
-// when ctx dies are never simulated, running cells finish into the
-// cache, and the call returns ctx's error promptly.
+// RunScenarioCtx executes a declarative sweep on this session's worker
+// pool and cache. Points that coincide with figure runs (or with each
+// other) are simulated once. Cells not yet started when ctx dies are
+// never simulated, running cells finish into the cache, and the call
+// returns ctx's error promptly.
 func (s *Session) RunScenarioCtx(ctx context.Context, sp *scenario.Spec) (*scenario.ResultSet, error) {
-	return scenario.ExecuteCtx(ctx, s, sp)
+	return scenario.ExecuteStreamCtx(ctx, s, sp, nil)
 }
 
 // figureSpec assembles the scenario a figure needs: the session's

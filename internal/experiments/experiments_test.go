@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/scenario"
 )
 
 // tinyOptions keeps harness tests fast: one workload per group, short
@@ -193,7 +195,7 @@ func TestSweepSharesTraces(t *testing.T) {
 		t.Skip("harness run")
 	}
 	s := mustSession(t, tinyOptions())
-	if _, err := s.RunScenario(sweepSpec()); err != nil {
+	if _, err := s.RunScenarioCtx(context.Background(), sweepSpec()); err != nil {
 		t.Fatal(err)
 	}
 	st := s.TraceStats()
@@ -207,5 +209,51 @@ func TestSweepSharesTraces(t *testing.T) {
 	if st.Generated != st.Misses {
 		t.Errorf("generated %d != misses %d: some identity generated twice",
 			st.Generated, st.Misses)
+	}
+}
+
+// TestFairnessReferenceIsCoreReference: the reference a fairness sweep
+// simulates is core's single definition of it — the cell deep-equals
+// core.RunSingle on the sweep's machine, and looking it up through
+// core.Reference afterwards is a cache hit on the sweep's own entry, with
+// no extra miss.
+func TestFairnessReferenceIsCoreReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("harness run")
+	}
+	ctx := context.Background()
+	s := mustSession(t, tinyOptions())
+	rat := string(core.PolicyRaT)
+	sp := &scenario.Spec{
+		Name:      "fairness-reference",
+		Workloads: scenario.WorkloadSpec{Groups: []string{"MEM2"}, PerGroup: 1},
+		Axes: []scenario.Axis{{Name: "policy", Points: []scenario.Point{
+			{Label: rat, Delta: scenario.Delta{Policy: &rat}},
+		}}},
+		Metrics: []string{"fairness"},
+	}
+	rs, err := s.RunScenarioCtx(ctx, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := rs.Combos[0].Config
+	for _, b := range rs.Workloads[0].Benchmarks {
+		before := s.CacheStats()
+		w, ref := core.Reference(cfg, b)
+		got, err := s.RunConfigCtx(ctx, w, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := s.CacheStats()
+		if after.Misses != before.Misses || after.Hits != before.Hits+1 {
+			t.Errorf("%s: reference lookup moved the cache from %+v to %+v, want one hit and no miss", b, before, after)
+		}
+		want, err := core.RunSingle(cfg, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: sweep reference diverges from core.RunSingle:\n got: %+v\nwant: %+v", b, got, want)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/leakcheck"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -62,11 +63,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 	// Compare one raw Result end to end (every counter, not just the
 	// figure-level aggregates).
 	w := workload.MustByGroup("MEM2")[0]
-	sr, err := seq.RunConfig(w, seq.configFor(core.PolicyRaT, 0))
+	sr, err := seq.RunConfigCtx(context.Background(), w, seq.configFor(core.PolicyRaT, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := par.RunConfig(w, par.configFor(core.PolicyRaT, 0))
+	pr, err := par.RunConfigCtx(context.Background(), w, par.configFor(core.PolicyRaT, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,32 +113,41 @@ func emitAll(t *testing.T, rs *scenario.ResultSet) []byte {
 // TestScenarioDeterministicAcrossWorkers extends the determinism
 // contract to the scenario engine's structured output: a ResultSet (and
 // every serialization of it — the bytes an smtsimd client receives) is
-// identical for Workers=1 and Workers=GOMAXPROCS.
+// identical for Workers=1 and Workers=GOMAXPROCS, and for a sweep
+// attributed to a named requester (the fair queue reorders which job a
+// worker pops next, and nothing else).
 func TestScenarioDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness run")
 	}
 	o := tinyOptions()
-	oSeq := o
-	oSeq.Workers = 1
-	oPar := o
-	oPar.Workers = runtime.GOMAXPROCS(0)
-
-	seqRS, err := mustSession(t, oSeq).RunScenario(sweepSpec())
-	if err != nil {
-		t.Fatal(err)
+	run := func(workers int, ctx context.Context) *scenario.ResultSet {
+		oo := o
+		oo.Workers = workers
+		rs, err := mustSession(t, oo).RunScenarioCtx(ctx, sweepSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
 	}
-	parRS, err := mustSession(t, oPar).RunScenario(sweepSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seqRS.Rows, parRS.Rows) {
-		t.Errorf("ResultSet rows diverge between Workers=1 and Workers=%d", oPar.Workers)
-	}
-	seq, par := emitAll(t, seqRS), emitAll(t, parRS)
-	if !bytes.Equal(seq, par) {
-		t.Errorf("serialized output diverges between Workers=1 and Workers=%d:\nseq:\n%s\npar:\n%s",
-			oPar.Workers, seq, par)
+	bg := context.Background()
+	par := runtime.GOMAXPROCS(0)
+	seqRS := run(1, bg)
+	seq := emitAll(t, seqRS)
+	for _, tc := range []struct {
+		name string
+		rs   *scenario.ResultSet
+	}{
+		{"parallel", run(par, bg)},
+		{"attributed", run(par, sched.WithRequester(bg, "client-a"))},
+	} {
+		if !reflect.DeepEqual(seqRS.Rows, tc.rs.Rows) {
+			t.Errorf("%s: ResultSet rows diverge from Workers=1 (Workers=%d)", tc.name, par)
+		}
+		if got := emitAll(t, tc.rs); !bytes.Equal(seq, got) {
+			t.Errorf("%s: serialized output diverges from Workers=1 (Workers=%d):\nseq:\n%s\ngot:\n%s",
+				tc.name, par, seq, got)
+		}
 	}
 }
 
@@ -155,7 +165,7 @@ func TestEvictionMidSweepDeterminism(t *testing.T) {
 	o.Workers = 4
 
 	unbounded := mustSession(t, o)
-	want, err := unbounded.RunScenario(sweepSpec())
+	want, err := unbounded.RunScenarioCtx(context.Background(), sweepSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +176,7 @@ func TestEvictionMidSweepDeterminism(t *testing.T) {
 	oBound := o
 	oBound.CacheEntries = 2
 	bounded := mustSession(t, oBound)
-	got, err := bounded.RunScenario(sweepSpec())
+	got, err := bounded.RunScenarioCtx(context.Background(), sweepSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +193,7 @@ func TestEvictionMidSweepDeterminism(t *testing.T) {
 
 	// A second pass over the evicted grid recomputes (misses grow) but
 	// still reproduces the identical bytes.
-	again, err := bounded.RunScenario(sweepSpec())
+	again, err := bounded.RunScenarioCtx(context.Background(), sweepSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

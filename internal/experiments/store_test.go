@@ -99,7 +99,7 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 	w := workload.Workload{Group: "AD", Benchmarks: []string{"art", "mcf"}}
 
 	cold := mustSession(t, storeOptions(dir))
-	want, err := cold.RunConfig(w, cold.BaseConfig())
+	want, err := cold.RunConfigCtx(context.Background(), w, cold.BaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 	}
 
 	warm := mustSession(t, storeOptions(dir))
-	got, err := warm.RunConfig(w, warm.BaseConfig())
+	got, err := warm.RunConfigCtx(context.Background(), w, warm.BaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 
 	// The rewrite healed the store: a third session hits.
 	healed := mustSession(t, storeOptions(dir))
-	if _, err := healed.RunConfig(w, healed.BaseConfig()); err != nil {
+	if _, err := healed.RunConfigCtx(context.Background(), w, healed.BaseConfig()); err != nil {
 		t.Fatal(err)
 	}
 	if st := healed.StoreStats(); st.Hits == 0 || st.Misses != 0 {
@@ -146,7 +146,7 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 // TestUnwritableStoreKeepsResults sabotages the store mid-session: its
 // directory is replaced by a regular file, so every write fails with
 // ENOTDIR (even for root). Persistence is write-behind and best-effort,
-// so RunConfig must still return exactly the result of an unstored
+// so RunConfigCtx must still return exactly the result of an unstored
 // session while the failures are counted.
 func TestUnwritableStoreKeepsResults(t *testing.T) {
 	if testing.Short() {
@@ -162,13 +162,13 @@ func TestUnwritableStoreKeepsResults(t *testing.T) {
 	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.RunConfig(w, s.BaseConfig())
+	got, err := s.RunConfigCtx(context.Background(), w, s.BaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	plain := mustSession(t, storeOptions(""))
-	want, err := plain.RunConfig(w, plain.BaseConfig())
+	want, err := plain.RunConfigCtx(context.Background(), w, plain.BaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,8 +92,7 @@ func (c *Core) fetchFrom(t *thread, now uint64, slots int) int {
 				// Direction mispredict: in a trace-driven model the wrong
 				// path cannot be fetched, so the thread stops fetching
 				// until the branch resolves (the bandwidth loss and delay
-				// are modelled; wrong-path resource pollution is not —
-				// DESIGN.md §3 discusses the substitution).
+				// are modelled; wrong-path resource pollution is not).
 				di.mispredicted = true
 				t.blockingBranch = di
 				break

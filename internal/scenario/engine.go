@@ -19,27 +19,27 @@ import (
 // scenario point and a figure — that describe the same machine share one
 // simulation.
 //
-// Every dispatching method takes the requesting sweep's context: a cell
-// whose interested requesters have all canceled before it starts must
-// never be simulated, while a cell that is already running finishes and
+// StartRunCtx takes the requesting sweep's context: a cell whose
+// interested requesters have all canceled before it starts must never
+// be simulated, while a cell that is already running finishes and
 // populates the shared cache. The context also carries the requester
 // identity for fair scheduling (sched.WithRequester): the engine threads
 // it unchanged into every dispatch — grid cells and fairness references
-// alike — so the runner's scheduler can attribute all of a sweep's work
-// to the client that asked for it.
+// (core.Reference) alike — so the runner's queue can attribute all of a
+// sweep's work to the client that asked for it.
 type Runner interface {
 	// BaseConfig returns the configuration scenario deltas apply onto.
 	BaseConfig() core.Config
 	// StartRunCtx schedules (or joins) one simulation without blocking
 	// and returns its pending call.
 	StartRunCtx(ctx context.Context, w workload.Workload, cfg core.Config) *simcache.Call[*core.Result]
-	// StartReferenceCtx schedules (or joins) the single-thread reference
-	// run the fairness metric needs — the benchmark alone on the given
-	// machine under the baseline policy — without blocking.
-	StartReferenceCtx(ctx context.Context, benchmark string, cfg core.Config)
-	// ReferenceCtx blocks for a benchmark's single-thread reference IPC
-	// on the given machine, or until ctx is done.
-	ReferenceCtx(ctx context.Context, benchmark string, cfg core.Config) (float64, error)
+}
+
+// startReference schedules (or joins) benchmark b's single-thread
+// fairness reference (core.Reference) on cfg's machine.
+func startReference(ctx context.Context, r Runner, b string, cfg core.Config) *simcache.Call[*core.Result] {
+	w, ref := core.Reference(cfg, b)
+	return r.StartRunCtx(ctx, w, ref)
 }
 
 // metric is one per-cell reduction. compute receives the cell's full
@@ -60,11 +60,11 @@ var metricTable = []metric{
 	{name: "fairness", needsReference: true, compute: func(ctx context.Context, r Runner, w workload.Workload, cfg core.Config, res *core.Result) (float64, error) {
 		stv := make([]float64, 0, len(w.Benchmarks))
 		for _, b := range w.Benchmarks {
-			v, err := r.ReferenceCtx(ctx, b, cfg)
+			ref, err := startReference(ctx, r, b, cfg).WaitCtx(ctx)
 			if err != nil {
 				return 0, err
 			}
-			stv = append(stv, v)
+			stv = append(stv, ref.Threads[0].IPC)
 		}
 		return metrics.Fairness(stv, res.IPCs()), nil
 	}},
@@ -167,34 +167,17 @@ func (rs *ResultSet) Value(wi, ci, mi int) float64 {
 	return rs.Rows[wi*len(rs.Combos)+ci].Values[mi]
 }
 
-// Execute expands the spec's grid, dispatches every simulation onto the
-// runner's pool, and reduces the results in a fixed order — so output is
-// bit-identical for any worker count.
-func Execute(r Runner, sp *Spec) (*ResultSet, error) {
-	return ExecuteStreamCtx(context.Background(), r, sp, nil)
-}
-
-// ExecuteCtx is Execute bounded by ctx: once ctx is done the sweep
-// returns ctx's error promptly, cells not yet started are never
-// simulated, and cells already running finish into the runner's cache.
-func ExecuteCtx(ctx context.Context, r Runner, sp *Spec) (*ResultSet, error) {
-	return ExecuteStreamCtx(ctx, r, sp, nil)
-}
-
-// ExecuteStream is Execute with a streaming hook: when emit is non-nil it
+// ExecuteStreamCtx expands the spec's grid, dispatches every simulation
+// onto the runner's pool, and reduces the results in a fixed order — so
+// output is bit-identical for any worker count. When emit is non-nil it
 // receives each reduced Row in fixed grid order (workload-major) as soon
 // as the row's simulation completes, before the full set is assembled —
 // the smtsimd daemon uses it to stream NDJSON while later cells are still
-// simulating. The row order, and therefore any serialization of the
-// stream, is identical for any worker count. A non-nil error from emit
-// aborts the sweep.
-func ExecuteStream(r Runner, sp *Spec, emit func(Row) error) (*ResultSet, error) {
-	return ExecuteStreamCtx(context.Background(), r, sp, emit)
-}
-
-// ExecuteStreamCtx is ExecuteStream bounded by ctx (see ExecuteCtx for
-// the cancellation contract). Cancellation mid-sweep aborts collection
-// with ctx's error; rows already emitted stand.
+// simulating. A non-nil error from emit aborts the sweep.
+//
+// Once ctx is done the sweep returns ctx's error promptly, cells not yet
+// started are never simulated, and cells already running finish into the
+// runner's cache; rows already emitted stand.
 func ExecuteStreamCtx(ctx context.Context, r Runner, sp *Spec, emit func(Row) error) (*ResultSet, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -231,7 +214,7 @@ func ExecuteStreamCtx(ctx context.Context, r Runner, sp *Spec, emit func(Row) er
 		if needRef {
 			for _, combo := range combos {
 				for _, b := range w.Benchmarks {
-					r.StartReferenceCtx(ctx, b, combo.Config)
+					startReference(ctx, r, b, combo.Config)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"strconv"
@@ -204,7 +205,7 @@ func TestExecuteEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := s.RunScenario(testSpec())
+	rs, err := s.RunScenarioCtx(context.Background(), testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestExecuteDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := s.RunScenario(testSpec())
+		rs, err := s.RunScenarioCtx(context.Background(), testSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +266,7 @@ func TestResultSetEmitters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := s.RunScenario(testSpec())
+	rs, err := s.RunScenarioCtx(context.Background(), testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

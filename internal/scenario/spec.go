@@ -288,7 +288,7 @@ func (sp *Spec) metrics() []string {
 }
 
 // Validate checks names, axes, metrics and format. The workload
-// selection validates where it expands (Parse at load time, Execute at
+// selection validates where it expands (Parse at load time, ExecuteStreamCtx at
 // run time), so the table is walked once per phase, not per check.
 func (sp *Spec) Validate() error {
 	if sp.Name == "" {

@@ -11,17 +11,15 @@ import (
 	"repro/internal/workload"
 )
 
-// stubRunner satisfies Runner for metric-computation tests that never
-// dispatch simulations.
+// stubRunner satisfies Runner for metric-computation tests: every run it
+// is asked for is already complete, one thread at IPC 1.5.
 type stubRunner struct{}
 
 func (stubRunner) BaseConfig() core.Config { return core.DefaultConfig() }
-func (stubRunner) StartRunCtx(context.Context, workload.Workload, core.Config) *simcache.Call[*core.Result] {
-	panic("stubRunner cannot simulate")
-}
-func (stubRunner) StartReferenceCtx(context.Context, string, core.Config) {}
-func (stubRunner) ReferenceCtx(context.Context, string, core.Config) (float64, error) {
-	return 1.5, nil
+func (stubRunner) StartRunCtx(ctx context.Context, _ workload.Workload, _ core.Config) *simcache.Call[*core.Result] {
+	c, _ := simcache.New[int, *core.Result](0, 0, nil).BeginCtx(ctx, 0)
+	c.Fulfill(&core.Result{Threads: []core.ThreadResult{{IPC: 1.5}}}, nil)
+	return c
 }
 
 // TestZeroCommitMetricsFiniteEverywhere is the divide-by-zero

@@ -1,18 +1,16 @@
-// Package sched provides the pluggable scheduling policies behind the
-// experiment session's work queue.
+// Package sched provides the fair work queue behind the experiment
+// session's dispatch.
 //
-// The session's dispatch used to be a single FIFO: one max-size sweep
-// ahead of you meant your one-cell request waited for the entire sweep
-// to drain — head-of-line starvation in a daemon that exists to simulate
-// SMT fetch policies designed to prevent exactly that. The Scheduler
-// interface makes the dispatch policy pluggable, and the fair policy
-// applies the paper's own ICOUNT idea to the serving layer: just as
-// ICOUNT fetches from the thread with the fewest instructions in the
-// pipeline, the fair scheduler pops the next job from the requester with
-// the fewest grid cells currently in service, so light requesters flow
-// past heavy ones while heavy ones still progress — ties rotate
-// round-robin (least recently served first), so no active requester is
-// ever skipped indefinitely.
+// A single FIFO queue starves light requesters: one max-size sweep ahead
+// of you means your one-cell request waits for the entire sweep to drain
+// — head-of-line starvation in a daemon that exists to simulate SMT fetch
+// policies designed to prevent exactly that. Queue applies the paper's
+// own ICOUNT idea to the serving layer: just as ICOUNT fetches from the
+// thread with the fewest instructions in the pipeline, Queue pops the
+// next job from the requester with the fewest grid cells currently in
+// service, so light requesters flow past heavy ones while heavy ones
+// still progress — ties rotate round-robin (least recently served
+// first), so no active requester is ever skipped indefinitely.
 //
 // Scheduling only reorders execution; it can never change results. Every
 // simulation is a deterministic pure function of (workload, canonical
@@ -24,77 +22,43 @@
 // request's context with WithRequester (the X-Client header, or the
 // client's remote address), the context threads unchanged through
 // scenario.ExecuteStreamCtx into Session.StartRunCtx — grid cells and
-// single-thread fairness references alike — and the
-// session recovers the identity with Requester at dispatch time. Code
-// that never stamps a context (the figure CLIs) lands in the single
-// anonymous "" bucket, where every policy degenerates to FIFO.
+// single-thread fairness references alike — and the session recovers
+// the identity with Requester at dispatch time. Code that never stamps a
+// context (the figure CLIs) lands in the single anonymous "" bucket,
+// which pops in push order.
 //
-// Implementations are not safe for concurrent use: the session
-// serializes every call under its own mutex, which also keeps
-// Push/Pop/Done atomic with the worker-count bookkeeping.
+// A Queue is not safe for concurrent use: the session serializes every
+// call under its own mutex, which also keeps Push/Pop/Done atomic with
+// the worker-count bookkeeping.
 package sched
 
 import (
 	"context"
 	"fmt"
-	"strings"
 )
 
-// Policy names accepted by New.
-const (
-	PolicyFIFO = "fifo"
-	PolicyFair = "fair"
-)
-
-// Default is the policy New selects for the empty string.
-const Default = PolicyFair
-
-// Names lists the valid policy names.
-func Names() []string { return []string{PolicyFIFO, PolicyFair} }
+// PolicyFair names the one scheduling policy New accepts.
+const PolicyFair = "fair"
 
 // Job is one queued unit of work: an opaque payload plus the accounting
-// identity the scheduler orders by. Cells is the job's weight — the grid
-// cells it will execute — which the fair policy's in-service accounting
-// sums per requester.
+// identity the queue orders by. Cells is the job's weight — the grid
+// cells it will execute — which the in-service accounting sums per
+// requester.
 type Job[T any] struct {
 	// Requester identifies who asked for this job ("" = anonymous).
 	Requester string
 	// Cells is the number of grid cells the job carries.
 	Cells int
-	// Payload is the scheduler-opaque work item.
+	// Payload is the queue-opaque work item.
 	Payload T
 }
 
-// Scheduler orders queued jobs for dispatch. The contract: every Push is
-// eventually Popped (no policy may drop work), and the caller pairs each
-// Pop with exactly one Done once the job's cells have left service —
-// Pop moves a job's cells into the requester's in-service account, Done
-// releases them. Implementations are not safe for concurrent use; the
-// caller serializes all calls (the session holds its mutex).
-type Scheduler[T any] interface {
-	// Name returns the policy name ("fifo", "fair").
-	Name() string
-	// Push enqueues a job.
-	Push(j Job[T])
-	// Pop removes and returns the next job per the policy, accounting
-	// its cells as in service; ok is false when nothing is queued.
-	Pop() (j Job[T], ok bool)
-	// Done releases the in-service accounting of a popped job.
-	Done(j Job[T])
-	// Snapshot reports the current queue and per-requester accounting.
-	Snapshot() Snapshot
-}
-
-// New builds a scheduler by policy name; "" selects Default.
-func New[T any](policy string) (Scheduler[T], error) {
-	switch policy {
-	case PolicyFIFO:
-		return &fifo[T]{inService: map[string]int{}}, nil
-	case "", PolicyFair:
-		return &fair[T]{clients: map[string]*fairClient[T]{}}, nil
+// New returns an empty Queue. policy must be "" or PolicyFair.
+func New[T any](policy string) (*Queue[T], error) {
+	if policy != "" && policy != PolicyFair {
+		return nil, fmt.Errorf("sched: unknown policy %q (valid: %s)", policy, PolicyFair)
 	}
-	return nil, fmt.Errorf("sched: unknown policy %q (valid: %s)",
-		policy, strings.Join(Names(), ", "))
+	return &Queue[T]{}, nil
 }
 
 // ClientStat is one requester's accounting inside a Snapshot.
@@ -106,12 +70,11 @@ type ClientStat struct {
 	InServiceCells int `json:"inServiceCells"`
 }
 
-// Snapshot is a point-in-time view of the scheduler, shaped for direct
-// JSON emission by the smtsimd /v1/metrics endpoint. Clients holds one
-// entry per active requester — one with queued or in-service work; idle
+// Snapshot is a point-in-time view of the queue, shaped for direct JSON
+// emission by the smtsimd /v1/metrics endpoint. Clients holds one entry
+// per active requester — one with queued or in-service work; idle
 // requesters are forgotten, so the map cannot grow without bound.
 type Snapshot struct {
-	Policy         string                `json:"policy"`
 	QueuedJobs     int                   `json:"queuedJobs"`
 	QueuedCells    int                   `json:"queuedCells"`
 	InServiceCells int                   `json:"inServiceCells"`
@@ -137,76 +100,8 @@ func Requester(ctx context.Context) string {
 	return id
 }
 
-// fifo is the original single-queue policy: jobs pop in arrival order,
-// whoever queued them. Kept as the baseline scheduler — and the policy
-// the starvation regression test proves the problem against.
-type fifo[T any] struct {
-	queue     []Job[T]
-	cells     int
-	inService map[string]int
-	totalIn   int
-}
-
-func (f *fifo[T]) Name() string { return PolicyFIFO }
-
-func (f *fifo[T]) Push(j Job[T]) {
-	f.queue = append(f.queue, j)
-	f.cells += j.Cells
-}
-
-func (f *fifo[T]) Pop() (Job[T], bool) {
-	if len(f.queue) == 0 {
-		return Job[T]{}, false
-	}
-	j := f.queue[0]
-	f.queue[0] = Job[T]{} // drop the array's reference to the popped job
-	f.queue = f.queue[1:]
-	if len(f.queue) == 0 {
-		f.queue = nil // release the drained backing array
-	}
-	f.cells -= j.Cells
-	f.inService[j.Requester] += j.Cells
-	f.totalIn += j.Cells
-	return j, true
-}
-
-func (f *fifo[T]) Done(j Job[T]) {
-	if n := f.inService[j.Requester] - j.Cells; n > 0 {
-		f.inService[j.Requester] = n
-	} else {
-		delete(f.inService, j.Requester)
-	}
-	f.totalIn -= j.Cells
-}
-
-func (f *fifo[T]) Snapshot() Snapshot {
-	s := Snapshot{
-		Policy:         PolicyFIFO,
-		QueuedJobs:     len(f.queue),
-		QueuedCells:    f.cells,
-		InServiceCells: f.totalIn,
-	}
-	clients := map[string]ClientStat{}
-	for _, j := range f.queue {
-		c := clients[j.Requester]
-		c.QueuedJobs++
-		c.QueuedCells += j.Cells
-		clients[j.Requester] = c
-	}
-	//lint:deterministic merges per-client counters into a map; the result is key-addressed and serialized via encoding/json, which sorts keys, so iteration order is unobservable
-	for id, n := range f.inService {
-		c := clients[id]
-		c.InServiceCells = n
-		clients[id] = c
-	}
-	if len(clients) > 0 {
-		s.Clients = clients
-	}
-	return s
-}
-
-// fairClient is one requester's state under the fair policy.
-type fairClient[T any] struct {
+// client is one requester's state in the queue.
+type client[T any] struct {
 	queue       []Job[T]
 	queuedCells int
 	inService   int    // cells popped, not yet Done
@@ -214,35 +109,42 @@ type fairClient[T any] struct {
 	arrival     uint64 // stamp of the first push while active
 }
 
-// fair is the ICOUNT-style policy: Pop serves the active requester with
-// the fewest cells in service (the analogue of ICOUNT's
+// Queue is the ICOUNT-style fair work queue: Pop serves the active
+// requester with the fewest cells in service (the analogue of ICOUNT's
 // fewest-instructions-in-pipeline fetch priority), breaking ties
 // round-robin toward the least recently served, then toward the earliest
-// arrival. Within one requester, jobs stay FIFO, so a single requester
-// observes exactly the old behavior. A requester with no queued jobs and
-// nothing in service is forgotten (its stamps reset), bounding the state
-// to active requesters.
-type fair[T any] struct {
-	clients     map[string]*fairClient[T]
+// arrival. Within one requester, jobs pop in push order. A requester
+// with no queued jobs and nothing in service is forgotten (its stamps
+// reset), bounding the state to active requesters.
+//
+// The contract: every Push is eventually Popped (no job is dropped), and
+// the caller pairs each Pop with exactly one Done once the job's cells
+// have left service — Pop moves a job's cells into the requester's
+// in-service account, Done releases them. The zero Queue is empty and
+// ready to use.
+type Queue[T any] struct {
+	clients     map[string]*client[T]
 	stamp       uint64 // shared arrival/pop stamp source
 	queuedJobs  int
 	queuedCells int
 	totalIn     int
 }
 
-func (f *fair[T]) Name() string { return PolicyFair }
-
-func (f *fair[T]) Push(j Job[T]) {
-	c := f.clients[j.Requester]
+// Push enqueues a job.
+func (q *Queue[T]) Push(j Job[T]) {
+	c := q.clients[j.Requester]
 	if c == nil {
-		f.stamp++
-		c = &fairClient[T]{arrival: f.stamp}
-		f.clients[j.Requester] = c
+		if q.clients == nil {
+			q.clients = map[string]*client[T]{}
+		}
+		q.stamp++
+		c = &client[T]{arrival: q.stamp}
+		q.clients[j.Requester] = c
 	}
 	c.queue = append(c.queue, j)
 	c.queuedCells += j.Cells
-	f.queuedJobs++
-	f.queuedCells += j.Cells
+	q.queuedJobs++
+	q.queuedCells += j.Cells
 }
 
 // next returns the queued requester Pop should serve, nil when idle.
@@ -250,10 +152,10 @@ func (f *fair[T]) Push(j Job[T]) {
 // distinct clients — pop stamps are unique and arrival stamps are unique
 // among never-served clients — so the choice does not depend on map
 // iteration order.
-func (f *fair[T]) next() *fairClient[T] {
-	var best *fairClient[T]
+func (q *Queue[T]) next() *client[T] {
+	var best *client[T]
 	//lint:deterministic the (inService, lastPop, arrival) key documented above is a total order over distinct clients, so the minimum is unique and iteration order cannot change the winner
-	for _, c := range f.clients {
+	for _, c := range q.clients {
 		if len(c.queue) == 0 {
 			continue
 		}
@@ -268,52 +170,55 @@ func (f *fair[T]) next() *fairClient[T] {
 	return best
 }
 
-func (f *fair[T]) Pop() (Job[T], bool) {
-	c := f.next()
+// Pop removes and returns the next job, accounting its cells as in
+// service; ok is false when nothing is queued.
+func (q *Queue[T]) Pop() (j Job[T], ok bool) {
+	c := q.next()
 	if c == nil {
 		return Job[T]{}, false
 	}
-	j := c.queue[0]
-	c.queue[0] = Job[T]{}
+	j = c.queue[0]
+	c.queue[0] = Job[T]{} // drop the array's reference to the popped job
 	c.queue = c.queue[1:]
 	if len(c.queue) == 0 {
-		c.queue = nil
+		c.queue = nil // release the drained backing array
 	}
 	c.queuedCells -= j.Cells
 	c.inService += j.Cells
-	f.stamp++
-	c.lastPop = f.stamp
-	f.queuedJobs--
-	f.queuedCells -= j.Cells
-	f.totalIn += j.Cells
+	q.stamp++
+	c.lastPop = q.stamp
+	q.queuedJobs--
+	q.queuedCells -= j.Cells
+	q.totalIn += j.Cells
 	return j, true
 }
 
-func (f *fair[T]) Done(j Job[T]) {
-	c := f.clients[j.Requester]
+// Done releases the in-service accounting of a popped job.
+func (q *Queue[T]) Done(j Job[T]) {
+	c := q.clients[j.Requester]
 	if c == nil {
 		return
 	}
 	if c.inService -= j.Cells; c.inService < 0 {
 		c.inService = 0
 	}
-	f.totalIn -= j.Cells
+	q.totalIn -= j.Cells
 	if c.inService == 0 && len(c.queue) == 0 {
-		delete(f.clients, j.Requester)
+		delete(q.clients, j.Requester)
 	}
 }
 
-func (f *fair[T]) Snapshot() Snapshot {
+// Snapshot reports the current queue and per-requester accounting.
+func (q *Queue[T]) Snapshot() Snapshot {
 	s := Snapshot{
-		Policy:         PolicyFair,
-		QueuedJobs:     f.queuedJobs,
-		QueuedCells:    f.queuedCells,
-		InServiceCells: f.totalIn,
+		QueuedJobs:     q.queuedJobs,
+		QueuedCells:    q.queuedCells,
+		InServiceCells: q.totalIn,
 	}
-	if len(f.clients) > 0 {
-		s.Clients = make(map[string]ClientStat, len(f.clients))
+	if len(q.clients) > 0 {
+		s.Clients = make(map[string]ClientStat, len(q.clients))
 		//lint:deterministic builds a key-addressed map serialized via encoding/json (sorted keys); iteration order is unobservable
-		for id, c := range f.clients {
+		for id, c := range q.clients {
 			s.Clients[id] = ClientStat{
 				QueuedJobs:     len(c.queue),
 				QueuedCells:    c.queuedCells,

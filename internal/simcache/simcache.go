@@ -36,7 +36,7 @@
 // hold the call pointer is already past its own WaitCtx cancellation),
 // and a later request for the key registers a fresh computation — the
 // singleflight contract survives because the check-and-remove happens
-// under the same lock Begin uses to join calls.
+// under the same lock BeginCtx uses to join calls.
 package simcache
 
 import (
@@ -48,7 +48,7 @@ import (
 // Stats is a point-in-time snapshot of cache effectiveness, shaped for
 // direct JSON emission by the smtsimd /v1/metrics endpoint.
 type Stats struct {
-	// Hits counts Begin calls that joined an existing entry (completed or
+	// Hits counts BeginCtx calls that joined an existing entry (completed or
 	// in flight); Misses counts calls that had to register a computation.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
@@ -72,11 +72,11 @@ type Call[V any] struct {
 	done   chan struct{}
 	val    V
 	err    error
-	settle func() // cache accounting hook, set by Begin; nil once settled
+	settle func() // cache accounting hook, set by BeginCtx; nil once settled
 }
 
 // Fulfill publishes the result, waking all waiters. The owner of the
-// call (the Begin caller that saw created=true, or whoever it handed the
+// call (the BeginCtx caller that saw created=true, or whoever it handed the
 // call to) must call exactly one of Fulfill or Cache.Abandon.
 func (c *Call[V]) Fulfill(v V, err error) {
 	c.val, c.err = v, err
@@ -95,15 +95,9 @@ func (c *Call[V]) abandon(err error) {
 	close(c.done)
 }
 
-// Wait blocks until Fulfill and returns the published result.
-func (c *Call[V]) Wait() (V, error) {
-	<-c.done
-	return c.val, c.err
-}
-
-// WaitCtx is Wait with a per-waiter escape hatch: it returns ctx's error
-// as soon as ctx is done, leaving the computation (and every other
-// waiter) untouched.
+// WaitCtx blocks until Fulfill and returns the published result, or
+// returns ctx's error as soon as ctx is done, leaving the computation
+// (and every other waiter) untouched.
 func (c *Call[V]) WaitCtx(ctx context.Context) (V, error) {
 	select {
 	case <-c.done:
@@ -157,19 +151,13 @@ func New[K comparable, V any](maxEntries int, maxBytes int64, sizeOf func(V) int
 	}
 }
 
-// Begin returns key's call, registering a new computation if absent.
+// BeginCtx returns key's call, registering a new computation if absent.
 // created reports whether this caller registered the call and therefore
-// owns computing and Fulfilling it; all other callers just Wait. A hit
-// (created=false) marks the entry most recently used. Calls begun without
-// a context are never abandonable: the computation always runs.
-func (c *Cache[K, V]) Begin(key K) (call *Call[V], created bool) {
-	return c.BeginCtx(context.Background(), key)
-}
-
-// BeginCtx is Begin with cancellation interest: ctx is recorded against
-// the call while it is in flight, and Abandon may drop the computation
-// only once every recorded context is done. A background (non-cancelable)
-// context pins the call to run unconditionally.
+// owns computing and Fulfilling it; all other callers just WaitCtx. A hit
+// (created=false) marks the entry most recently used. ctx is recorded
+// against the call while it is in flight, and Abandon may drop the
+// computation only once every recorded context is done. A background
+// (non-cancelable) context pins the call to run unconditionally.
 func (c *Cache[K, V]) BeginCtx(ctx context.Context, key K) (call *Call[V], created bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -21,14 +21,14 @@ func TestSingleComputationManyWaiters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, created := g.Begin("k")
+			c, created := g.BeginCtx(context.Background(), "k")
 			if created {
 				computed.Add(1)
 				c.Fulfill(42, nil)
 			}
-			v, err := c.Wait()
+			v, err := c.WaitCtx(context.Background())
 			if v != 42 || err != nil {
-				t.Errorf("Wait = %d, %v", v, err)
+				t.Errorf("WaitCtx = %d, %v", v, err)
 			}
 		}()
 	}
@@ -48,16 +48,16 @@ func TestSingleComputationManyWaiters(t *testing.T) {
 func TestErrorsMemoizedWhileCached(t *testing.T) {
 	g := New[int, string](0, 0, nil)
 	boom := errors.New("boom")
-	c, created := g.Begin(7)
+	c, created := g.BeginCtx(context.Background(), 7)
 	if !created {
-		t.Fatal("first Begin not created")
+		t.Fatal("first BeginCtx not created")
 	}
 	c.Fulfill("", boom)
-	c2, created := g.Begin(7)
+	c2, created := g.BeginCtx(context.Background(), 7)
 	if created {
-		t.Fatal("second Begin re-created")
+		t.Fatal("second BeginCtx re-created")
 	}
-	if _, err := c2.Wait(); !errors.Is(err, boom) {
+	if _, err := c2.WaitCtx(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 }
@@ -65,13 +65,13 @@ func TestErrorsMemoizedWhileCached(t *testing.T) {
 // fill computes key -> val synchronously, returning whether it was a miss.
 func fill(t *testing.T, g *Cache[string, int], key string, val int) bool {
 	t.Helper()
-	c, created := g.Begin(key)
+	c, created := g.BeginCtx(context.Background(), key)
 	if created {
 		c.Fulfill(val, nil)
 	}
-	v, err := c.Wait()
+	v, err := c.WaitCtx(context.Background())
 	if err != nil || v != val {
-		t.Fatalf("Wait(%q) = %d, %v; want %d", key, v, err, val)
+		t.Fatalf("WaitCtx(%q) = %d, %v; want %d", key, v, err, val)
 	}
 	return created
 }
@@ -114,7 +114,7 @@ func TestByteBoundEvicts(t *testing.T) {
 // exceeded, so a key never has two concurrent computations.
 func TestInFlightNeverEvicted(t *testing.T) {
 	g := New[string, int](1, 0, nil)
-	slow, created := g.Begin("slow")
+	slow, created := g.BeginCtx(context.Background(), "slow")
 	if !created {
 		t.Fatal("slow not created")
 	}
@@ -124,20 +124,20 @@ func TestInFlightNeverEvicted(t *testing.T) {
 	if st := g.Stats(); st.InFlight != 1 {
 		t.Fatalf("stats = %+v, want 1 in flight", st)
 	}
-	again, created := g.Begin("slow")
+	again, created := g.BeginCtx(context.Background(), "slow")
 	if created {
 		t.Fatal("in-flight call was evicted: second computation registered")
 	}
 	if again != slow {
-		t.Fatal("Begin returned a different call for an in-flight key")
+		t.Fatal("BeginCtx returned a different call for an in-flight key")
 	}
 	slow.Fulfill(99, nil)
 	// Completing the over-bound in-flight entry trims back to the bound.
 	if n := g.Len(); n != 1 {
 		t.Fatalf("Len after settle = %d, want 1", n)
 	}
-	if v, err := again.Wait(); v != 99 || err != nil {
-		t.Fatalf("Wait = %d, %v", v, err)
+	if v, err := again.WaitCtx(context.Background()); v != 99 || err != nil {
+		t.Fatalf("WaitCtx = %d, %v", v, err)
 	}
 }
 
@@ -145,14 +145,14 @@ func TestInFlightNeverEvicted(t *testing.T) {
 // invalidates — a waiter holding the call reads its value regardless.
 func TestEvictedCallStillServesHolders(t *testing.T) {
 	g := New[string, int](1, 0, nil)
-	c, created := g.Begin("x")
+	c, created := g.BeginCtx(context.Background(), "x")
 	if !created {
 		t.Fatal("x not created")
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if v, err := c.Wait(); v != 5 || err != nil {
+		if v, err := c.WaitCtx(context.Background()); v != 5 || err != nil {
 			t.Errorf("late waiter: %d, %v", v, err)
 		}
 	}()
@@ -167,7 +167,7 @@ func TestEvictedCallStillServesHolders(t *testing.T) {
 func TestUnboundedNeverEvicts(t *testing.T) {
 	g := New[int, int](0, 0, func(int) int64 { return 1 << 20 })
 	for i := 0; i < 256; i++ {
-		c, created := g.Begin(i)
+		c, created := g.BeginCtx(context.Background(), i)
 		if !created {
 			t.Fatalf("key %d already present", i)
 		}
@@ -185,9 +185,9 @@ func TestUnboundedNeverEvicts(t *testing.T) {
 func TestWaitCtxCancelIsPerWaiter(t *testing.T) {
 	defer leakcheck.Check(t)
 	g := New[string, int](0, 0, nil)
-	c, created := g.Begin("k")
+	c, created := g.BeginCtx(context.Background(), "k")
 	if !created {
-		t.Fatal("first Begin not created")
+		t.Fatal("first BeginCtx not created")
 	}
 
 	canceled, cancel := context.WithCancel(context.Background())
@@ -209,8 +209,8 @@ func TestWaitCtxCancelIsPerWaiter(t *testing.T) {
 	}()
 	c.Fulfill(9, nil)
 	<-done
-	if v, err := c.Wait(); v != 9 || err != nil {
-		t.Fatalf("Wait after Fulfill = %d, %v", v, err)
+	if v, err := c.WaitCtx(context.Background()); v != 9 || err != nil {
+		t.Fatalf("WaitCtx after Fulfill = %d, %v", v, err)
 	}
 }
 
@@ -228,8 +228,8 @@ func TestAbandonDropsDeadCall(t *testing.T) {
 	if !g.Abandon("k", c, context.Canceled) {
 		t.Fatal("Abandon = false for a call whose only requester canceled")
 	}
-	if _, err := c.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("abandoned call Wait err = %v, want context.Canceled", err)
+	if _, err := c.WaitCtx(context.Background()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned call WaitCtx err = %v, want context.Canceled", err)
 	}
 	st := g.Stats()
 	if st.Canceled != 1 || st.Entries != 0 || st.InFlight != 0 {
@@ -259,19 +259,19 @@ func TestAbandonRefusedWhileAnyRequesterLives(t *testing.T) {
 		t.Fatal("Abandon dropped a call a live requester still wants")
 	}
 	c.Fulfill(7, nil)
-	if v, err := c.Wait(); v != 7 || err != nil {
-		t.Fatalf("Wait = %d, %v", v, err)
+	if v, err := c.WaitCtx(context.Background()); v != 7 || err != nil {
+		t.Fatalf("WaitCtx = %d, %v", v, err)
 	}
 	if st := g.Stats(); st.Canceled != 0 {
 		t.Fatalf("stats = %+v, want no cancellations", st)
 	}
 }
 
-// TestAbandonRefusedWithoutContext: Begin (no context) pins the call to
+// TestAbandonRefusedWithoutContext: a background context pins the call to
 // run unconditionally, and a settled call can never be abandoned.
 func TestAbandonRefusedWithoutContext(t *testing.T) {
 	g := New[string, int](0, 0, nil)
-	c, _ := g.Begin("k")
+	c, _ := g.BeginCtx(context.Background(), "k")
 	if g.Abandon("k", c, context.Canceled) {
 		t.Fatal("Abandon dropped a background-context call")
 	}
@@ -284,7 +284,7 @@ func TestAbandonRefusedWithoutContext(t *testing.T) {
 	}
 }
 
-// TestConcurrentChurn exercises eviction racing Begin/Fulfill under -race.
+// TestConcurrentChurn exercises eviction racing BeginCtx/Fulfill under -race.
 func TestConcurrentChurn(t *testing.T) {
 	defer leakcheck.Check(t)
 	g := New[int, int](8, 0, nil)
@@ -295,11 +295,11 @@ func TestConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := (w*31 + i) % 40
-				c, created := g.Begin(key)
+				c, created := g.BeginCtx(context.Background(), key)
 				if created {
 					c.Fulfill(key*2, nil)
 				}
-				if v, err := c.Wait(); err != nil || v != key*2 {
+				if v, err := c.WaitCtx(context.Background()); err != nil || v != key*2 {
 					t.Errorf("key %d: %d, %v", key, v, err)
 				}
 			}

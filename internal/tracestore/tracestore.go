@@ -16,6 +16,7 @@
 package tracestore
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -117,10 +118,11 @@ func (s *Store) Generate(name string, opt trace.Options) (*trace.Trace, error) {
 	}
 	opt = opt.Normalized()
 	key := Key{Benchmark: p.Name, Len: opt.Len, Seed: opt.Seed, DataBase: opt.DataBase, CodeBase: opt.CodeBase}
-	call, created := s.mem.Begin(key) //lint:ctxflow trace generation is bounded CPU-pure work that must complete into the shared cache regardless of requester death (the same contract running cells have), so it is never bound to one caller's context
+	//lint:ctxflow trace generation is bounded CPU-pure work that must complete into the shared cache regardless of requester death (the same contract running cells have), so owning and joining a generation are never bound to one caller's context
+	ctx := context.Background()
+	call, created := s.mem.BeginCtx(ctx, key)
 	if !created {
-		//lint:ctxflow joining an in-flight generation waits on the same uncancellable contract as owning it
-		return call.Wait()
+		return call.WaitCtx(ctx)
 	}
 	if t, ok := s.diskGet(key); ok {
 		call.Fulfill(t, nil)
