@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/stats"
 )
@@ -117,6 +118,9 @@ type Hierarchy struct {
 	l2  *Cache
 
 	mshrs []mshr
+	// nextFill is the earliest fillAt among mshrs (MaxUint64 when none is
+	// outstanding): drain has nothing to apply before it.
+	nextFill uint64
 
 	// Statistics.
 	Accesses      [maxThreads]stats.Counter
@@ -138,11 +142,12 @@ func NewHierarchy(cfg Config) *Hierarchy {
 		panic("mem: zero memory latency")
 	}
 	return &Hierarchy{
-		cfg:   cfg,
-		il1:   NewCache(cfg.IL1),
-		dl1:   NewCache(cfg.DL1),
-		l2:    NewCache(cfg.L2),
-		mshrs: make([]mshr, 0, cfg.MSHRs),
+		cfg:      cfg,
+		il1:      NewCache(cfg.IL1),
+		dl1:      NewCache(cfg.DL1),
+		l2:       NewCache(cfg.L2),
+		mshrs:    make([]mshr, 0, cfg.MSHRs),
+		nextFill: math.MaxUint64,
 	}
 }
 
@@ -159,17 +164,21 @@ func (h *Hierarchy) DL1() *Cache { return h.dl1 }
 func (h *Hierarchy) L2() *Cache { return h.l2 }
 
 // drain applies all MSHR fills that have completed by cycle now, installing
-// their lines into the caches. Called lazily at each access; correctness
-// relies on callers presenting non-decreasing `now` values, which the
-// cycle-driven pipeline guarantees.
+// their lines into the caches in MSHR order. Called lazily at each access;
+// correctness relies on callers presenting non-decreasing `now` values,
+// which the cycle-driven pipeline guarantees. Before nextFill no MSHR can
+// fill, so most calls return without walking them; the walk that does run
+// recomputes nextFill from the MSHRs it keeps.
 func (h *Hierarchy) drain(now uint64) {
-	if len(h.mshrs) == 0 {
+	if now < h.nextFill {
 		return
 	}
+	next := uint64(math.MaxUint64)
 	kept := h.mshrs[:0]
 	for _, m := range h.mshrs {
 		if m.fillAt > now {
 			kept = append(kept, m)
+			next = min(next, m.fillAt)
 			continue
 		}
 		h.l2.Fill(int(m.tid), m.lineAddr, false, m.prefetch)
@@ -180,6 +189,7 @@ func (h *Hierarchy) drain(now uint64) {
 		}
 	}
 	h.mshrs = kept
+	h.nextFill = next
 }
 
 // findMSHR returns the outstanding miss covering lineAddr, if any.
@@ -270,6 +280,7 @@ func (h *Hierarchy) Access(kind Kind, tid int, addr uint64, now uint64) Result {
 		h.PrefetchIssue.Inc()
 	}
 	fill := now + l1.cfg.Latency + h.l2.cfg.Latency + h.cfg.MemLatency
+	h.nextFill = min(h.nextFill, fill)
 	h.mshrs = append(h.mshrs, mshr{
 		lineAddr: lineAddr,
 		fillAt:   fill,

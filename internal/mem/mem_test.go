@@ -256,6 +256,78 @@ func TestMSHRExhaustion(t *testing.T) {
 	}
 }
 
+// TestDrainStaggeredFills: fills apply exactly at their fillAt, in any
+// allocation order. An ifetch MSHR allocated after a load fills first (its
+// L1 latency is shorter), so drain's early-out must track the earliest
+// fill, not the latest allocation. An access at fillAt-1 still merges into
+// the MSHR; at fillAt the line is installed, and the later MSHRs, including
+// an untouched prefetch, stay outstanding until their own cycles.
+func TestDrainStaggeredFills(t *testing.T) {
+	h := NewHierarchy(DefaultConfig())
+	const load, code, pref, probe = 0x1000_0000, 0x2000_0000, 0x3000_0000, 0x4000_0000
+	h.Prewarm(KindLoad, 0, probe)
+	// drainAt triggers a drain at now through an L1 hit on an unrelated
+	// line, so the probed lines see no access of their own.
+	drainAt := func(now uint64) {
+		t.Helper()
+		if r := h.Access(KindLoad, 0, probe, now); r.Level != LevelL1 {
+			t.Fatalf("probe at %d: level %v, want L1", now, r.Level)
+		}
+	}
+	expect := func(now uint64, kind Kind, addr uint64, want Level, merged bool) {
+		t.Helper()
+		r := h.Access(kind, 0, addr, now)
+		if r.Level != want || r.Merged != merged {
+			t.Fatalf("%v %#x at %d: level %v merged %v, want %v merged %v",
+				kind, addr, now, r.Level, r.Merged, want, merged)
+		}
+	}
+	outstanding := func(now uint64, want int) {
+		t.Helper()
+		if got := h.OutstandingMisses(); got != want {
+			t.Fatalf("at %d: %d MSHRs outstanding, want %d", now, got, want)
+		}
+	}
+
+	fillLoad := h.Access(KindLoad, 0, load, 0).DoneAt
+	fillCode := h.Access(KindIfetch, 1, code, 1).DoneAt
+	fillPref := h.Access(KindPrefetch, 0, pref, 10).DoneAt
+	if !(fillCode < fillLoad && fillLoad < fillPref) {
+		t.Fatalf("fills at code %d, load %d, prefetch %d: want code < load < prefetch", fillCode, fillLoad, fillPref)
+	}
+	if r := h.Access(KindLoad, 1, load+8, 5); !r.Merged || r.DoneAt != fillLoad {
+		t.Fatalf("merge into the load's MSHR: %+v, want merged done at %d", r, fillLoad)
+	}
+
+	expect(fillCode-1, KindIfetch, code, LevelMemory, true)
+	outstanding(fillCode-1, 3)
+	expect(fillCode, KindIfetch, code, LevelL1, false)
+	outstanding(fillCode, 2)
+	expect(fillLoad-1, KindLoad, load, LevelMemory, true)
+	outstanding(fillLoad-1, 2)
+	expect(fillLoad, KindLoad, load+8, LevelL1, false)
+	outstanding(fillLoad, 1)
+
+	drainAt(fillPref - 1)
+	if h.DL1().Lookup(pref) || h.L2().Lookup(pref) {
+		t.Fatalf("prefetched line installed at %d, before its fill at %d", fillPref-1, fillPref)
+	}
+	outstanding(fillPref-1, 1)
+	drainAt(fillPref)
+	if !h.DL1().Lookup(pref) || !h.L2().Lookup(pref) {
+		t.Fatalf("prefetched line not installed at its fill %d", fillPref)
+	}
+	outstanding(fillPref, 0)
+	if h.PrefetchLate.Value() != 0 {
+		t.Fatalf("the prefetch was never demanded, but %d late prefetches counted", h.PrefetchLate.Value())
+	}
+
+	// With every MSHR drained, a new miss fills on its own schedule.
+	next := h.Access(KindLoad, 0, load+4096, fillPref+1).DoneAt
+	expect(next-1, KindLoad, load+4096, LevelMemory, true)
+	expect(next, KindLoad, load+4096, LevelL1, false)
+}
+
 func TestIfetchPath(t *testing.T) {
 	h := NewHierarchy(DefaultConfig())
 	r := h.Access(KindIfetch, 0, 0x40_0000, 0)

@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -15,11 +17,13 @@ import (
 // checkpoint and resumes normal execution.
 func (c *Core) commitStage(now uint64) {
 	n := len(c.threads)
-	start := int(now % uint64(n)) // reduce before converting: int(now) goes negative past 2^63
+	i := int(now % uint64(n)) // reduce before converting: int(now) goes negative past 2^63
 	budget := c.cfg.Width
 	for k := 0; k < n && budget > 0; k++ {
-		t := c.threads[(start+k)%n]
-		c.commitThread(t, now, &budget)
+		c.commitThread(c.threads[i], now, &budget)
+		if i++; i == n {
+			i = 0
+		}
 	}
 }
 
@@ -244,14 +248,15 @@ func (c *Core) unwind(t *thread, di *DynInst) {
 		t.blockingBranch = nil
 	}
 	t.stats.Squashed.Inc()
-	// Any remaining references (lazily-compacted issue-queue entries this
-	// cycle, wheel and detection events) are filtered by the squashed flag
+	// Any remaining references (a ready-list entry until the next issue
+	// scan, wheel and detection events) are filtered by the squashed flag
 	// or by id validation; the object itself can recycle now.
 	c.freeInst(di)
 }
 
 // CheckInvariants validates cross-structure consistency; the paranoid mode
-// runs it every cycle.
+// runs it every cycle. The queue entries are found by walking each
+// thread's ROB, so the oracle does not trust the ready lists it checks.
 func (c *Core) CheckInvariants() error {
 	if err := c.intRF.CheckInvariants(); err != nil {
 		return err
@@ -260,18 +265,27 @@ func (c *Core) CheckInvariants() error {
 		return err
 	}
 	robTotal := 0
+	var live [4]int
+	var selectable [4][]*DynInst
 	for _, t := range c.threads {
 		robTotal += t.rob.len()
-		// icount must equal fq + unissued/unfolded queue entries.
-		want := t.fq.len()
-		for _, q := range c.iqs[1:] {
-			for _, di := range q.entries {
-				if di.tid == t.id && !di.issued && !di.folded && !di.squashed {
-					want++
-				}
+		queued := 0
+		for i := 0; i < t.rob.len(); i++ {
+			di := t.rob.at(i)
+			if di.iq == IQNone || di.issued || di.folded {
+				continue
+			}
+			queued++
+			live[di.iq]++
+			if di.pending == 0 || di.invSrc {
+				selectable[di.iq] = append(selectable[di.iq], di)
+			}
+			if err := c.checkWakeup(t, di); err != nil {
+				return err
 			}
 		}
-		if t.icount != want {
+		// icount must equal fq + unissued/unfolded queue entries.
+		if want := t.fq.len() + queued; t.icount != want {
 			return fmt.Errorf("thread %d: icount %d, want %d", t.id, t.icount, want)
 		}
 	}
@@ -282,45 +296,73 @@ func (c *Core) CheckInvariants() error {
 		return fmt.Errorf("ROB over capacity: %d > %d", c.robCount, c.cfg.ROBSize)
 	}
 	for _, q := range c.iqs[1:] {
-		live := 0
-		for _, di := range q.entries {
-			if !di.issued && !di.folded && !di.squashed {
-				live++
-			}
-		}
-		if live > q.count {
-			return fmt.Errorf("queue %d: %d live entries, count %d", q.kind, live, q.count)
+		if live[q.kind] != q.count {
+			return fmt.Errorf("queue %d: %d live entries, count %d", q.kind, live[q.kind], q.count)
 		}
 		if q.count > q.cap {
 			return fmt.Errorf("queue %d over capacity: %d > %d", q.kind, q.count, q.cap)
 		}
-		if err := c.checkWakeup(q); err != nil {
+		if err := checkReadyList(q, selectable[q.kind]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// checkWakeup holds the broadcast-maintained wakeup state of q's live
-// entries against a fresh poll of the register file: pending reaches zero
-// exactly when every source has produced, and, for a runahead thread,
-// invSrc is set exactly when a fold-relevant source is ready and INV.
-func (c *Core) checkWakeup(q *issueQueue) error {
-	for _, di := range q.entries {
-		if di.issued || di.folded || di.squashed {
-			continue
+// checkReadyList holds q's ready list against want, the live selectable
+// entries found in the ROBs: the list strictly increases in qseq, no
+// wakeup landed behind a scan, every non-squashed entry on it is live in
+// q, and those entries are exactly want.
+func checkReadyList(q *issueQueue, want []*DynInst) error {
+	if q.wokeBehind != 0 {
+		return fmt.Errorf("queue %d: %d wakeups landed behind the issue scan", q.kind, q.wokeBehind)
+	}
+	for i := 1; i < len(q.ready); i++ {
+		if prev, di := q.ready[i-1], q.ready[i]; prev.qseq >= di.qseq {
+			return fmt.Errorf("queue %d: ready list out of order at %d (qseq %d after %d)",
+				q.kind, i, di.qseq, prev.qseq)
 		}
-		if ready := c.operandsReady(di); (di.pending == 0) != ready {
-			return fmt.Errorf("queue %d: inst %d has pending %d but operands ready=%v",
-				q.kind, di.id, di.pending, ready)
+	}
+	slices.SortFunc(want, func(a, b *DynInst) int { return cmp.Compare(a.qseq, b.qseq) })
+	n := 0
+	for _, di := range q.ready {
+		if di.squashed {
+			continue // compacted by the next scan
 		}
-		if c.threads[di.tid].mode != ModeRunahead {
-			continue
+		if di.pooled || !di.dispatched || di.iq != q.kind || di.issued || di.folded {
+			return fmt.Errorf("queue %d: ready list holds inst %d, which is not live in the queue", q.kind, di.id)
 		}
-		if inv := c.operandInvForIssue(di); di.invSrc != inv {
-			return fmt.Errorf("queue %d: inst %d has invSrc %v but fold-relevant operand INV=%v",
-				q.kind, di.id, di.invSrc, inv)
+		if n == len(want) || want[n] != di {
+			if n < len(want) && want[n].qseq < di.qseq {
+				return fmt.Errorf("queue %d: inst %d is selectable but not on the ready list", q.kind, want[n].id)
+			}
+			return fmt.Errorf("queue %d: ready list holds inst %d (pending %d, invSrc %v), which is not a selectable ROB entry",
+				q.kind, di.id, di.pending, di.invSrc)
 		}
+		n++
+	}
+	if n < len(want) {
+		return fmt.Errorf("queue %d: inst %d is selectable but not on the ready list", q.kind, want[n].id)
+	}
+	return nil
+}
+
+// checkWakeup holds the broadcast-maintained wakeup state of the live
+// queue entry di against a fresh poll of the register file: pending
+// reaches zero exactly when every source has produced, and, for a
+// runahead thread, invSrc is set exactly when a fold-relevant source is
+// ready and INV.
+func (c *Core) checkWakeup(t *thread, di *DynInst) error {
+	if ready := c.operandsReady(di); (di.pending == 0) != ready {
+		return fmt.Errorf("queue %d: inst %d has pending %d but operands ready=%v",
+			di.iq, di.id, di.pending, ready)
+	}
+	if t.mode != ModeRunahead {
+		return nil
+	}
+	if inv := c.operandInvForIssue(di); di.invSrc != inv {
+		return fmt.Errorf("queue %d: inst %d has invSrc %v but fold-relevant operand INV=%v",
+			di.iq, di.id, di.invSrc, inv)
 	}
 	return nil
 }

@@ -14,10 +14,13 @@ import (
 // paper studies.
 func (c *Core) dispatchStage(now uint64) {
 	n := len(c.threads)
-	start := int(now % uint64(n)) // reduce before converting: int(now) goes negative past 2^63
+	i := int(now % uint64(n)) // reduce before converting: int(now) goes negative past 2^63
 	budget := c.cfg.Width
 	for k := 0; k < n && budget > 0; k++ {
-		t := c.threads[(start+k)%n]
+		t := c.threads[i]
+		if i++; i == n {
+			i = 0
+		}
 		for budget > 0 && t.fq.len() > 0 {
 			di := t.fq.front()
 			if di.fetchReadyAt > now {
@@ -100,7 +103,12 @@ func (c *Core) tryDispatch(t *thread, di *DynInst, now uint64) bool {
 
 	di.iq = kind
 	di.dispatched = true
-	q.entries = append(q.entries, di)
+	c.nextQseq++
+	di.qseq = c.nextQseq
+	if di.pending == 0 {
+		// The youngest entry: appending keeps the ready list in age order.
+		q.ready = append(q.ready, di)
+	}
 	q.count++
 	t.iqHeld[kind]++
 	t.rob.pushBack(di)

@@ -70,12 +70,16 @@ type DynInst struct {
 	iq IQKind
 	// pending counts renamed sources whose producers have not yet produced;
 	// the producers' markReady broadcasts count it down to zero, at which
-	// point the instruction may be selected.
+	// point the instruction joins its queue's ready list.
 	pending int8
 	// invSrc records that a fold-relevant source (src1 for memory ops,
 	// either source otherwise) became ready and INV: in runahead mode the
 	// instruction folds at its next queue scan.
 	invSrc bool
+	// qseq is the queue entry's dispatch stamp, increasing across threads
+	// and queues; the ready lists are sorted by it. It differs from the
+	// fetch-order id because dispatch rotates its starting thread.
+	qseq uint64
 
 	// fetchReadyAt is when the front-end pipe delivers it to rename.
 	fetchReadyAt uint64

@@ -15,7 +15,8 @@ import (
 // (never executed), releasing their queue slot without consuming issue
 // bandwidth — the "light thread" behaviour of §3.2. Readiness is not
 // polled: producers broadcast it into each waiting consumer (markReady),
-// so the scan reads only per-instruction flags.
+// which moves the consumer onto its queue's ready list once it can act,
+// so the scan visits only those entries.
 func (c *Core) issueStage(now uint64) {
 	budget := c.cfg.Width
 	for _, kind := range [...]IQKind{IQInt, IQLS, IQFP} {
@@ -23,18 +24,21 @@ func (c *Core) issueStage(now uint64) {
 	}
 }
 
-// scanQueue walks one queue in age order, compacting out entries that have
-// left (issued, folded, squashed), folding runahead entries whose invSrc
-// is set, keeping entries with sources still pending, and issuing the
-// rest. A fold here broadcasts at once, so a younger consumer later in
-// this queue, or in a queue scanned after it, sees the poison this cycle.
+// scanQueue walks one queue's ready list in age order, compacting out
+// entries squashed since they joined, folding runahead entries whose
+// invSrc is set, issuing the rest while width, a unit and an MSHR allow,
+// and keeping those that could not go. A fold broadcasts at once; the
+// consumers it wakes in this queue are younger, so wake inserts them
+// after the current position and this same walk reaches them (the list's
+// length is re-read every iteration).
 func (c *Core) scanQueue(q *issueQueue, now uint64, budget *int) {
-	units := c.fuBusy[q.kind]
-	kept := q.entries[:0]
-	for _, di := range q.entries {
-		if di.squashed || di.issued || di.folded {
-			continue // already gone; compact
+	kept := 0
+	for i := 0; i < len(q.ready); i++ {
+		di := q.ready[i]
+		if di.squashed {
+			continue // left the machine; compact
 		}
+		q.scanSeq = di.qseq
 		t := c.threads[di.tid]
 
 		// Runahead folding on poisoned operands.
@@ -42,61 +46,71 @@ func (c *Core) scanQueue(q *issueQueue, now uint64, budget *int) {
 			c.foldInQueue(t, di)
 			continue
 		}
-
-		if di.pending > 0 || *budget == 0 {
-			kept = append(kept, di)
+		if di.pending == 0 && *budget > 0 && c.issue(q, t, di, now) {
+			*budget = *budget - 1
 			continue
 		}
-		// Select a free functional unit of this class.
-		unit := -1
-		for u := range units {
-			if units[u] <= now {
-				unit = u
-				break
-			}
-		}
-		if unit < 0 {
-			kept = append(kept, di)
-			continue
-		}
-		if !c.execute(t, di, now) {
-			// Structural retry (MSHRs exhausted): stays in the queue.
-			kept = append(kept, di)
-			continue
-		}
-		// Occupy the unit: pipelined ops for one cycle, FP divide for its
-		// full latency (the unpipelined unit of Table 1's era).
-		if di.tmpl.Op == isa.OpFpDiv {
-			units[unit] = now + c.cfg.FPDivLat
-		} else {
-			units[unit] = now + 1
-		}
-		*budget = *budget - 1
-		di.issued = true
-		c.releaseRefs(di)
-		q.count--
-		t.iqHeld[q.kind]--
-		t.icount--
-		t.stats.Executed.Inc()
+		q.ready[kept] = di
+		kept++
 	}
-	q.entries = kept
+	q.ready = q.ready[:kept]
+	q.scanSeq = 0
+}
+
+// issue sends a ready entry to a free functional unit of its queue's
+// class. It returns false, changing nothing, when every unit is busy or
+// the memory hierarchy has no MSHR for it (a structural retry).
+func (c *Core) issue(q *issueQueue, t *thread, di *DynInst, now uint64) bool {
+	units := c.fuBusy[q.kind]
+	unit := -1
+	for u := range units {
+		if units[u] <= now {
+			unit = u
+			break
+		}
+	}
+	if unit < 0 || !c.execute(t, di, now) {
+		return false
+	}
+	// Occupy the unit: pipelined ops for one cycle, FP divide for its
+	// full latency (the unpipelined unit of Table 1's era).
+	if di.tmpl.Op == isa.OpFpDiv {
+		units[unit] = now + c.cfg.FPDivLat
+	} else {
+		units[unit] = now + 1
+	}
+	di.issued = true
+	c.releaseRefs(di)
+	q.count--
+	t.iqHeld[q.kind]--
+	t.icount--
+	t.stats.Executed.Inc()
+	return true
 }
 
 // markReady publishes that the producer of register p (in a's file) has
 // produced: the register file records it, and every consumer still waiting
-// on p counts one source down, noting a poisoned fold-relevant source.
-// Waiters whose instruction has since been recycled fail the id check and
-// are skipped; decrementing a squashed or folded one is harmless, as
-// nothing reads its wakeup state again.
+// on p counts one source down, noting a poisoned fold-relevant source. A
+// consumer this makes selectable joins its queue's ready list. Waiters
+// whose instruction has since been recycled fail the id check and are
+// skipped; a squashed or folded one is counted down harmlessly, as nothing
+// reads its wakeup state again, and never joins a list.
 func (c *Core) markReady(a isa.Reg, p regfile.PhysReg, inv bool) {
 	c.fileFor(a).MarkReady(p, inv)
 	for _, w := range *c.waitersFor(a, p) {
 		if !w.live() {
 			continue
 		}
-		w.di.pending--
-		if inv && w.di.foldsOn(a, p) {
-			w.di.invSrc = true
+		di := w.di
+		// A waiter still has a source pending, so only invSrc can have
+		// put it on the list already (a folded entry always has it).
+		listed := di.invSrc
+		di.pending--
+		if inv && di.foldsOn(a, p) {
+			di.invSrc = true
+		}
+		if !listed && (di.pending == 0 || di.invSrc) && !di.squashed {
+			c.iqs[di.iq].wake(di)
 		}
 	}
 }

@@ -19,9 +19,24 @@
 // against a register-file poll by paranoid mode every cycle, are: a live
 // queue entry has pending == 0 exactly when all its sources are ready,
 // and, in a runahead thread, invSrc exactly when a fold-relevant source is
-// ready and INV. Because a fold broadcasts at once, poison cascades within
-// a cycle along the scan order: an IQInt fold folds its IQLS consumers in
-// the same cycle, an IQLS fold reaches IQInt consumers in the next.
+// ready and INV.
+//
+// An issue queue is therefore a count plus a ready list. The count is the
+// occupancy that dispatch and the policies see. The ready list holds, in
+// dispatch order (the qseq stamp), exactly the live entries that the
+// issue scan can act on: pending == 0 or invSrc. An entry joins it at
+// dispatch if nothing is pending, or when a markReady broadcast makes it
+// selectable; until then it is reachable only through its sources' waiter
+// lists, so the scan never touches an instruction stuck behind a miss.
+//
+// A fold broadcasts at once, and its consumers are always younger than
+// the fold (they renamed its destination after it dispatched). So a
+// consumer woken mid-scan lands in the unscanned tail of the queue being
+// scanned, or in a queue scanned later, and poison cascades within a
+// cycle along the scan order: an IQInt fold folds its IQInt and IQLS
+// consumers in the same cycle, an IQLS fold reaches IQInt consumers in
+// the next. A wakeup that would land behind the scan position breaks this
+// rule; the queue counts it and paranoid mode reports it.
 package pipeline
 
 import (
@@ -61,12 +76,37 @@ type Policy interface {
 // possible completion latency (memory: 3+20+400, plus slack).
 const wheelSize = 1024
 
-// issueQueue is one shared issue queue.
+// issueQueue is one shared issue queue: an occupancy count and the ready
+// list of its selectable entries (see the package doc).
 type issueQueue struct {
-	kind    IQKind
-	cap     int
-	count   int
-	entries []*DynInst // age (dispatch) order
+	kind  IQKind
+	cap   int
+	count int
+	// ready holds the live entries with pending == 0 or invSrc in
+	// ascending qseq order. Entries squashed since they joined stay until
+	// the next scan compacts them out.
+	ready []*DynInst
+	// scanSeq is the qseq of the entry the issue scan is visiting (0
+	// outside a scan); wokeBehind counts wakeups that landed at or before
+	// it, each a breach of the mid-scan ordering rule.
+	scanSeq    uint64
+	wokeBehind int
+}
+
+// wake puts di on the ready list at its age position. A wakeup during
+// this queue's scan comes from a fold and names a younger consumer, so
+// the backward search stops at the entry being visited or after it, and
+// di lands in the unscanned tail.
+func (q *issueQueue) wake(di *DynInst) {
+	q.ready = append(q.ready, di)
+	i := len(q.ready) - 1
+	for ; i > 0 && q.ready[i-1].qseq > di.qseq; i-- {
+		q.ready[i] = q.ready[i-1]
+	}
+	q.ready[i] = di
+	if di.qseq <= q.scanSeq {
+		q.wokeBehind++
+	}
 }
 
 // wheelRef is a validated reference to an in-flight instruction held by
@@ -106,6 +146,7 @@ type Core struct {
 	pendingDetect []wheelRef // L2 misses awaiting detection
 	cycle         uint64
 	nextID        uint64
+	nextQseq      uint64 // dispatch stamp source; the first entry gets 1
 	robCount      int
 
 	// freeInsts is the DynInst recycling pool; see pool.go.
@@ -140,9 +181,9 @@ func New(cfg Config, traces []*trace.Trace, pol Policy) (*Core, error) {
 		fpWaiters:  make([][]wheelRef, cfg.FPRegs),
 		policy:     pol,
 	}
-	c.iqs[IQInt] = &issueQueue{kind: IQInt, cap: cfg.IntIQ, entries: make([]*DynInst, 0, cfg.IntIQ)}
-	c.iqs[IQFP] = &issueQueue{kind: IQFP, cap: cfg.FPIQ, entries: make([]*DynInst, 0, cfg.FPIQ)}
-	c.iqs[IQLS] = &issueQueue{kind: IQLS, cap: cfg.LSIQ, entries: make([]*DynInst, 0, cfg.LSIQ)}
+	c.iqs[IQInt] = &issueQueue{kind: IQInt, cap: cfg.IntIQ, ready: make([]*DynInst, 0, cfg.IntIQ)}
+	c.iqs[IQFP] = &issueQueue{kind: IQFP, cap: cfg.FPIQ, ready: make([]*DynInst, 0, cfg.FPIQ)}
+	c.iqs[IQLS] = &issueQueue{kind: IQLS, cap: cfg.LSIQ, ready: make([]*DynInst, 0, cfg.LSIQ)}
 	c.fuBusy[IQInt] = make([]uint64, cfg.IntFU)
 	c.fuBusy[IQFP] = make([]uint64, cfg.FPFU)
 	c.fuBusy[IQLS] = make([]uint64, cfg.LSFU)

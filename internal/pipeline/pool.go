@@ -29,8 +29,9 @@ func (c *Core) allocInst() *DynInst {
 // freeInst recycles an instruction that has left the machine (retired with
 // no live rename-table reference, squashed, or dropped from the front
 // end). The object's terminal flags are deliberately left set until
-// reallocation: lazily-compacted structures (issue-queue entries) may
-// still observe it this cycle and must keep seeing squashed/issued/folded.
+// reallocation: an issue queue's ready list drops a squashed entry only at
+// its next scan, which runs before fetch can reallocate the object, and
+// must see it squashed until then.
 //
 // Freeing is only legal once the instruction can no longer be resolved
 // through a thread's rename table; retire and exitRunahead enforce that.

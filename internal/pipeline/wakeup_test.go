@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -172,4 +173,126 @@ func TestWakeupFoldCascade(t *testing.T) {
 	if at[3] != at[2]+1 {
 		t.Errorf("IQInt consumer of the IQLS fold folded at %d, want %d", at[3], at[2]+1)
 	}
+}
+
+// TestWakeupFoldChainSameQueue: both IQInt consumers of the runahead
+// trigger fold in the entry cycle. The second waits only on the first, so
+// it is woken by the first's fold while IQInt is being scanned: the wakeup
+// lands after the entry being visited, in the unscanned tail of the same
+// ready list, and the same walk reaches it.
+func TestWakeupFoldChainSameQueue(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Runahead = runahead.Default()
+	tr := wakeupTrace(64,
+		isa.Inst{Op: isa.OpLoad, Dst: isa.IntReg(1), Src1: isa.IntReg(28), Addr: missAddr},
+		isa.Inst{Op: isa.OpIntAlu, Dst: isa.IntReg(2), Src1: isa.IntReg(1), Src2: isa.IntReg(29)},
+		isa.Inst{Op: isa.OpIntAlu, Dst: isa.IntReg(3), Src1: isa.IntReg(2), Src2: isa.IntReg(29)},
+	)
+	c := mustNew(t, cfg, []*trace.Trace{tr}, nil)
+	var secondPending int8 = -1
+	folded := func(d *DynInst) bool { return d.folded && d.iq != IQNone }
+	at := stepRecording(t, c, map[uint64]func(*DynInst) bool{
+		1: folded,
+		2: func(d *DynInst) bool {
+			if secondPending < 0 && d.dispatched {
+				secondPending = d.pending
+			}
+			return folded(d)
+		},
+	})
+	if secondPending != 1 {
+		t.Fatalf("second consumer dispatched with pending %d, want 1 (waiting on the first)", secondPending)
+	}
+	enteredAt := c.threads[0].raEntered
+	if c.Stats(0).Runahead.Episodes.Value() != 1 {
+		t.Fatalf("want one runahead episode, got %d", c.Stats(0).Runahead.Episodes.Value())
+	}
+	if at[1] != enteredAt || at[2] != enteredAt {
+		t.Fatalf("IQInt consumers folded at %d and %d, want both in the entry cycle %d", at[1], at[2], enteredAt)
+	}
+}
+
+// TestWakeupRunaheadStoreFoldedData: a runahead store whose data producer
+// folds reaches pending == 0 without invSrc (data is not fold-relevant), so
+// it joins the IQLS ready list and issues in the fold's cycle, IQLS being
+// scanned after IQInt.
+func TestWakeupRunaheadStoreFoldedData(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Runahead = runahead.Default()
+	tr := wakeupTrace(64,
+		isa.Inst{Op: isa.OpLoad, Dst: isa.IntReg(1), Src1: isa.IntReg(28), Addr: missAddr},
+		isa.Inst{Op: isa.OpIntAlu, Dst: isa.IntReg(2), Src1: isa.IntReg(1), Src2: isa.IntReg(29)},
+		isa.Inst{Op: isa.OpStore, Src1: isa.IntReg(28), Src2: isa.IntReg(2), Addr: missAddr + 8192},
+	)
+	c := mustNew(t, cfg, []*trace.Trace{tr}, nil)
+	var store *DynInst
+	at := stepRecording(t, c, map[uint64]func(*DynInst) bool{
+		1: func(d *DynInst) bool { return d.folded && d.iq != IQNone },
+		2: func(d *DynInst) bool {
+			if d.issued {
+				store = d
+			}
+			return d.issued
+		},
+	})
+	enteredAt := c.threads[0].raEntered
+	if at[1] != enteredAt {
+		t.Fatalf("data producer folded at %d, want the entry cycle %d", at[1], enteredAt)
+	}
+	if at[2] != at[1] {
+		t.Fatalf("store issued at %d, want the producer's fold cycle %d", at[2], at[1])
+	}
+	if store.folded || store.invSrc || store.pending != 0 {
+		t.Fatalf("store folded=%v invSrc=%v pending=%d, want issued with a valid address",
+			store.folded, store.invSrc, store.pending)
+	}
+}
+
+// TestReadyListOracle: wake keeps the list in qseq order wherever an entry
+// lands and counts a wakeup at or behind the scan position as a breach of
+// the mid-scan ordering rule; checkReadyList reports each way a list can
+// disagree with the selectable entries found in the ROBs.
+func TestReadyListOracle(t *testing.T) {
+	mk := func(qseq uint64) *DynInst {
+		return &DynInst{id: qseq, qseq: qseq, iq: IQInt, dispatched: true}
+	}
+	a, b, c, d := mk(10), mk(20), mk(30), mk(40)
+	list := func(ds ...*DynInst) *issueQueue {
+		return &issueQueue{kind: IQInt, ready: append([]*DynInst(nil), ds...)}
+	}
+	wantErr := func(q *issueQueue, want []*DynInst, substr string) {
+		t.Helper()
+		err := checkReadyList(q, want)
+		if err == nil || !strings.Contains(err.Error(), substr) {
+			t.Fatalf("checkReadyList = %v, want an error containing %q", err, substr)
+		}
+	}
+
+	q := list()
+	for _, di := range []*DynInst{d, b, c, a} {
+		q.wake(di)
+	}
+	if err := checkReadyList(q, []*DynInst{c, a, d, b}); err != nil {
+		t.Fatalf("woken out of order: %v", err)
+	}
+	q.scanSeq = c.qseq
+	q.wake(mk(35)) // younger than the entry being visited: the unscanned tail
+	if q.wokeBehind != 0 || q.ready[3].qseq != 35 {
+		t.Fatalf("younger wakeup: wokeBehind %d, list position of 35 wrong", q.wokeBehind)
+	}
+	q.wake(mk(25)) // older: behind the scan
+	if q.wokeBehind != 1 {
+		t.Fatalf("older wakeup mid-scan: wokeBehind %d, want 1", q.wokeBehind)
+	}
+	wantErr(q, nil, "behind the issue scan")
+
+	wantErr(list(b, a), []*DynInst{a, b}, "out of order")
+	wantErr(list(a, c), []*DynInst{a, b, c}, "not on the ready list")
+	wantErr(list(a, b, c), []*DynInst{a, c}, "not a selectable ROB entry")
+	b.squashed = true
+	if err := checkReadyList(list(a, b, c), []*DynInst{a, c}); err != nil {
+		t.Fatalf("a squashed entry awaiting compaction was rejected: %v", err)
+	}
+	b.squashed, b.issued = false, true
+	wantErr(list(a, b, c), []*DynInst{a, c}, "not live in the queue")
 }
