@@ -49,7 +49,7 @@
 // hit/miss/eviction/in-flight counters and /healthz answers liveness
 // probes. What makes the process safe to run indefinitely is
 // internal/simcache, the session's simulation cache: an LRU keyed by
-// (workload, core.Config.Canonical()) and bounded by entry count and
+// (workload name, core.Config value) and bounded by entry count and
 // approximate result bytes (experiments.Options.CacheEntries/CacheBytes;
 // smtsimd's -cache-entries/-cache-bytes; 0 = unbounded, the CLI default),
 // with the singleflight contract preserved — duplicate requests join one

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 )
@@ -61,8 +63,10 @@ func randConfig(r *rand.Rand) Config {
 //     equal, and equal canonical forms iff equal fingerprints.
 //  3. Fingerprints are collision-free across the population: distinct
 //     canonical forms never share a fingerprint (FNV-64 collisions are
-//     possible in principle; the cache therefore keys by Canonical, and
-//     this property keeps Fingerprint honest as an output label).
+//     possible in principle; the disk tier therefore keys by Canonical,
+//     and this property keeps Fingerprint honest as an output label).
+//  4. Both are byte-identical to their fmt reference implementations,
+//     so labels and persisted entry names never drift.
 func TestCanonicalFingerprintProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(20080216)) // HPCA 2008
 	population := make([]Config, 0, 600)
@@ -80,6 +84,7 @@ func TestCanonicalFingerprintProperties(t *testing.T) {
 		if c.Canonical() != canon || c.Fingerprint() != fp {
 			t.Fatalf("config %d: Canonical/Fingerprint not idempotent", i)
 		}
+		checkReference(t, c)
 		if prev, ok := byCanonical[canon]; ok {
 			if prev != c {
 				t.Fatalf("config %d: unequal configs share canonical form:\n%s", i, canon)
@@ -105,5 +110,27 @@ func TestCanonicalFingerprintProperties(t *testing.T) {
 	}
 	if len(byCanonical) < 100 {
 		t.Fatalf("population degenerate: only %d distinct configs", len(byCanonical))
+	}
+}
+
+// referenceCanonical and referenceFingerprint are the fmt renderings
+// Canonical and Fingerprint must reproduce byte for byte.
+func referenceCanonical(c Config) string { return fmt.Sprintf("%+v", c) }
+
+func referenceFingerprint(c Config) string {
+	h := fnv.New64a()
+	h.Write([]byte(referenceCanonical(c)))
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// checkReference fails the test unless c's Canonical and Fingerprint
+// equal their fmt references.
+func checkReference(t *testing.T, c Config) {
+	t.Helper()
+	if got, want := c.Canonical(), referenceCanonical(c); got != want {
+		t.Fatalf("Canonical differs from %%+v:\n got %q\nwant %q", got, want)
+	}
+	if got, want := c.Fingerprint(), referenceFingerprint(c); got != want {
+		t.Fatalf("Fingerprint = %s, want %s (fnv64a of %%+v)", got, want)
 	}
 }

@@ -1,9 +1,123 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// The Table 1 machine's canonical form and fingerprint, as every earlier
+// release rendered them. Output labels and persisted result entries are
+// named from these bytes, so they must never change.
+const (
+	goldenDefaultCanonical = "{Pipeline:{Width:8 FetchThreads:2 FrontEndDepth:5 FetchQueue:16 " +
+		"ROBSize:512 IntRegs:320 FPRegs:320 IntIQ:64 FPIQ:64 LSIQ:64 IntFU:6 FPFU:3 LSFU:4 " +
+		"IntMulLat:3 FPAluLat:4 FPMulLat:4 FPDivLat:12 MispredictRedirect:7 BranchPredRows:4096 " +
+		"Mem:{IL1:{Name:IL1 SizeBytes:65536 Ways:4 LineBytes:64 Latency:1} " +
+		"DL1:{Name:DL1 SizeBytes:65536 Ways:4 LineBytes:64 Latency:3} " +
+		"L2:{Name:L2 SizeBytes:1048576 Ways:8 LineBytes:64 Latency:20} MemLatency:400 MSHRs:64} " +
+		"Runahead:{Enabled:false Prefetch:false FetchInRunahead:false InvalidateFP:false " +
+		"UseRunaheadCache:false ExitPenalty:0} RunaheadCacheEntries:512} Policy:ICOUNT " +
+		"TraceLen:60000 MinIterations:1 WarmupInsts:0 MaxCycles:30000000 Seed:1 RunaheadExitPenalty:0}"
+	goldenDefaultFingerprint = "cc636dfba9b10737"
+)
+
+func TestCanonicalGolden(t *testing.T) {
+	c := DefaultConfig()
+	if got := c.Canonical(); got != goldenDefaultCanonical {
+		t.Errorf("Canonical drifted:\n got %s\nwant %s", got, goldenDefaultCanonical)
+	}
+	if got := c.Fingerprint(); got != goldenDefaultFingerprint {
+		t.Errorf("Fingerprint = %s, want %s", got, goldenDefaultFingerprint)
+	}
+	checkReference(t, c)
+}
+
+// TestCanonicalAllocs guards the serving path's cost: each call makes
+// one allocation, the returned string.
+func TestCanonicalAllocs(t *testing.T) {
+	c := DefaultConfig()
+	for name, f := range map[string]func() string{"Canonical": c.Canonical, "Fingerprint": c.Fingerprint} {
+		if n := testing.AllocsPerRun(100, func() { sink = f() }); n > 1 {
+			t.Errorf("%s: %v allocs per call, want at most 1", name, n)
+		}
+	}
+}
+
+var sink string
+
+func BenchmarkCanonical(b *testing.B) {
+	c := DefaultConfig()
+	b.ReportAllocs()
+	for b.Loop() {
+		sink = c.Canonical()
+	}
+}
+
+func BenchmarkFingerprint(b *testing.B) {
+	c := DefaultConfig()
+	b.ReportAllocs()
+	for b.Loop() {
+		sink = c.Fingerprint()
+	}
+}
+
+// FuzzCanonical fills every Config field from the fuzz bytes — ints and
+// uint64s of any value, bools, and the string fields (Policy and the
+// cache names) with arbitrary bytes — and checks Canonical and
+// Fingerprint against their fmt references.
+func FuzzCanonical(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x03IL1\x00\x00\x00\x00\x00\x01\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
+	f.Add([]byte("\x80\x00\x00\x00\x00\x00\x00\x00\x07%+v {}:\xff\xfe\x01\x02\x03\x04\x05\x06\x07\x08"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var c Config
+		fill(reflect.ValueOf(&c).Elem(), &data)
+		checkReference(t, c)
+	})
+}
+
+// fill sets every field of the struct v from data, consuming it: ints
+// and uints take up to 8 big-endian bytes, bools one byte, strings a
+// length byte and that many raw bytes. Missing bytes read as zero. A
+// field kind it cannot fill fails loudly, so a new field type cannot
+// slip past the fuzz target.
+func fill(v reflect.Value, data *[]byte) {
+	next := func(n int) []byte {
+		n = min(n, len(*data))
+		b := (*data)[:n]
+		*data = (*data)[n:]
+		return b
+	}
+	word := func() uint64 {
+		var x uint64
+		for _, b := range next(8) {
+			x = x<<8 | uint64(b)
+		}
+		return x
+	}
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Struct:
+			fill(f, data)
+		case reflect.Int:
+			f.SetInt(int64(word()))
+		case reflect.Uint64:
+			f.SetUint(word())
+		case reflect.Bool:
+			b := next(1)
+			f.SetBool(len(b) == 1 && b[0]&1 == 1)
+		case reflect.String:
+			n := 0
+			if b := next(1); len(b) == 1 {
+				n = int(b[0])
+			}
+			f.SetString(string(next(n)))
+		default:
+			panic("fill: unhandled field kind " + f.Kind().String())
+		}
+	}
+}
 
 func TestCanonicalDistinguishesEveryKnob(t *testing.T) {
 	base := DefaultConfig()

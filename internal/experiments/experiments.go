@@ -3,10 +3,13 @@
 // needs as a scenario.Spec (workload selection × policy/register axes),
 // executes it through the scenario engine on the session's worker pool,
 // and applies the figure's paper-specific reduction to the structured
-// result. Sessions cache simulations by full machine configuration
-// (core.Config.Canonical()), so figures that overlap — 1, 2 and 3 all
-// need the ICOUNT and RaT runs, and Figure 6's 320-register points are
-// the Table 1 machine — still simulate each distinct point exactly once.
+// result. Sessions cache simulations by workload and full machine
+// configuration: the memory tier keys by the core.Config value, the
+// optional disk tier (internal/resultstore) by the SHA-256 of the
+// workload and core.Config.Canonical(). So figures that overlap — 1, 2
+// and 3 all need the ICOUNT and RaT runs, and Figure 6's 320-register
+// points are the Table 1 machine — still simulate each distinct point
+// exactly once.
 //
 // The harness is deliberately a library: cmd/experiments wraps it with
 // flags (including -scenario for arbitrary JSON sweeps), and bench_test.go
@@ -114,14 +117,18 @@ func (o Options) groups() []string {
 }
 
 // runKey identifies a cached simulation: a workload name plus the
-// collision-free canonical encoding of the complete machine
-// configuration. Any knob change — policy, register file, ROB, cache
+// complete machine configuration, by value. Config is a tree of plain
+// comparable structs, and Go equality on it holds exactly when the
+// canonical encodings (core.Config.Canonical) are equal, so a memory hit
+// renders nothing. Any knob change — policy, register file, ROB, cache
 // geometry, runahead tuning, seed — yields a distinct key, and any two
 // requests describing the same machine share one simulation, whichever
-// figure or scenario they came from.
+// figure or scenario they came from. The disk tier (internal/resultstore)
+// keys by the SHA-256 of workload and Canonical instead, which is stable
+// across processes.
 type runKey struct {
 	workload string
-	config   string // core.Config.Canonical()
+	config   core.Config
 }
 
 // Session shares simulation results and single-thread references across
@@ -163,12 +170,11 @@ type Session struct {
 }
 
 // job is one queued simulation: the call its requesters hold plus the
-// workload and configuration that compute it.
+// workload and configuration (key.config) that compute it.
 type job struct {
 	key  runKey
 	call *simcache.Call[*core.Result]
 	w    workload.Workload
-	cfg  core.Config
 }
 
 // NewSession builds a session, validating the workload selection up
@@ -321,7 +327,7 @@ func (s *Session) work() {
 		var err error
 		abandoned := s.cache.Abandon(j.key, j.call, context.Canceled)
 		if !abandoned {
-			res, err = s.run(j.w, j.cfg)
+			res, err = s.run(j.w, j.key.config)
 		}
 		// Release the in-service account before waking the waiters, so a
 		// requester holding its result never sees its cell in service.
@@ -364,12 +370,12 @@ func (s *Session) run(w workload.Workload, cfg core.Config) (*core.Result, error
 // unrun. A cell a worker already started always finishes and populates
 // the cache.
 func (s *Session) StartRunCtx(ctx context.Context, w workload.Workload, cfg core.Config) *simcache.Call[*core.Result] {
-	key := runKey{workload: w.Name(), config: cfg.Canonical()}
+	key := runKey{workload: w.Name(), config: cfg}
 	c, created := s.cache.BeginCtx(ctx, key)
 	if !created {
 		return c
 	}
-	s.dispatch(sched.Requester(ctx), job{key: key, call: c, w: w, cfg: cfg})
+	s.dispatch(sched.Requester(ctx), job{key: key, call: c, w: w})
 	return c
 }
 

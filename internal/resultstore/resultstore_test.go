@@ -113,6 +113,20 @@ func entryPath(dir, workload string, cfg core.Config) string {
 	return filepath.Join(dir, hex.EncodeToString(sum[:])+".smtres")
 }
 
+// TestEntryPathGolden pins the file one (workload, config) pair lives
+// in, as every earlier release named it: a drift in Canonical or in the
+// identity layout would orphan every stored entry.
+func TestEntryPathGolden(t *testing.T) {
+	_, cfg, res, path := storeWith(t)
+	const want = "7213cfee2360f0c26217ea574921a1c262bf0980b49cd4242f3d7f8aa1c7725b.smtres"
+	if res.Workload != "art+mcf" || cfg != core.DefaultConfig() {
+		t.Fatalf("storeWith changed its key: %s under %s", res.Workload, cfg.Fingerprint())
+	}
+	if got := filepath.Base(path); got != want {
+		t.Fatalf("entry file = %s, want %s", got, want)
+	}
+}
+
 // storeWith opens a store in a temp dir and Puts one canonical entry,
 // returning everything needed to corrupt and re-probe it.
 func storeWith(t *testing.T) (*Store, core.Config, *core.Result, string) {

@@ -15,9 +15,10 @@ import (
 // Runner dispatches simulations onto a worker pool with caching; the
 // engine never runs a simulation itself. experiments.Session is the
 // production implementation: it keys its singleflight cache by
-// (workload, core.Config.Canonical()), so any two scenario points — or a
-// scenario point and a figure — that describe the same machine share one
-// simulation.
+// (workload name, core.Config value) in memory and by the SHA-256 of
+// (workload, core.Config.Canonical()) on disk, so any two scenario
+// points — or a scenario point and a figure — that describe the same
+// machine share one simulation.
 //
 // StartRunCtx takes the requesting sweep's context: a cell whose
 // interested requesters have all canceled before it starts must never
