@@ -11,12 +11,17 @@
 //	    Body: a scenario.Spec JSON document (same schema as the
 //	    -scenario flag of cmd/experiments; see examples/scenarios/).
 //	    The default format streams reduced rows as NDJSON — one JSON
-//	    object per grid cell, written as soon as that cell's simulation
-//	    completes, in a fixed workload-major order that is bit-identical
-//	    for any worker count. table, json and csv buffer the full result
-//	    set before writing. Spec errors return 400 with a JSON {"error"}
-//	    body; simulation failures return 500 (buffered formats) or an
-//	    {"error"} NDJSON line terminating the stream.
+//	    object per grid cell, in a fixed workload-major order that is
+//	    bit-identical for any worker count. Rows are flushed to the
+//	    client before the sweep waits on a simulation that has not
+//	    finished (a grid cell or a fairness reference), not per row: a
+//	    finished row never waits behind a running cell, and a fully
+//	    cached replay goes out in one write. table, json and csv buffer
+//	    the full result set before writing. Every request is planned
+//	    once (scenario.NewPlan) and both paths execute that plan. Spec
+//	    errors return 400 with a JSON {"error"} body; simulation
+//	    failures return 500 (buffered formats) or an {"error"} NDJSON
+//	    line terminating the stream.
 //	GET /v1/metrics
 //	    Cache hit/miss/eviction/in-flight counters, configured bounds,
 //	    request/row totals, the trace tier's hit/miss/generated counters
@@ -300,7 +305,7 @@ func (s *server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release(client)
-	sp, err := scenario.Parse(http.MaxBytesReader(w, r.Body, s.maxBody))
+	sp, err := scenario.Decode(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
 		// An oversized body is its own condition (413), not a malformed
 		// spec (400): the client must shrink the request, not fix it.
@@ -313,30 +318,12 @@ func (s *server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Pre-flight the full grid: an invalid machine configuration or an
-	// oversized cross-product is the client's error and must be a 400,
-	// not a mid-stream failure line (or a daemon-sized allocation).
-	ws, err := sp.Workloads.Select()
+	// Pre-flight the full grid: an invalid spec or machine configuration,
+	// or an oversized cross-product, is the client's error and must be a
+	// 400, not a mid-stream failure line (or a daemon-sized allocation).
+	// The plan is then executed as is, whatever the format.
+	plan, err := scenario.NewPlan(s.session, sp, s.maxCells)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if s.maxCells > 0 {
-		cells := int64(len(ws))
-		over := cells > s.maxCells
-		for _, ax := range sp.Axes {
-			cells *= int64(len(ax.Points))
-			if over = over || cells > s.maxCells; over {
-				break // stop before the product can overflow
-			}
-		}
-		if over {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("scenario %s: grid has more than %d cells", sp.Name, s.maxCells))
-			return
-		}
-	}
-	if _, err := sp.Combos(s.session.BaseConfig()); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -364,12 +351,12 @@ func (s *server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	// job this sweep queues — references included.
 	ctx := sched.WithRequester(r.Context(), client)
 	if format == "ndjson" {
-		s.streamScenario(ctx, w, sp)
+		s.streamScenario(ctx, w, plan)
 		return
 	}
 	// Buffered formats complete the sweep before the first byte, so a
 	// simulation failure can still surface as a clean 500.
-	rs, err := s.session.RunScenarioCtx(ctx, sp)
+	rs, err := scenario.ExecuteStreamCtx(ctx, plan, nil, nil)
 	if err != nil {
 		if s.clientGone(ctx, err) {
 			return // nobody is listening for a status line
@@ -444,23 +431,27 @@ func (s *server) clientGone(ctx context.Context, err error) bool {
 	return true
 }
 
-// streamScenario writes NDJSON rows as grid cells complete. The status
-// line goes out before the sweep finishes, so a mid-sweep simulation
-// failure is reported as a terminal {"error"} line instead of a 500.
-func (s *server) streamScenario(ctx context.Context, w http.ResponseWriter, sp *scenario.Spec) {
+// streamScenario writes NDJSON rows as grid cells complete. Rows
+// collect in the response's buffer and are flushed only when the sweep
+// is about to wait on a simulation that has not finished, so a fully
+// cached replay goes out in one write while a finished row never sits
+// behind a running cell. The status line goes out before the sweep
+// finishes, so a mid-sweep simulation failure is reported as a terminal
+// {"error"} line instead of a 500.
+func (s *server) streamScenario(ctx context.Context, w http.ResponseWriter, plan *scenario.Plan) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := scenario.NewRowEncoder(w, sp)
-	flusher, _ := w.(http.Flusher)
-	_, err := scenario.ExecuteStreamCtx(ctx, s.session, sp, func(row scenario.Row) error {
+	enc := scenario.NewRowEncoder(w, plan.Spec)
+	var flush func()
+	if f, ok := w.(http.Flusher); ok {
+		flush = f.Flush
+	}
+	_, err := scenario.ExecuteStreamCtx(ctx, plan, func(row scenario.Row) error {
 		if err := enc.Encode(row); err != nil {
 			return fmt.Errorf("%w: %v", errClientWrite, err)
 		}
 		s.rows.Add(1)
-		if flusher != nil {
-			flusher.Flush()
-		}
 		return nil
-	})
+	}, flush)
 	if err != nil && !s.clientGone(ctx, err) {
 		s.failures.Add(1)
 		json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})

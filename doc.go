@@ -45,7 +45,11 @@
 // The engine is also served as a long-running daemon, cmd/smtsimd: POST a
 // Spec to /v1/scenario and reduced rows stream back as NDJSON in a fixed
 // workload-major order as each grid cell's simulation completes (or
-// buffered as table/json/csv via ?format=); /v1/metrics reports cache
+// buffered as table/json/csv via ?format=). Each request is planned once
+// (scenario.NewPlan: validated, workloads selected, grid expanded and
+// fingerprinted) and the plan executes as is; streamed rows are flushed
+// to the client only before the sweep waits on an unfinished simulation,
+// so a fully cached replay leaves in one write. /v1/metrics reports cache
 // hit/miss/eviction/in-flight counters and /healthz answers liveness
 // probes. What makes the process safe to run indefinitely is
 // internal/simcache, the session's simulation cache: an LRU keyed by
@@ -149,8 +153,9 @@
 // pool is the fair queue drained by at most Workers goroutines (spawned
 // on demand, exiting when idle), and every dispatch entry point takes a
 // context — experiments.Session.StartRunCtx / RunConfigCtx /
-// RunScenarioCtx, scenario.ExecuteStreamCtx, simcache.Cache.BeginCtx /
-// Call.WaitCtx — threading the requester's context down to the queue.
+// RunScenarioCtx, scenario.ExecuteStreamCtx (over a scenario.Plan),
+// simcache.Cache.BeginCtx / Call.WaitCtx — threading the requester's
+// context down to the queue.
 // When every requester interested in a queued cell has canceled before a
 // worker picks it up, the cell is abandoned: never simulated, its key
 // freed for recomputation, its waiters failed with the cancellation

@@ -153,9 +153,10 @@ type runKey struct {
 // always finishes and populates the cache — results are deterministic
 // and shared, so completing them is never wasted work.
 //
-// Session implements scenario.Runner, so scenario.ExecuteStreamCtx
-// dispatches onto the same pool and cache the figures use — grid cells
-// and their core.Reference fairness runs alike.
+// Session implements scenario.Runner, so a scenario.Plan built on it
+// (scenario.ExecuteStreamCtx) dispatches onto the same pool and cache
+// the figures use — grid cells and their core.Reference fairness runs
+// alike.
 type Session struct {
 	opt    Options
 	base   core.Config
@@ -399,13 +400,18 @@ func (s *Session) configFor(pol core.PolicyKind, regs int) core.Config {
 	return cfg
 }
 
-// RunScenarioCtx executes a declarative sweep on this session's worker
-// pool and cache. Points that coincide with figure runs (or with each
+// RunScenarioCtx plans (scenario.NewPlan, with no cell bound) and
+// executes a declarative sweep on this session's worker pool and cache.
+// Points that coincide with figure runs (or with each
 // other) are simulated once. Cells not yet started when ctx dies are
 // never simulated, running cells finish into the cache, and the call
 // returns ctx's error promptly.
 func (s *Session) RunScenarioCtx(ctx context.Context, sp *scenario.Spec) (*scenario.ResultSet, error) {
-	return scenario.ExecuteStreamCtx(ctx, s, sp, nil)
+	p, err := scenario.NewPlan(s, sp, 0)
+	if err != nil {
+		return nil, err
+	}
+	return scenario.ExecuteStreamCtx(ctx, p, nil, nil)
 }
 
 // figureSpec assembles the scenario a figure needs: the session's

@@ -40,11 +40,11 @@ func (c *Core) commitThread(t *thread, now uint64, budget *int) {
 		}
 		head := t.rob.front()
 		if t.mode == ModeNormal {
-			if c.shouldEnterRunahead(t, head, now) {
-				c.enterRunahead(t, head, now)
-				continue // head is now poisoned-complete; pseudo-retire path
-			}
 			if !head.completed {
+				if c.shouldEnterRunahead(t, head, now) {
+					c.enterRunahead(t, head, now)
+					continue // head is now poisoned-complete; pseudo-retire path
+				}
 				return
 			}
 			if head.tmpl.Op.IsStore() {

@@ -1,5 +1,5 @@
 // Package regfile models the shared physical register files of the SMT
-// processor and the per-thread rename maps over them.
+// processor.
 //
 // The design is a "future file" organization: committed architectural
 // state lives outside the physical register file (and since the simulator
@@ -19,15 +19,10 @@
 // *renaming* registers.)
 //
 // Runahead support is built in: each register carries an INV bit (the
-// paper's §3.3 "register control"), and pinning exists so checkpointed
-// mappings can never be reclaimed while a runahead episode needs them.
+// paper's §3.3 "register control").
 package regfile
 
-import (
-	"fmt"
-
-	"repro/internal/isa"
-)
+import "fmt"
 
 // PhysReg names a physical register within one File. None marks "no
 // register": an operand that reads committed architectural state (always
@@ -50,7 +45,6 @@ type regState struct {
 	allocated bool
 	ready     bool
 	inv       bool
-	pinned    bool
 	dead      bool // producer retired or squashed; free when refs == 0
 	refs      int32
 	owner     uint8
@@ -164,25 +158,8 @@ func (f *File) Inv(p PhysReg) bool {
 	return f.state(p).inv
 }
 
-// Pin prevents p from being reclaimed until Unpin, regardless of refs and
-// retirement. Runahead checkpoints pin the mappings they preserve.
-func (f *File) Pin(p PhysReg) { f.state(p).pinned = true }
-
-// Unpin releases a checkpoint pin and reclaims p if it was only waiting on
-// the pin.
-func (f *File) Unpin(p PhysReg) {
-	s := f.state(p)
-	if !s.pinned {
-		//lint:panicfree checkpoint pin/unpin imbalance means runahead checkpoint corruption; halting beats silently wrong state restoration
-		panic(fmt.Sprintf("regfile %s: Unpin(%d) of unpinned register", f.name, p))
-	}
-	s.pinned = false
-	f.maybeFree(p)
-}
-
 // Release marks p's producer as retired (committed or pseudo-retired) or
-// squashed. The register is reclaimed once all consumer references drain
-// and any checkpoint pin is lifted.
+// squashed. The register is reclaimed once all consumer references drain.
 func (f *File) Release(p PhysReg) {
 	s := f.state(p)
 	if s.dead {
@@ -198,7 +175,7 @@ func (f *File) Owner(p PhysReg) int { return int(f.state(p).owner) }
 
 func (f *File) maybeFree(p PhysReg) {
 	s := &f.regs[p]
-	if s.allocated && s.dead && !s.pinned && s.refs == 0 {
+	if s.allocated && s.dead && s.refs == 0 {
 		s.allocated = false
 		f.free = append(f.free, p)
 		f.inUse--
@@ -246,75 +223,3 @@ func (f *File) CheckInvariants() error {
 	}
 	return nil
 }
-
-// --- Rename map --------------------------------------------------------------
-
-// RenameMap is one thread's architectural-to-physical mapping. Entries are
-// None when the architectural register's latest value is committed (the
-// future-file resting state).
-type RenameMap struct {
-	m [isa.NumArchRegs]PhysReg
-}
-
-// NewRenameMap returns a map with every register in the committed state.
-func NewRenameMap() *RenameMap {
-	r := &RenameMap{}
-	r.Reset()
-	return r
-}
-
-// Reset returns every architectural register to the committed state.
-// Runahead exit uses this: the checkpoint taken at a thread's ROB head is
-// exactly "all state committed".
-func (r *RenameMap) Reset() {
-	for i := range r.m {
-		r.m[i] = None
-	}
-}
-
-// Get returns the current mapping for architectural register a, or None
-// when the value is committed (or a is RegNone).
-func (r *RenameMap) Get(a isa.Reg) PhysReg {
-	if a == isa.RegNone {
-		return None
-	}
-	return r.m[a]
-}
-
-// Set installs a new mapping and returns the previous one (needed for
-// squash rollback).
-func (r *RenameMap) Set(a isa.Reg, p PhysReg) (prev PhysReg) {
-	prev = r.m[a]
-	r.m[a] = p
-	return prev
-}
-
-// ClearIfCurrent resets a's mapping to committed state if it still points
-// at p. Commit uses this: once the writing instruction commits, later
-// renames read architectural state.
-func (r *RenameMap) ClearIfCurrent(a isa.Reg, p PhysReg) bool {
-	if r.m[a] == p {
-		r.m[a] = None
-		return true
-	}
-	return false
-}
-
-// Live returns the number of in-flight (non-None) mappings.
-func (r *RenameMap) Live() int {
-	n := 0
-	for _, p := range r.m {
-		if p != None {
-			n++
-		}
-	}
-	return n
-}
-
-// Snapshot copies the map (checkpoint support for tests and ablations; the
-// production runahead path uses Reset because its checkpoint is taken at
-// the thread's ROB head where everything older is committed).
-func (r *RenameMap) Snapshot() [isa.NumArchRegs]PhysReg { return r.m }
-
-// Restore overwrites the map from a snapshot.
-func (r *RenameMap) Restore(s [isa.NumArchRegs]PhysReg) { r.m = s }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/isa"
 	"repro/internal/rng"
 )
 
@@ -49,20 +48,6 @@ func TestRefCountDelaysFree(t *testing.T) {
 	f.DecRef(p)
 	if f.InUse() != 0 {
 		t.Fatal("register not freed after last reference drained")
-	}
-}
-
-func TestPinBlocksFree(t *testing.T) {
-	f := New("int", 2)
-	p, _ := f.Alloc(0)
-	f.Pin(p)
-	f.Release(p)
-	if f.InUse() != 1 {
-		t.Fatal("pinned register reclaimed")
-	}
-	f.Unpin(p)
-	if f.InUse() != 0 {
-		t.Fatal("register not reclaimed after unpin")
 	}
 }
 
@@ -142,11 +127,10 @@ func TestInvariantsUnderRandomWorkload(t *testing.T) {
 			p        PhysReg
 			refs     int
 			released bool
-			pinned   bool
 		}
 		var regs []*live
 		for step := 0; step < 2000; step++ {
-			switch r.Intn(6) {
+			switch r.Intn(5) {
 			case 0, 1: // alloc
 				if p, ok := f.Alloc(r.Intn(4)); ok {
 					regs = append(regs, &live{p: p})
@@ -173,19 +157,11 @@ func TestInvariantsUnderRandomWorkload(t *testing.T) {
 						break
 					}
 				}
-			case 5: // pin/unpin toggle
-				for _, l := range regs {
-					if !l.released && !l.pinned {
-						f.Pin(l.p)
-						l.pinned = true
-						break
-					}
-				}
 			}
 			// Drop fully-dead entries from our shadow list.
 			kept := regs[:0]
 			for _, l := range regs {
-				if l.released && l.refs == 0 && !l.pinned {
+				if l.released && l.refs == 0 {
 					continue
 				}
 				kept = append(kept, l)
@@ -201,9 +177,6 @@ func TestInvariantsUnderRandomWorkload(t *testing.T) {
 			for l.refs > 0 {
 				f.DecRef(l.p)
 				l.refs--
-			}
-			if l.pinned {
-				f.Unpin(l.p)
 			}
 			if !l.released {
 				f.Release(l.p)
@@ -223,67 +196,6 @@ func TestNewPanicsOnZeroSize(t *testing.T) {
 		}
 	}()
 	New("x", 0)
-}
-
-func TestRenameMapBasics(t *testing.T) {
-	m := NewRenameMap()
-	a := isa.IntReg(5)
-	if m.Get(a) != None {
-		t.Fatal("fresh map entry not None")
-	}
-	if m.Get(isa.RegNone) != None {
-		t.Fatal("RegNone lookup not None")
-	}
-	prev := m.Set(a, 7)
-	if prev != None || m.Get(a) != 7 {
-		t.Fatal("Set/Get mismatch")
-	}
-	prev = m.Set(a, 9)
-	if prev != 7 {
-		t.Fatalf("prev = %d, want 7", prev)
-	}
-	if m.Live() != 1 {
-		t.Fatalf("live = %d", m.Live())
-	}
-}
-
-func TestRenameMapClearIfCurrent(t *testing.T) {
-	m := NewRenameMap()
-	a := isa.IntReg(3)
-	m.Set(a, 4)
-	if m.ClearIfCurrent(a, 9) {
-		t.Fatal("cleared with stale register")
-	}
-	if !m.ClearIfCurrent(a, 4) {
-		t.Fatal("did not clear with current register")
-	}
-	if m.Get(a) != None {
-		t.Fatal("entry not cleared")
-	}
-}
-
-func TestRenameMapSnapshotRestore(t *testing.T) {
-	m := NewRenameMap()
-	m.Set(isa.IntReg(1), 10)
-	m.Set(isa.FPReg(2), 20)
-	snap := m.Snapshot()
-	m.Set(isa.IntReg(1), 11)
-	m.Reset()
-	m.Restore(snap)
-	if m.Get(isa.IntReg(1)) != 10 || m.Get(isa.FPReg(2)) != 20 {
-		t.Fatal("restore did not recover snapshot")
-	}
-}
-
-func TestRenameMapReset(t *testing.T) {
-	m := NewRenameMap()
-	for i := 0; i < isa.NumIntArchRegs; i++ {
-		m.Set(isa.IntReg(i), PhysReg(i))
-	}
-	m.Reset()
-	if m.Live() != 0 {
-		t.Fatal("reset left live mappings")
-	}
 }
 
 func BenchmarkAllocRelease(b *testing.B) {

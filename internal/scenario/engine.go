@@ -28,6 +28,11 @@ import (
 // it unchanged into every dispatch — grid cells and fairness references
 // (core.Reference) alike — so the runner's queue can attribute all of a
 // sweep's work to the client that asked for it.
+//
+// NewPlan reads BaseConfig once per request; ExecuteStreamCtx then only
+// calls StartRunCtx, once per grid cell and per fairness reference, and
+// checks each call's Ready before it waits, so a streaming caller can
+// flush emitted rows before the sweep blocks.
 type Runner interface {
 	// BaseConfig returns the configuration scenario deltas apply onto.
 	BaseConfig() core.Config
@@ -43,67 +48,64 @@ func startReference(ctx context.Context, r Runner, b string, cfg core.Config) *s
 	return r.StartRunCtx(ctx, w, ref)
 }
 
-// metric is one per-cell reduction. compute receives the cell's full
-// machine configuration so reference-relative metrics (fairness) measure
-// their single-thread baseline on the same machine the SMT run used.
+// metric is one per-cell reduction. Reference-relative metrics
+// (fairness) also receive the cell's single-thread references, one per
+// benchmark in workload order, each measured on the same machine the SMT
+// run used; the other metrics receive nil.
 type metric struct {
 	name string
 	// needsReference marks metrics that read single-thread references.
 	needsReference bool
-	compute        func(ctx context.Context, r Runner, w workload.Workload, cfg core.Config, res *core.Result) (float64, error)
+	compute        func(res *core.Result, refs []*core.Result) float64
 }
 
 // metricTable lists the available reductions in documentation order.
 var metricTable = []metric{
-	{name: "throughput", compute: func(_ context.Context, _ Runner, _ workload.Workload, _ core.Config, res *core.Result) (float64, error) {
-		return metrics.Throughput(res.IPCs()), nil
+	{name: "throughput", compute: func(res *core.Result, _ []*core.Result) float64 {
+		return metrics.Throughput(res.IPCs())
 	}},
-	{name: "fairness", needsReference: true, compute: func(ctx context.Context, r Runner, w workload.Workload, cfg core.Config, res *core.Result) (float64, error) {
-		stv := make([]float64, 0, len(w.Benchmarks))
-		for _, b := range w.Benchmarks {
-			ref, err := startReference(ctx, r, b, cfg).WaitCtx(ctx)
-			if err != nil {
-				return 0, err
-			}
-			stv = append(stv, ref.Threads[0].IPC)
+	{name: "fairness", needsReference: true, compute: func(res *core.Result, refs []*core.Result) float64 {
+		stv := make([]float64, len(refs))
+		for i, ref := range refs {
+			stv[i] = ref.Threads[0].IPC
 		}
-		return metrics.Fairness(stv, res.IPCs()), nil
+		return metrics.Fairness(stv, res.IPCs())
 	}},
-	{name: "ed2", compute: func(_ context.Context, _ Runner, _ workload.Workload, _ core.Config, res *core.Result) (float64, error) {
-		return metrics.ED2(res.ExecutedTotal, res.Cycles, res.CommittedTotal), nil
+	{name: "ed2", compute: func(res *core.Result, _ []*core.Result) float64 {
+		return metrics.ED2(res.ExecutedTotal, res.Cycles, res.CommittedTotal)
 	}},
-	{name: "cycles", compute: func(_ context.Context, _ Runner, _ workload.Workload, _ core.Config, res *core.Result) (float64, error) {
-		return float64(res.Cycles), nil
+	{name: "cycles", compute: func(res *core.Result, _ []*core.Result) float64 {
+		return float64(res.Cycles)
 	}},
-	{name: "committed", compute: func(_ context.Context, _ Runner, _ workload.Workload, _ core.Config, res *core.Result) (float64, error) {
-		return float64(res.CommittedTotal), nil
+	{name: "committed", compute: func(res *core.Result, _ []*core.Result) float64 {
+		return float64(res.CommittedTotal)
 	}},
-	{name: "executed", compute: func(_ context.Context, _ Runner, _ workload.Workload, _ core.Config, res *core.Result) (float64, error) {
-		return float64(res.ExecutedTotal), nil
+	{name: "executed", compute: func(res *core.Result, _ []*core.Result) float64 {
+		return float64(res.ExecutedTotal)
 	}},
-	{name: "l2mpki", compute: func(_ context.Context, _ Runner, _ workload.Workload, _ core.Config, res *core.Result) (float64, error) {
+	{name: "l2mpki", compute: func(res *core.Result, _ []*core.Result) float64 {
 		if res.CommittedTotal == 0 {
-			return 0, nil
+			return 0
 		}
 		var misses uint64
 		for i := range res.Threads {
 			misses += res.Threads[i].L2MissLoads
 		}
-		return 1000 * float64(misses) / float64(res.CommittedTotal), nil
+		return 1000 * float64(misses) / float64(res.CommittedTotal)
 	}},
-	{name: "prefetches", compute: func(_ context.Context, _ Runner, _ workload.Workload, _ core.Config, res *core.Result) (float64, error) {
+	{name: "prefetches", compute: func(res *core.Result, _ []*core.Result) float64 {
 		var n uint64
 		for i := range res.Threads {
 			n += res.Threads[i].PrefetchesIssued
 		}
-		return float64(n), nil
+		return float64(n)
 	}},
-	{name: "runahead-episodes", compute: func(_ context.Context, _ Runner, _ workload.Workload, _ core.Config, res *core.Result) (float64, error) {
+	{name: "runahead-episodes", compute: func(res *core.Result, _ []*core.Result) float64 {
 		var n uint64
 		for i := range res.Threads {
 			n += res.Threads[i].RunaheadEpisodes
 		}
-		return float64(n), nil
+		return float64(n)
 	}},
 }
 
@@ -168,38 +170,26 @@ func (rs *ResultSet) Value(wi, ci, mi int) float64 {
 	return rs.Rows[wi*len(rs.Combos)+ci].Values[mi]
 }
 
-// ExecuteStreamCtx expands the spec's grid, dispatches every simulation
-// onto the runner's pool, and reduces the results in a fixed order — so
-// output is bit-identical for any worker count. When emit is non-nil it
+// ExecuteStreamCtx dispatches every simulation of the plan's grid onto
+// its runner's pool and reduces the results in a fixed order, so output
+// is bit-identical for any worker count. When emit is non-nil it
 // receives each reduced Row in fixed grid order (workload-major) as soon
-// as the row's simulation completes, before the full set is assembled —
+// as the row's simulations complete, before the full set is assembled —
 // the smtsimd daemon uses it to stream NDJSON while later cells are still
-// simulating. A non-nil error from emit aborts the sweep.
+// simulating. A non-nil error from emit aborts the sweep. When flush is
+// non-nil it is called before the sweep blocks on a simulation that has
+// not finished (the next grid cell, or a fairness reference the next
+// row reads) and some row was emitted since the last flush, so a
+// streaming caller can buffer rows and push them out only before a wait.
+// flush is not called after the last row.
 //
 // Once ctx is done the sweep returns ctx's error promptly, cells not yet
 // started are never simulated, and cells already running finish into the
 // runner's cache; rows already emitted stand.
-func ExecuteStreamCtx(ctx context.Context, r Runner, sp *Spec, emit func(Row) error) (*ResultSet, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
+func ExecuteStreamCtx(ctx context.Context, p *Plan, emit func(Row) error, flush func()) (*ResultSet, error) {
+	sp, r, ws, combos := p.Spec, p.runner, p.workloads, p.combos
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
-	}
-	ws, err := sp.Workloads.Select()
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
-	}
-	combos, err := sp.Combos(r.BaseConfig())
-	if err != nil {
-		return nil, err
-	}
-	mets := make([]metric, 0, len(sp.metrics()))
-	needRef := false
-	for _, name := range sp.metrics() {
-		m, _ := metricByName(name) // Validate vetted the names
-		mets = append(mets, m)
-		needRef = needRef || m.needsReference
 	}
 
 	// Dispatch the whole grid (plus references, when a metric reads them)
@@ -207,20 +197,36 @@ func ExecuteStreamCtx(ctx context.Context, r Runner, sp *Spec, emit func(Row) er
 	// is registered under the sweep's context: whatever cancellation
 	// leaves unstarted is never simulated.
 	calls := make([][]*simcache.Call[*core.Result], len(ws))
+	var refCalls [][][]*simcache.Call[*core.Result]
+	if p.needRef {
+		refCalls = make([][][]*simcache.Call[*core.Result], len(ws))
+	}
 	for wi, w := range ws {
 		calls[wi] = make([]*simcache.Call[*core.Result], len(combos))
 		for ci, combo := range combos {
 			calls[wi][ci] = r.StartRunCtx(ctx, w, combo.Config)
 		}
-		if needRef {
-			for _, combo := range combos {
-				for _, b := range w.Benchmarks {
-					startReference(ctx, r, b, combo.Config)
+		if p.needRef {
+			refCalls[wi] = make([][]*simcache.Call[*core.Result], len(combos))
+			for ci, combo := range combos {
+				refCalls[wi][ci] = make([]*simcache.Call[*core.Result], len(w.Benchmarks))
+				for bi, b := range w.Benchmarks {
+					refCalls[wi][ci][bi] = startReference(ctx, r, b, combo.Config)
 				}
 			}
 		}
 	}
 
+	// wait collects one call, first flushing emitted rows when the call
+	// would block.
+	unflushed := false
+	wait := func(c *simcache.Call[*core.Result]) (*core.Result, error) {
+		if unflushed && !c.Ready() {
+			flush()
+			unflushed = false
+		}
+		return c.WaitCtx(ctx)
+	}
 	rs := &ResultSet{
 		Name:        sp.Name,
 		Description: sp.Description,
@@ -228,34 +234,43 @@ func ExecuteStreamCtx(ctx context.Context, r Runner, sp *Spec, emit func(Row) er
 		Metrics:     sp.metrics(),
 		Workloads:   ws,
 		Combos:      combos,
+		Rows:        make([]Row, 0, len(ws)*len(combos)),
 		raw:         make([][]*core.Result, len(ws)),
 	}
+	var refs []*core.Result
 	for wi, w := range ws {
 		rs.raw[wi] = make([]*core.Result, len(combos))
 		for ci, combo := range combos {
-			res, err := calls[wi][ci].WaitCtx(ctx)
+			res, err := wait(calls[wi][ci])
 			if err != nil {
 				return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
 			}
 			rs.raw[wi][ci] = res
+			if p.needRef {
+				refs = refs[:0]
+				for bi, c := range refCalls[wi][ci] {
+					ref, err := wait(c)
+					if err != nil {
+						return nil, fmt.Errorf("scenario %s: reference %s: %w", sp.Name, w.Benchmarks[bi], err)
+					}
+					refs = append(refs, ref)
+				}
+			}
 			row := Row{
 				Workload:    w.Name(),
 				Labels:      combo.Labels,
 				Fingerprint: combo.Fingerprint,
-				Values:      make([]float64, len(mets)),
+				Values:      make([]float64, len(p.metrics)),
 				Truncated:   res.Truncated,
 			}
-			for mi, m := range mets {
-				v, err := m.compute(ctx, r, w, combo.Config, res)
-				if err != nil {
-					return nil, fmt.Errorf("scenario %s: metric %s: %w", sp.Name, m.name, err)
-				}
-				row.Values[mi] = v
+			for mi, m := range p.metrics {
+				row.Values[mi] = m.compute(res, refs)
 			}
 			if emit != nil {
 				if err := emit(row); err != nil {
 					return nil, fmt.Errorf("scenario %s: emit: %w", sp.Name, err)
 				}
+				unflushed = flush != nil
 			}
 			rs.Rows = append(rs.Rows, row)
 		}

@@ -288,7 +288,7 @@ func (sp *Spec) metrics() []string {
 }
 
 // Validate checks names, axes, metrics and format. The workload
-// selection validates where it expands (Parse at load time, ExecuteStreamCtx at
+// selection validates where it expands (Parse at load time, NewPlan at
 // run time), so the table is walked once per phase, not per check.
 func (sp *Spec) Validate() error {
 	if sp.Name == "" {
@@ -391,15 +391,25 @@ func (sp *Spec) AxisNames() []string {
 	return out
 }
 
-// Parse decodes and validates a spec from JSON. Unknown fields anywhere
-// in the document are errors, so a misspelled knob cannot silently
-// dissolve into a no-op sweep.
-func Parse(r io.Reader) (*Spec, error) {
+// Decode reads a spec from JSON without validating it; NewPlan (or
+// Parse) validates. Unknown fields anywhere in the document are errors,
+// so a misspelled knob cannot silently dissolve into a no-op sweep.
+func Decode(r io.Reader) (*Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var sp Spec
 	if err := dec.Decode(&sp); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	return &sp, nil
+}
+
+// Parse decodes a spec from JSON and validates it, workload selection
+// included.
+func Parse(r io.Reader) (*Spec, error) {
+	sp, err := Decode(r)
+	if err != nil {
+		return nil, err
 	}
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -407,7 +417,7 @@ func Parse(r io.Reader) (*Spec, error) {
 	if _, err := sp.Workloads.Select(); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
 	}
-	return &sp, nil
+	return sp, nil
 }
 
 // Load reads a spec from a JSON file.

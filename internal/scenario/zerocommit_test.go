@@ -2,25 +2,12 @@ package scenario
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/simcache"
 	"repro/internal/workload"
 )
-
-// stubRunner satisfies Runner for metric-computation tests: every run it
-// is asked for is already complete, one thread at IPC 1.5.
-type stubRunner struct{}
-
-func (stubRunner) BaseConfig() core.Config { return core.DefaultConfig() }
-func (stubRunner) StartRunCtx(ctx context.Context, _ workload.Workload, _ core.Config) *simcache.Call[*core.Result] {
-	c, _ := simcache.New[int, *core.Result](0, 0, nil).BeginCtx(ctx, 0)
-	c.Fulfill(&core.Result{Threads: []core.ThreadResult{{IPC: 1.5}}}, nil)
-	return c
-}
 
 // TestZeroCommitMetricsFiniteEverywhere is the divide-by-zero
 // regression: a truncated run that committed nothing (the degenerate
@@ -41,16 +28,13 @@ func TestZeroCommitMetricsFiniteEverywhere(t *testing.T) {
 		// CommittedTotal and ExecutedTotal stay zero: nothing retired.
 	}
 	w := workload.Workload{Group: "custom", Benchmarks: []string{"art", "mcf"}}
-	ctx := context.Background()
-	cfg := core.DefaultConfig()
+	ref := &core.Result{Threads: []core.ThreadResult{{IPC: 1.5}}}
+	refs := []*core.Result{ref, ref}
 
 	names := MetricNames()
 	values := make([]float64, 0, len(names))
 	for _, m := range metricTable {
-		v, err := m.compute(ctx, stubRunner{}, w, cfg, res)
-		if err != nil {
-			t.Fatalf("metric %s: %v", m.name, err)
-		}
+		v := m.compute(res, refs)
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Errorf("metric %s = %v on a zero-commit result, want finite", m.name, v)
 		}

@@ -21,7 +21,8 @@
 // Requester identity rides the context: the smtsimd daemon stamps each
 // request's context with WithRequester (the X-Client header, or the
 // client's remote address), the context threads unchanged through
-// scenario.ExecuteStreamCtx into Session.StartRunCtx — grid cells and
+// scenario.ExecuteStreamCtx (running the request's scenario.Plan) into
+// Session.StartRunCtx — grid cells and
 // single-thread fairness references alike — and the session recovers
 // the identity with Requester at dispatch time. Code that never stamps a
 // context (the figure CLIs) lands in the single anonymous "" bucket,

@@ -108,6 +108,18 @@ func (c *Call[V]) WaitCtx(ctx context.Context) (V, error) {
 	}
 }
 
+// Ready reports, without blocking, whether the call has settled, so
+// that WaitCtx would return at once. A streaming caller uses it to push
+// buffered output to its reader before it would block.
+func (c *Call[V]) Ready() bool {
+	select {
+	case <-c.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // entry is one cache slot; it lives in both the LRU list and the key map.
 type entry[K comparable, V any] struct {
 	key      K

@@ -214,6 +214,26 @@ func TestWaitCtxCancelIsPerWaiter(t *testing.T) {
 	}
 }
 
+// TestReadyNeverBlocks: Ready reports false while a call is in flight
+// and true once it settles, whether fulfilled or abandoned.
+func TestReadyNeverBlocks(t *testing.T) {
+	g := New[string, int](0, 0, nil)
+	c, _ := g.BeginCtx(context.Background(), "k")
+	if c.Ready() {
+		t.Fatal("Ready = true for an in-flight call")
+	}
+	c.Fulfill(1, nil)
+	if !c.Ready() {
+		t.Fatal("Ready = false after Fulfill")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	d, _ := g.BeginCtx(ctx, "gone")
+	cancel()
+	if !g.Abandon("gone", d, context.Canceled) || !d.Ready() {
+		t.Fatal("Ready = false after Abandon")
+	}
+}
+
 // TestAbandonDropsDeadCall: when every registered requester has
 // canceled, Abandon unregisters the entry (a later request recomputes
 // from scratch) and fails the call so no waiter can hang.
