@@ -41,11 +41,10 @@ func main() {
 	if *list {
 		fmt.Println("benchmarks:", strings.Join(trace.Names(), " "))
 		var pols []string
-		for _, p := range core.Policies() {
+		for _, p := range core.AllPolicies() {
 			pols = append(pols, string(p))
 		}
-		fmt.Println("policies:  ", strings.Join(pols, " "),
-			"(plus ablations: RaT-noprefetch RaT-nofetch RaT-racache RaT-nofpinv)")
+		fmt.Println("policies:  ", strings.Join(pols, " "))
 		return
 	}
 

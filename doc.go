@@ -98,7 +98,7 @@
 // has a pure identity — (benchmark, length, per-context derived seed,
 // address-space placement; workload.ContextOptions) — and
 // internal/tracestore serves all of them from a concurrency-safe,
-// singleflight, byte-bounded LRU (experiments.Options.TraceCacheBytes),
+// singleflight, byte-bounded LRU (tracestore.DefaultMemBytes per session),
 // so N grid cells that differ only in machine configuration decode one
 // shared trace instead of regenerating it N times, and a workload's
 // single-thread fairness references reuse the context-0 traces the SMT

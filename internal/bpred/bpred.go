@@ -1,29 +1,15 @@
-// Package bpred implements the branch direction predictors used by the
+// Package bpred implements the branch direction predictor used by the
 // simulator's fetch stage.
 //
 // The paper's baseline (Table 1) uses a perceptron predictor, implemented
 // here after Jiménez & Lin, "Dynamic branch prediction with perceptrons"
-// (HPCA 2001). Gshare and bimodal predictors are provided as comparators
-// for tests and ablation benchmarks.
-//
-// All predictors share one interface so the pipeline is agnostic:
-// Predict(pc) returns the guess, Update(pc, taken) trains after resolution.
-// In an SMT the predictor tables are shared between threads (as in the real
-// machines the paper models); the global history register, however, is
-// per-thread, which callers obtain by constructing one Predictor per
-// hardware context sharing a common table via the *Shared constructors.
+// (HPCA 2001). Predict(pc) returns the guess; Update(pc, taken) trains
+// after resolution, in program order. In an SMT the weight table is shared
+// between threads (as in the real machines the paper models); the global
+// history register, however, is per-thread, which callers obtain by
+// constructing one Perceptron per hardware context over a common table
+// with NewPerceptronShared.
 package bpred
-
-// Predictor is a branch direction predictor.
-type Predictor interface {
-	// Predict returns the predicted direction for the branch at pc.
-	Predict(pc uint64) bool
-	// Update trains the predictor with the resolved direction. Callers
-	// invoke it in program order at branch resolution.
-	Update(pc uint64, taken bool)
-}
-
-// --- Perceptron predictor --------------------------------------------------
 
 const (
 	// historyLen is the global history length. 28 bits is within the range
@@ -127,111 +113,6 @@ func (p *Perceptron) Update(pc uint64, taken bool) {
 	}
 	p.history = p.history<<1 | b2u(taken)
 }
-
-// --- Gshare ---------------------------------------------------------------
-
-// gshareTable is the shared 2-bit counter array.
-type gshareTable struct {
-	counters []uint8
-	mask     uint64
-}
-
-// Gshare is a gshare predictor (XOR of PC and global history into 2-bit
-// saturating counters), with per-instance history.
-type Gshare struct {
-	table   *gshareTable
-	history uint64
-	bits    uint
-}
-
-// NewGshare builds a private gshare predictor with 2^logSize counters.
-func NewGshare(logSize uint) *Gshare {
-	return &Gshare{
-		table: &gshareTable{
-			counters: make([]uint8, 1<<logSize),
-			mask:     1<<logSize - 1,
-		},
-		bits: logSize,
-	}
-}
-
-// NewGshareShared builds n gshare predictors over one counter table.
-func NewGshareShared(logSize uint, n int) []*Gshare {
-	t := &gshareTable{counters: make([]uint8, 1<<logSize), mask: 1<<logSize - 1}
-	out := make([]*Gshare, n)
-	for i := range out {
-		out[i] = &Gshare{table: t, bits: logSize}
-	}
-	return out
-}
-
-func (g *Gshare) index(pc uint64) uint64 {
-	return ((pc >> 2) ^ g.history) & g.table.mask
-}
-
-// Predict consults the 2-bit counter.
-func (g *Gshare) Predict(pc uint64) bool {
-	return g.table.counters[g.index(pc)] >= 2
-}
-
-// Update bumps the counter and shifts history.
-func (g *Gshare) Update(pc uint64, taken bool) {
-	c := &g.table.counters[g.index(pc)]
-	if taken {
-		if *c < 3 {
-			*c++
-		}
-	} else if *c > 0 {
-		*c--
-	}
-	g.history = (g.history<<1 | b2u(taken)) & g.table.mask
-}
-
-// --- Bimodal ----------------------------------------------------------------
-
-// Bimodal is a PC-indexed table of 2-bit saturating counters — the
-// history-less baseline.
-type Bimodal struct {
-	counters []uint8
-	mask     uint64
-}
-
-// NewBimodal builds a bimodal predictor with 2^logSize counters.
-func NewBimodal(logSize uint) *Bimodal {
-	return &Bimodal{counters: make([]uint8, 1<<logSize), mask: 1<<logSize - 1}
-}
-
-// Predict consults the counter for pc.
-func (b *Bimodal) Predict(pc uint64) bool {
-	return b.counters[(pc>>2)&b.mask] >= 2
-}
-
-// Update bumps the counter for pc.
-func (b *Bimodal) Update(pc uint64, taken bool) {
-	c := &b.counters[(pc>>2)&b.mask]
-	if taken {
-		if *c < 3 {
-			*c++
-		}
-	} else if *c > 0 {
-		*c--
-	}
-}
-
-// --- Static ----------------------------------------------------------------
-
-// Static always predicts the same direction; useful as a degenerate
-// baseline in tests.
-type Static struct {
-	// Taken is the fixed prediction.
-	Taken bool
-}
-
-// Predict returns the fixed direction.
-func (s Static) Predict(uint64) bool { return s.Taken }
-
-// Update is a no-op.
-func (s Static) Update(uint64, bool) {}
 
 // --- helpers ----------------------------------------------------------------
 

@@ -9,7 +9,7 @@ import (
 
 // accuracy trains p on a synthetic branch stream and returns the fraction
 // of correct predictions over the second half (after warmup).
-func accuracy(p Predictor, gen func(i int) (pc uint64, taken bool), n int) float64 {
+func accuracy(p *Perceptron, gen func(i int) (pc uint64, taken bool), n int) float64 {
 	correct, counted := 0, 0
 	for i := 0; i < n; i++ {
 		pc, taken := gen(i)
@@ -49,34 +49,12 @@ func TestPerceptronLearnsBiasedBranches(t *testing.T) {
 }
 
 func TestPerceptronLearnsHistoryPattern(t *testing.T) {
-	// A strict alternating pattern is linearly separable on history; the
-	// perceptron must learn it nearly perfectly while bimodal cannot.
+	// A strict alternating pattern at one PC is linearly separable on
+	// history but has no bias a history-less counter could learn: the
+	// perceptron must predict it nearly perfectly.
 	gen := func(i int) (uint64, bool) { return 0x4000, i%2 == 0 }
-	perc := accuracy(NewPerceptron(256), gen, 20000)
-	bim := accuracy(NewBimodal(10), gen, 20000)
-	if perc < 0.98 {
-		t.Fatalf("perceptron accuracy %v on alternating pattern, want >= 0.98", perc)
-	}
-	if bim > 0.7 {
-		t.Fatalf("bimodal accuracy %v on alternating pattern, expected poor", bim)
-	}
-}
-
-func TestGshareLearnsHistoryPattern(t *testing.T) {
-	gen := func(i int) (uint64, bool) { return 0x4000, i%4 < 2 }
-	if acc := accuracy(NewGshare(12), gen, 40000); acc < 0.95 {
-		t.Fatalf("gshare accuracy %v on period-4 pattern", acc)
-	}
-}
-
-func TestBimodalLearnsBias(t *testing.T) {
-	r := rng.New(2)
-	acc := accuracy(NewBimodal(12), func(i int) (uint64, bool) {
-		b := r.Intn(32)
-		return uint64(b * 4), b%2 == 0
-	}, 20000)
-	if acc < 0.98 {
-		t.Fatalf("bimodal accuracy %v on fully biased branches", acc)
+	if acc := accuracy(NewPerceptron(256), gen, 20000); acc < 0.98 {
+		t.Fatalf("perceptron accuracy %v on alternating pattern, want >= 0.98", acc)
 	}
 }
 
@@ -127,15 +105,6 @@ func TestSharedTableSeparateHistories(t *testing.T) {
 	if ps[0].history == ps[1].history {
 		t.Fatal("update to one thread's history leaked into the other")
 	}
-
-	gs := NewGshareShared(10, 2)
-	if gs[0].table != gs[1].table {
-		t.Fatal("gshare shared constructor did not share the table")
-	}
-	gs[0].Update(0x100, true)
-	if gs[0].history == gs[1].history {
-		t.Fatal("gshare history leaked across threads")
-	}
 }
 
 func TestSharedTableCrossThreadInterference(t *testing.T) {
@@ -167,17 +136,6 @@ func TestSharedTableCrossThreadInterference(t *testing.T) {
 	}
 }
 
-func TestStaticPredictor(t *testing.T) {
-	s := Static{Taken: true}
-	if !s.Predict(0) {
-		t.Fatal("static taken predicted not-taken")
-	}
-	s.Update(0, false) // must not panic or change anything
-	if !s.Predict(0) {
-		t.Fatal("static predictor mutated by Update")
-	}
-}
-
 func TestTableSizesRoundUp(t *testing.T) {
 	p := NewPerceptron(100)
 	if len(p.table.rows) != 128 {
@@ -186,23 +144,18 @@ func TestTableSizesRoundUp(t *testing.T) {
 }
 
 func TestPredictorsDeterministic(t *testing.T) {
-	mk := func() []Predictor {
-		return []Predictor{NewPerceptron(64), NewGshare(10), NewBimodal(10)}
-	}
-	a, b := mk(), mk()
+	a, b := NewPerceptron(64), NewPerceptron(64)
 	r1, r2 := rng.New(3), rng.New(3)
 	for i := 0; i < 5000; i++ {
 		pc := uint64(r1.Intn(256) * 4)
 		taken := r1.Bool(0.6)
 		pc2 := uint64(r2.Intn(256) * 4)
 		taken2 := r2.Bool(0.6)
-		for j := range a {
-			if a[j].Predict(pc) != b[j].Predict(pc2) {
-				t.Fatalf("predictor %d diverged at step %d", j, i)
-			}
-			a[j].Update(pc, taken)
-			b[j].Update(pc2, taken2)
+		if a.Predict(pc) != b.Predict(pc2) {
+			t.Fatalf("perceptrons diverged at step %d", i)
 		}
+		a.Update(pc, taken)
+		b.Update(pc2, taken2)
 	}
 }
 
@@ -217,13 +170,5 @@ func BenchmarkPerceptronPredictUpdate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pc := pcs[i&1023]
 		p.Update(pc, p.Predict(pc))
-	}
-}
-
-func BenchmarkGsharePredictUpdate(b *testing.B) {
-	g := NewGshare(14)
-	for i := 0; i < b.N; i++ {
-		pc := uint64(i&4095) * 4
-		g.Update(pc, g.Predict(pc))
 	}
 }

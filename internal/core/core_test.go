@@ -100,10 +100,7 @@ func TestAllPoliciesRun(t *testing.T) {
 		t.Skip("policy sweep")
 	}
 	w := workload.MustByGroup("MIX2")[1]
-	kinds := append(Policies(),
-		PolicyRR, PolicyRaTNoPrefetch, PolicyRaTNoFetch, PolicyRaTCache,
-		PolicyRaTNoFPInv, PolicyRaTDCRA)
-	for _, p := range kinds {
+	for _, p := range AllPolicies() {
 		cfg := fastCfg()
 		cfg.Policy = p
 		res, err := Run(cfg, w)
@@ -175,15 +172,12 @@ func TestParanoidEveryPolicy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paranoid policy sweep")
 	}
-	kinds := append(Policies(), PolicyRR,
-		PolicyRaTNoPrefetch, PolicyRaTNoFetch, PolicyRaTCache,
-		PolicyRaTNoFPInv, PolicyMLP, PolicyRaTDCRA)
 	workloads := []workload.Workload{
 		workload.MustByGroup("MEM2")[0],
 		workload.MustByGroup("ILP2")[0],
 	}
 	for _, w := range workloads {
-		for _, p := range kinds {
+		for _, p := range AllPolicies() {
 			cfg := fastCfg()
 			cfg.TraceLen = 2_000
 			cfg.Policy = p

@@ -137,8 +137,9 @@ func ParsePolicy(name string) (PolicyKind, error) {
 	return k, nil
 }
 
-// allPolicies lists every accepted policy, main evaluation set first.
-func allPolicies() []PolicyKind {
+// AllPolicies lists every policy ParsePolicy accepts, the main evaluation
+// set first.
+func AllPolicies() []PolicyKind {
 	return append(Policies(),
 		PolicyRR, PolicyRaTNoPrefetch, PolicyRaTNoFetch, PolicyRaTCache,
 		PolicyRaTNoFPInv, PolicyMLP, PolicyRaTDCRA)
@@ -146,7 +147,7 @@ func allPolicies() []PolicyKind {
 
 func policyNames() string {
 	var s string
-	for i, p := range allPolicies() {
+	for i, p := range AllPolicies() {
 		if i > 0 {
 			s += ", "
 		}

@@ -13,7 +13,7 @@ import (
 // random pairs collide structurally often enough to exercise the
 // equality direction of the properties, not just the inequality one.
 var mutators = []func(*Config, *rand.Rand){
-	func(c *Config, r *rand.Rand) { c.Policy = allPolicies()[r.Intn(len(allPolicies()))] },
+	func(c *Config, r *rand.Rand) { c.Policy = AllPolicies()[r.Intn(len(AllPolicies()))] },
 	func(c *Config, r *rand.Rand) { c.Pipeline.Width = 2 + r.Intn(4) },
 	func(c *Config, r *rand.Rand) { c.Pipeline.FetchThreads = 1 + r.Intn(2) },
 	func(c *Config, r *rand.Rand) { c.Pipeline.FrontEndDepth = uint64(3 + r.Intn(4)) },

@@ -191,7 +191,7 @@ func TestReferenceMapping(t *testing.T) {
 	cfg.MaxCycles = 77_000
 	cfg.Seed = 9
 	cfg.RunaheadExitPenalty = 3
-	for _, p := range allPolicies() {
+	for _, p := range AllPolicies() {
 		cfg.Policy = p
 		w, ref := Reference(cfg, "mcf")
 		if w.Group != "ST" || len(w.Benchmarks) != 1 || w.Benchmarks[0] != "mcf" {

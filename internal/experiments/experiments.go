@@ -81,11 +81,9 @@ type Options struct {
 	// session's trace store (internal/tracestore): generated traces are
 	// written behind first use and served across restarts, with TraceBytes
 	// bounding the directory (0 = unbounded). The in-memory trace tier is
-	// always present and bounded by TraceCacheBytes (0 selects
-	// tracestore.DefaultMemBytes).
-	TraceDir        string
-	TraceBytes      int64
-	TraceCacheBytes int64
+	// always present and bounded by tracestore.DefaultMemBytes.
+	TraceDir   string
+	TraceBytes int64
 }
 
 // Default returns the full-suite options.
@@ -213,18 +211,14 @@ func NewSession(opt Options) (*Session, error) {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
 	}
-	memBytes := opt.TraceCacheBytes
-	if memBytes == 0 {
-		memBytes = tracestore.DefaultMemBytes
-	}
 	var traces *tracestore.Store
 	if opt.TraceDir != "" {
 		var err error
-		if traces, err = tracestore.Open(memBytes, opt.TraceDir, opt.TraceBytes); err != nil {
+		if traces, err = tracestore.Open(tracestore.DefaultMemBytes, opt.TraceDir, opt.TraceBytes); err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
 	} else {
-		traces = tracestore.New(memBytes)
+		traces = tracestore.New(tracestore.DefaultMemBytes)
 	}
 	return &Session{
 		opt:        opt,

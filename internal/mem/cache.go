@@ -12,19 +12,12 @@
 // execution converts isolated stalls into overlapped ones.
 package mem
 
-import (
-	"fmt"
-
-	"repro/internal/stats"
-)
-
-// maxThreads bounds per-thread statistics arrays. The paper's workloads
-// use at most 4 contexts; 8 leaves headroom.
-const maxThreads = 8
+import "fmt"
 
 // CacheConfig describes one cache level.
 type CacheConfig struct {
-	// Name appears in statistics output.
+	// Name labels the level in errors and in a configuration's canonical
+	// form.
 	Name string
 	// SizeBytes is the total capacity.
 	SizeBytes uint64
@@ -57,30 +50,20 @@ func (c CacheConfig) Validate() error {
 
 // line is one cache line's bookkeeping.
 type line struct {
-	tag        uint64
-	valid      bool
-	dirty      bool
-	prefetched bool   // filled by a prefetch, not yet demand-touched
-	lastUse    uint64 // LRU timestamp
-	tid        uint8  // thread that brought the line in (occupancy stats)
+	tag     uint64
+	valid   bool
+	lastUse uint64 // LRU timestamp
 }
 
-// Cache is one set-associative, write-back, write-allocate cache level
-// with LRU replacement.
+// Cache is one set-associative, write-allocate cache level with LRU
+// replacement. Write-backs cost no time in the model, so a line carries no
+// dirty bit.
 type Cache struct {
 	cfg       CacheConfig
 	sets      [][]line
 	setMask   uint64
 	lineShift uint
 	useClock  uint64
-
-	// Statistics.
-	Hits          [maxThreads]stats.Counter
-	Misses        [maxThreads]stats.Counter
-	Evictions     stats.Counter
-	DirtyEvicts   stats.Counter
-	PrefetchFills stats.Counter
-	PrefetchHits  stats.Counter // demand hits on prefetched lines
 }
 
 // NewCache builds a cache; it panics on invalid configuration (cache
@@ -107,9 +90,6 @@ func NewCache(cfg CacheConfig) *Cache {
 	return c
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() CacheConfig { return c.cfg }
-
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr &^ (c.cfg.LineBytes - 1)
@@ -134,36 +114,23 @@ func (c *Cache) Lookup(addr uint64) bool {
 	return false
 }
 
-// Access probes the cache for a demand access by thread tid, updating LRU
-// and statistics. It returns hit=true when the line is present. When the
-// hit line was installed by a prefetch and not yet demand-touched, the
-// prefetch is counted useful.
-func (c *Cache) Access(tid int, addr uint64, write bool) (hit bool) {
+// Access probes the cache for a demand access, updating LRU state. It
+// returns hit=true when the line is present.
+func (c *Cache) Access(addr uint64) (hit bool) {
 	c.useClock++
 	set, tag := c.locate(addr)
 	for i := range c.sets[set] {
 		ln := &c.sets[set][i]
 		if ln.valid && ln.tag == tag {
 			ln.lastUse = c.useClock
-			if write {
-				ln.dirty = true
-			}
-			if ln.prefetched {
-				ln.prefetched = false
-				c.PrefetchHits.Inc()
-			}
-			c.Hits[tid&7].Inc()
 			return true
 		}
 	}
-	c.Misses[tid&7].Inc()
 	return false
 }
 
-// Fill installs the line containing addr, evicting the LRU way. The
-// prefetch flag marks lines brought in speculatively so later demand hits
-// can be attributed to prefetching.
-func (c *Cache) Fill(tid int, addr uint64, write, prefetch bool) {
+// Fill installs the line containing addr, evicting the LRU way.
+func (c *Cache) Fill(addr uint64) {
 	c.useClock++
 	set, tag := c.locate(addr)
 	ways := c.sets[set]
@@ -173,9 +140,6 @@ func (c *Cache) Fill(tid int, addr uint64, write, prefetch bool) {
 		if ln.valid && ln.tag == tag {
 			// Already present (racing fills); refresh.
 			ln.lastUse = c.useClock
-			if write {
-				ln.dirty = true
-			}
 			return
 		}
 		if !ln.valid {
@@ -186,39 +150,5 @@ func (c *Cache) Fill(tid int, addr uint64, write, prefetch bool) {
 			victim = i
 		}
 	}
-	v := &ways[victim]
-	if v.valid {
-		c.Evictions.Inc()
-		if v.dirty {
-			c.DirtyEvicts.Inc()
-		}
-	}
-	*v = line{tag: tag, valid: true, dirty: write, prefetched: prefetch, lastUse: c.useClock, tid: uint8(tid & 7)}
-	if prefetch {
-		c.PrefetchFills.Inc()
-	}
-}
-
-// OccupancyByThread counts valid lines per installing thread, for cache
-// contention analysis.
-func (c *Cache) OccupancyByThread() [maxThreads]int {
-	var occ [maxThreads]int
-	for _, set := range c.sets {
-		for _, ln := range set {
-			if ln.valid {
-				occ[ln.tid]++
-			}
-		}
-	}
-	return occ
-}
-
-// HitRate returns the demand hit rate across all threads.
-func (c *Cache) HitRate() float64 {
-	var h, m uint64
-	for i := 0; i < maxThreads; i++ {
-		h += c.Hits[i].Value()
-		m += c.Misses[i].Value()
-	}
-	return stats.Ratio(h, h+m)
+	ways[victim] = line{tag: tag, valid: true, lastUse: c.useClock}
 }

@@ -18,7 +18,7 @@ const (
 	// KindIfetch is an instruction fetch.
 	KindIfetch
 	// KindPrefetch is a speculative read issued by a runahead thread; it
-	// fills caches but does not count as a demand access.
+	// fills caches but never touches their LRU state on a hit.
 	KindPrefetch
 )
 
@@ -82,9 +82,6 @@ type Result struct {
 type mshr struct {
 	lineAddr uint64
 	fillAt   uint64
-	tid      uint8
-	write    bool
-	prefetch bool // allocated by a prefetch and not yet demanded
 	ifetch   bool
 }
 
@@ -122,13 +119,8 @@ type Hierarchy struct {
 	// outstanding): drain has nothing to apply before it.
 	nextFill uint64
 
-	// Statistics.
-	Accesses      [maxThreads]stats.Counter
-	L2Misses      [maxThreads]stats.Counter
-	MergedMisses  stats.Counter
+	// PrefetchIssue counts prefetches that allocated an MSHR.
 	PrefetchIssue stats.Counter
-	PrefetchLate  stats.Counter // demand merged into an in-flight prefetch
-	MSHRRejects   stats.Counter
 }
 
 // NewHierarchy builds the hierarchy.
@@ -151,17 +143,8 @@ func NewHierarchy(cfg Config) *Hierarchy {
 	}
 }
 
-// Config returns the hierarchy configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
-
-// IL1 returns the instruction cache (stats access).
-func (h *Hierarchy) IL1() *Cache { return h.il1 }
-
-// DL1 returns the data cache (stats access).
+// DL1 returns the data cache.
 func (h *Hierarchy) DL1() *Cache { return h.dl1 }
-
-// L2 returns the shared second-level cache (stats access).
-func (h *Hierarchy) L2() *Cache { return h.l2 }
 
 // drain applies all MSHR fills that have completed by cycle now, installing
 // their lines into the caches in MSHR order. Called lazily at each access;
@@ -181,11 +164,11 @@ func (h *Hierarchy) drain(now uint64) {
 			next = min(next, m.fillAt)
 			continue
 		}
-		h.l2.Fill(int(m.tid), m.lineAddr, false, m.prefetch)
+		h.l2.Fill(m.lineAddr)
 		if m.ifetch {
-			h.il1.Fill(int(m.tid), m.lineAddr, false, m.prefetch)
+			h.il1.Fill(m.lineAddr)
 		} else {
-			h.dl1.Fill(int(m.tid), m.lineAddr, m.write, m.prefetch)
+			h.dl1.Fill(m.lineAddr)
 		}
 	}
 	h.mshrs = kept
@@ -202,39 +185,23 @@ func (h *Hierarchy) findMSHR(lineAddr uint64) *mshr {
 	return nil
 }
 
-// OutstandingMisses returns the number of busy MSHRs (diagnostics and the
-// DCRA slow-thread classification).
-func (h *Hierarchy) OutstandingMisses() int { return len(h.mshrs) }
-
-// OutstandingForThread counts busy MSHRs allocated by thread tid.
-func (h *Hierarchy) OutstandingForThread(tid int) int {
-	n := 0
-	for i := range h.mshrs {
-		if int(h.mshrs[i].tid) == tid {
-			n++
-		}
-	}
-	return n
-}
-
-// Access performs a memory access by thread tid at cycle now and returns
-// its timing. Prefetches allocate MSHRs and fill caches but never raise
-// demand statistics.
+// Access performs a memory access at cycle now and returns its timing.
+// The hierarchy is thread-agnostic: every context shares the same caches
+// and MSHRs, and tid does not affect the result. Prefetches allocate MSHRs
+// and fill caches but leave LRU state untouched on a hit.
 func (h *Hierarchy) Access(kind Kind, tid int, addr uint64, now uint64) Result {
 	h.drain(now)
-	h.Accesses[tid&7].Inc()
 
 	l1 := h.dl1
 	if kind == KindIfetch {
 		l1 = h.il1
 	}
-	write := kind == KindStore
 	demand := kind != KindPrefetch
 	lineAddr := h.l2.LineAddr(addr)
 
 	// L1 probe.
 	if demand {
-		if l1.Access(tid, addr, write) {
+		if l1.Access(addr) {
 			return Result{DoneAt: now + l1.cfg.Latency, Level: LevelL1}
 		}
 	} else if l1.Lookup(addr) {
@@ -243,40 +210,28 @@ func (h *Hierarchy) Access(kind Kind, tid int, addr uint64, now uint64) Result {
 
 	// L2 probe.
 	if demand {
-		if h.l2.Access(tid, addr, false) {
+		if h.l2.Access(addr) {
 			done := now + l1.cfg.Latency + h.l2.cfg.Latency
-			l1.Fill(tid, lineAddr, write, false)
+			l1.Fill(lineAddr)
 			return Result{DoneAt: done, Level: LevelL2}
 		}
 	} else if h.l2.Lookup(addr) {
 		// A prefetch that hits in L2 promotes the line into the L1 so the
 		// post-runahead demand access hits close to the core.
-		l1.Fill(tid, lineAddr, false, true)
+		l1.Fill(lineAddr)
 		return Result{DoneAt: now + l1.cfg.Latency + h.l2.cfg.Latency, Level: LevelL2}
 	}
 
-	// Main memory: merge into an outstanding miss or allocate an MSHR.
+	// Main memory: merge into an outstanding miss or allocate an MSHR. A
+	// demand access that merges into an in-flight prefetch completes at
+	// the prefetch's fill: the latency runahead hid.
 	if m := h.findMSHR(lineAddr); m != nil {
-		h.MergedMisses.Inc()
-		if demand {
-			h.L2Misses[tid&7].Inc()
-			if m.prefetch {
-				// A demand access caught up with an in-flight prefetch:
-				// the prefetch was issued but late. It still hid latency.
-				m.prefetch = false
-				m.write = m.write || write
-				h.PrefetchLate.Inc()
-			}
-		}
 		return Result{DoneAt: m.fillAt, Level: LevelMemory, Merged: true}
 	}
 	if len(h.mshrs) >= h.cfg.MSHRs {
-		h.MSHRRejects.Inc()
 		return Result{NoMSHR: true, Level: LevelMemory}
 	}
-	if demand {
-		h.L2Misses[tid&7].Inc()
-	} else {
+	if !demand {
 		h.PrefetchIssue.Inc()
 	}
 	fill := now + l1.cfg.Latency + h.l2.cfg.Latency + h.cfg.MemLatency
@@ -284,39 +239,23 @@ func (h *Hierarchy) Access(kind Kind, tid int, addr uint64, now uint64) Result {
 	h.mshrs = append(h.mshrs, mshr{
 		lineAddr: lineAddr,
 		fillAt:   fill,
-		tid:      uint8(tid & 7),
-		write:    write,
-		prefetch: !demand,
 		ifetch:   kind == KindIfetch,
 	})
 	return Result{DoneAt: fill, Level: LevelMemory}
 }
 
 // Prewarm installs the line containing addr into the L2 and the L1
-// appropriate for kind, without timing or demand statistics. Simulation
-// harnesses use it to start from a warm state, mirroring the paper's
-// SimPoint-checkpoint methodology (caches are warm at the measured
-// interval; cold-start transients are not part of any figure).
+// appropriate for kind, without timing. Like Access it is thread-agnostic;
+// tid does not affect the result. Simulation harnesses use it to start from
+// a warm state, mirroring the paper's SimPoint-checkpoint methodology
+// (caches are warm at the measured interval; cold-start transients are not
+// part of any figure).
 func (h *Hierarchy) Prewarm(kind Kind, tid int, addr uint64) {
 	lineAddr := h.l2.LineAddr(addr)
-	h.l2.Fill(tid, lineAddr, false, false)
+	h.l2.Fill(lineAddr)
 	if kind == KindIfetch {
-		h.il1.Fill(tid, lineAddr, false, false)
+		h.il1.Fill(lineAddr)
 	} else {
-		h.dl1.Fill(tid, lineAddr, kind == KindStore, false)
+		h.dl1.Fill(lineAddr)
 	}
-}
-
-// WouldMissL2 probes (without side effects) whether an access to addr
-// would miss both its L1 and the L2 right now. Fetch policies use this to
-// anticipate long-latency loads.
-func (h *Hierarchy) WouldMissL2(kind Kind, addr uint64) bool {
-	l1 := h.dl1
-	if kind == KindIfetch {
-		l1 = h.il1
-	}
-	if l1.Lookup(addr) || h.l2.Lookup(addr) {
-		return false
-	}
-	return h.findMSHR(h.l2.LineAddr(addr)) == nil
 }

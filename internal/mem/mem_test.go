@@ -30,17 +30,17 @@ func TestCacheConfigValidate(t *testing.T) {
 
 func TestCacheHitAfterFill(t *testing.T) {
 	c := NewCache(smallCache())
-	if c.Access(0, 0x1000, false) {
+	if c.Access(0x1000) {
 		t.Fatal("cold cache hit")
 	}
-	c.Fill(0, 0x1000, false, false)
-	if !c.Access(0, 0x1000, false) {
+	c.Fill(0x1000)
+	if !c.Access(0x1000) {
 		t.Fatal("miss after fill")
 	}
-	if !c.Access(0, 0x103f, false) {
+	if !c.Access(0x103f) {
 		t.Fatal("miss within same line")
 	}
-	if c.Access(0, 0x1040, false) {
+	if c.Access(0x1040) {
 		t.Fatal("hit on adjacent line")
 	}
 }
@@ -52,10 +52,10 @@ func TestCacheLRUEviction(t *testing.T) {
 	sets := uint64(1024 / 64 / 2)
 	stride := sets * 64 // same set, different tag
 	a, b, d := uint64(0x10000), 0x10000+stride, 0x10000+2*stride
-	c.Fill(0, a, false, false)
-	c.Fill(0, b, false, false)
-	c.Access(0, a, false) // make a more recent than b
-	c.Fill(0, d, false, false)
+	c.Fill(a)
+	c.Fill(b)
+	c.Access(a) // make a more recent than b
+	c.Fill(d)
 	if !c.Lookup(a) {
 		t.Fatal("recently used line evicted")
 	}
@@ -64,40 +64,6 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	if !c.Lookup(d) {
 		t.Fatal("new line not present")
-	}
-	if c.Evictions.Value() != 1 {
-		t.Fatalf("evictions = %d", c.Evictions.Value())
-	}
-}
-
-func TestCacheDirtyEviction(t *testing.T) {
-	c := NewCache(smallCache())
-	sets := uint64(1024 / 64 / 2)
-	stride := sets * 64
-	c.Fill(0, 0x0, true, false)
-	c.Fill(0, stride, false, false)
-	c.Fill(0, 2*stride, false, false) // evicts the dirty line
-	if c.DirtyEvicts.Value() != 1 {
-		t.Fatalf("dirty evictions = %d", c.DirtyEvicts.Value())
-	}
-}
-
-func TestCachePrefetchAccounting(t *testing.T) {
-	c := NewCache(smallCache())
-	c.Fill(0, 0x2000, false, true)
-	if c.PrefetchFills.Value() != 1 {
-		t.Fatal("prefetch fill not counted")
-	}
-	if !c.Access(0, 0x2000, false) {
-		t.Fatal("prefetched line missing")
-	}
-	if c.PrefetchHits.Value() != 1 {
-		t.Fatal("useful prefetch not counted")
-	}
-	// Second touch must not double-count.
-	c.Access(0, 0x2000, false)
-	if c.PrefetchHits.Value() != 1 {
-		t.Fatal("prefetch usefulness double-counted")
 	}
 }
 
@@ -108,7 +74,7 @@ func TestCacheNeverExceedsCapacity(t *testing.T) {
 		c := NewCache(smallCache())
 		r := rng.New(seed)
 		for i := 0; i < 500; i++ {
-			c.Fill(0, r.Uint64n(1<<20)&^63, r.Bool(0.3), r.Bool(0.1))
+			c.Fill(r.Uint64n(1<<20) &^ 63)
 		}
 		valid := 0
 		for _, set := range c.sets {
@@ -127,17 +93,6 @@ func TestCacheNeverExceedsCapacity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCacheOccupancyByThread(t *testing.T) {
-	c := NewCache(smallCache())
-	c.Fill(0, 0x000, false, false) // set 0
-	c.Fill(1, 0x040, false, false) // set 1
-	c.Fill(1, 0x080, false, false) // set 2
-	occ := c.OccupancyByThread()
-	if occ[0] != 1 || occ[1] != 2 {
-		t.Fatalf("occupancy = %v", occ)
 	}
 }
 
@@ -169,7 +124,7 @@ func TestHierarchyL2HitPath(t *testing.T) {
 	dl1Sets := cfg.DL1.SizeBytes / cfg.DL1.LineBytes / uint64(cfg.DL1.Ways)
 	stride := dl1Sets * cfg.DL1.LineBytes
 	for i := uint64(1); i <= 4; i++ {
-		h.dl1.Fill(0, 0x200000+i*stride, false, false)
+		h.dl1.Fill(0x200000 + i*stride)
 	}
 	if h.dl1.Lookup(0x200000) {
 		t.Fatal("line still in DL1 after conflict fills")
@@ -190,11 +145,11 @@ func TestMSHRMerging(t *testing.T) {
 	if !r2.Merged {
 		t.Fatal("second miss did not merge")
 	}
-	if r2.DoneAt != r1.DoneAt {
-		t.Fatalf("merged miss completes at %d, original at %d", r2.DoneAt, r1.DoneAt)
+	if r2.DoneAt != r1.DoneAt || r2.Level != LevelMemory {
+		t.Fatalf("merged miss %+v, original completes at %d", r2, r1.DoneAt)
 	}
-	if h.MergedMisses.Value() != 1 {
-		t.Fatal("merge not counted")
+	if n := len(h.mshrs); n != 1 {
+		t.Fatalf("%d MSHRs outstanding after a merge, want 1", n)
 	}
 }
 
@@ -210,13 +165,13 @@ func TestPrefetchThenDemandMerge(t *testing.T) {
 		t.Fatal("prefetch issue not counted")
 	}
 	d := h.Access(KindLoad, 0, 0x400000, 200)
-	if !d.Merged || d.DoneAt != p.DoneAt {
+	if !d.Merged || d.DoneAt != p.DoneAt || d.Level != LevelMemory {
 		t.Fatalf("demand after prefetch: %+v (prefetch done %d)", d, p.DoneAt)
 	}
-	if h.PrefetchLate.Value() != 1 {
-		t.Fatal("late prefetch not counted")
+	if n := len(h.mshrs); n != 1 {
+		t.Fatalf("%d MSHRs outstanding after the demand merged, want 1", n)
 	}
-	// After the fill, a demand access hits in DL1 and credits the prefetch.
+	// After the fill, a demand access hits in DL1.
 	d2 := h.Access(KindLoad, 0, 0x400000, p.DoneAt+10)
 	if d2.Level != LevelL1 {
 		t.Fatalf("post-fill level = %v", d2.Level)
@@ -226,7 +181,7 @@ func TestPrefetchThenDemandMerge(t *testing.T) {
 func TestPrefetchHitInL2Promotes(t *testing.T) {
 	h := NewHierarchy(DefaultConfig())
 	// Install a line in L2 only.
-	h.l2.Fill(0, 0x500000, false, false)
+	h.l2.Fill(0x500000)
 	r := h.Access(KindPrefetch, 0, 0x500000, 0)
 	if r.Level != LevelL2 {
 		t.Fatalf("prefetch level = %v", r.Level)
@@ -243,11 +198,16 @@ func TestMSHRExhaustion(t *testing.T) {
 	h.Access(KindLoad, 0, 0x10000, 0)
 	h.Access(KindLoad, 0, 0x20000, 0)
 	r := h.Access(KindLoad, 0, 0x30000, 0)
-	if !r.NoMSHR {
-		t.Fatal("third concurrent miss accepted with 2 MSHRs")
+	if !r.NoMSHR || r.Level != LevelMemory || r.Merged {
+		t.Fatalf("third concurrent miss with 2 MSHRs: %+v, want NoMSHR", r)
 	}
-	if h.MSHRRejects.Value() != 1 {
-		t.Fatal("reject not counted")
+	if n := len(h.mshrs); n != 2 {
+		t.Fatalf("%d MSHRs outstanding after a reject, want 2", n)
+	}
+	// A miss to a line already outstanding still merges when every MSHR
+	// is busy.
+	if m := h.Access(KindLoad, 1, 0x10008, 1); !m.Merged || m.NoMSHR {
+		t.Fatalf("merge with every MSHR busy: %+v", m)
 	}
 	// After the fills drain, new misses are accepted again.
 	r2 := h.Access(KindLoad, 0, 0x30000, 10_000)
@@ -284,7 +244,7 @@ func TestDrainStaggeredFills(t *testing.T) {
 	}
 	outstanding := func(now uint64, want int) {
 		t.Helper()
-		if got := h.OutstandingMisses(); got != want {
+		if got := len(h.mshrs); got != want {
 			t.Fatalf("at %d: %d MSHRs outstanding, want %d", now, got, want)
 		}
 	}
@@ -309,18 +269,15 @@ func TestDrainStaggeredFills(t *testing.T) {
 	outstanding(fillLoad, 1)
 
 	drainAt(fillPref - 1)
-	if h.DL1().Lookup(pref) || h.L2().Lookup(pref) {
+	if h.dl1.Lookup(pref) || h.l2.Lookup(pref) {
 		t.Fatalf("prefetched line installed at %d, before its fill at %d", fillPref-1, fillPref)
 	}
 	outstanding(fillPref-1, 1)
 	drainAt(fillPref)
-	if !h.DL1().Lookup(pref) || !h.L2().Lookup(pref) {
+	if !h.dl1.Lookup(pref) || !h.l2.Lookup(pref) {
 		t.Fatalf("prefetched line not installed at its fill %d", fillPref)
 	}
 	outstanding(fillPref, 0)
-	if h.PrefetchLate.Value() != 0 {
-		t.Fatalf("the prefetch was never demanded, but %d late prefetches counted", h.PrefetchLate.Value())
-	}
 
 	// With every MSHR drained, a new miss fills on its own schedule.
 	next := h.Access(KindLoad, 0, load+4096, fillPref+1).DoneAt
@@ -341,36 +298,6 @@ func TestIfetchPath(t *testing.T) {
 	// Ifetch must fill the IL1, not the DL1.
 	if h.dl1.Lookup(0x40_0000) {
 		t.Fatal("ifetch filled the data cache")
-	}
-}
-
-func TestWouldMissL2(t *testing.T) {
-	h := NewHierarchy(DefaultConfig())
-	if !h.WouldMissL2(KindLoad, 0x600000) {
-		t.Fatal("cold address reported as present")
-	}
-	h.Access(KindLoad, 0, 0x600000, 0)
-	// While in flight: an MSHR exists, so it would merge, not miss.
-	if h.WouldMissL2(KindLoad, 0x600000) {
-		t.Fatal("in-flight miss reported as fresh miss")
-	}
-	h.drain(10_000)
-	if h.WouldMissL2(KindLoad, 0x600000) {
-		t.Fatal("filled line reported as miss")
-	}
-}
-
-func TestOutstandingForThread(t *testing.T) {
-	h := NewHierarchy(DefaultConfig())
-	h.Access(KindLoad, 0, 0x10000, 0)
-	h.Access(KindLoad, 0, 0x20000, 0)
-	h.Access(KindLoad, 1, 0x30000, 0)
-	if h.OutstandingForThread(0) != 2 || h.OutstandingForThread(1) != 1 {
-		t.Fatalf("per-thread outstanding = %d/%d",
-			h.OutstandingForThread(0), h.OutstandingForThread(1))
-	}
-	if h.OutstandingMisses() != 3 {
-		t.Fatalf("total outstanding = %d", h.OutstandingMisses())
 	}
 }
 
@@ -395,16 +322,6 @@ func TestHierarchyPanicsOnBadConfig(t *testing.T) {
 		}
 	}()
 	NewHierarchy(cfg)
-}
-
-func TestHitRate(t *testing.T) {
-	c := NewCache(smallCache())
-	c.Fill(0, 0, false, false)
-	c.Access(0, 0, false)      // hit
-	c.Access(0, 0x9000, false) // miss
-	if got := c.HitRate(); got != 0.5 {
-		t.Fatalf("hit rate %v, want 0.5", got)
-	}
 }
 
 func BenchmarkHierarchyAccess(b *testing.B) {

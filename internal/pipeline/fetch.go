@@ -76,7 +76,6 @@ func (c *Core) fetchFrom(t *thread, now uint64, slots int) int {
 		di.src1 = regfile.None
 		di.src2 = regfile.None
 		di.fetchReadyAt = now + c.cfg.FrontEndDepth
-		di.runahead = t.mode == ModeRunahead
 		if tmpl.Op.IsMem() {
 			di.addr = t.tr.AddrAt(t.cursor)
 		}

@@ -98,7 +98,6 @@ type DynInst struct {
 	inv          bool // result is INV (runahead poison)
 	squashed     bool
 	refsReleased bool
-	runahead     bool // dispatched while its thread was in runahead mode
 	mispredicted bool // fetch-time direction guess disagreed with the trace
 	isL2Miss     bool // demand load served by main memory
 	retired      bool // left the ROB via commit or pseudo-retire
@@ -116,26 +115,14 @@ func (d *DynInst) foldsOn(a isa.Reg, p regfile.PhysReg) bool {
 	return d.src1 == p && d.tmpl.Src1.IsFP() == a.IsFP()
 }
 
-// ID returns the global age identifier.
-func (d *DynInst) ID() uint64 { return d.id }
-
 // Thread returns the owning hardware context.
 func (d *DynInst) Thread() int { return d.tid }
 
 // Seq returns the thread-local program-order position.
 func (d *DynInst) Seq() uint64 { return d.seq }
 
-// Op returns the instruction's operation class.
-func (d *DynInst) Op() isa.Op { return d.tmpl.Op }
-
 // PC returns the instruction's address.
 func (d *DynInst) PC() uint64 { return d.tmpl.PC }
-
-// Inv reports whether the instruction's result is poisoned.
-func (d *DynInst) Inv() bool { return d.inv }
-
-// Runahead reports whether the instruction was dispatched in runahead mode.
-func (d *DynInst) Runahead() bool { return d.runahead }
 
 // DoneAt returns the instruction's completion cycle (valid once issued;
 // for long-latency loads it is published as soon as the miss is detected,

@@ -130,9 +130,6 @@ func (c *Core) foldInQueue(t *thread, di *DynInst) {
 	t.iqHeld[di.iq]--
 	t.icount--
 	t.stats.Runahead.Folded.Inc()
-	if di.tmpl.Op.IsLoad() {
-		t.stats.Runahead.InvalidLoads.Inc()
-	}
 	// A poisoned branch cannot be validated; runahead proceeds down the
 	// predicted path without penalty (§3.1 "follow the most likely path").
 	if di == t.blockingBranch {
@@ -220,9 +217,6 @@ func (c *Core) executeLoad(t *thread, di *DynInst, now uint64) (ok bool, done ui
 			// load forwards without a memory access and inherits the
 			// stored data's validity.
 			di.inv = invData
-			if invData {
-				t.stats.Runahead.InvalidLoads.Inc()
-			}
 			return true, now + 1
 		}
 	}
@@ -236,7 +230,6 @@ func (c *Core) executeLoad(t *thread, di *DynInst, now uint64) (ok bool, done ui
 		}
 		di.inv = true
 		t.raSuppress.add(di.seq)
-		t.stats.Runahead.InvalidLoads.Inc()
 		return true, now + 1
 	}
 	res := c.hier.Access(mem.KindPrefetch, t.id, addr, now)
@@ -244,7 +237,6 @@ func (c *Core) executeLoad(t *thread, di *DynInst, now uint64) (ok bool, done ui
 		// No MSHR for the prefetch: poison and move on; runahead never
 		// waits on memory.
 		di.inv = true
-		t.stats.Runahead.InvalidLoads.Inc()
 		return true, now + 1
 	}
 	if res.Level == mem.LevelMemory {
@@ -252,7 +244,6 @@ func (c *Core) executeLoad(t *thread, di *DynInst, now uint64) (ok bool, done ui
 		// load's result is poisoned and the thread keeps running.
 		di.inv = true
 		t.stats.Runahead.PrefetchesIssued.Inc()
-		t.stats.Runahead.InvalidLoads.Inc()
 		return true, now + 1
 	}
 	return true, res.DoneAt

@@ -56,8 +56,6 @@ import (
 // Policy but a core mechanism enabled through Config.Runahead, composed
 // with the ICOUNT fetch policy exactly as in the paper.
 type Policy interface {
-	// Name identifies the policy in reports.
-	Name() string
 	// FetchPriority appends to buf the threads allowed to fetch this
 	// cycle, highest priority first. Mechanically-blocked threads are
 	// filtered afterwards by the core.
@@ -332,9 +330,6 @@ func (c *Core) InRunahead(tid int) bool {
 // ROBOccupancy returns the number of ROB entries held by tid.
 func (c *Core) ROBOccupancy(tid int) int { return c.threads[tid].rob.len() }
 
-// ROBUsed returns the total occupied ROB entries.
-func (c *Core) ROBUsed() int { return c.robCount }
-
 // IQHeld returns the issue-queue entries of the given kind held by tid.
 func (c *Core) IQHeld(tid int, kind IQKind) int { return c.threads[tid].iqHeld[kind] }
 
@@ -433,9 +428,6 @@ func (c *Core) waitersFor(a isa.Reg, p regfile.PhysReg) *[]wheelRef {
 // first. It imposes no dispatch caps and no miss reaction — it is both the
 // paper's baseline and the fetch-priority layer under STALL, FLUSH and RaT.
 type ICount struct{}
-
-// Name implements Policy.
-func (ICount) Name() string { return "ICOUNT" }
 
 // FetchPriority implements Policy: ascending ICOUNT order.
 func (ICount) FetchPriority(c *Core, buf []int) []int { return c.ThreadsByICount(buf) }

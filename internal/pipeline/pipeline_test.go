@@ -516,9 +516,6 @@ func TestBranchMispredictionsResolve(t *testing.T) {
 
 func TestICountPolicyBasics(t *testing.T) {
 	var p ICount
-	if p.Name() != "ICOUNT" {
-		t.Fatal("name")
-	}
 	c := mustNew(t, DefaultConfig(), []*trace.Trace{aluTrace(100), aluTrace(100)}, p)
 	run(t, c, 100)
 	buf := p.FetchPriority(c, nil)

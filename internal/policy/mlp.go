@@ -35,9 +35,6 @@ func NewMLPAware() *MLPAware {
 	return &MLPAware{MinSpan: 32, MaxSpan: 256, table: map[uint64]uint64{}}
 }
 
-// Name implements pipeline.Policy.
-func (*MLPAware) Name() string { return "MLP" }
-
 // predict returns the fetch-ahead span for a trigger load.
 func (m *MLPAware) predict(pc uint64) uint64 {
 	span, ok := m.table[pc]

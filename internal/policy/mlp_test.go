@@ -7,12 +7,6 @@ import (
 	"repro/internal/trace"
 )
 
-func TestMLPAwareName(t *testing.T) {
-	if NewMLPAware().Name() != "MLP" {
-		t.Fatal("name")
-	}
-}
-
 func TestMLPAwareWindowOpensAndGates(t *testing.T) {
 	m := NewMLPAware()
 	c, err := pipeline.New(pipeline.DefaultConfig(),

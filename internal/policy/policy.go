@@ -13,9 +13,6 @@ import (
 // original SMT fetch scheme, provided as a comparator.
 type RoundRobin struct{}
 
-// Name implements pipeline.Policy.
-func (RoundRobin) Name() string { return "RR" }
-
 // FetchPriority implements pipeline.Policy with a cycle-rotating order.
 func (RoundRobin) FetchPriority(c *pipeline.Core, buf []int) []int {
 	n := c.NumThreads()
@@ -43,9 +40,6 @@ func (RoundRobin) Tick(*pipeline.Core) {}
 // allocated resources are held — the under-utilization the paper calls
 // out.
 type Stall struct{}
-
-// Name implements pipeline.Policy.
-func (Stall) Name() string { return "STALL" }
 
 // FetchPriority implements pipeline.Policy: ICOUNT order minus threads
 // with outstanding long-latency misses.
@@ -82,9 +76,6 @@ type Flush struct {
 
 // NewFlush returns FLUSH with the default restart penalty.
 func NewFlush() Flush { return Flush{RestartPenalty: 4} }
-
-// Name implements pipeline.Policy.
-func (Flush) Name() string { return "FLUSH" }
 
 // FetchPriority implements pipeline.Policy: like STALL, threads with
 // pending misses do not fetch (their window was just flushed anyway).

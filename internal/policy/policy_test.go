@@ -57,12 +57,6 @@ func runCore(t *testing.T, pol pipeline.Policy, traces []*trace.Trace, cycles in
 	return c
 }
 
-func TestNames(t *testing.T) {
-	if (RoundRobin{}).Name() != "RR" || (Stall{}).Name() != "STALL" || NewFlush().Name() != "FLUSH" {
-		t.Fatal("policy names wrong")
-	}
-}
-
 func TestRoundRobinRotates(t *testing.T) {
 	c, err := pipeline.New(pipeline.DefaultConfig(),
 		[]*trace.Trace{ilpTrace(100), ilpTrace(100), ilpTrace(100)}, RoundRobin{})

@@ -25,9 +25,6 @@ type DCRA struct {
 // NewDCRA returns DCRA with the paper's weighting.
 func NewDCRA() *DCRA { return &DCRA{SlowWeight: 4} }
 
-// Name implements pipeline.Policy.
-func (*DCRA) Name() string { return "DCRA" }
-
 // FetchPriority implements pipeline.Policy: DCRA keeps ICOUNT fetch
 // priority; its control is in the allocation caps.
 func (*DCRA) FetchPriority(c *pipeline.Core, buf []int) []int {

@@ -31,9 +31,6 @@ func NewHillClimbing() *HillClimbing {
 	return &HillClimbing{EpochCycles: 16384, Delta: 0.10}
 }
 
-// Name implements pipeline.Policy.
-func (*HillClimbing) Name() string { return "HillClimbing" }
-
 // FetchPriority implements pipeline.Policy: ICOUNT priority order.
 func (*HillClimbing) FetchPriority(c *pipeline.Core, buf []int) []int {
 	return c.ThreadsByICount(buf)

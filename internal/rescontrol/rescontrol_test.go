@@ -54,15 +54,6 @@ func runCore(t *testing.T, pol pipeline.Policy, traces []*trace.Trace, cycles in
 	return c
 }
 
-func TestDCRAName(t *testing.T) {
-	if NewDCRA().Name() != "DCRA" {
-		t.Fatal("name")
-	}
-	if NewHillClimbing().Name() != "HillClimbing" {
-		t.Fatal("name")
-	}
-}
-
 func TestDCRACapsHog(t *testing.T) {
 	// Under DCRA, a MEM thread must not monopolize the INT issue queue:
 	// the ILP partner should do better than under plain ICOUNT.

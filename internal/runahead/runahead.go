@@ -86,9 +86,6 @@ type Stats struct {
 	Folded stats.Counter
 	// PrefetchesIssued counts runahead loads/stores that went to memory.
 	PrefetchesIssued stats.Counter
-	// InvalidLoads counts runahead loads invalidated (L2 miss or INV
-	// address).
-	InvalidLoads stats.Counter
 }
 
 // --- Runahead cache ----------------------------------------------------------

@@ -60,9 +60,6 @@ func TestDeltaLabel(t *testing.T) {
 	if got := d.Label(); got != "policy=RaT,robSize=128" {
 		t.Errorf("label = %q", got)
 	}
-	if (scenario.Delta{ROBSize: ptr(1)}).IsZero() {
-		t.Error("set delta reports zero")
-	}
 }
 
 func TestParseRejectsBadSpecs(t *testing.T) {

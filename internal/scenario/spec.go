@@ -178,9 +178,6 @@ func (d Delta) settings() []string {
 	return out
 }
 
-// IsZero reports whether the delta overrides nothing.
-func (d Delta) IsZero() bool { return len(d.settings()) == 0 }
-
 // Label derives a human-readable name for the delta, e.g.
 // "policy=RaT,robSize=128". The empty delta labels as "base".
 func (d Delta) Label() string {

@@ -1,5 +1,5 @@
-// Package stats provides the counters, averages and histograms the
-// simulator uses to report results.
+// Package stats provides the counters and averages the simulator uses to
+// report results.
 //
 // The types here are deliberately plain: a simulation is single-goroutine,
 // so no synchronization is needed, and the hot-path cost of bumping a
@@ -7,18 +7,8 @@
 // normalized figures) is computed at reporting time from the raw counts.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
-
 // Counter is a monotonically increasing event count.
 type Counter uint64
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { *c += Counter(n) }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { *c++ }
@@ -26,17 +16,10 @@ func (c *Counter) Inc() { *c++ }
 // Value returns the current count.
 func (c Counter) Value() uint64 { return uint64(c) }
 
-// Ratio returns c divided by total, or 0 when total is zero.
-func Ratio(c, total uint64) float64 {
-	if total == 0 {
-		return 0
-	}
-	return float64(c) / float64(total)
-}
-
 // RunningMean accumulates a streaming arithmetic mean without storing
 // samples. Used for per-cycle occupancy averages (e.g. Figure 5's
-// "allocated physical registers per cycle").
+// "allocated physical registers per cycle"), which are reported over a
+// measurement window from two snapshots' Sum and Count.
 type RunningMean struct {
 	n   uint64
 	sum float64
@@ -48,141 +31,12 @@ func (m *RunningMean) Observe(v float64) {
 	m.sum += v
 }
 
-// ObserveN adds the same sample n times (cheap bulk update).
-func (m *RunningMean) ObserveN(v float64, n uint64) {
-	m.n += n
-	m.sum += v * float64(n)
-}
-
-// Mean returns the arithmetic mean of all samples, or 0 with no samples.
-func (m *RunningMean) Mean() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.sum / float64(m.n)
-}
-
 // Count returns the number of samples observed.
 func (m *RunningMean) Count() uint64 { return m.n }
 
 // Sum returns the sum of all samples (windowed-delta computations need it:
 // meanOverWindow = (Sum2-Sum1)/(Count2-Count1)).
 func (m *RunningMean) Sum() float64 { return m.sum }
-
-// Histogram is a fixed-bucket histogram over uint64 samples. Bucket i
-// covers [bounds[i-1], bounds[i]); the last bucket is unbounded above.
-type Histogram struct {
-	bounds []uint64
-	counts []uint64
-	total  uint64
-	sum    float64
-	max    uint64
-}
-
-// NewHistogram builds a histogram with the given ascending bucket upper
-// bounds. It panics if bounds are empty or not strictly ascending.
-func NewHistogram(bounds ...uint64) *Histogram {
-	if len(bounds) == 0 {
-		//lint:panicfree documented constructor precondition; bucket tables are compiled-in static data
-		panic("stats: NewHistogram needs at least one bound")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			//lint:panicfree documented constructor precondition; bucket tables are compiled-in static data
-			panic("stats: histogram bounds must be strictly ascending")
-		}
-	}
-	return &Histogram{
-		bounds: append([]uint64(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
-	}
-}
-
-// Observe adds one sample.
-func (h *Histogram) Observe(v uint64) {
-	i := sort.Search(len(h.bounds), func(i int) bool { return v < h.bounds[i] })
-	h.counts[i]++
-	h.total++
-	h.sum += float64(v)
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Total returns the number of samples observed.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Mean returns the mean of all samples.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Max returns the largest observed sample.
-func (h *Histogram) Max() uint64 { return h.max }
-
-// Quantile returns an upper bound for the q-quantile (0<=q<=1) using the
-// bucket upper bounds; the top bucket reports the observed max.
-func (h *Histogram) Quantile(q float64) uint64 {
-	if h.total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(h.total)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.max
-		}
-	}
-	return h.max
-}
-
-// String renders the histogram compactly for debug output.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	prev := uint64(0)
-	for i, c := range h.counts {
-		if c == 0 {
-			if i < len(h.bounds) {
-				prev = h.bounds[i]
-			}
-			continue
-		}
-		if i < len(h.bounds) {
-			fmt.Fprintf(&b, "[%d,%d):%d ", prev, h.bounds[i], c)
-			prev = h.bounds[i]
-		} else {
-			fmt.Fprintf(&b, "[%d,inf):%d ", prev, c)
-		}
-	}
-	return strings.TrimSpace(b.String())
-}
-
-// HarmonicMean returns the harmonic mean of the samples, the aggregation
-// the paper's fairness metric (eq. 2) is built on. Zero or negative
-// samples make the harmonic mean undefined; this returns 0 in that case.
-func HarmonicMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var inv float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		inv += 1 / x
-	}
-	return float64(len(xs)) / inv
-}
 
 // Mean returns the arithmetic mean of the samples (0 for none).
 func Mean(xs []float64) float64 {
@@ -194,21 +48,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of positive samples (0 if any sample
-// is non-positive or the slice is empty). Used for cross-workload
-// aggregation of normalized metrics such as ED².
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
 }

@@ -253,7 +253,7 @@ func Generate(p Profile, opt Options) (*Trace, error) {
 	// Stagger stream start offsets so copies of a benchmark do not march in
 	// lockstep through memory.
 	for i := range g.streamPos {
-		g.streamPos[i] = g.addr.Uint64n(max64(1, g.coldBytes()/uint64(len(g.streamPos))))
+		g.streamPos[i] = g.addr.Uint64n(max(1, g.coldBytes()/uint64(len(g.streamPos))))
 	}
 
 	insts := make([]isa.Inst, opt.Len)
@@ -428,18 +428,18 @@ func (g *generator) pushFPDst() isa.Reg {
 // streaming and random accesses.
 func (g *generator) dataAddress() uint64 {
 	if g.addr.Bool(g.p.HotFrac) {
-		off := g.addr.Uint64n(max64(8, g.p.HotBytes)) &^ 7
+		off := g.addr.Uint64n(max(8, g.p.HotBytes)) &^ 7
 		return g.opt.DataBase + off
 	}
 	cold := g.coldBytes()
 	if g.addr.Bool(g.p.StreamFrac) && len(g.streamPos) > 0 {
 		s := g.addr.Intn(len(g.streamPos))
-		region := max64(64, cold/uint64(len(g.streamPos)))
+		region := max(64, cold/uint64(len(g.streamPos)))
 		pos := g.streamPos[s] % region
-		g.streamPos[s] = pos + max64(8, g.p.StrideBytes)
+		g.streamPos[s] = pos + max(8, g.p.StrideBytes)
 		return g.opt.DataBase + g.p.HotBytes + uint64(s)*region + pos
 	}
-	off := g.addr.Uint64n(max64(8, cold)) &^ 7
+	off := g.addr.Uint64n(max(8, cold)) &^ 7
 	return g.opt.DataBase + g.p.HotBytes + off
 }
 
@@ -521,7 +521,7 @@ func (g *generator) branchBias(pc uint64) float64 {
 // with a small indirect component that scatters.
 func (g *generator) branchTarget(pc uint64) uint64 {
 	h := rng.New(pc ^ g.staticSeed() ^ 0xb5ad4eceda1ce2a9)
-	span := max64(64, g.p.CodeBytes)
+	span := max(64, g.p.CodeBytes)
 	if h.Bool(0.05) {
 		// Indirect-ish branch: dynamic target draw.
 		return g.opt.CodeBase + (g.branch.Uint64n(span) &^ 31)
@@ -547,18 +547,4 @@ func (g *generator) emitFPCompute(in *isa.Inst) {
 	in.Src1 = g.fpSource()
 	in.Src2 = g.fpSource()
 	in.Dst = g.pushFPDst()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
