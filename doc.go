@@ -196,31 +196,34 @@
 //
 // # Concurrency invariants
 //
-// The serving layers are lock-heavy and goroutine-spawning by design —
-// a singleflight cache, a fair scheduler, a worker pool, two disk
-// tiers — so their correctness contracts are enforced twice, once
-// statically and once dynamically. Statically, the lint suite grew a
-// control-flow-graph and forward-dataflow layer
-// (internal/analysis/lint, mirroring the shapes of x/tools/go/cfg on
-// the stdlib only) and three flow-sensitive analyzers over it:
-// lockbalance proves every acquired mutex is released on every path
-// out of the function (early returns, panics, and conditional arms
-// included, with defer recognized as all-exits coverage); lockorder
-// builds the whole-program lock-acquisition graph across the
-// concurrent packages — which lock classes are held when each class is
-// acquired, followed through calls — and flags any cycle, the
-// canonical AB/BA deadlock; gorolife requires every go statement to be
-// provably reaped, meaning some completion signal (WaitGroup.Done, a
-// send on or close of an external channel, or a Done-pattern receive
-// such as <-ctx.Done()) fires on all paths out of the goroutine body.
-// Dynamically, internal/leakcheck — a stdlib-only reduction of
-// go.uber.org/goleak — gates the concurrent packages' test suites:
-// TestMain diffs live goroutines against the pre-suite baseline, and
-// the heavy concurrency tests defer a per-test check, so a goroutine
-// that signals but is never actually waited on (which passes gorolife)
-// fails the run. The daemon exposes a "goroutines" gauge in
-// /v1/metrics, and CI's leak-smoke step asserts the count returns to
-// its post-startup baseline after a full smtload run.
+// The serving layers — a singleflight cache, a fair scheduler, a worker
+// pool, two disk tiers and the daemon's admission map — hold four
+// mutexes (blobstore, simcache, experiments, smtsimd's admitMu) and
+// start goroutines in two places (the experiments worker pool and the
+// daemon's listener). Their contracts are enforced dynamically, by
+// gates that run the real code:
+//
+//   - CI runs the whole suite under `go test -race -timeout 5m`. The
+//     race detector catches unsynchronized access. A lock left held on
+//     some return path shows up as a deadlocked test, and the timeout
+//     turns that into a failure with every goroutine's stack instead of
+//     a hung job.
+//   - internal/leakcheck, a stdlib-only reduction of go.uber.org/goleak,
+//     gates the suites of sched, simcache, resultstore, tracestore,
+//     experiments and cmd/smtsimd: TestMain diffs live goroutines
+//     against the pre-suite baseline, and the heavy concurrency tests
+//     defer a per-test check. A goroutine counts as the test's if code
+//     under test started it, wherever it is parked, so a fire-and-forget
+//     write, a worker that never leaves its loop and a wait on a context
+//     nobody cancels all fail the run.
+//   - The daemon exposes a "goroutines" gauge in /v1/metrics, and CI's
+//     leak-smoke step asserts the count returns to its post-startup
+//     baseline after a full smtload run.
+//
+// No gate proves lock order. Each package holds at most one mutex and
+// the import graph has no cycles, so an inversion needs a callback run
+// under a lock that takes another package's lock; simcache's sizeOf,
+// which settle calls under the cache mutex, must stay lock-free.
 //
 // examples/scenarios/README.md documents the scenario format and the
 // daemon, internal/analysis/README.md the lint suite, and bench/README.md

@@ -9,10 +9,7 @@ import (
 	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/detrange"
 	"repro/internal/analysis/floatfmt"
-	"repro/internal/analysis/gorolife"
 	"repro/internal/analysis/lint"
-	"repro/internal/analysis/lockbalance"
-	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/nowallclock"
 	"repro/internal/analysis/panicfree"
 )
@@ -23,9 +20,6 @@ func Analyzers() []*lint.Analyzer {
 		ctxflow.Analyzer,
 		detrange.Analyzer,
 		floatfmt.Analyzer,
-		gorolife.Analyzer,
-		lockbalance.Analyzer,
-		lockorder.Analyzer,
 		nowallclock.Analyzer,
 		panicfree.Analyzer,
 	}

@@ -50,11 +50,12 @@ func TestLintClean(t *testing.T) {
 }
 
 // TestSeededViolationsAreCaught builds a throwaway module that commits
-// the headline sins — a raw map range in a serializing package, a
-// wall-clock read in a simulation package, an unbalanced mutex, a
-// cyclic lock-acquisition order and a fire-and-forget goroutine — and
-// checks the suite actually fires on each. TestLintClean alone would
-// also pass if the analyzers went blind; this test pins their teeth.
+// one headline sin per analyzer — a raw map range in a serializing
+// package, a wall-clock read in a simulation package, an uncancellable
+// context in a library package, a %v-rendered float in an output
+// package and a panic in a library package — and checks each analyzer
+// fires. TestLintClean alone would also pass if the analyzers went
+// blind; this test pins their teeth.
 func TestSeededViolationsAreCaught(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a scratch module")
@@ -93,55 +94,31 @@ func Stamp() int64 {
 	return time.Now().UnixNano()
 }
 `)
-	write("internal/simcache/bad.go", `package simcache
+	write("internal/report/float.go", `package report
 
-import "sync"
+import "fmt"
 
-type store struct {
-	mu   sync.Mutex
-	rows map[string]int
+// Cell renders a float through fmt's reflective default.
+func Cell(v float64) string {
+	return fmt.Sprintf("%v", v)
 }
+`)
+	write("internal/simcache/ctx.go", `package simcache
 
-type index struct {
-	mu   sync.Mutex
-	keys []string
+import "context"
+
+// Detached manufactures a context no caller can cancel.
+func Detached() context.Context {
+	return context.Background()
 }
+`)
+	write("internal/simcache/panic.go", `package simcache
 
-// Leak holds the lock on the early return.
-func (s *store) Leak(k string) int {
-	s.mu.Lock()
-	v, ok := s.rows[k]
+// Check takes the process down instead of returning an error.
+func Check(ok bool) {
 	if !ok {
-		return 0
+		panic("simcache: invariant")
 	}
-	s.mu.Unlock()
-	return v
-}
-
-// AB and BA acquire the two locks in opposite orders.
-func AB(s *store, ix *index) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ix.mu.Lock()
-	ix.keys = ix.keys[:0]
-	ix.mu.Unlock()
-}
-
-func BA(s *store, ix *index) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	s.mu.Lock()
-	s.rows = nil
-	s.mu.Unlock()
-}
-
-// Spawn starts a goroutine nothing ever reaps.
-func Spawn(s *store) {
-	go func() {
-		s.mu.Lock()
-		s.rows = map[string]int{}
-		s.mu.Unlock()
-	}()
 }
 `)
 	pkgs, err := lint.Load(dir, "./...")
@@ -156,7 +133,7 @@ func Spawn(s *store) {
 	for _, d := range res.Diagnostics {
 		found[d.Analyzer] = true
 	}
-	for _, want := range []string{"detrange", "nowallclock", "lockbalance", "lockorder", "gorolife"} {
+	for _, want := range []string{"ctxflow", "detrange", "floatfmt", "nowallclock", "panicfree"} {
 		if !found[want] {
 			t.Errorf("seeded violation for %s not reported; diagnostics: %v", want, res.Diagnostics)
 		}

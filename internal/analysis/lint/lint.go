@@ -53,12 +53,6 @@ type Analyzer struct {
 	// means the analyzer itself failed, not that the code is in
 	// violation.
 	Run func(pass *Pass) error
-	// End, when non-nil, runs once per lint.Run invocation after Run has
-	// seen every package. Inter-procedural analyzers (lockorder) use it
-	// to report findings that only exist in the whole-program view they
-	// accumulated in Pass.Suite. End diagnostics go through the same
-	// suppression machinery as Run diagnostics.
-	End func(pass *EndPass) error
 }
 
 // directives returns every //lint: name that silences this analyzer.
@@ -78,12 +72,6 @@ type Pass struct {
 	Pkg *types.Package
 	// TypesInfo holds the type-checker's results for Files.
 	TypesInfo *types.Info
-	// Suite is an analyzer-private slot shared by every pass of one
-	// lint.Run invocation and by its End hook: analyzers that need a
-	// whole-program view accumulate per-package facts here. The slot is
-	// fresh for each Run, so analyzer values stay reusable and
-	// concurrent runs never share state.
-	Suite *any
 
 	diags []Diagnostic
 }
@@ -104,27 +92,6 @@ func (p *Pass) ExprString(e ast.Expr) string {
 		return "<expr>"
 	}
 	return b.String()
-}
-
-// An EndPass is the whole-program view an analyzer's End hook reports
-// from: the suite state its Run passes accumulated, plus the shared
-// FileSet (lint loaders parse every package of one run into a single
-// FileSet, so positions from any pass resolve here).
-type EndPass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Suite    *any
-
-	diags []Diagnostic
-}
-
-// Reportf records an End-stage diagnostic at pos.
-func (p *EndPass) Reportf(pos token.Pos, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
 }
 
 // A Diagnostic is one finding at one position.
@@ -201,29 +168,19 @@ func (s suppressions) matches(d Diagnostic, names []string) bool {
 	return false
 }
 
-// Run applies every analyzer to every package (then each analyzer's
-// End hook, if any), splitting findings into surviving and suppressed
-// sets.
+// Run applies every analyzer to every package, splitting findings into
+// surviving and suppressed sets.
 func Run(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 	res := &Result{}
-	// allSup unions every package's justified directives (filenames are
-	// unique across packages), so End-stage diagnostics — which may land
-	// in any loaded package — suppress exactly like Run-stage ones.
-	allSup := suppressions{}
-	suites := make([]any, len(analyzers))
 	for _, pkg := range pkgs {
 		sup := suppressionsOf(pkg.Fset, pkg.Files)
-		for file, byLine := range sup {
-			allSup[file] = byLine
-		}
-		for ai, a := range analyzers {
+		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				Suite:     &suites[ai],
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("lint: analyzer %s on %s: %w", a.Name, pkg.ImportPath, err)
@@ -231,25 +188,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 			names := a.directives()
 			for _, d := range pass.diags {
 				if sup.matches(d, names) {
-					res.Suppressed = append(res.Suppressed, d)
-				} else {
-					res.Diagnostics = append(res.Diagnostics, d)
-				}
-			}
-		}
-	}
-	if len(pkgs) > 0 {
-		for ai, a := range analyzers {
-			if a.End == nil {
-				continue
-			}
-			pass := &EndPass{Analyzer: a, Fset: pkgs[0].Fset, Suite: &suites[ai]}
-			if err := a.End(pass); err != nil {
-				return nil, fmt.Errorf("lint: analyzer %s (end): %w", a.Name, err)
-			}
-			names := a.directives()
-			for _, d := range pass.diags {
-				if allSup.matches(d, names) {
 					res.Suppressed = append(res.Suppressed, d)
 				} else {
 					res.Diagnostics = append(res.Diagnostics, d)
@@ -314,13 +252,4 @@ func FuncObj(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// PkgFunc reports whether call invokes the package-level function
-// pkgPath.name (matching through the type-checker, not by source text,
-// so aliased imports and shadowing cannot fool it).
-func PkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	fn := FuncObj(info, call)
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath &&
-		fn.Name() == name && fn.Type().(*types.Signature).Recv() == nil
 }

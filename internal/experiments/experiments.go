@@ -295,7 +295,9 @@ func (s *Session) dispatch(requester string, j job) {
 	s.queue.Push(sched.Job[job]{Requester: requester, Cells: 1, Payload: j})
 	if s.workers < s.maxWorkers {
 		s.workers++
-		//lint:gorolife bounded pool: s.workers accounts every spawn under s.mu, and work decrements it under s.mu before returning, so Close/tests observe drain via the counter
+		// Bounded pool: s.workers accounts every spawn under s.mu, and
+		// work decrements it under s.mu before returning, so tests
+		// observe drain via the counter.
 		go s.work()
 	}
 	s.mu.Unlock()

@@ -1,9 +1,7 @@
-// Package leakcheck is the dynamic complement to the gorolife
-// analyzer: it fails a test when goroutines the test started are still
-// alive at its end. The static check proves each go statement has a
-// completion signal; this package proves the signal actually fired —
-// a worker that signals but is never waited on passes gorolife and
-// fails here.
+// Package leakcheck fails a test when goroutines the test started are
+// still alive at its end: a fire-and-forget goroutine, a worker that
+// never exits its loop, or one parked on a channel or context nobody
+// will ever signal.
 //
 // Usage, at the top of any test that exercises concurrent machinery:
 //
@@ -212,15 +210,24 @@ func funcName(line string) string {
 // benign reports whether a goroutine belongs to the runtime or test
 // infrastructure rather than code under test: the testing framework's
 // own workers, runtime service goroutines (GC, finalizers, signal
-// handling), and profiling support.
+// handling), and profiling support. Ownership is decided by the
+// function that started the goroutine, not by where it is parked: a
+// goroutine started by code under test is reported even while its
+// innermost frame is an exported runtime call such as runtime.Gosched.
+// Only a goroutine with no creator (main, runtime bootstrap) is judged
+// by its innermost frame.
 func benign(g goroutine) bool {
+	owner := g.created
+	if owner == "" {
+		owner = g.top
+	}
 	for _, prefix := range []string{
 		"testing.",
 		"runtime.",
 		"runtime/",
 		"os/signal.",
 	} {
-		if strings.HasPrefix(g.top, prefix) || strings.HasPrefix(g.created, prefix) {
+		if strings.HasPrefix(owner, prefix) {
 			return true
 		}
 	}

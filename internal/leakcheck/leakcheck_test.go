@@ -101,6 +101,7 @@ func TestBenign(t *testing.T) {
 		{"os/signal.signal_recv", "os/signal.Notify.func1.1", true},
 		{"repro/internal/experiments.(*Session).work", "repro/internal/experiments.(*Session).dispatch", false},
 		{"time.Sleep", "repro/internal/foo.Start", false},
+		{"runtime.Gosched", "repro/internal/foo.Start", false},
 	}
 	for _, c := range cases {
 		got := benign(goroutine{top: c.top, created: c.created})

@@ -302,6 +302,10 @@ func TestAbandonRefusedWithoutContext(t *testing.T) {
 	if g.Abandon("missing", c, context.Canceled) {
 		t.Fatal("Abandon matched a key that was never registered")
 	}
+	// Every refusal returns the cache unlocked and unchanged.
+	if n := g.Len(); n != 1 {
+		t.Fatalf("Len = %d after refused abandons, want 1", n)
+	}
 }
 
 // TestConcurrentChurn exercises eviction racing BeginCtx/Fulfill under -race.
