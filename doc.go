@@ -102,11 +102,14 @@
 // so N grid cells that differ only in machine configuration decode one
 // shared trace instead of regenerating it N times, and a workload's
 // single-thread fairness references reuse the context-0 traces the SMT
-// runs already produced. Like results, traces can persist: -trace-dir /
-// -trace-bytes (experiments.Options.TraceDir/TraceBytes) add an on-disk
-// tier that is another internal/blobstore store — the same envelope,
-// writes, eviction and durability contract as the result store, with
-// trace.CodecVersion folded into the entry version so a codec change
+// runs already produced. A trace's resident cost is its instructions:
+// each is a packed 24-byte isa.Inst (TestInstLayout pins the size), so
+// tracestore.DefaultMemBytes holds about 2.3x as many traces as it did
+// under the earlier 56-byte layout. Like results, traces can persist:
+// -trace-dir / -trace-bytes (experiments.Options.TraceDir/TraceBytes) add
+// an on-disk tier that is another internal/blobstore store — the same
+// envelope, writes, eviction and durability contract as the result store,
+// with trace.CodecVersion folded into the entry version so a codec change
 // turns old files into misses. Every cell runs through the one scalar
 // path, core.RunTraced, against the session's tier; traces are immutable
 // after generation, so sharing them cannot change a result.

@@ -18,7 +18,13 @@ const (
 	// weightMax/weightMin saturate the 8-bit signed weights.
 	weightMax = 127
 	weightMin = -128
+	// rowLen is a row's stride: the bias weight and historyLen history
+	// weights, padded to 32 bytes so no row straddles a 64-byte host line.
+	rowLen = 32
 )
+
+// A row must hold the bias weight plus one weight per history bit.
+var _ [rowLen - (historyLen + 1)]struct{}
 
 // perceptronTheta is the optimal training threshold from the perceptron
 // paper, floor(1.93*h + 14), computed for historyLen at init time (the
@@ -31,7 +37,7 @@ var perceptronTheta = func() int32 {
 // perceptronTable is the shared weight storage. Separate from the
 // per-thread history so SMT contexts can share it.
 type perceptronTable struct {
-	rows  [][historyLen + 1]int16
+	rows  [][rowLen]int8
 	mask  uint64
 	theta int32
 }
@@ -67,7 +73,7 @@ func newPerceptronTable(rows int) *perceptronTable {
 		n <<= 1
 	}
 	return &perceptronTable{
-		rows:  make([][historyLen + 1]int16, n),
+		rows:  make([][rowLen]int8, n),
 		mask:  uint64(n - 1),
 		theta: perceptronTheta,
 	}
@@ -78,16 +84,16 @@ func (t *perceptronTable) index(pc uint64) uint64 {
 	return (pc >> 2) & t.mask
 }
 
-// output computes the perceptron dot product for pc under history h.
+// output computes the perceptron dot product for pc under history h: the
+// bias weight plus each history weight, added where its history bit is set
+// and subtracted where it is clear. The sign is applied without a branch,
+// as a multiply by 2b-1 for history bit b.
 func (t *perceptronTable) output(pc, h uint64) int32 {
 	w := &t.rows[t.index(pc)]
 	y := int32(w[0]) // bias weight
-	for i := 0; i < historyLen; i++ {
-		if h>>uint(i)&1 == 1 {
-			y += int32(w[i+1])
-		} else {
-			y -= int32(w[i+1])
-		}
+	for _, wi := range w[1 : historyLen+1] {
+		y += int32(wi) * (int32(h&1)*2 - 1)
+		h >>= 1
 	}
 	return y
 }
@@ -104,11 +110,17 @@ func (p *Perceptron) Update(pc uint64, taken bool) {
 	y := t.output(pc, p.history)
 	pred := y >= 0
 	if pred != taken || abs32(y) <= t.theta {
+		// The bias weight moves toward the outcome; a history weight moves
+		// up where its bit agrees with the outcome and down where it
+		// disagrees. x is 0 on agreement, so 1-2x is the +1/-1 step.
 		w := &t.rows[t.index(pc)]
-		w[0] = saturate(w[0], taken)
-		for i := 0; i < historyLen; i++ {
-			agree := (p.history>>uint(i)&1 == 1) == taken
-			w[i+1] = saturate(w[i+1], agree)
+		tk := b2u(taken)
+		w[0] = saturate(w[0], int32(2*tk)-1)
+		h := p.history
+		for i := 1; i <= historyLen; i++ {
+			x := int32(h&1 ^ tk)
+			h >>= 1
+			w[i] = saturate(w[i], 1-2*x)
 		}
 	}
 	p.history = p.history<<1 | b2u(taken)
@@ -123,17 +135,9 @@ func abs32(x int32) int32 {
 	return x
 }
 
-func saturate(w int16, up bool) int16 {
-	if up {
-		if w < weightMax {
-			return w + 1
-		}
-		return w
-	}
-	if w > weightMin {
-		return w - 1
-	}
-	return w
+// saturate steps w by d (+1 or -1), clamped to [weightMin, weightMax].
+func saturate(w int8, d int32) int8 {
+	return int8(max(min(int32(w)+d, weightMax), weightMin))
 }
 
 func b2u(b bool) uint64 {

@@ -59,40 +59,74 @@ func TestPerceptronLearnsHistoryPattern(t *testing.T) {
 }
 
 func TestPerceptronWeightsSaturate(t *testing.T) {
+	// Drive mispredictions into rows already at the bounds: a weight pushed
+	// past either bound must stay there rather than wrap around its 8 bits.
 	p := NewPerceptron(16)
-	// Hammer one branch always-taken; weights must stay in [-128,127].
-	for i := 0; i < 10000; i++ {
-		p.Predict(0x100)
-		p.Update(0x100, true)
+	const pc = 0x100
+	row := &p.table.rows[p.table.index(pc)]
+	p.history = 1<<historyLen - 1 // every history bit taken
+
+	// Bias at the top, history weights at the bottom: predicts not-taken.
+	row[0] = weightMax
+	for i := 1; i <= historyLen; i++ {
+		row[i] = weightMin
 	}
-	for _, row := range p.table.rows {
-		for _, w := range row {
-			if w < weightMin || w > weightMax {
-				t.Fatalf("weight %d escaped saturation range", w)
-			}
+	p.Update(pc, true) // bias and every history weight step up
+	if row[0] != weightMax {
+		t.Fatalf("bias weight %d after an up-step at %d", row[0], weightMax)
+	}
+	for i := 1; i <= historyLen; i++ {
+		if row[i] != weightMin+1 {
+			t.Fatalf("history weight %d = %d, want %d", i, row[i], weightMin+1)
+		}
+	}
+
+	// Bias at the bottom, history weights at the top: predicts taken.
+	p.history = 1<<historyLen - 1
+	row[0] = weightMin
+	for i := 1; i <= historyLen; i++ {
+		row[i] = weightMax
+	}
+	p.Update(pc, false) // bias and every history weight step down
+	if row[0] != weightMin {
+		t.Fatalf("bias weight %d after a down-step at %d", row[0], weightMin)
+	}
+	for i := 1; i <= historyLen; i++ {
+		if row[i] != weightMax-1 {
+			t.Fatalf("history weight %d = %d, want %d", i, row[i], weightMax-1)
+		}
+	}
+	for i := historyLen + 1; i < rowLen; i++ {
+		if row[i] != 0 {
+			t.Fatalf("padding byte %d = %d, want 0", i, row[i])
 		}
 	}
 }
 
 func TestSaturateProperty(t *testing.T) {
-	f := func(w int16, up bool) bool {
-		// saturate must clamp its input into range and move by at most 1.
-		in := w
-		if in > weightMax {
-			in = weightMax
+	f := func(w int8, up bool) bool {
+		// saturate must move by exactly 1 in the asked direction unless
+		// that would leave the 8-bit range, in which case w stays put.
+		d, want := int32(-1), int32(w)-1
+		if up {
+			d, want = 1, int32(w)+1
 		}
-		if in < weightMin {
-			in = weightMin
+		if want < weightMin || want > weightMax {
+			want = int32(w)
 		}
-		out := saturate(in, up)
-		if out < weightMin || out > weightMax {
-			return false
-		}
-		d := int32(out) - int32(in)
-		return d >= -1 && d <= 1
+		return int32(saturate(w, d)) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		w    int8
+		d    int32
+		want int8
+	}{{weightMax, 1, weightMax}, {weightMin, -1, weightMin}, {weightMax, -1, weightMax - 1}, {weightMin, 1, weightMin + 1}} {
+		if got := saturate(c.w, c.d); got != c.want {
+			t.Errorf("saturate(%d, %d) = %d, want %d", c.w, c.d, got, c.want)
+		}
 	}
 }
 

@@ -6,7 +6,7 @@
 // captures exactly the attributes the timing and runahead machinery consume:
 // operation class, register operands (32 INT + 32 FP architectural registers
 // per thread, like Alpha), memory address for loads/stores, and branch
-// outcome/target. Values are never computed — the simulator models timing
+// outcome. Values are never computed — the simulator models timing
 // and validity (the runahead INV machinery), which is all the paper's
 // results depend on.
 package isa
@@ -136,7 +136,7 @@ const (
 // Reg identifies an architectural register within a thread context.
 // Values 0..31 name integer registers; 32..63 name FP registers;
 // RegNone marks an absent operand.
-type Reg int16
+type Reg int8
 
 // RegNone marks "no register" for an absent source or destination operand.
 const RegNone Reg = -1
@@ -169,27 +169,27 @@ func IntReg(n int) Reg { return Reg(n) }
 // FPReg returns the Reg naming floating-point register n.
 func FPReg(n int) Reg { return Reg(n + NumIntArchRegs) }
 
-// Inst is one instruction of a thread's trace. The Seq field is the
-// position in the trace (a per-thread program-order index); everything the
-// pipeline needs to model timing is precomputed by the trace generator.
+// Inst is one instruction of a thread's trace. Its program-order position
+// is its index in the trace, so it is not stored; everything the pipeline
+// needs to model timing is precomputed by the trace generator. The fields
+// are ordered widest first so an Inst packs into 24 bytes: traces are the
+// bulk of a serving process's resident memory.
 type Inst struct {
-	// Seq is the program-order index of this instruction in its trace.
-	Seq uint64
 	// PC is the instruction's address, used by the instruction cache and
 	// the branch predictor.
 	PC uint64
+	// Addr is the effective address for memory operations.
+	Addr uint64
 	// Op is the operation class.
 	Op Op
 	// Dst is the destination architectural register, or RegNone.
 	Dst Reg
 	// Src1 and Src2 are source architectural registers, or RegNone.
 	Src1, Src2 Reg
-	// Addr is the effective address for memory operations.
-	Addr uint64
-	// Taken is the branch outcome for OpBranch.
+	// Taken is the branch outcome for OpBranch. A taken branch's target is
+	// not stored: in a generated trace it is the next instruction's PC, and
+	// the pipeline never reads it.
 	Taken bool
-	// Target is the branch target for OpBranch when taken.
-	Target uint64
 	// AddrDependsOnLoad marks a memory instruction whose effective address
 	// was produced by an earlier load (pointer chasing). When the producing
 	// load is INV in runahead mode the address is unknown, so no prefetch
@@ -206,14 +206,14 @@ func (in *Inst) HasDst() bool { return in.Dst != RegNone }
 func (in *Inst) String() string {
 	switch {
 	case in.Op.IsMem():
-		return fmt.Sprintf("%06d %s %s<-[%#x](%s)", in.Seq, in.Op, in.Dst, in.Addr, in.Src1)
+		return fmt.Sprintf("%#x %s %s<-[%#x](%s)", in.PC, in.Op, in.Dst, in.Addr, in.Src1)
 	case in.Op.IsBranch():
 		dir := "nt"
 		if in.Taken {
 			dir = "t"
 		}
-		return fmt.Sprintf("%06d %s %s ->%#x(%s)", in.Seq, in.Op, dir, in.Target, in.Src1)
+		return fmt.Sprintf("%#x %s %s(%s)", in.PC, in.Op, dir, in.Src1)
 	default:
-		return fmt.Sprintf("%06d %s %s<-(%s,%s)", in.Seq, in.Op, in.Dst, in.Src1, in.Src2)
+		return fmt.Sprintf("%#x %s %s<-(%s,%s)", in.PC, in.Op, in.Dst, in.Src1, in.Src2)
 	}
 }

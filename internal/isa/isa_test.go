@@ -3,6 +3,7 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestOpClassPredicatesDisjoint(t *testing.T) {
@@ -137,12 +138,28 @@ func TestInstHasDst(t *testing.T) {
 }
 
 func TestInstStringForms(t *testing.T) {
-	mem := Inst{Seq: 1, Op: OpLoad, Dst: IntReg(1), Src1: IntReg(2), Addr: 0x1000}
-	br := Inst{Seq: 2, Op: OpBranch, Taken: true, Target: 0x2000, Src1: IntReg(3)}
-	alu := Inst{Seq: 3, Op: OpIntAlu, Dst: IntReg(4), Src1: IntReg(5), Src2: IntReg(6)}
-	for _, in := range []Inst{mem, br, alu} {
-		if in.String() == "" {
-			t.Fatalf("empty String for %v op", in.Op)
+	cases := []struct {
+		in   Inst
+		want string
+	}{
+		{Inst{PC: 0x400, Op: OpLoad, Dst: IntReg(1), Src1: IntReg(2), Addr: 0x1000}, "0x400 load r1<-[0x1000](r2)"},
+		{Inst{PC: 0x404, Op: OpBranch, Taken: true, Dst: RegNone, Src1: IntReg(3)}, "0x404 branch t(r3)"},
+		{Inst{PC: 0x408, Op: OpBranch, Dst: RegNone, Src1: IntReg(3)}, "0x408 branch nt(r3)"},
+		{Inst{PC: 0x40c, Op: OpIntAlu, Dst: IntReg(4), Src1: IntReg(5), Src2: FPReg(6)}, "0x40c int_alu r4<-(r5,f6)"},
+	}
+	for _, c := range cases {
+		if got := c.in.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
 		}
+	}
+}
+
+// TestInstLayout pins the packed instruction size. Traces are most of a
+// serving process's resident memory, so growing Inst (a new field, a wider
+// Reg, or a field order that adds padding) costs memory in every cached
+// trace and must be a deliberate change.
+func TestInstLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Inst{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(Inst{}) = %d, want 24", got)
 	}
 }

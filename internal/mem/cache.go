@@ -48,19 +48,21 @@ func (c CacheConfig) Validate() error {
 	return nil
 }
 
-// line is one cache line's bookkeeping.
-type line struct {
-	tag     uint64
-	valid   bool
-	lastUse uint64 // LRU timestamp
-}
-
 // Cache is one set-associative, write-allocate cache level with LRU
 // replacement. Write-backs cost no time in the model, so a line carries no
 // dirty bit.
+//
+// Ways are stored flat and set-major: way i of set s is index s*ways+i of
+// keys and lastUse. A way's key is its line address plus one, and key 0
+// marks an invalid way, so a tag scan reads only keys (one 64-byte host
+// line for an 8-way set). The one line address whose key would wrap to 0,
+// 2^64-1 under 1-byte lines, lies far outside every generated trace's code
+// and data regions.
 type Cache struct {
 	cfg       CacheConfig
-	sets      [][]line
+	keys      []uint64
+	lastUse   []uint64 // LRU timestamp per way
+	ways      int
 	setMask   uint64
 	lineShift uint
 	useClock  uint64
@@ -74,15 +76,12 @@ func NewCache(cfg CacheConfig) *Cache {
 		panic(err)
 	}
 	lines := cfg.SizeBytes / cfg.LineBytes
-	sets := lines / uint64(cfg.Ways)
 	c := &Cache{
 		cfg:     cfg,
-		sets:    make([][]line, sets),
-		setMask: sets - 1,
-	}
-	backing := make([]line, lines)
-	for i := range c.sets {
-		c.sets[i] = backing[uint64(i)*uint64(cfg.Ways) : (uint64(i)+1)*uint64(cfg.Ways)]
+		keys:    make([]uint64, lines),
+		lastUse: make([]uint64, lines),
+		ways:    cfg.Ways,
+		setMask: lines/uint64(cfg.Ways) - 1,
 	}
 	for ls := cfg.LineBytes; ls > 1; ls >>= 1 {
 		c.lineShift++
@@ -95,19 +94,19 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr &^ (c.cfg.LineBytes - 1)
 }
 
-// locate returns the set index and tag for addr. The full line address
-// serves as the tag: simple and unambiguous.
-func (c *Cache) locate(addr uint64) (set uint64, tag uint64) {
+// locate returns the index of addr's set's first way and addr's key. The
+// full line address serves as the tag: simple and unambiguous.
+func (c *Cache) locate(addr uint64) (base int, key uint64) {
 	l := addr >> c.lineShift
-	return l & c.setMask, l
+	return int(l&c.setMask) * c.ways, l + 1
 }
 
 // Lookup probes the cache without modifying replacement state. It returns
 // whether the line is present.
 func (c *Cache) Lookup(addr uint64) bool {
-	set, tag := c.locate(addr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
+	base, key := c.locate(addr)
+	for _, k := range c.keys[base : base+c.ways] {
+		if k == key {
 			return true
 		}
 	}
@@ -118,11 +117,10 @@ func (c *Cache) Lookup(addr uint64) bool {
 // returns hit=true when the line is present.
 func (c *Cache) Access(addr uint64) (hit bool) {
 	c.useClock++
-	set, tag := c.locate(addr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
-			ln.lastUse = c.useClock
+	base, key := c.locate(addr)
+	for i, k := range c.keys[base : base+c.ways] {
+		if k == key {
+			c.lastUse[base+i] = c.useClock
 			return true
 		}
 	}
@@ -132,23 +130,24 @@ func (c *Cache) Access(addr uint64) (hit bool) {
 // Fill installs the line containing addr, evicting the LRU way.
 func (c *Cache) Fill(addr uint64) {
 	c.useClock++
-	set, tag := c.locate(addr)
-	ways := c.sets[set]
+	base, key := c.locate(addr)
+	keys := c.keys[base : base+c.ways]
+	use := c.lastUse[base : base+c.ways]
 	victim := 0
-	for i := range ways {
-		ln := &ways[i]
-		if ln.valid && ln.tag == tag {
+	for i, k := range keys {
+		if k == key {
 			// Already present (racing fills); refresh.
-			ln.lastUse = c.useClock
+			use[i] = c.useClock
 			return
 		}
-		if !ln.valid {
+		if k == 0 {
 			victim = i
 			break
 		}
-		if ways[i].lastUse < ways[victim].lastUse {
+		if use[i] < use[victim] {
 			victim = i
 		}
 	}
-	ways[victim] = line{tag: tag, valid: true, lastUse: c.useClock}
+	keys[victim] = key
+	use[victim] = c.useClock
 }

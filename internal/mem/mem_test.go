@@ -77,15 +77,15 @@ func TestCacheNeverExceedsCapacity(t *testing.T) {
 			c.Fill(r.Uint64n(1<<20) &^ 63)
 		}
 		valid := 0
-		for _, set := range c.sets {
+		for base := 0; base < len(c.keys); base += c.ways {
 			seen := map[uint64]bool{}
-			for _, ln := range set {
-				if ln.valid {
+			for _, k := range c.keys[base : base+c.ways] {
+				if k != 0 {
 					valid++
-					if seen[ln.tag] {
+					if seen[k] {
 						return false // duplicate tag in a set
 					}
-					seen[ln.tag] = true
+					seen[k] = true
 				}
 			}
 		}

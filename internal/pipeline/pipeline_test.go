@@ -493,7 +493,7 @@ func TestBranchMispredictionsResolve(t *testing.T) {
 		if i%4 == 3 {
 			taken := (i/4)%3 == 0 // period-3 pattern over one PC: hard
 			insts[i] = isa.Inst{PC: 0x1000, Op: isa.OpBranch,
-				Src1: isa.IntReg(28), Taken: taken, Target: 0x2000}
+				Src1: isa.IntReg(28), Taken: taken}
 		} else {
 			insts[i] = isa.Inst{PC: uint64(4 * (i % 256)), Op: isa.OpIntAlu,
 				Dst: isa.IntReg(1 + i%20), Src1: isa.IntReg(28), Src2: isa.IntReg(29)}

@@ -183,7 +183,7 @@ func TestMispredictRedirectCost(t *testing.T) {
 		for i := range insts {
 			if i%5 == 4 {
 				insts[i] = isa.Inst{PC: 0x1000 + uint64(16*(i%4)), Op: isa.OpBranch,
-					Src1: isa.IntReg(28), Taken: (i/5)%2 == 0, Target: 0x3000}
+					Src1: isa.IntReg(28), Taken: (i/5)%2 == 0}
 			} else {
 				insts[i] = isa.Inst{PC: uint64(4 * (i % 256)), Op: isa.OpIntAlu,
 					Dst: isa.IntReg(1 + i%20), Src1: isa.IntReg(28), Src2: isa.IntReg(29)}

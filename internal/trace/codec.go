@@ -12,7 +12,14 @@ import (
 // AppendBinary. Any change to the field set or layout of the encoding —
 // including growing isa.Inst — must bump it, so that persisted traces from
 // an older build decode as a version mismatch rather than as garbage.
-const CodecVersion = 1
+//
+// Version 2 encodes each instruction in 22 bytes: PC and Addr as
+// little-endian uint64s, then one byte each for Op, Dst, Src1, Src2, Taken
+// and AddrDependsOnLoad.
+const CodecVersion = 2
+
+// instBytes is the encoded size of one instruction.
+const instBytes = 8 + 8 + 1 + 1 + 1 + 1 + 1 + 1
 
 // AppendBinary appends a deterministic little-endian encoding of the trace
 // to buf and returns the extended slice. The encoding captures every field
@@ -28,15 +35,10 @@ func (t *Trace) AppendBinary(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(t.insts)))
 	for i := range t.insts {
 		in := &t.insts[i]
-		buf = binary.LittleEndian.AppendUint64(buf, in.Seq)
 		buf = binary.LittleEndian.AppendUint64(buf, in.PC)
-		buf = append(buf, byte(in.Op))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(in.Dst))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(in.Src1))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(in.Src2))
 		buf = binary.LittleEndian.AppendUint64(buf, in.Addr)
+		buf = append(buf, byte(in.Op), byte(in.Dst), byte(in.Src1), byte(in.Src2))
 		buf = appendBool(buf, in.Taken)
-		buf = binary.LittleEndian.AppendUint64(buf, in.Target)
 		buf = appendBool(buf, in.AddrDependsOnLoad)
 	}
 	return buf
@@ -45,8 +47,7 @@ func (t *Trace) AppendBinary(buf []byte) []byte {
 // EncodedSize returns the exact byte length AppendBinary will produce,
 // letting callers size the destination buffer in one allocation.
 func (t *Trace) EncodedSize() int {
-	const perInst = 8 + 8 + 1 + 2 + 2 + 2 + 8 + 1 + 8 + 1
-	return 4 + len(t.Name) + 1 + 3*8 + 8 + len(t.insts)*perInst
+	return 4 + len(t.Name) + 1 + 3*8 + 8 + len(t.insts)*instBytes
 }
 
 // DecodeBinary reconstructs a trace from an AppendBinary encoding. Any
@@ -68,22 +69,19 @@ func DecodeBinary(data []byte) (*Trace, error) {
 	if n == 0 || n > math.MaxInt32 {
 		return nil, fmt.Errorf("trace: decode: impossible instruction count %d", n)
 	}
-	const perInst = 41
-	if remaining := len(d.data) - d.off; uint64(remaining) != n*perInst {
+	if remaining := len(d.data) - d.off; uint64(remaining) != n*instBytes {
 		return nil, fmt.Errorf("trace: decode: %d bytes of instructions for count %d", remaining, n)
 	}
 	t.insts = make([]isa.Inst, n)
 	for i := range t.insts {
 		in := &t.insts[i]
-		in.Seq = d.u64()
 		in.PC = d.u64()
-		in.Op = isa.Op(d.u8())
-		in.Dst = isa.Reg(int16(d.u16()))
-		in.Src1 = isa.Reg(int16(d.u16()))
-		in.Src2 = isa.Reg(int16(d.u16()))
 		in.Addr = d.u64()
+		in.Op = d.op()
+		in.Dst = d.reg()
+		in.Src1 = d.reg()
+		in.Src2 = d.reg()
 		in.Taken = d.bool()
-		in.Target = d.u64()
 		in.AddrDependsOnLoad = d.bool()
 	}
 	if d.err != nil {
@@ -137,12 +135,23 @@ func (d *codecReader) u8() uint8 {
 	return b[0]
 }
 
-func (d *codecReader) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
+// op reads an operation class, rejecting bytes that name no defined op.
+func (d *codecReader) op() isa.Op {
+	v := d.u8()
+	if int(v) >= isa.NumOps && d.err == nil {
+		d.err = fmt.Errorf("trace: decode: op byte %d at offset %d", v, d.off-1)
 	}
-	return binary.LittleEndian.Uint16(b)
+	return isa.Op(v)
+}
+
+// reg reads a register operand, rejecting anything but RegNone or an
+// architectural register.
+func (d *codecReader) reg() isa.Reg {
+	r := isa.Reg(int8(d.u8()))
+	if r != isa.RegNone && !r.Valid() && d.err == nil {
+		d.err = fmt.Errorf("trace: decode: register %d at offset %d", r, d.off-1)
+	}
+	return r
 }
 
 func (d *codecReader) u64() uint64 {

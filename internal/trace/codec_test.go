@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestCodecRoundTripHandBuilt(t *testing.T) {
 	orig := FromInsts("custom", ClassILP, []isa.Inst{
 		{Op: isa.OpLoad, Dst: isa.IntReg(3), Src1: isa.RegNone, Addr: 0x1234, AddrDependsOnLoad: true},
-		{Op: isa.OpBranch, Src1: isa.IntReg(3), Taken: true, Target: 0x40_0000},
+		{PC: 0x40_0004, Op: isa.OpBranch, Dst: isa.RegNone, Src1: isa.IntReg(3), Src2: isa.FPReg(31), Taken: true},
 	})
 	got, err := DecodeBinary(orig.AppendBinary(nil))
 	if err != nil {
@@ -63,6 +64,35 @@ func TestCodecRejectsBadBool(t *testing.T) {
 	}
 }
 
+func TestCodecRejectsOutOfRangeOperand(t *testing.T) {
+	tr := FromInsts("x", ClassILP, []isa.Inst{{Op: isa.OpIntAlu, Dst: isa.IntReg(1), Src1: isa.RegNone, Src2: isa.FPReg(2)}})
+	data := tr.AppendBinary(nil)
+	if _, err := DecodeBinary(data); err != nil {
+		t.Fatalf("valid instruction rejected: %v", err)
+	}
+	// The last instruction's operand bytes sit just before its two bools.
+	opOff := len(data) - 6
+	cases := []struct {
+		name string
+		off  int
+		b    byte
+	}{
+		{"op NumOps", opOff, byte(isa.NumOps)},
+		{"op 255", opOff, 255},
+		{"dst NumArchRegs", opOff + 1, isa.NumArchRegs},
+		{"src1 -2", opOff + 2, 0xfe},
+		{"src2 127", opOff + 3, 127},
+		{"src2 -128", opOff + 3, 0x80},
+	}
+	for _, c := range cases {
+		bad := append([]byte(nil), data...)
+		bad[c.off] = c.b
+		if _, err := DecodeBinary(bad); err == nil {
+			t.Errorf("%s: no error for out-of-range operand byte %#x", c.name, c.b)
+		}
+	}
+}
+
 // TestCodecCoversInstSchema pins the isa.Inst field set the codec was
 // written against. If it fails, a field was added, removed or retyped:
 // update AppendBinary/DecodeBinary/EncodedSize to carry the new shape,
@@ -70,15 +100,13 @@ func TestCodecRejectsBadBool(t *testing.T) {
 // version-mismatch miss, and then update this table.
 func TestCodecCoversInstSchema(t *testing.T) {
 	want := map[string]string{
-		"Seq":               "uint64",
 		"PC":                "uint64",
+		"Addr":              "uint64",
 		"Op":                "isa.Op",
 		"Dst":               "isa.Reg",
 		"Src1":              "isa.Reg",
 		"Src2":              "isa.Reg",
-		"Addr":              "uint64",
 		"Taken":             "bool",
-		"Target":            "uint64",
 		"AddrDependsOnLoad": "bool",
 	}
 	typ := reflect.TypeOf(isa.Inst{})
@@ -93,4 +121,39 @@ func TestCodecCoversInstSchema(t *testing.T) {
 				f.Name, got, want[f.Name])
 		}
 	}
+}
+
+// FuzzDecodeBinary feeds arbitrary bytes to the decoder. It must never
+// panic, and anything it accepts must hold only in-range operands and
+// re-encode to exactly the input bytes.
+func FuzzDecodeBinary(f *testing.F) {
+	// Short seeds keep each input small, so the fuzzer spends its time
+	// mutating rather than minimizing kilobyte-sized inputs.
+	for _, name := range []string{"art", "mcf", "gzip"} {
+		f.Add(MustGenerate(MustLookup(name), Options{Len: 6, Seed: 3}).AppendBinary(nil))
+	}
+	f.Add(FromInsts("custom", ClassMEM, []isa.Inst{
+		{PC: 0x40, Op: isa.OpFpLoad, Dst: isa.FPReg(0), Src1: isa.IntReg(31), Src2: isa.RegNone, Addr: 0xdead_beef, AddrDependsOnLoad: true},
+		{PC: 0x44, Op: isa.OpBlock, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone, Taken: true},
+	}).AppendBinary(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := DecodeBinary(data)
+		if err != nil {
+			return
+		}
+		for i := range tr.insts {
+			in := &tr.insts[i]
+			if int(in.Op) >= isa.NumOps {
+				t.Fatalf("inst %d: accepted op %d", i, in.Op)
+			}
+			for _, r := range []isa.Reg{in.Dst, in.Src1, in.Src2} {
+				if r != isa.RegNone && !r.Valid() {
+					t.Fatalf("inst %d: accepted register %d", i, r)
+				}
+			}
+		}
+		if got := tr.AppendBinary(nil); !bytes.Equal(got, data) {
+			t.Fatalf("re-encoding differs from accepted input (%d vs %d bytes)", len(got), len(data))
+		}
+	})
 }

@@ -80,9 +80,6 @@ func FromInsts(name string, class Class, insts []isa.Inst) *Trace {
 		//lint:panicfree documented precondition on a test/hand-built-trace helper; an empty trace is a programming error, not runtime input
 		panic("trace: FromInsts with no instructions")
 	}
-	for i := range insts {
-		insts[i].Seq = uint64(i)
-	}
 	return &Trace{Name: name, Class: class, insts: insts}
 }
 
@@ -258,7 +255,7 @@ func Generate(p Profile, opt Options) (*Trace, error) {
 
 	insts := make([]isa.Inst, opt.Len)
 	for i := range insts {
-		g.emit(uint64(i), &insts[i])
+		g.emit(&insts[i])
 	}
 	cold := g.coldBytes()
 	// Iteration shift applies only to footprints beyond the 1MB L2 (the
@@ -310,12 +307,13 @@ func (g *generator) coldBytes() uint64 {
 	return g.p.WorkingSet - g.p.HotBytes
 }
 
-// emit fills in the instruction at trace position seq.
-func (g *generator) emit(seq uint64, in *isa.Inst) {
-	in.Seq = seq
+// emit fills in the next instruction of the trace.
+func (g *generator) emit(in *isa.Inst) {
 	in.PC = g.pc
 	in.Dst, in.Src1, in.Src2 = isa.RegNone, isa.RegNone, isa.RegNone
 
+	// Advance the PC model: 4-byte instructions, taken branches redirect.
+	next := g.pc + 4
 	op := g.pickOp()
 	in.Op = op
 	switch {
@@ -324,19 +322,15 @@ func (g *generator) emit(seq uint64, in *isa.Inst) {
 	case op.IsStore():
 		g.emitStore(in)
 	case op.IsBranch():
-		g.emitBranch(in)
+		if target := g.emitBranch(in); in.Taken {
+			next = target
+		}
 	case op.IsFP():
 		g.emitFPCompute(in)
 	default:
 		g.emitIntCompute(in)
 	}
-
-	// Advance the PC model: 4-byte instructions, branches redirect.
-	if op.IsBranch() && in.Taken {
-		g.pc = in.Target
-	} else {
-		g.pc += 4
-	}
+	g.pc = next
 	if g.haveRecentLoad {
 		g.lastLoadAge++
 		if g.lastLoadAge > chaseMaxAge {
@@ -492,11 +486,14 @@ func (g *generator) emitStore(in *isa.Inst) {
 	}
 }
 
-func (g *generator) emitBranch(in *isa.Inst) {
+// emitBranch fills in a branch and returns its taken target. The target is
+// drawn whether or not the branch is taken, so the branch stream's draws do
+// not depend on the outcome.
+func (g *generator) emitBranch(in *isa.Inst) uint64 {
 	in.Src1 = g.intSource() // condition
 	bias := g.branchBias(in.PC)
 	in.Taken = g.branch.Bool(bias)
-	in.Target = g.branchTarget(in.PC)
+	return g.branchTarget(in.PC)
 }
 
 // branchBias derives a static per-PC bias: most branches are strongly
