@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -135,41 +136,52 @@ func main() {
 		return
 	}
 
-	s, err := experiments.NewSession(opt)
-	if err != nil {
-		fail(err)
+	// outputs is the -fig menu in print order: the configuration tables
+	// print as is, the figures are simulated and timed.
+	var s *experiments.Session
+	outputs := []struct {
+		name  string
+		table func() string
+		fig   func() (fmt.Stringer, error)
+	}{
+		{name: "table1", table: experiments.Table1},
+		{name: "table2", table: experiments.Table2},
+		{name: "fig1", fig: func() (fmt.Stringer, error) { return s.Fig1(ctx) }},
+		{name: "fig2", fig: func() (fmt.Stringer, error) { return s.Fig2(ctx) }},
+		{name: "fig3", fig: func() (fmt.Stringer, error) { return s.Fig3(ctx) }},
+		{name: "fig4", fig: func() (fmt.Stringer, error) { return s.Fig4(ctx) }},
+		{name: "fig5", fig: func() (fmt.Stringer, error) { return s.Fig5(ctx) }},
+		{name: "fig6", fig: func() (fmt.Stringer, error) { return s.Fig6(ctx) }},
 	}
 	want := strings.ToLower(*fig)
 	all := want == "all"
+	names := make([]string, 0, len(outputs))
+	for _, o := range outputs {
+		names = append(names, o.name)
+	}
+	if !all && !slices.Contains(names, want) {
+		fmt.Fprintf(os.Stderr, "experiments: unknown -fig %q (valid: %s, all)\n", *fig, strings.Join(names, ", "))
+		os.Exit(2)
+	}
 
-	emit := func(name string, f func() (fmt.Stringer, error)) {
-		if !all && want != name {
-			return
+	var err error
+	if s, err = experiments.NewSession(opt); err != nil {
+		fail(err)
+	}
+	for _, o := range outputs {
+		if !all && want != o.name {
+			continue
+		}
+		if o.table != nil {
+			fmt.Println(o.table())
+			continue
 		}
 		start := time.Now()
-		r, err := f()
+		r, err := o.fig()
 		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintln(os.Stderr, "experiments: interrupted")
-				os.Exit(130)
-			}
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+			fail(fmt.Errorf("%s: %w", o.name, err))
 		}
 		fmt.Println(r.String())
-		fmt.Printf("[%s regenerated in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s regenerated in %v]\n\n", o.name, time.Since(start).Round(time.Millisecond))
 	}
-
-	if all || want == "table1" {
-		fmt.Println(experiments.Table1())
-	}
-	if all || want == "table2" {
-		fmt.Println(experiments.Table2())
-	}
-	emit("fig1", func() (fmt.Stringer, error) { return s.Fig1(ctx) })
-	emit("fig2", func() (fmt.Stringer, error) { return s.Fig2(ctx) })
-	emit("fig3", func() (fmt.Stringer, error) { return s.Fig3(ctx) })
-	emit("fig4", func() (fmt.Stringer, error) { return s.Fig4(ctx) })
-	emit("fig5", func() (fmt.Stringer, error) { return s.Fig5(ctx) })
-	emit("fig6", func() (fmt.Stringer, error) { return s.Fig6(ctx) })
 }

@@ -334,11 +334,8 @@ func (s *server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	if format == "" {
 		format = "ndjson"
 	}
-	switch format {
-	case "ndjson", "table", "json", "csv":
-	default:
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("unknown format %q (valid: ndjson, table, json, csv)", format))
+	if err := scenario.CheckFormat(format); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.requests.Add(1)

@@ -14,8 +14,7 @@
 //   - the clear idiom, `for k := range m { delete(m, k) }`.
 //
 // Every other map range in a target package needs either sorted-key
-// iteration or a justified //lint:detrange (alias //lint:deterministic)
-// directive explaining why iteration order cannot reach any output.
+// iteration or a justified //lint:detrange directive explaining why iteration order cannot reach any output.
 package detrange
 
 import (
@@ -34,7 +33,6 @@ var TargetPackages = []string{
 	"repro/internal/report",
 	"repro/internal/sched",
 	"repro/internal/metrics",
-	"repro/internal/stats",
 	"repro/internal/experiments",
 	"repro/internal/workload",
 	"repro/internal/simcache",
@@ -46,10 +44,9 @@ var TargetPackages = []string{
 
 // Analyzer is the detrange check.
 var Analyzer = &lint.Analyzer{
-	Name:    "detrange",
-	Aliases: []string{"deterministic"},
+	Name: "detrange",
 	Doc: "flag range-over-map in result-producing/serializing packages " +
-		"(map iteration order is randomized; sort keys first or justify with //lint:deterministic)",
+		"(map iteration order is randomized; sort keys first or justify with //lint:detrange)",
 	Run: run,
 }
 
@@ -74,7 +71,7 @@ func run(pass *lint.Pass) error {
 				return true
 			}
 			pass.Reportf(rs.For,
-				"range over map %s iterates in randomized order; collect and sort the keys first, or justify with //lint:deterministic",
+				"range over map %s iterates in randomized order; collect and sort the keys first, or justify with //lint:detrange",
 				pass.ExprString(rs.X))
 			return true
 		})

@@ -37,11 +37,11 @@ func drain(m map[string]int) {
 	}
 }
 
-// justified carries a deterministic directive: an order-insensitive
+// justified carries a detrange directive: an order-insensitive
 // reduction over the values.
 func justified(m map[string]int) int {
 	best := 0
-	//lint:deterministic max over values is order-insensitive
+	//lint:detrange max over values is order-insensitive
 	for _, v := range m { // want-suppressed "range over map m"
 		if v > best {
 			best = v
@@ -54,7 +54,7 @@ func justified(m map[string]int) int {
 // nothing: the finding must survive.
 func bare(m map[string]int) int {
 	n := 0
-	//lint:deterministic
+	//lint:detrange
 	for range m { // want "range over map m"
 		n++
 	}

@@ -18,11 +18,9 @@
 //
 //	//lint:<name> <justification>
 //
-// where <name> is the analyzer's name or one of its declared aliases
-// (detrange, for example, also answers to the ISSUE-specified
-// "deterministic"). The justification is mandatory: a bare directive
-// suppresses nothing, so every silenced finding records *why* the
-// invariant holds at that site. Suppressed diagnostics are still
+// where <name> is the analyzer's name. The justification is mandatory: a
+// bare directive suppresses nothing, so every silenced finding records
+// *why* the invariant holds at that site. Suppressed diagnostics are still
 // collected (Result.Suppressed) so tests can assert a directive really
 // engaged rather than the analyzer having missed the site.
 package lint
@@ -40,24 +38,16 @@ import (
 
 // An Analyzer is one named invariant check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and is its primary
-	// suppression directive.
+	// Name identifies the analyzer in diagnostics and is its suppression
+	// directive.
 	Name string
 	// Doc is the one-paragraph description cmd/smtlint -list prints.
 	Doc string
-	// Aliases are additional //lint: directive names that suppress this
-	// analyzer's diagnostics.
-	Aliases []string
 	// Run reports the analyzer's findings for one package via
 	// pass.Reportf. Returning an error aborts the whole lint run: it
 	// means the analyzer itself failed, not that the code is in
 	// violation.
 	Run func(pass *Pass) error
-}
-
-// directives returns every //lint: name that silences this analyzer.
-func (a *Analyzer) directives() []string {
-	return append([]string{a.Name}, a.Aliases...)
 }
 
 // A Pass carries one analyzer's view of one type-checked package.
@@ -149,19 +139,17 @@ func suppressionsOf(fset *token.FileSet, files []*ast.File) suppressions {
 	return sup
 }
 
-// matches reports whether a justified directive for one of names exists
-// on the diagnostic's line or the line above.
-func (s suppressions) matches(d Diagnostic, names []string) bool {
+// matches reports whether a justified directive named name exists on the
+// diagnostic's line or the line above.
+func (s suppressions) matches(d Diagnostic, name string) bool {
 	byLine := s[d.Pos.Filename]
 	if byLine == nil {
 		return false
 	}
 	for _, line := range []int{d.Pos.Line, d.Pos.Line - 1} {
 		for _, have := range byLine[line] {
-			for _, want := range names {
-				if have == want {
-					return true
-				}
+			if have == name {
+				return true
 			}
 		}
 	}
@@ -185,9 +173,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("lint: analyzer %s on %s: %w", a.Name, pkg.ImportPath, err)
 			}
-			names := a.directives()
 			for _, d := range pass.diags {
-				if sup.matches(d, names) {
+				if sup.matches(d, a.Name) {
 					res.Suppressed = append(res.Suppressed, d)
 				} else {
 					res.Diagnostics = append(res.Diagnostics, d)

@@ -5,7 +5,7 @@
 // Expectations ride the flagged line as comments:
 //
 //	for k := range m { // want "range over map"
-//	//lint:deterministic builds a map
+//	//lint:detrange builds a map
 //	for k := range m { // want-suppressed "range over map"
 //
 // `// want "re"` demands an unsuppressed diagnostic on that line whose

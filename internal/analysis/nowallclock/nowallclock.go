@@ -30,7 +30,6 @@ var TargetPackages = []string{
 	"repro/internal/runahead",
 	"repro/internal/rescontrol",
 	"repro/internal/rng",
-	"repro/internal/stats",
 	"repro/internal/metrics",
 	"repro/internal/workload",
 	"repro/internal/scenario",

@@ -319,7 +319,7 @@ func (s *Store) forget(name string) {
 func (s *Store) evict() {
 	for s.maxBytes > 0 && s.bytes > s.maxBytes && len(s.entries) > 0 {
 		victim, min := "", uint64(math.MaxUint64)
-		//lint:deterministic victim selection minimizes seq, a per-store monotonic counter that is unique across entries, so iteration order cannot change which entry wins
+		//lint:detrange victim selection minimizes seq, a per-store monotonic counter that is unique across entries, so iteration order cannot change which entry wins
 		for name, e := range s.entries {
 			if e.seq < min {
 				victim, min = name, e.seq

@@ -318,7 +318,7 @@ func TestSharedDirAdoption(t *testing.T) {
 }
 
 // TestEvictionVictimDeterministic locks the claim behind the
-// //lint:deterministic directive on evict(): the victim is the entry
+// //lint:detrange directive on evict(): the victim is the entry
 // with the unique minimum access seq, so two stores driven through an
 // identical Put/Get history shed exactly the same entries, whatever
 // order their accounting maps happen to iterate in.

@@ -16,7 +16,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/rescontrol"
 	"repro/internal/runahead"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 	"repro/internal/workload"
@@ -282,7 +281,7 @@ func measure(c *pipeline.Core, cfg Config, w workload.Workload) *Result {
 		start[tid] = *c.Stats(tid)
 	}
 	span := uint64(cfg.TraceLen) * uint64(cfg.MinIterations)
-	for !covered(c, func(tid int) uint64 { return start[tid].Committed.Value() + span }) {
+	for !covered(c, func(tid int) uint64 { return start[tid].Committed + span }) {
 		if c.Cycle() >= cfg.MaxCycles {
 			truncated = true
 			break
@@ -301,20 +300,19 @@ func measure(c *pipeline.Core, cfg Config, w workload.Workload) *Result {
 		cur, prev := c.Stats(tid), &start[tid]
 		tr := ThreadResult{
 			Benchmark:        w.Benchmarks[tid],
-			Committed:        cur.Committed.Value() - prev.Committed.Value(),
-			Executed:         cur.Executed.Value() - prev.Executed.Value(),
-			L2MissLoads:      cur.L2MissLoads.Value() - prev.L2MissLoads.Value(),
-			RunaheadEpisodes: cur.Runahead.Episodes.Value() - prev.Runahead.Episodes.Value(),
-			PseudoRetired:    cur.Runahead.PseudoRetired.Value() - prev.Runahead.PseudoRetired.Value(),
-			Folded:           cur.Runahead.Folded.Value() - prev.Runahead.Folded.Value(),
-			PrefetchesIssued: cur.Runahead.PrefetchesIssued.Value() - prev.Runahead.PrefetchesIssued.Value(),
-			RegsNormal:       deltaMean(&cur.RegsNormal, &prev.RegsNormal),
-			RegsRunahead:     deltaMean(&cur.RegsRunahead, &prev.RegsRunahead),
-			CyclesInRunahead: cur.Runahead.CyclesInRunahead.Value() - prev.Runahead.CyclesInRunahead.Value(),
+			Committed:        cur.Committed - prev.Committed,
+			Executed:         cur.Executed - prev.Executed,
+			L2MissLoads:      cur.L2MissLoads - prev.L2MissLoads,
+			RunaheadEpisodes: cur.RunaheadEpisodes - prev.RunaheadEpisodes,
+			PseudoRetired:    cur.PseudoRetired - prev.PseudoRetired,
+			Folded:           cur.Folded - prev.Folded,
+			PrefetchesIssued: cur.PrefetchesIssued - prev.PrefetchesIssued,
+			CyclesInRunahead: cur.CyclesInRunahead - prev.CyclesInRunahead,
 		}
-		if cycles > 0 {
-			tr.IPC = float64(tr.Committed) / float64(cycles)
-		}
+		// Every window cycle samples each thread once, in one mode.
+		tr.RegsNormal = perCycle(cur.RegCyclesNormal-prev.RegCyclesNormal, cycles-tr.CyclesInRunahead)
+		tr.RegsRunahead = perCycle(cur.RegCyclesRunahead-prev.RegCyclesRunahead, tr.CyclesInRunahead)
+		tr.IPC = perCycle(tr.Committed, cycles)
 		res.Threads = append(res.Threads, tr)
 		res.ExecutedTotal += tr.Executed
 		res.CommittedTotal += tr.Committed
@@ -341,14 +339,13 @@ func stepBlock(c *pipeline.Core) {
 	}
 }
 
-// deltaMean computes the mean of a RunningMean over the measurement window
-// delimited by two snapshots.
-func deltaMean(cur, prev *stats.RunningMean) float64 {
-	dn := cur.Count() - prev.Count()
-	if dn == 0 {
+// perCycle divides a window's event count by its cycle count, 0 for an
+// empty window.
+func perCycle(n, cycles uint64) float64 {
+	if cycles == 0 {
 		return 0
 	}
-	return (cur.Sum() - prev.Sum()) / float64(dn)
+	return float64(n) / float64(cycles)
 }
 
 // Reference returns the single-thread run behind the fairness metric's

@@ -32,7 +32,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/simcache"
-	"repro/internal/stats"
 	"repro/internal/tracestore"
 	"repro/internal/workload"
 )
@@ -485,8 +484,8 @@ func (s *Session) policyFigure(ctx context.Context, name string, pols []core.Pol
 				thrus = append(thrus, rs.Value(wi, pi, 0))
 				fairs = append(fairs, rs.Value(wi, pi, 1))
 			})
-			f.Throughput[g][p] = stats.Mean(thrus)
-			f.Fairness[g][p] = stats.Mean(fairs)
+			f.Throughput[g][p] = metrics.Mean(thrus)
+			f.Fairness[g][p] = metrics.Mean(fairs)
 		}
 	}
 	return f, nil
@@ -568,7 +567,7 @@ func (s *Session) Fig3(ctx context.Context) (*Fig3Result, error) {
 			}
 		})
 		for _, p := range pols {
-			f.ED2[g][p] = stats.Mean(sums[p])
+			f.ED2[g][p] = metrics.Mean(sums[p])
 		}
 	}
 	return f, nil

@@ -6,8 +6,8 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/report"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -73,9 +73,9 @@ func (s *Session) Fig4(ctx context.Context) (*Fig4Result, error) {
 				}
 			}
 		})
-		f.Prefetching[g] = stats.Mean(pref)
-		f.ResourceAvailability[g] = stats.Mean(avail)
-		f.Overhead[g] = stats.Mean(over)
+		f.Prefetching[g] = metrics.Mean(pref)
+		f.ResourceAvailability[g] = metrics.Mean(avail)
+		f.Overhead[g] = metrics.Mean(over)
 	}
 	return f, nil
 }
@@ -125,8 +125,8 @@ func (s *Session) Fig5(ctx context.Context) (*Fig5Result, error) {
 				}
 			}
 		})
-		f.Normal[g] = stats.Mean(normal)
-		f.Runahead[g] = stats.Mean(ra)
+		f.Normal[g] = metrics.Mean(normal)
+		f.Runahead[g] = metrics.Mean(ra)
 	}
 	return f, nil
 }
@@ -177,7 +177,7 @@ func (s *Session) Fig6(ctx context.Context) (*Fig6Result, error) {
 				groupRows(rs, g, func(wi int, _ workload.Workload) {
 					thrus = append(thrus, rs.Value(wi, ci, 0))
 				})
-				f.Throughput[g][size][p] = stats.Mean(thrus)
+				f.Throughput[g][size][p] = metrics.Mean(thrus)
 			}
 		}
 	}

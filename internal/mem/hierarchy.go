@@ -3,8 +3,6 @@ package mem
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/stats"
 )
 
 // Kind classifies a memory access.
@@ -120,7 +118,7 @@ type Hierarchy struct {
 	nextFill uint64
 
 	// PrefetchIssue counts prefetches that allocated an MSHR.
-	PrefetchIssue stats.Counter
+	PrefetchIssue uint64
 }
 
 // NewHierarchy builds the hierarchy.
@@ -232,7 +230,7 @@ func (h *Hierarchy) Access(kind Kind, tid int, addr uint64, now uint64) Result {
 		return Result{NoMSHR: true, Level: LevelMemory}
 	}
 	if !demand {
-		h.PrefetchIssue.Inc()
+		h.PrefetchIssue++
 	}
 	fill := now + l1.cfg.Latency + h.l2.cfg.Latency + h.cfg.MemLatency
 	h.nextFill = min(h.nextFill, fill)

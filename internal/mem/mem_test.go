@@ -161,7 +161,7 @@ func TestPrefetchThenDemandMerge(t *testing.T) {
 	if p.Level != LevelMemory {
 		t.Fatalf("prefetch level = %v", p.Level)
 	}
-	if h.PrefetchIssue.Value() != 1 {
+	if h.PrefetchIssue != 1 {
 		t.Fatal("prefetch issue not counted")
 	}
 	d := h.Access(KindLoad, 0, 0x400000, 200)

@@ -6,15 +6,18 @@
 package metrics
 
 // Throughput is eq. 1: the average of per-thread multithreaded IPCs.
-func Throughput(ipcMT []float64) float64 {
-	if len(ipcMT) == 0 {
+func Throughput(ipcMT []float64) float64 { return Mean(ipcMT) }
+
+// Mean returns the arithmetic mean of xs (0 for none).
+func Mean(xs []float64) float64 {
+	if len(xs) == 0 {
 		return 0
 	}
 	var s float64
-	for _, v := range ipcMT {
-		s += v
+	for _, x := range xs {
+		s += x
 	}
-	return s / float64(len(ipcMT))
+	return s / float64(len(xs))
 }
 
 // Fairness is eq. 2: n / Σ(IPC_ST,i / IPC_MT,i) — the harmonic mean of

@@ -113,3 +113,9 @@ func TestNormalize(t *testing.T) {
 		t.Fatal("normalize")
 	}
 }
+
+func TestMeanEmpty(t *testing.T) {
+	if Mean(nil) != 0 {
+		t.Fatal("Mean(nil) != 0")
+	}
+}

@@ -56,13 +56,13 @@ func (c *Core) commitThread(t *thread, now uint64, budget *int) {
 				}
 			}
 			c.retire(t, head)
-			t.stats.Committed.Inc()
+			t.stats.Committed++
 		} else {
 			if !head.completed {
 				return
 			}
 			c.retire(t, head)
-			t.stats.Runahead.PseudoRetired.Inc()
+			t.stats.PseudoRetired++
 		}
 		*budget = *budget - 1
 	}
@@ -130,7 +130,7 @@ func (c *Core) enterRunahead(t *thread, head *DynInst, now uint64) {
 	t.raExitAt = head.doneAt
 	t.raLoadSeq = head.seq
 	t.raEntered = now
-	t.stats.Runahead.Episodes.Inc()
+	t.stats.RunaheadEpisodes++
 
 	head.inv = true
 	head.completed = true
@@ -208,7 +208,7 @@ func (c *Core) dropFrontEnd(t *thread) {
 		di := t.fq.at(i)
 		di.squashed = true
 		t.icount--
-		t.stats.Squashed.Inc()
+		t.stats.Squashed++
 		c.freeInst(di)
 	}
 	t.fq.clear()
@@ -247,7 +247,7 @@ func (c *Core) unwind(t *thread, di *DynInst) {
 	if t.blockingBranch == di {
 		t.blockingBranch = nil
 	}
-	t.stats.Squashed.Inc()
+	t.stats.Squashed++
 	// Any remaining references (a ready-list entry until the next issue
 	// scan, wheel and detection events) are filtered by the squashed flag
 	// or by id validation; the object itself can recycle now.

@@ -179,5 +179,5 @@ func (c *Core) foldAtDispatch(t *thread, di *DynInst, inv bool) {
 	t.rob.pushBack(di)
 	c.robCount++
 	t.icount-- // leaves the fetch-to-issue population immediately
-	t.stats.Runahead.Folded.Inc()
+	t.stats.Folded++
 }

@@ -82,7 +82,7 @@ func (c *Core) fetchFrom(t *thread, now uint64, slots int) int {
 		t.fq.pushBack(di)
 		t.icount++
 		t.cursor++
-		t.stats.Fetched.Inc()
+		t.stats.Fetched++
 		n++
 
 		if tmpl.Op.IsBranch() {

@@ -84,7 +84,7 @@ func (c *Core) issue(q *issueQueue, t *thread, di *DynInst, now uint64) bool {
 	q.count--
 	t.iqHeld[q.kind]--
 	t.icount--
-	t.stats.Executed.Inc()
+	t.stats.Executed++
 	return true
 }
 
@@ -129,7 +129,7 @@ func (c *Core) foldInQueue(t *thread, di *DynInst) {
 	c.iqs[di.iq].count--
 	t.iqHeld[di.iq]--
 	t.icount--
-	t.stats.Runahead.Folded.Inc()
+	t.stats.Folded++
 	// A poisoned branch cannot be validated; runahead proceeds down the
 	// predicted path without penalty (§3.1 "follow the most likely path").
 	if di == t.blockingBranch {
@@ -203,7 +203,7 @@ func (c *Core) executeLoad(t *thread, di *DynInst, now uint64) (ok bool, done ui
 			di.isL2Miss = true
 			di.doneAt = res.DoneAt // published early for the detection path
 			di.missDetectAt = now + c.cfg.Mem.DL1.Latency + c.cfg.Mem.L2.Latency
-			t.stats.L2MissLoads.Inc()
+			t.stats.L2MissLoads++
 			c.pendingDetect = append(c.pendingDetect, wheelRef{di, di.id})
 		}
 		return true, res.DoneAt
@@ -243,7 +243,7 @@ func (c *Core) executeLoad(t *thread, di *DynInst, now uint64) (ok bool, done ui
 		// Long-latency: the access stays in flight as a prefetch; the
 		// load's result is poisoned and the thread keeps running.
 		di.inv = true
-		t.stats.Runahead.PrefetchesIssued.Inc()
+		t.stats.PrefetchesIssued++
 		return true, now + 1
 	}
 	return true, res.DoneAt
@@ -263,7 +263,7 @@ func (c *Core) executeRunaheadStore(t *thread, di *DynInst, now uint64) {
 	if c.cfg.Runahead.Prefetch {
 		res := c.hier.Access(mem.KindPrefetch, t.id, addr, now)
 		if !res.NoMSHR && res.Level == mem.LevelMemory {
-			t.stats.Runahead.PrefetchesIssued.Inc()
+			t.stats.PrefetchesIssued++
 		}
 	}
 }
@@ -300,7 +300,7 @@ func (c *Core) detectMisses(now uint64) {
 			continue
 		}
 		t := c.threads[di.tid]
-		t.pendingMisses = append(t.pendingMisses, di.doneAt)
+		t.missUntil = max(t.missUntil, di.doneAt)
 		c.policy.OnL2Miss(c, di)
 	}
 	c.pendingDetect = kept
@@ -332,12 +332,12 @@ func (c *Core) completeStage(now uint64) {
 // resolved misprediction, charging the redirect penalty.
 func (c *Core) resolveBranch(di *DynInst, now uint64) {
 	t := c.threads[di.tid]
-	t.stats.BranchResolved.Inc()
+	t.stats.BranchResolved++
 	if !di.inv {
 		t.bp.Update(di.tmpl.PC, di.tmpl.Taken)
 	}
 	if di.mispredicted {
-		t.stats.BranchMispredicted.Inc()
+		t.stats.BranchMispredicted++
 		if t.blockingBranch == di {
 			t.blockingBranch = nil
 			t.haveFetchLine = false

@@ -263,7 +263,7 @@ func (c *Core) Step() {
 	c.dispatchStage(now)
 	c.fetchStage(now)
 	c.policy.Tick(c)
-	c.sample(now)
+	c.sample()
 	if c.paranoid {
 		if err := c.CheckInvariants(); err != nil {
 			//lint:panicfree paranoid-mode invariant check: per-cycle state corruption cannot be reported as a value up the hot Step path; halting beats a silently wrong simulation
@@ -275,14 +275,14 @@ func (c *Core) Step() {
 
 // sample records the per-cycle statistics (Figure 5's register occupancy
 // by mode).
-func (c *Core) sample(uint64) {
+func (c *Core) sample() {
 	for _, t := range c.threads {
-		regs := float64(c.intRF.OwnerCount(t.id) + c.fpRF.OwnerCount(t.id))
+		regs := uint64(c.intRF.OwnerCount(t.id) + c.fpRF.OwnerCount(t.id))
 		if t.mode == ModeRunahead {
-			t.stats.RegsRunahead.Observe(regs)
-			t.stats.Runahead.CyclesInRunahead.Inc()
+			t.stats.RegCyclesRunahead += regs
+			t.stats.CyclesInRunahead++
 		} else {
-			t.stats.RegsNormal.Observe(regs)
+			t.stats.RegCyclesNormal += regs
 		}
 	}
 }
@@ -345,25 +345,13 @@ func (c *Core) IntRegsHeld(tid int) int { return c.intRF.OwnerCount(tid) }
 func (c *Core) FPRegsHeld(tid int) int { return c.fpRF.OwnerCount(tid) }
 
 // Committed returns tid's architecturally committed instruction count.
-func (c *Core) Committed(tid int) uint64 {
-	return c.threads[tid].stats.Committed.Value()
-}
+func (c *Core) Committed(tid int) uint64 { return c.threads[tid].stats.Committed }
 
 // CommittedTotal sums committed instructions over all threads.
 func (c *Core) CommittedTotal() uint64 {
 	var s uint64
 	for _, t := range c.threads {
-		s += t.stats.Committed.Value()
-	}
-	return s
-}
-
-// ExecutedTotal sums executed (energy-consuming) instructions over all
-// threads, including runahead and squashed work — the ED² numerator.
-func (c *Core) ExecutedTotal() uint64 {
-	var s uint64
-	for _, t := range c.threads {
-		s += t.stats.Executed.Value()
+		s += t.stats.Committed
 	}
 	return s
 }

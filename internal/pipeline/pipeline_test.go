@@ -161,7 +161,7 @@ func TestL2MissBlocksWithoutRunahead(t *testing.T) {
 	if ipc > 1.0 {
 		t.Fatalf("memory-bound IPC = %.2f, expected <1 under 400-cycle misses", ipc)
 	}
-	if c.Stats(0).L2MissLoads.Value() == 0 {
+	if c.Stats(0).L2MissLoads == 0 {
 		t.Fatal("no L2 misses recorded")
 	}
 }
@@ -172,13 +172,13 @@ func TestRunaheadEntersAndExits(t *testing.T) {
 	c := mustNew(t, cfg, []*trace.Trace{missLoadTrace(2000, false)}, nil)
 	run(t, c, 20000)
 	st := c.Stats(0)
-	if st.Runahead.Episodes.Value() == 0 {
+	if st.RunaheadEpisodes == 0 {
 		t.Fatal("no runahead episodes on a miss-heavy trace")
 	}
-	if st.Runahead.PseudoRetired.Value() == 0 {
+	if st.PseudoRetired == 0 {
 		t.Fatal("no pseudo-retired instructions")
 	}
-	if st.Runahead.CyclesInRunahead.Value() == 0 {
+	if st.CyclesInRunahead == 0 {
 		t.Fatal("no cycles in runahead")
 	}
 	if c.InRunahead(0) {
@@ -187,7 +187,7 @@ func TestRunaheadEntersAndExits(t *testing.T) {
 		// either, just ensure mode flips happened.
 		t.Log("thread still in runahead at end (acceptable)")
 	}
-	if st.Runahead.PrefetchesIssued.Value() == 0 {
+	if st.PrefetchesIssued == 0 {
 		t.Fatal("runahead issued no prefetches on independent misses")
 	}
 }
@@ -238,13 +238,13 @@ func TestRunaheadNoPrefetchDoesNotPrefetch(t *testing.T) {
 	c := mustNew(t, cfg, []*trace.Trace{missLoadTrace(2000, false)}, nil)
 	run(t, c, 20000)
 	st := c.Stats(0)
-	if st.Runahead.Episodes.Value() == 0 {
+	if st.RunaheadEpisodes == 0 {
 		t.Fatal("no episodes in no-prefetch mode")
 	}
-	if st.Runahead.PrefetchesIssued.Value() != 0 {
+	if st.PrefetchesIssued != 0 {
 		t.Fatal("no-prefetch mode issued prefetches")
 	}
-	if c.Hierarchy().PrefetchIssue.Value() != 0 {
+	if c.Hierarchy().PrefetchIssue != 0 {
 		t.Fatal("hierarchy saw prefetches in no-prefetch mode")
 	}
 }
@@ -259,8 +259,8 @@ func TestRunaheadSuppressionAfterNoPrefetch(t *testing.T) {
 	c := mustNew(t, cfg, []*trace.Trace{missLoadTrace(2000, false)}, nil)
 	run(t, c, 30000)
 	st := c.Stats(0)
-	episodes := st.Runahead.Episodes.Value()
-	misses := st.L2MissLoads.Value()
+	episodes := st.RunaheadEpisodes
+	misses := st.L2MissLoads
 	if episodes == 0 || misses == 0 {
 		t.Fatalf("degenerate run: episodes=%d misses=%d", episodes, misses)
 	}
@@ -386,10 +386,10 @@ func TestFPInvalidationSkipsFPResources(t *testing.T) {
 	c := mustNew(t, cfg, []*trace.Trace{tr}, nil)
 	run(t, c, 20000)
 	st := c.Stats(0)
-	if st.Runahead.Episodes.Value() == 0 {
+	if st.RunaheadEpisodes == 0 {
 		t.Fatal("no runahead")
 	}
-	if st.Runahead.Folded.Value() == 0 {
+	if st.Folded == 0 {
 		t.Fatal("FP invalidation folded nothing")
 	}
 }
@@ -417,7 +417,7 @@ func TestSyncOpsIgnoredInRunahead(t *testing.T) {
 	cfg.Runahead = runahead.Default()
 	c := mustNew(t, cfg, []*trace.Trace{tr}, nil)
 	run(t, c, 15000)
-	if c.Stats(0).Runahead.Episodes.Value() == 0 {
+	if c.Stats(0).RunaheadEpisodes == 0 {
 		t.Fatal("no runahead on sync trace")
 	}
 	// Sync ops execute normally outside runahead and are ignored inside;
@@ -479,7 +479,7 @@ func TestGeneratedTracesIntegration(t *testing.T) {
 	if c.Committed(0) == 0 || c.Committed(1) == 0 {
 		t.Fatalf("starvation: %d / %d", c.Committed(0), c.Committed(1))
 	}
-	if c.Stats(0).Runahead.Episodes.Value() == 0 {
+	if c.Stats(0).RunaheadEpisodes == 0 {
 		t.Fatal("mcf never entered runahead")
 	}
 }
@@ -503,10 +503,10 @@ func TestBranchMispredictionsResolve(t *testing.T) {
 	c := mustNew(t, DefaultConfig(), []*trace.Trace{tr}, nil)
 	run(t, c, 10000)
 	st := c.Stats(0)
-	if st.BranchResolved.Value() == 0 {
+	if st.BranchResolved == 0 {
 		t.Fatal("no branches resolved")
 	}
-	if st.BranchMispredicted.Value() == 0 {
+	if st.BranchMispredicted == 0 {
 		t.Fatal("adversarial pattern never mispredicted")
 	}
 	if c.Committed(0) == 0 {
@@ -556,14 +556,25 @@ func TestRunaheadCacheAblationRuns(t *testing.T) {
 	cfg.Runahead = runahead.Default()
 	cfg.Runahead.UseRunaheadCache = true
 	c := mustNew(t, cfg, []*trace.Trace{tr}, nil)
-	run(t, c, 15000)
-	if c.Stats(0).Runahead.Episodes.Value() == 0 {
-		t.Fatal("no runahead")
-	}
 	if c.racache == nil {
 		t.Fatal("runahead cache not built")
 	}
-	if c.racache.Installs.Value() == 0 {
+	// Episode exit flushes the thread's entries, so probe the stores'
+	// lines every cycle: some runahead store must have installed one.
+	c.SetParanoid(true)
+	installed := false
+	for i := 0; i < 15000; i++ {
+		c.Step()
+		for line := uint64(0x1000); line < 0x1200; line += c.cfg.Mem.DL1.LineBytes {
+			if found, _ := c.racache.LookupLoad(0, line); found {
+				installed = true
+			}
+		}
+	}
+	if c.Stats(0).RunaheadEpisodes == 0 {
+		t.Fatal("no runahead")
+	}
+	if !installed {
 		t.Fatal("runahead cache recorded no stores")
 	}
 }

@@ -32,7 +32,7 @@ func TestConcurrentRunahead(t *testing.T) {
 		t.Fatal("starvation under concurrent runahead")
 	}
 	st0, st1 := c.Stats(0), c.Stats(1)
-	if st0.Runahead.Episodes.Value() == 0 || st1.Runahead.Episodes.Value() == 0 {
+	if st0.RunaheadEpisodes == 0 || st1.RunaheadEpisodes == 0 {
 		t.Fatal("one thread never entered runahead")
 	}
 }
@@ -49,19 +49,19 @@ func TestNoFetchDuringRunahead(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		wasRunahead := c.InRunahead(0)
 		c.Step()
-		fetched := c.Stats(0).Fetched.Value()
+		fetched := c.Stats(0).Fetched
 		if wasRunahead && fetched != prevFetched {
 			t.Fatalf("cycle %d: runahead thread fetched %d instructions",
 				i, fetched-prevFetched)
 		}
 		prevFetched = fetched
 	}
-	if c.Stats(0).Runahead.Episodes.Value() == 0 {
+	if c.Stats(0).RunaheadEpisodes == 0 {
 		t.Fatal("no episodes")
 	}
 	// Resources must still be released: pseudo-retires happen (the
 	// already-fetched window drains through runahead mode).
-	if c.Stats(0).Runahead.PseudoRetired.Value() == 0 {
+	if c.Stats(0).PseudoRetired == 0 {
 		t.Fatal("no pseudo-retires in no-fetch runahead")
 	}
 }
@@ -90,7 +90,7 @@ func TestPipelineDeterminism(t *testing.T) {
 	for tid := 0; tid < 2; tid++ {
 		sa, sb := a.Stats(tid), b.Stats(tid)
 		if sa.Committed != sb.Committed || sa.Executed != sb.Executed ||
-			sa.Runahead.Episodes != sb.Runahead.Episodes ||
+			sa.RunaheadEpisodes != sb.RunaheadEpisodes ||
 			sa.BranchMispredicted != sb.BranchMispredicted {
 			t.Fatalf("thread %d diverged between identical machines", tid)
 		}
@@ -141,17 +141,17 @@ func TestFoldedInstructionsConsumeNoFU(t *testing.T) {
 	c := mustNew(t, cfg, []*trace.Trace{tr}, nil)
 	run(t, c, 30000)
 	st := c.Stats(0)
-	if st.Runahead.Episodes.Value() == 0 {
+	if st.RunaheadEpisodes == 0 {
 		t.Fatal("no runahead")
 	}
-	if st.Runahead.Folded.Value() == 0 {
+	if st.Folded == 0 {
 		t.Fatal("poisoned chain folded nothing")
 	}
 	// Folded instructions outnumber any executed runahead work on this
 	// trace shape.
-	if st.Runahead.Folded.Value() < st.Runahead.PseudoRetired.Value()/4 {
+	if st.Folded < st.PseudoRetired/4 {
 		t.Fatalf("folded=%d vs pseudo-retired=%d: poison did not propagate",
-			st.Runahead.Folded.Value(), st.Runahead.PseudoRetired.Value())
+			st.Folded, st.PseudoRetired)
 	}
 }
 

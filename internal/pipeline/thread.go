@@ -4,8 +4,6 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/isa"
 	"repro/internal/regfile"
-	"repro/internal/runahead"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -27,29 +25,43 @@ func (m Mode) String() string {
 	return "normal"
 }
 
-// ThreadStats aggregates one hardware context's activity.
+// ThreadStats aggregates one hardware context's activity. Every field is a
+// monotonic count, so a measurement window is the difference of two
+// snapshots.
 type ThreadStats struct {
 	// Committed counts architecturally committed instructions (IPC's
 	// numerator).
-	Committed stats.Counter
+	Committed uint64
 	// Fetched counts instructions brought into the front end.
-	Fetched stats.Counter
+	Fetched uint64
 	// Executed counts instructions that occupied a functional unit,
 	// including runahead and later-squashed work — the energy proxy the
 	// paper's ED² metric (§5.3) is built on.
-	Executed stats.Counter
+	Executed uint64
 	// Squashed counts instructions discarded by flushes and runahead exits.
-	Squashed stats.Counter
-	// BranchResolved / BranchMispredicted drive predictor accuracy stats.
-	BranchResolved     stats.Counter
-	BranchMispredicted stats.Counter
+	Squashed uint64
+	// BranchResolved / BranchMispredicted count resolved and mispredicted
+	// branches.
+	BranchResolved     uint64
+	BranchMispredicted uint64
 	// L2MissLoads counts demand loads served by main memory.
-	L2MissLoads stats.Counter
-	// Runahead groups the RaT counters.
-	Runahead runahead.Stats
-	// RegsNormal and RegsRunahead sample per-cycle allocated physical
-	// registers (INT+FP) by mode — Figure 5's measurement.
-	RegsNormal, RegsRunahead stats.RunningMean
+	L2MissLoads uint64
+	// RunaheadEpisodes counts entries into runahead mode.
+	RunaheadEpisodes uint64
+	// PseudoRetired counts instructions pseudo-retired during runahead.
+	PseudoRetired uint64
+	// Folded counts instructions folded (never executed) due to INV
+	// operands or decode-time FP invalidation.
+	Folded uint64
+	// PrefetchesIssued counts runahead loads/stores that went to memory.
+	PrefetchesIssued uint64
+	// CyclesInRunahead counts cycles spent in runahead mode.
+	CyclesInRunahead uint64
+	// RegCyclesNormal and RegCyclesRunahead sum the physical registers
+	// (INT+FP) the thread holds each cycle, by mode: over a window, divided
+	// by the normal-mode and runahead cycles, they are Figure 5's
+	// occupancy means.
+	RegCyclesNormal, RegCyclesRunahead uint64
 }
 
 // thread is one hardware context.
@@ -87,9 +99,10 @@ type thread struct {
 	lastFetchLine     uint64
 	haveFetchLine     bool
 
-	// Outstanding demand L2 misses (completion cycles); STALL and FLUSH
-	// gate fetch while any is in the future.
-	pendingMisses []uint64
+	// missUntil is the latest completion cycle of the demand L2 misses
+	// detected so far; STALL and FLUSH gate fetch while it is in the
+	// future.
+	missUntil uint64
 
 	// Runahead state.
 	mode      Mode
@@ -149,14 +162,5 @@ func (t *thread) liveWriters() int {
 }
 
 // pendingL2Miss reports whether the thread has a demand miss outstanding
-// at cycle now, pruning resolved entries.
-func (t *thread) pendingL2Miss(now uint64) bool {
-	kept := t.pendingMisses[:0]
-	for _, d := range t.pendingMisses {
-		if d > now {
-			kept = append(kept, d)
-		}
-	}
-	t.pendingMisses = kept
-	return len(kept) > 0
-}
+// at cycle now.
+func (t *thread) pendingL2Miss(now uint64) bool { return t.missUntil > now }

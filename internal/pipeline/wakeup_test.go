@@ -154,9 +154,9 @@ func TestWakeupFoldCascade(t *testing.T) {
 	at := stepRecording(t, c, map[uint64]func(*DynInst) bool{1: folded, 2: folded, 3: folded})
 	// The trigger pseudo-retires at entry, so the episode itself records
 	// when it began; the miss keeps it running for a memory latency.
-	if !c.InRunahead(0) || c.Stats(0).Runahead.Episodes.Value() != 1 {
+	if !c.InRunahead(0) || c.Stats(0).RunaheadEpisodes != 1 {
 		t.Fatalf("want the thread in its first runahead episode, got runahead=%v episodes=%d",
-			c.InRunahead(0), c.Stats(0).Runahead.Episodes.Value())
+			c.InRunahead(0), c.Stats(0).RunaheadEpisodes)
 	}
 	enteredAt := c.threads[0].raEntered
 	for seq := uint64(1); seq <= 3; seq++ {
@@ -204,8 +204,8 @@ func TestWakeupFoldChainSameQueue(t *testing.T) {
 		t.Fatalf("second consumer dispatched with pending %d, want 1 (waiting on the first)", secondPending)
 	}
 	enteredAt := c.threads[0].raEntered
-	if c.Stats(0).Runahead.Episodes.Value() != 1 {
-		t.Fatalf("want one runahead episode, got %d", c.Stats(0).Runahead.Episodes.Value())
+	if c.Stats(0).RunaheadEpisodes != 1 {
+		t.Fatalf("want one runahead episode, got %d", c.Stats(0).RunaheadEpisodes)
 	}
 	if at[1] != enteredAt || at[2] != enteredAt {
 		t.Fatalf("IQInt consumers folded at %d and %d, want both in the entry cycle %d", at[1], at[2], enteredAt)

@@ -187,7 +187,7 @@ func TestFlushReleasesAndRestarts(t *testing.T) {
 	}
 	icount := runCore(t, pipeline.ICount{}, traces(), 15000)
 	flush := runCore(t, NewFlush(), traces(), 15000)
-	if flush.Stats(1).Squashed.Value() == 0 {
+	if flush.Stats(1).Squashed == 0 {
 		t.Fatal("FLUSH squashed nothing on a missing thread")
 	}
 	if flush.Committed(0) <= icount.Committed(0) {

@@ -56,7 +56,6 @@ type File struct {
 	name     string
 	regs     []regState
 	free     []PhysReg
-	inUse    int
 	perOwner [8]int
 }
 
@@ -82,9 +81,8 @@ func New(name string, size int) *File {
 // Size returns the total number of physical registers.
 func (f *File) Size() int { return len(f.regs) }
 
-// InUse returns the number of currently allocated registers; Figure 5
-// samples this every cycle.
-func (f *File) InUse() int { return f.inUse }
+// InUse returns the number of currently allocated registers.
+func (f *File) InUse() int { return len(f.regs) - len(f.free) }
 
 // FreeCount returns the number of registers available for allocation.
 func (f *File) FreeCount() int { return len(f.free) }
@@ -99,7 +97,6 @@ func (f *File) Alloc(tid int) (PhysReg, bool) {
 	p := f.free[len(f.free)-1]
 	f.free = f.free[:len(f.free)-1]
 	f.regs[p] = regState{allocated: true, owner: uint8(tid)}
-	f.inUse++
 	f.perOwner[tid&7]++
 	return p, true
 }
@@ -178,7 +175,6 @@ func (f *File) maybeFree(p PhysReg) {
 	if s.allocated && s.dead && s.refs == 0 {
 		s.allocated = false
 		f.free = append(f.free, p)
-		f.inUse--
 		f.perOwner[s.owner&7]--
 	}
 }
@@ -198,7 +194,7 @@ func (f *File) state(p PhysReg) *regState {
 
 // CheckInvariants verifies internal consistency (used by tests and the
 // simulator's paranoid mode): the free list and allocated flags must
-// partition the file, and inUse must match.
+// partition the file.
 func (f *File) CheckInvariants() error {
 	onFree := make([]bool, len(f.regs))
 	for _, p := range f.free {
@@ -207,19 +203,14 @@ func (f *File) CheckInvariants() error {
 		}
 		onFree[p] = true
 	}
-	used := 0
 	for i := range f.regs {
 		if f.regs[i].allocated {
-			used++
 			if onFree[i] {
 				return fmt.Errorf("regfile %s: register %d allocated and free", f.name, i)
 			}
 		} else if !onFree[i] {
 			return fmt.Errorf("regfile %s: register %d neither allocated nor free", f.name, i)
 		}
-	}
-	if used != f.inUse {
-		return fmt.Errorf("regfile %s: inUse=%d but %d allocated", f.name, f.inUse, used)
 	}
 	return nil
 }

@@ -1,5 +1,5 @@
 // Package runahead holds the Runahead Threads (RaT) mechanism's
-// configuration, the runahead cache, and episode statistics.
+// configuration and the runahead cache.
 //
 // RaT (the paper's contribution, §3) turns a thread that blocks the shared
 // pipeline on a long-latency L2 miss into a speculative "light" thread:
@@ -19,8 +19,6 @@
 // (Figure 4, the runahead-cache study, the FP-invalidation study) are
 // plain configuration changes.
 package runahead
-
-import "repro/internal/stats"
 
 // Config selects runahead behaviour. The zero value disables runahead
 // entirely (the baseline configurations).
@@ -73,21 +71,6 @@ func Default() Config {
 // Disabled returns the configuration with runahead fully off.
 func Disabled() Config { return Config{} }
 
-// Stats aggregates runahead activity for one thread.
-type Stats struct {
-	// Episodes counts entries into runahead mode.
-	Episodes stats.Counter
-	// CyclesInRunahead counts cycles spent in runahead mode.
-	CyclesInRunahead stats.Counter
-	// PseudoRetired counts instructions pseudo-retired during runahead.
-	PseudoRetired stats.Counter
-	// Folded counts instructions folded (never executed) due to INV
-	// operands or decode-time FP invalidation.
-	Folded stats.Counter
-	// PrefetchesIssued counts runahead loads/stores that went to memory.
-	PrefetchesIssued stats.Counter
-}
-
 // --- Runahead cache ----------------------------------------------------------
 
 // CacheEntry is one runahead-cache line: the store's line address, its
@@ -107,11 +90,6 @@ type CacheEntry struct {
 type Cache struct {
 	entries []CacheEntry
 	mask    uint64
-
-	Hits      stats.Counter
-	Misses    stats.Counter
-	Installs  stats.Counter
-	Conflicts stats.Counter
 }
 
 // NewCache builds a runahead cache with the given number of entries
@@ -130,12 +108,7 @@ func (c *Cache) index(lineAddr uint64) uint64 { return (lineAddr >> 6) & c.mask 
 // RecordStore installs a runahead store's line. invData records whether
 // the stored value was INV (a load forwarding from it must be poisoned).
 func (c *Cache) RecordStore(tid int, lineAddr uint64, invData bool) {
-	e := &c.entries[c.index(lineAddr)]
-	if e.valid && (e.lineAddr != lineAddr || int(e.tid) != tid) {
-		c.Conflicts.Inc()
-	}
-	*e = CacheEntry{lineAddr: lineAddr, tid: uint8(tid), valid: true, inv: invData}
-	c.Installs.Inc()
+	c.entries[c.index(lineAddr)] = CacheEntry{lineAddr: lineAddr, tid: uint8(tid), valid: true, inv: invData}
 }
 
 // LookupLoad checks whether a runahead load forwards from a prior runahead
@@ -143,10 +116,8 @@ func (c *Cache) RecordStore(tid int, lineAddr uint64, invData bool) {
 func (c *Cache) LookupLoad(tid int, lineAddr uint64) (found, inv bool) {
 	e := &c.entries[c.index(lineAddr)]
 	if e.valid && e.lineAddr == lineAddr && int(e.tid) == tid {
-		c.Hits.Inc()
 		return true, e.inv
 	}
-	c.Misses.Inc()
 	return false, false
 }
 

@@ -311,14 +311,24 @@ func (rs *ResultSet) WriteJSON(w io.Writer) error { return rs.Dataset().WriteJSO
 // WriteCSV emits the result set as CSV.
 func (rs *ResultSet) WriteCSV(w io.Writer) error { return rs.Dataset().WriteCSV(w) }
 
-// Emit writes the result set in the named format ("table", "json",
-// "csv", "ndjson"; empty falls back to the spec default resolved by the
-// caller).
-func (rs *ResultSet) Emit(w io.Writer, format string) error {
+// CheckFormat reports whether format names an output format: "table",
+// "json", "csv" or "ndjson". Empty is accepted; the caller's default
+// applies.
+func CheckFormat(format string) error {
 	switch format {
-	case "", "table":
-		_, err := io.WriteString(w, rs.String())
-		return err
+	case "", "table", "json", "csv", "ndjson":
+		return nil
+	}
+	return fmt.Errorf("unknown format %q (valid: table, json, csv, ndjson)", format)
+}
+
+// Emit writes the result set in the named format (see CheckFormat; empty
+// renders the table).
+func (rs *ResultSet) Emit(w io.Writer, format string) error {
+	if err := CheckFormat(format); err != nil {
+		return fmt.Errorf("scenario: %w", err)
+	}
+	switch format {
 	case "json":
 		return rs.WriteJSON(w)
 	case "csv":
@@ -326,5 +336,6 @@ func (rs *ResultSet) Emit(w io.Writer, format string) error {
 	case "ndjson":
 		return rs.WriteNDJSON(w)
 	}
-	return fmt.Errorf("scenario: unknown format %q (valid: table, json, csv, ndjson)", format)
+	_, err := io.WriteString(w, rs.String())
+	return err
 }

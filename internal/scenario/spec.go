@@ -327,10 +327,8 @@ func (sp *Spec) Validate() error {
 				sp.Name, m, strings.Join(MetricNames(), ", "))
 		}
 	}
-	switch sp.Format {
-	case "", "table", "json", "csv", "ndjson":
-	default:
-		return fmt.Errorf("scenario %s: unknown format %q (valid: table, json, csv, ndjson)", sp.Name, sp.Format)
+	if err := CheckFormat(sp.Format); err != nil {
+		return fmt.Errorf("scenario %s: %w", sp.Name, err)
 	}
 	return nil
 }

@@ -221,7 +221,7 @@ func TestEveryPushIsPopped(t *testing.T) {
 }
 
 // TestSnapshotSerializesByteStable locks the claim behind the
-// //lint:deterministic directive on the Snapshot builder: the client map
+// //lint:detrange directive on the Snapshot builder: the client map
 // it ranges over is key-addressed and reaches clients only as sorted-key
 // JSON, so two identically driven queues serialize to identical bytes,
 // with jobs queued and in service.
