@@ -17,16 +17,21 @@
 //	    finished (a grid cell or a fairness reference), not per row: a
 //	    finished row never waits behind a running cell, and a fully
 //	    cached replay goes out in one write. table, json and csv buffer
-//	    the full result set before writing. Every request is planned
-//	    once (scenario.NewPlan) and both paths execute that plan. Spec
-//	    errors return 400 with a JSON {"error"} body; simulation
+//	    the full result set before writing. Every distinct body is
+//	    decoded and planned once (scenario.NewPlan): its plan is cached
+//	    by the body's bytes for the daemon's life, within fixed entry
+//	    and byte bounds, and every request with that body, in any
+//	    format, executes the cached plan. Spec errors (anything after
+//	    the spec document included) return 400 with a JSON {"error"}
+//	    body, and a body over -max-body returns 413; simulation
 //	    failures return 500 (buffered formats) or an {"error"} NDJSON
 //	    line terminating the stream.
 //	GET /v1/metrics
 //	    Cache hit/miss/eviction/in-flight counters, configured bounds,
-//	    request/row totals, the trace tier's hit/miss/generated counters
-//	    (under "trace"), and (when -store-dir is set) the persistent
-//	    store's diskHits/diskMisses/diskBytes/diskEvictions, as JSON.
+//	    request/row totals, the plan cache's counters (under "plans"),
+//	    the trace tier's hit/miss/generated counters (under "trace"),
+//	    and (when -store-dir is set) the persistent store's
+//	    diskHits/diskMisses/diskBytes/diskEvictions, as JSON.
 //	GET /healthz
 //	    Liveness probe; 200 "ok".
 //
@@ -85,6 +90,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -181,13 +187,26 @@ func main() {
 	log.Printf("smtsimd: shutdown complete")
 }
 
+// The plan cache's bounds. They are fixed, not flags: a plan costs a few
+// KiB, and a working set of repeated bodies far smaller than the entry
+// bound already hits.
+const (
+	planEntries = 64
+	planBytes   = 4 << 20
+)
+
 // server is the daemon state: one experiment session (worker pool +
-// bounded simulation cache) shared by every request, plus serving
-// counters for /v1/metrics.
+// bounded simulation cache) shared by every request, the plan cache,
+// and serving counters for /v1/metrics.
 type server struct {
 	session  *experiments.Session
 	maxBody  int64
 	maxCells int64
+
+	// plans maps a request body to its planning outcome. maxCells and the
+	// session are fixed once the daemon serves, so an outcome is a pure
+	// function of the body.
+	plans *simcache.Cache[string, planned]
 
 	// maxInflight bounds concurrent scenario requests per client
 	// identity (0 = unbounded); breaches answer 429. inflightByClient
@@ -216,8 +235,46 @@ func newServer(opt experiments.Options, maxBody int64) (*server, error) {
 		session:          s,
 		maxBody:          maxBody,
 		maxCells:         4096,
+		plans:            simcache.New[string](planEntries, planBytes, func(p planned) int64 { return p.bytes }),
 		inflightByClient: map[string]int{},
 	}, nil
+}
+
+// planned is one request body's planning outcome: its plan, or the spec
+// error the body earns (a 400), and the bytes the cache entry retains,
+// the body itself included.
+type planned struct {
+	plan  *scenario.Plan
+	err   error
+	bytes int64
+}
+
+// plan returns body's plan, decoding and planning it only on the body's
+// first sighting. ExecuteStreamCtx only reads a plan, so concurrent
+// requests with the same body, in any format, share one.
+func (s *server) plan(ctx context.Context, body []byte) (*scenario.Plan, error) {
+	call, created := s.plans.BeginCtx(ctx, string(body))
+	if created {
+		out := planned{bytes: int64(len(body))}
+		sp, err := scenario.Decode(bytes.NewReader(body))
+		if err == nil {
+			// Pre-flight the full grid: an invalid spec or machine
+			// configuration, or an oversized cross-product, is the
+			// client's error and must be a 400, not a mid-stream failure
+			// line (or a daemon-sized allocation).
+			out.plan, err = scenario.NewPlan(s.session, sp, s.maxCells)
+		}
+		out.err = err
+		if out.plan != nil {
+			out.bytes += out.plan.SizeBytes()
+		}
+		call.Fulfill(out, nil)
+	}
+	out, err := call.WaitCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return out.plan, out.err
 }
 
 // clientID attributes a request to a client identity: the X-Client
@@ -305,7 +362,7 @@ func (s *server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release(client)
-	sp, err := scenario.Decode(http.MaxBytesReader(w, r.Body, s.maxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
 		// An oversized body is its own condition (413), not a malformed
 		// spec (400): the client must shrink the request, not fix it.
@@ -315,21 +372,18 @@ func (s *server) handleScenario(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("request body exceeds %d bytes", s.maxBody))
 			return
 		}
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, http.StatusBadRequest, fmt.Errorf("scenario: %w", err))
 		return
 	}
-	// Pre-flight the full grid: an invalid spec or machine configuration,
-	// or an oversized cross-product, is the client's error and must be a
-	// 400, not a mid-stream failure line (or a daemon-sized allocation).
-	// The plan is then executed as is, whatever the format.
-	plan, err := scenario.NewPlan(s.session, sp, s.maxCells)
+	// The plan is executed as is, whatever the format.
+	plan, err := s.plan(r.Context(), body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	format := r.URL.Query().Get("format")
 	if format == "" {
-		format = sp.Format
+		format = plan.Spec.Format
 	}
 	if format == "" {
 		format = "ndjson"
@@ -470,6 +524,9 @@ func (s *server) streamScenario(ctx context.Context, w http.ResponseWriter, plan
 // count how often a grid cell's instruction traces were served from
 // memory versus generated fresh (disk* subfields mirror the persistent
 // tier enabled by -trace-dir).
+// The plans object is the plan cache's view: a hit is a request whose
+// body was already decoded and planned, so hits/(hits+misses) is the
+// share of repeated bodies.
 // Goroutines is the process's live goroutine count — a leak gauge: it
 // returns to its post-startup baseline when the daemon is idle, so CI's
 // leak-smoke step (and any monitor) can assert sweeps do not strand
@@ -483,6 +540,7 @@ func (s *server) streamScenario(ctx context.Context, w http.ResponseWriter, plan
 // queued/in-service accounting (active clients only).
 type metricsDoc struct {
 	Cache           simcache.Stats   `json:"cache"`
+	Plans           simcache.Stats   `json:"plans"`
 	Requests        uint64           `json:"requests"`
 	Failures        uint64           `json:"failures"`
 	Canceled        uint64           `json:"canceled"`
@@ -508,6 +566,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	schedSnap := s.session.SchedStats()
 	enc.Encode(metricsDoc{
 		Cache:           s.session.CacheStats(),
+		Plans:           s.plans.Stats(),
 		Requests:        s.requests.Load(),
 		Failures:        s.failures.Load(),
 		Canceled:        s.canceled.Load(),

@@ -94,6 +94,8 @@ func TestScenarioBadRequests(t *testing.T) {
 		"unknown bench":   {ts.URL + "/v1/scenario", `{"name":"x","workloads":{"adhoc":["nope"]}}`, http.StatusBadRequest},
 		"unknown format":  {ts.URL + "/v1/scenario?format=xml", testSpec, http.StatusBadRequest},
 		"oversized combo": {ts.URL + "/v1/scenario", `{"name":"x","axes":[{"name":"a","points":[{"delta":{"robSize":0}}]}],"base":{"robSize":-1}}`, http.StatusBadRequest},
+		"trailing spec":   {ts.URL + "/v1/scenario", testSpec + ` {"name":"y"}`, http.StatusBadRequest},
+		"trailing junk":   {ts.URL + "/v1/scenario", testSpec + ` garbage`, http.StatusBadRequest},
 	} {
 		status, body := post(t, tc.url, tc.body)
 		if status != tc.want {
@@ -572,6 +574,96 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if doc.Goroutines <= 0 {
 		t.Errorf("goroutines gauge = %d, want a live count", doc.Goroutines)
+	}
+	if doc.Plans.Misses != 1 || doc.Plans.Hits != 1 || doc.Plans.Entries != 1 {
+		t.Errorf("plan cache %+v: want the repeated body planned once and hit once", doc.Plans)
+	}
+}
+
+// TestPlanSharedAcrossFormats: one body POSTed concurrently in all four
+// formats is decoded and planned once, every response byte-equals the
+// in-process render, and /v1/metrics reads cleanly while the cells
+// settle (run under -race in CI).
+func TestPlanSharedAcrossFormats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation run")
+	}
+	formats := []string{"ndjson", "json", "csv", "table"}
+	sp, err := scenario.Parse(strings.NewReader(testSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := experiments.NewSession(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := sess.RunScenarioCtx(context.Background(), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{}
+	for _, format := range formats {
+		var buf bytes.Buffer
+		if err := rs.Emit(&buf, format); err != nil {
+			t.Fatal(err)
+		}
+		want[format] = buf.Bytes()
+	}
+
+	_, ts := newTestServer(t, testOptions())
+	const perFormat = 3
+	done := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				polled <- n
+				return
+			default:
+			}
+			resp, err := http.Get(ts.URL + "/v1/metrics")
+			if err != nil {
+				t.Error(err)
+				continue
+			}
+			var doc metricsDoc
+			if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+				t.Errorf("metrics while cells settle: %v", err)
+			}
+			resp.Body.Close()
+			n++
+		}
+	}()
+	var wg sync.WaitGroup
+	for _, format := range formats {
+		for i := 0; i < perFormat; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				status, got := post(t, ts.URL+"/v1/scenario?format="+format, testSpec)
+				if status != http.StatusOK {
+					t.Errorf("%s: status = %d, body %s", format, status, got)
+					return
+				}
+				if !bytes.Equal(got, want[format]) {
+					t.Errorf("%s: response differs from the in-process render:\ngot:\n%s\nwant:\n%s", format, got, want[format])
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(done)
+	if n := <-polled; n == 0 {
+		t.Error("metrics never polled while the requests ran")
+	}
+	doc := getMetrics(t, ts.URL)
+	if doc.Plans.Misses != 1 || doc.Plans.Hits != uint64(len(formats)*perFormat-1) {
+		t.Errorf("plan cache %+v: want 1 miss and %d hits", doc.Plans, len(formats)*perFormat-1)
+	}
+	if doc.Requests != uint64(len(formats)*perFormat) || doc.Failures != 0 {
+		t.Errorf("metrics %+v: want %d requests, no failures", doc, len(formats)*perFormat)
 	}
 }
 

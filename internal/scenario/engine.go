@@ -305,9 +305,6 @@ func (rs *ResultSet) Dataset() *report.Dataset {
 // String renders the result set as an aligned text table.
 func (rs *ResultSet) String() string { return rs.Dataset().String() }
 
-// WriteJSON emits the result set as one JSON document.
-func (rs *ResultSet) WriteJSON(w io.Writer) error { return rs.Dataset().WriteJSON(w) }
-
 // WriteCSV emits the result set as CSV.
 func (rs *ResultSet) WriteCSV(w io.Writer) error { return rs.Dataset().WriteCSV(w) }
 

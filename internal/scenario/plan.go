@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/workload"
 )
@@ -59,4 +60,19 @@ func NewPlan(r Runner, sp *Spec, maxCells int64) (*Plan, error) {
 		p.needRef = p.needRef || m.needsReference
 	}
 	return p, nil
+}
+
+// SizeBytes approximates the memory the plan retains beyond its spec:
+// the configuration grid, one Combo with its labels and fingerprint per
+// point, and the selected workloads.
+func (p *Plan) SizeBytes() int64 {
+	const strBytes = int64(unsafe.Sizeof(""))
+	n := int64(unsafe.Sizeof(*p)) + int64(len(p.workloads))*int64(unsafe.Sizeof(workload.Workload{}))
+	for _, c := range p.combos {
+		n += int64(unsafe.Sizeof(c)) + int64(len(c.Fingerprint))
+		for _, l := range c.Labels {
+			n += strBytes + int64(len(l))
+		}
+	}
+	return n
 }

@@ -73,10 +73,38 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"duplicate axis":  `{"name":"x","axes":[{"name":"a","points":[{"delta":{}}]},{"name":"a","points":[{"delta":{}}]}]}`,
 		"bad format":      `{"name":"x","format":"xml"}`,
 		"duplicate point": `{"name":"x","axes":[{"name":"a","points":[{"delta":{"robSize":1}},{"delta":{"robSize":1}}]}]}`,
+		"trailing spec":   `{"name":"x"} {"name":"y"}`,
+		"trailing junk":   `{"name":"x"} garbage`,
 	}
 	for what, doc := range cases {
 		if _, err := scenario.Parse(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s accepted: %s", what, doc)
+		}
+	}
+}
+
+// TestDecodeRejectsTrailingData: an input holds exactly one spec. A
+// second JSON value or any other non-whitespace after the first is an
+// error; trailing whitespace is not.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	for _, doc := range []string{
+		`{"name":"x"} {"name":"y"}`,
+		`{"name":"x"}{"name":"y"}`,
+		`{"name":"x"} garbage`,
+		`{"name":"x"}}`,
+		`{"name":"x"} 1`,
+		`{"name":"x"} "`,
+		`{"name":"x"},`,
+	} {
+		if sp, err := scenario.Decode(strings.NewReader(doc)); err == nil {
+			t.Errorf("trailing data accepted, spec %q: %s", sp.Name, doc)
+		} else if !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("%s: error %q does not name the trailing data", doc, err)
+		}
+	}
+	for _, doc := range []string{`{"name":"x"}`, "{\"name\":\"x\"}\n", "\t{\"name\":\"x\"} \r\n\t "} {
+		if sp, err := scenario.Decode(strings.NewReader(doc)); err != nil || sp.Name != "x" {
+			t.Errorf("%q: spec %+v, err %v; trailing whitespace must be accepted", doc, sp, err)
 		}
 	}
 }

@@ -18,6 +18,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -388,13 +389,21 @@ func (sp *Spec) AxisNames() []string {
 
 // Decode reads a spec from JSON without validating it; NewPlan (or
 // Parse) validates. Unknown fields anywhere in the document are errors,
-// so a misspelled knob cannot silently dissolve into a no-op sweep.
+// so a misspelled knob cannot silently dissolve into a no-op sweep, and
+// so is anything but whitespace after the document: an input holds
+// exactly one spec.
 func Decode(r io.Reader) (*Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var sp Spec
 	if err := dec.Decode(&sp); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("more than one JSON value")
+		}
+		return nil, fmt.Errorf("scenario: trailing data after the spec: %w", err)
 	}
 	return &sp, nil
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
@@ -21,6 +22,7 @@ import (
 // map[string]any holding the row, without the reflection: the sorted
 // key order and every key's `"key":` prefix are computed once, and each
 // row is appended into one reused buffer and written with one Write.
+// The same row appender builds the "rows" array of WriteJSON's document.
 type RowEncoder struct {
 	w      io.Writer
 	fields []rowField // in output (sorted key) order
@@ -88,7 +90,19 @@ func newRowEncoder(w io.Writer, axes, metrics []string) *RowEncoder {
 // Encode writes one row as a single JSON line. A NaN or infinite value
 // returns encoding/json's UnsupportedValueError and writes nothing.
 func (e *RowEncoder) Encode(row Row) error {
-	b := e.buf[:0]
+	b, err := e.appendRow(e.buf[:0], row)
+	if err != nil {
+		return err
+	}
+	b = append(b, '\n')
+	e.buf = b
+	_, err = e.w.Write(b)
+	return err
+}
+
+// appendRow appends row to b as one compact JSON object. A NaN or
+// infinite value returns encoding/json's UnsupportedValueError.
+func (e *RowEncoder) appendRow(b []byte, row Row) ([]byte, error) {
 	for _, f := range e.fields {
 		b = append(b, f.prefix...)
 		switch f.kind {
@@ -100,7 +114,7 @@ func (e *RowEncoder) Encode(row Row) error {
 			v := row.Values[f.index]
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				_, err := json.Marshal(v) // encoding/json's own UnsupportedValueError
-				return err
+				return b, err
 			}
 			b = appendFloat(b, v)
 		case fieldTruncated:
@@ -109,10 +123,7 @@ func (e *RowEncoder) Encode(row Row) error {
 			b = appendString(b, row.Fingerprint)
 		}
 	}
-	b = append(b, '}', '\n')
-	e.buf = b
-	_, err := e.w.Write(b)
-	return err
+	return append(b, '}'), nil
 }
 
 // appendString appends s as a JSON string the way encoding/json does
@@ -158,4 +169,50 @@ func (rs *ResultSet) WriteNDJSON(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// WriteJSON emits the result set as one indented JSON document: the
+// title and description (each omitted when empty), the column names, and
+// the rows as column-keyed objects. The bytes are exactly those of
+// report.Dataset.WriteJSON, a json.Encoder with SetIndent("", "  ") over
+// maps, without the reflection: the compact document is appended with
+// the RowEncoder's row appender, then indented by json.Indent, which is
+// what the Encoder itself does after marshaling compact. A NaN or
+// infinite value returns encoding/json's UnsupportedValueError and
+// writes nothing.
+func (rs *ResultSet) WriteJSON(w io.Writer) error {
+	e := newRowEncoder(nil, rs.Axes, rs.Metrics)
+	b := append(make([]byte, 0, 256*(len(rs.Rows)+1)), '{')
+	if rs.Name != "" {
+		b = append(appendString(append(b, `"title":`...), rs.Name), ',')
+	}
+	if rs.Description != "" {
+		b = append(appendString(append(b, `"description":`...), rs.Description), ',')
+	}
+	b = append(b, `"columns":["workload"`...)
+	for _, c := range rs.Axes {
+		b = appendString(append(b, ','), c)
+	}
+	for _, c := range rs.Metrics {
+		b = appendString(append(b, ','), c)
+	}
+	b = append(b, `,"truncated","config"],"rows":[`...)
+	for i, row := range rs.Rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var err error
+		if b, err = e.appendRow(b, row); err != nil {
+			return err
+		}
+	}
+	b = append(b, ']', '}')
+	var out bytes.Buffer
+	out.Grow(2 * len(b))
+	if err := json.Indent(&out, b, "", "  "); err != nil {
+		return err
+	}
+	out.WriteByte('\n')
+	_, err := w.Write(out.Bytes())
+	return err
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -152,5 +153,98 @@ func FuzzRowEncoder(f *testing.F) {
 			Values:      []float64{math.Float64frombits(v1), math.Float64frombits(v2), math.Float64frombits(v2 ^ v1)},
 			Truncated:   truncated,
 		})
+	})
+}
+
+// checkWriteJSON compares rs.WriteJSON with its reference, the map-based
+// report.Dataset.WriteJSON: the same bytes, or the same error with
+// nothing written by either.
+func checkWriteJSON(t *testing.T, rs *ResultSet) {
+	t.Helper()
+	var want, got bytes.Buffer
+	wantErr := rs.Dataset().WriteJSON(&want)
+	err := rs.WriteJSON(&got)
+	if wantErr != nil {
+		var uve *json.UnsupportedValueError
+		if err == nil || !errors.As(err, &uve) || err.Error() != wantErr.Error() {
+			t.Fatalf("err = %v, want %v", err, wantErr)
+		}
+		if got.Len() != 0 || want.Len() != 0 {
+			t.Fatalf("failed encode wrote %q (reference %q)", got.Bytes(), want.Bytes())
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("unexpected error %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("JSON document differs from the reference:\ngot  %q\nwant %q", got.Bytes(), want.Bytes())
+	}
+}
+
+// jsonResultSet builds a result set of n rows over the given columns,
+// deriving every row's strings and values from the arguments.
+func jsonResultSet(name, desc string, axes, metrics []string, label string, v1, v2 uint64, truncated bool, n int) *ResultSet {
+	rs := &ResultSet{Name: name, Description: desc, Axes: axes, Metrics: metrics}
+	for i := 0; i < n; i++ {
+		row := Row{Workload: label + name, Fingerprint: desc + label, Truncated: truncated != (i%2 == 1)}
+		for j := range axes {
+			row.Labels = append(row.Labels, label+strings.Repeat("<", j+i))
+		}
+		for j := range metrics {
+			bits := v1
+			if (i+j)%2 == 1 {
+				bits = v2 ^ uint64(i)
+			}
+			row.Values = append(row.Values, math.Float64frombits(bits))
+		}
+		rs.Rows = append(rs.Rows, row)
+	}
+	return rs
+}
+
+// TestWriteJSONMatchesDataset pins the appended JSON document to the
+// map-based encoding it replaced: empty and absent header fields, empty
+// row sets, names colliding with the fixed columns or each other,
+// escaped and non-ASCII strings, and unsupported values.
+func TestWriteJSONMatchesDataset(t *testing.T) {
+	one := math.Float64bits(1.25)
+	for _, tc := range []struct {
+		name, desc    string
+		axes, metrics []string
+		label         string
+		v1, v2        uint64
+		rows          int
+	}{
+		{"rob-sweep", "RaT vs ROB", []string{"rob"}, []string{"throughput", "l2mpki"}, "MEM2/art+mcf", one, math.Float64bits(1e-7), 3},
+		{"", "", nil, []string{"throughput"}, "w", one, one, 0},
+		{"", "only a description", nil, nil, "w", one, one, 2},
+		{"<&>", " \xff", []string{"workload", "config"}, []string{"truncated", "throughput"}, "héllo\t\"", one, math.Float64bits(1e21), 2},
+		{"dup", "", []string{"x", "x"}, []string{"x", "throughput", "throughput"}, "日本語", math.Float64bits(-0.0), math.Float64bits(5e-324), 3},
+		{"nan", "", []string{"p"}, []string{"throughput", "cycles"}, "w", one, math.Float64bits(math.NaN()), 2},
+		{"inf", "", nil, []string{"throughput"}, "w", math.Float64bits(math.Inf(1)), one, 1},
+		{"-inf", "", nil, []string{"cycles", "throughput"}, "w", one, math.Float64bits(math.Inf(-1)), 2},
+		{"nan-overwritten", "", nil, []string{"throughput", "throughput"}, "w", math.Float64bits(math.NaN()), one, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkWriteJSON(t, jsonResultSet(tc.name, tc.desc, tc.axes, tc.metrics, tc.label, tc.v1, tc.v2, tc.rows%2 == 0, tc.rows))
+		})
+	}
+}
+
+// FuzzWriteJSON drives the document comparison from fuzz bytes: any
+// header strings, any axis and metric names (colliding with the fixed
+// columns, each other, or repeated), any labels, any float bit patterns
+// and zero to three rows.
+func FuzzWriteJSON(f *testing.F) {
+	f.Add("rob-sweep", "desc", "rob", "throughput", "MEM2/art+mcf", uint64(0x3ff8000000000000), uint64(0), true, uint8(3))
+	f.Add("", "", "workload", "config", "<script>&amp;", math.Float64bits(1e-7), math.Float64bits(1e21), false, uint8(2))
+	f.Add("x", " ", "truncated", "truncated", "héllo\xff", math.Float64bits(math.NaN()), math.Float64bits(-0.0), false, uint8(1))
+	f.Add("y", "", "x", "x", "日本語", math.Float64bits(5e-324), math.Float64bits(math.Inf(-1)), true, uint8(2))
+	f.Add("empty", "", "rob", "throughput", "", math.Float64bits(math.Inf(1)), uint64(0), true, uint8(0))
+	f.Fuzz(func(t *testing.T, name, desc, axis, metric, label string, v1, v2 uint64, truncated bool, rows uint8) {
+		axes := []string{axis, "rob", axis}
+		metrics := []string{metric, "throughput", metric}
+		checkWriteJSON(t, jsonResultSet(name, desc, axes, metrics, label, v1, v2, truncated, int(rows%4)))
 	})
 }
