@@ -51,12 +51,14 @@
 // previously-run sweeps byte-identically without re-simulating them;
 // `smtload -restart-check` proves exactly that against a live daemon.
 //
-// Generated instruction traces are served from a byte-bounded in-memory
-// trace tier shared by every cell of every sweep: N configurations of
-// one workload decode the trace once, and single-thread fairness
-// references reuse the traces their SMT runs already generated. With
-// -trace-dir the tier persists traces on disk so restarts skip
-// regeneration.
+// Generated instruction traces are served from an in-memory trace tier
+// shared by every cell of every sweep: N configurations of one workload
+// decode the trace once, and single-thread fairness references reuse
+// the traces their SMT runs already generated. The tier keeps a trace
+// only while cells use it, plus a 4 MiB recency tier of recently
+// finished traces (tracestore.DefaultMemBytes), so cold traffic of
+// distinct specs does not accumulate traces. With -trace-dir the tier
+// persists traces on disk so restarts skip regeneration.
 //
 // Both directories are internal/blobstore stores: one shared entry
 // envelope (magic, version, identity echo, payload, CRC-32), atomic
@@ -522,8 +524,9 @@ func (s *server) streamScenario(ctx context.Context, w http.ResponseWriter, plan
 // nowhere else — before a restart re-simulates everything).
 // The trace object reports the shared trace tier: hits/misses/generated
 // count how often a grid cell's instruction traces were served from
-// memory versus generated fresh (disk* subfields mirror the persistent
-// tier enabled by -trace-dir).
+// memory versus generated fresh; entries/bytes/maxBytes/evictions
+// describe its recency tier (disk* subfields mirror the persistent tier
+// enabled by -trace-dir).
 // The plans object is the plan cache's view: a hit is a request whose
 // body was already decoded and planned, so hits/(hits+misses) is the
 // share of repeated bodies.

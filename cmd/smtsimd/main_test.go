@@ -667,6 +667,85 @@ func TestPlanSharedAcrossFormats(t *testing.T) {
 	}
 }
 
+// coldSpec is spec i of a cold-traffic run: two 2-thread workloads at
+// 3000 instructions under a seed no other spec uses, so no trace is
+// shared across specs.
+func coldSpec(i int) string {
+	return fmt.Sprintf(`{
+  "name": "cold-%d",
+  "workloads": {"adhoc": ["A/art+mcf", "B/gzip+bzip2"]},
+  "base": {"traceLen": 3000, "maxCycles": 2000000, "seed": %d},
+  "metrics": ["throughput"]
+}`, i, 1000+i)
+}
+
+// TestColdTrafficTraceTierBounded: cold traffic whose traces total more
+// than the trace tier's recency bound (16 specs x 4 traces x 72 KB, about
+// 4.6 MB) leaves the tier within its bound with evictions, and still
+// generates every identity once and answers byte-identically to an
+// in-process session (run under -race in CI).
+func TestColdTrafficTraceTierBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation run")
+	}
+	const specs = 16
+	sess, err := experiments.NewSession(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]byte, specs)
+	for i := range want {
+		sp, err := scenario.Parse(strings.NewReader(coldSpec(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := sess.RunScenarioCtx(context.Background(), sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rs.WriteNDJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = buf.Bytes()
+	}
+
+	_, ts := newTestServer(t, testOptions())
+	var wg sync.WaitGroup
+	next := make(chan int, specs)
+	for i := 0; i < specs; i++ {
+		next <- i
+	}
+	close(next)
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				status, got := post(t, ts.URL+"/v1/scenario", coldSpec(i))
+				if status != http.StatusOK {
+					t.Errorf("spec %d: status = %d, body %s", i, status, got)
+					continue
+				}
+				if !bytes.Equal(got, want[i]) {
+					t.Errorf("spec %d: response differs from the in-process render:\ngot:\n%s\nwant:\n%s", i, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	tr := getMetrics(t, ts.URL).Trace
+	if tr.MaxBytes != 4<<20 || tr.Bytes > tr.MaxBytes {
+		t.Errorf("trace tier %+v: want maxBytes 4194304 and bytes within it", tr)
+	}
+	if tr.Evictions == 0 {
+		t.Errorf("trace tier %+v: want evictions from %d specs of cold traffic", tr, specs)
+	}
+	if tr.Generated != tr.Misses {
+		t.Errorf("trace tier %+v: generated != misses, some identity generated twice", tr)
+	}
+}
+
 // postClient is post with an X-Client identity header.
 func postClient(t *testing.T, url, spec, client string) (int, []byte) {
 	t.Helper()

@@ -97,15 +97,19 @@
 // Instruction traces are the other deduplicated artifact. Every trace
 // has a pure identity — (benchmark, length, per-context derived seed,
 // address-space placement; workload.ContextOptions) — and
-// internal/tracestore serves all of them from a concurrency-safe,
-// singleflight, byte-bounded LRU (tracestore.DefaultMemBytes per session),
+// internal/tracestore serves all of them with singleflight generation,
 // so N grid cells that differ only in machine configuration decode one
 // shared trace instead of regenerating it N times, and a workload's
 // single-thread fairness references reuse the context-0 traces the SMT
-// runs already produced. A trace's resident cost is its instructions:
-// each is a packed 24-byte isa.Inst (TestInstLayout pins the size), so
-// tracestore.DefaultMemBytes holds about 2.3x as many traces as it did
-// under the earlier 56-byte layout. Like results, traces can persist:
+// runs already produced. The tier keeps a trace only while cells use
+// it. An in-use index of weak pointers hands any trace a running cell
+// still holds to every later requester, so a trace in use is never
+// generated or decoded twice, yet the index never keeps one alive. A
+// small recency LRU (tracestore.DefaultMemBytes, 4 MiB per session)
+// keeps recently finished traces alive between consecutive cells of one
+// workload. A figures run whose traces outgrow that bound, such as the
+// -quick or full suite, may therefore regenerate a trace between
+// figures; the results are the same either way. Like results, traces can persist:
 // -trace-dir / -trace-bytes (experiments.Options.TraceDir/TraceBytes) add
 // an on-disk tier that is another internal/blobstore store — the same
 // envelope, writes, eviction and durability contract as the result store,

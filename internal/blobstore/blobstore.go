@@ -273,6 +273,13 @@ func (s *Store) Put(identity, payload []byte) error {
 	return nil
 }
 
+// writeTemp fills a freshly created temp file. It is a variable so tests
+// can inject the write faults of a full or failing disk (ENOSPC, EIO).
+var writeTemp = func(f *os.File, data []byte) error {
+	_, err := f.Write(data)
+	return err
+}
+
 // write lands data under name via a temp file and an atomic rename. Like
 // Get's read, it runs outside the lock.
 func (s *Store) write(name string, data []byte) error {
@@ -280,7 +287,7 @@ func (s *Store) write(name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = tmp.Write(data)
+	err = writeTemp(tmp, data)
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}

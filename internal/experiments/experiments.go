@@ -80,7 +80,9 @@ type Options struct {
 	// session's trace store (internal/tracestore): generated traces are
 	// written behind first use and served across restarts, with TraceBytes
 	// bounding the directory (0 = unbounded). The in-memory trace tier is
-	// always present and bounded by tracestore.DefaultMemBytes.
+	// always present: it shares every trace a cell still uses and keeps
+	// recently finished ones up to tracestore.DefaultMemBytes, so with a
+	// TraceDir a trace dropped from memory is decoded, not regenerated.
 	TraceDir   string
 	TraceBytes int64
 }

@@ -49,7 +49,8 @@ import (
 // direct JSON emission by the smtsimd /v1/metrics endpoint.
 type Stats struct {
 	// Hits counts BeginCtx calls that joined an existing entry (completed or
-	// in flight); Misses counts calls that had to register a computation.
+	// in flight) and Peek calls that found a settled one; Misses counts
+	// BeginCtx calls that had to register a computation.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// Evictions counts completed entries dropped to respect the bounds.
@@ -194,6 +195,27 @@ func (c *Cache[K, V]) BeginCtx(ctx context.Context, key K) (call *Call[V], creat
 	c.m[key] = el
 	e.call.settle = func() { c.settle(el) }
 	return e.call, true
+}
+
+// Peek returns key's settled call, counting a hit and marking the entry
+// most recently used, or nil when key has no settled entry. Unlike
+// BeginCtx it never registers a computation and never joins one in
+// flight, so a caller can consult another source before committing to
+// compute.
+func (c *Cache[K, V]) Peek(key K) *Call[V] {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.m[key]
+	if !ok {
+		return nil
+	}
+	e := el.Value.(*entry[K, V])
+	if e.inflight {
+		return nil
+	}
+	c.hits++
+	c.ll.MoveToFront(el)
+	return e.call
 }
 
 // Abandon drops an in-flight call whose interested requesters have all
