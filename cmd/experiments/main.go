@@ -49,6 +49,7 @@ func main() {
 	traceDir := flag.String("trace-dir", "", "persistent on-disk trace store directory (empty = disabled); repeated runs skip trace regeneration")
 	traceBytes := flag.Int64("trace-bytes", 0, "on-disk trace store byte bound (0 = unbounded)")
 	flag.Parse()
+	rejectNegative("tracelen", "pergroup", "j", "store-bytes", "trace-bytes")
 
 	// Record which flags the user actually set: defaults must not clobber
 	// values a scenario spec provides (the -seed default of 1, applied
@@ -183,5 +184,17 @@ func main() {
 		}
 		fmt.Println(r.String())
 		fmt.Printf("[%s regenerated in %v]\n\n", o.name, time.Since(start).Round(time.Millisecond))
+	}
+}
+
+// rejectNegative exits 2 naming the first of the given flags that holds
+// a negative value: no size, count or bound means anything below zero,
+// and reading one as 0 or as the default would hide the mistake.
+func rejectNegative(names ...string) {
+	for _, name := range names {
+		if v := flag.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			fmt.Fprintf(os.Stderr, "invalid value %s for flag -%s: must not be negative\n", v, name)
+			os.Exit(2)
+		}
 	}
 }

@@ -66,3 +66,14 @@ func TestFigNameCaseInsensitive(t *testing.T) {
 		t.Fatalf("-fig TABLE1: exit %d, stdout %q, stderr %q", code, stdout, stderr)
 	}
 }
+
+// TestNegativeFlagsRejected: a negative bound used to be read as
+// unbounded and a negative count as the default, with exit 0.
+func TestNegativeFlagsRejected(t *testing.T) {
+	for _, name := range []string{"tracelen", "pergroup", "j", "store-bytes", "trace-bytes"} {
+		stdout, stderr, code := runExperiments(t, "-fig", "table1", "-"+name, "-3")
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "-"+name) {
+			t.Errorf("experiments -%s -3: exit %d, stdout %q, stderr %q; want exit 2, no output, the flag named", name, code, stdout, stderr)
+		}
+	}
+}

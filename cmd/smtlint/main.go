@@ -1,7 +1,7 @@
 // Command smtlint runs the repo's invariant-checker suite — the custom
-// analyzers of internal/analysis that mechanically enforce the
-// determinism, cancellation and output-stability contracts — over a set
-// of package patterns, alongside the standard go vet passes.
+// analyzers of internal/analysis that enforce the determinism,
+// cancellation and panic-freedom contracts — over a set of package
+// patterns, alongside the standard go vet passes.
 //
 //	go run ./cmd/smtlint ./...          # the CI lint gate
 //	go run ./cmd/smtlint -vet=false ./internal/sched

@@ -37,6 +37,7 @@ func main() {
 	workers := flag.Int("j", 0, "concurrent simulations (the -fairness reference runs; 0 = all cores)")
 	list := flag.Bool("list", false, "list benchmarks and policies, then exit")
 	flag.Parse()
+	rejectNegative("tracelen", "regs", "j")
 
 	if *list {
 		fmt.Println("benchmarks:", strings.Join(trace.Names(), " "))
@@ -142,5 +143,17 @@ func main() {
 		}
 		fmt.Printf("fairness (vs single-thread ICOUNT): %s\n",
 			report.F(metrics.Fairness(stv, res.IPCs())))
+	}
+}
+
+// rejectNegative exits 2 naming the first of the given flags that holds
+// a negative value: no size, count or bound means anything below zero,
+// and reading one as 0 or as the default would hide the mistake.
+func rejectNegative(names ...string) {
+	for _, name := range names {
+		if v := flag.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			fmt.Fprintf(os.Stderr, "invalid value %s for flag -%s: must not be negative\n", v, name)
+			os.Exit(2)
+		}
 	}
 }

@@ -105,6 +105,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -132,6 +133,8 @@ func main() {
 	traceBytes := flag.Int64("trace-bytes", 0, "on-disk trace store byte bound (0 = unbounded)")
 	maxInflight := flag.Int("max-inflight-per-client", 0, "concurrent scenario requests per client identity (0 = unbounded)")
 	flag.Parse()
+	rejectNegative("cache-entries", "cache-bytes", "j", "tracelen", "max-body", "max-cells",
+		"drain", "store-bytes", "trace-bytes", "max-inflight-per-client")
 
 	opt := experiments.Default()
 	if *traceLen > 0 {
@@ -187,6 +190,18 @@ func main() {
 		os.Exit(1)
 	}
 	log.Printf("smtsimd: shutdown complete")
+}
+
+// rejectNegative exits 2 naming the first of the given flags that holds
+// a negative value: no size, count or bound means anything below zero,
+// and reading one as 0 or as the default would hide the mistake.
+func rejectNegative(names ...string) {
+	for _, name := range names {
+		if v := flag.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			fmt.Fprintf(os.Stderr, "invalid value %s for flag -%s: must not be negative\n", v, name)
+			os.Exit(2)
+		}
+	}
 }
 
 // The plan cache's bounds. They are fixed, not flags: a plan costs a few

@@ -5,10 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"runtime"
 	"strings"
 	"sync"
@@ -912,6 +915,32 @@ func TestAdmissionConcurrentClients(t *testing.T) {
 	for _, c := range clients {
 		if status, body := postClient(t, ts.URL+"/v1/scenario", tiny, c); status != http.StatusOK {
 			t.Errorf("post-burst client %q status = %d (body %s), want 200", c, status, body)
+		}
+	}
+}
+
+// TestNegativeFlagsRejected: `-cache-bytes -7` used to start a daemon
+// whose cache enforced no byte bound at all. Every size, count and bound
+// flag now refuses a negative value before the daemon listens; the
+// timeout turns a regression (a daemon that starts serving) into a
+// failure rather than a hang.
+func TestNegativeFlagsRejected(t *testing.T) {
+	for _, name := range []string{"cache-entries", "cache-bytes", "j", "tracelen", "max-body",
+		"max-cells", "drain", "store-bytes", "trace-bytes", "max-inflight-per-client"} {
+		value := "-7"
+		if name == "drain" {
+			value = "-7s" // a bare -7 fails the duration parse, not the sign check
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-addr", "127.0.0.1:0", "-"+name, value)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), "-"+name) {
+			t.Errorf("smtsimd -%s %s: %v, stderr %q; want exit 2 naming the flag", name, value, err, stderr.String())
 		}
 	}
 }

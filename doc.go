@@ -181,25 +181,29 @@
 //
 // # Static analysis and invariants
 //
-// The contracts above — byte-identical output, replayable simulations,
-// context threading, panic-free libraries — used to live only in tests
-// that catch violations after the fact. internal/analysis turns them
-// into lint-time invariants: a suite of analyzers in the style of
-// golang.org/x/tools/go/analysis (built on an in-house stdlib-only
-// driver, internal/analysis/lint, so the tree stays dependency-free),
-// run by cmd/smtlint alongside go vet. detrange flags range-over-map in
-// the result-producing and serializing packages; nowallclock forbids
-// wall-clock reads and global math/rand in simulation packages; ctxflow
-// flags calls that drop a context when a ...Ctx sibling exists, and
-// orphan context.Background() outside main; floatfmt flags %v/%g and
-// fmt.Sprint on float operands in output paths, where exact
-// strconv.FormatFloat rendering is the rule; panicfree forbids panic
-// and Must* calls in library packages outside the documented wrapper
-// shapes. A site that is correct for a reason the analyzer cannot see
-// carries a justified //lint:<analyzer> directive — the justification
-// is mandatory, suppressions are themselves test-locked, and
-// TestLintClean keeps `go run ./cmd/smtlint ./...` at zero findings on
-// every commit. See internal/analysis/README.md.
+// Most of the contracts above are held by tests that run the real
+// code: the figure goldens, TestResultsPinnedExactly, the Workers=1 vs
+// GOMAXPROCS byte-equality tests, the cancellation tests and the fuzz
+// corpora. internal/analysis adds lint-time checks only where a bug
+// seeded at its production sites passes every one of those gates: a
+// suite of analyzers in the style of golang.org/x/tools/go/analysis
+// (built on an in-house stdlib-only driver, internal/analysis/lint, so
+// the tree stays dependency-free), run by cmd/smtlint alongside go vet.
+// ctxflow flags context.Background() outside main, because a wait that
+// ignores cancellation still returns the right result; detrange flags
+// range-over-map in the result-producing and serializing packages,
+// because Go ranges a small map in insertion order most of the time and
+// a golden then rarely sees the bug; nowallclock forbids wall-clock
+// reads and global math/rand in simulation packages; panicfree forbids
+// panic and Must* calls in library packages outside the documented
+// wrapper shapes, because some damaged-input paths have no test. Float
+// rendering needs no analyzer: the goldens and the encoders' reference
+// tests catch every float that reaches output through a verb default. A
+// site that is correct for a reason the analyzer cannot see carries a
+// justified //lint:<analyzer> directive — the justification is
+// mandatory, suppressions are themselves test-locked, and TestLintClean
+// keeps `go run ./cmd/smtlint ./...` at zero findings on every commit.
+// See internal/analysis/README.md.
 //
 // # Concurrency invariants
 //

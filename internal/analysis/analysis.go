@@ -1,14 +1,13 @@
 // Package analysis assembles the smtlint suite: the custom analyzers
-// that mechanically enforce this repo's determinism, cancellation and
-// output-stability contracts. See README.md in this directory for the
-// invariant each analyzer guards, the packages it applies to, and how
-// to suppress a finding with justification.
+// that hold this repo's determinism, cancellation and panic-freedom
+// contracts at the line that breaks them. See README.md in this directory for the invariant
+// each analyzer guards, the packages it applies to, and how to suppress
+// a finding with justification.
 package analysis
 
 import (
 	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/detrange"
-	"repro/internal/analysis/floatfmt"
 	"repro/internal/analysis/lint"
 	"repro/internal/analysis/nowallclock"
 	"repro/internal/analysis/panicfree"
@@ -19,7 +18,6 @@ func Analyzers() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		ctxflow.Analyzer,
 		detrange.Analyzer,
-		floatfmt.Analyzer,
 		nowallclock.Analyzer,
 		panicfree.Analyzer,
 	}

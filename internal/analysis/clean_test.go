@@ -52,10 +52,9 @@ func TestLintClean(t *testing.T) {
 // TestSeededViolationsAreCaught builds a throwaway module that commits
 // one headline sin per analyzer — a raw map range in a serializing
 // package, a wall-clock read in a simulation package, an uncancellable
-// context in a library package, a %v-rendered float in an output
-// package and a panic in a library package — and checks each analyzer
-// fires. TestLintClean alone would also pass if the analyzers went
-// blind; this test pins their teeth.
+// context in a library package and a panic in a library package — and
+// checks each analyzer fires. TestLintClean alone would also pass if the
+// analyzers went blind; this test pins their teeth.
 func TestSeededViolationsAreCaught(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a scratch module")
@@ -94,15 +93,6 @@ func Stamp() int64 {
 	return time.Now().UnixNano()
 }
 `)
-	write("internal/report/float.go", `package report
-
-import "fmt"
-
-// Cell renders a float through fmt's reflective default.
-func Cell(v float64) string {
-	return fmt.Sprintf("%v", v)
-}
-`)
 	write("internal/simcache/ctx.go", `package simcache
 
 import "context"
@@ -133,7 +123,7 @@ func Check(ok bool) {
 	for _, d := range res.Diagnostics {
 		found[d.Analyzer] = true
 	}
-	for _, want := range []string{"ctxflow", "detrange", "floatfmt", "nowallclock", "panicfree"} {
+	for _, want := range []string{"ctxflow", "detrange", "nowallclock", "panicfree"} {
 		if !found[want] {
 			t.Errorf("seeded violation for %s not reported; diagnostics: %v", want, res.Diagnostics)
 		}

@@ -8,9 +8,8 @@ import (
 )
 
 // TestLibraryPackage runs ctxflow over a module-internal package:
-// non-Ctx calls with a Ctx sibling (function and method) and orphan
-// Background() are flagged; the wrapper bodies and a justified
-// directive pass.
+// orphan Background() and TODO() are flagged; a threaded context and a
+// justified directive pass.
 func TestLibraryPackage(t *testing.T) {
 	lintest.Run(t, ctxflow.Analyzer, "testdata/pkg", "repro/internal/ctxtest")
 }

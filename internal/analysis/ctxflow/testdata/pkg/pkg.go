@@ -1,56 +1,31 @@
-// Package ctxtest exercises both ctxflow rules in one module-internal
-// package: non-Ctx calls where a Ctx sibling exists, and orphan
-// context.Background() outside main and the sanctioned wrappers.
+// Package ctxtest exercises ctxflow in a module-internal package:
+// context.Background() and context.TODO() outside main are flagged, a
+// threaded context and a justified directive pass.
 package ctxtest
 
 import "context"
 
-// StepCtx is the real API; Step is its convenience wrapper. Because
-// Step has a Ctx sibling, its body (including the Background bridge)
-// is exempt.
-func Step() {
-	StepCtx(context.Background())
-}
-
 // StepCtx accepts its caller's context.
 func StepCtx(ctx context.Context) { _ = ctx }
-
-// use holds a context and drops it anyway: rule 1.
-func use(ctx context.Context) {
-	_ = ctx
-	Step() // want "call to Step where StepCtx exists"
-}
 
 // threaded is the correct shape.
 func threaded(ctx context.Context) {
 	StepCtx(ctx)
 }
 
-// orphan manufactures an uncancellable context outside main and
-// outside any wrapper: rule 2.
+// orphan manufactures an uncancellable context outside main.
 func orphan() {
 	StepCtx(context.Background()) // want "context.Background"
 }
 
-// Store demonstrates the method-sibling lookup.
-type Store struct{}
-
-// Load is the convenience method; LoadCtx is the real API.
-func (s *Store) Load() { s.LoadCtx(context.Background()) }
-
-// LoadCtx accepts its caller's context.
-func (s *Store) LoadCtx(ctx context.Context) { _ = ctx }
-
-// useStore drops its context on a method call: rule 1 through a
-// receiver.
-func useStore(ctx context.Context, s *Store) {
-	_ = ctx
-	s.Load() // want "call to Load where LoadCtx exists"
+// later leaves the context for a future change to thread.
+func later() {
+	StepCtx(context.TODO()) // want "context.TODO"
 }
 
 // detached carries a directive: work that must complete even if the
 // requester dies is the one sanctioned reason to drop a context.
 func detached() {
 	//lint:ctxflow the spawned work must outlive its requester by design
-	Step() // want-suppressed "call to Step where StepCtx exists"
+	StepCtx(context.Background()) // want-suppressed "context.Background"
 }

@@ -9,7 +9,10 @@
 // uint64 of state, and is trivially seedable from a string hash.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic 64-bit pseudo-random source.
 //
@@ -62,7 +65,7 @@ func (s *Source) Intn(n int) int {
 	// 64-bit value (at most n/2^64) is far below measurement noise, but the
 	// multiply-shift form is also faster than division, so use it anyway.
 	v := s.Uint64()
-	hi, _ := mul64(v, uint64(n))
+	hi, _ := bits.Mul64(v, uint64(n))
 	return int(hi)
 }
 
@@ -72,7 +75,7 @@ func (s *Source) Uint64n(n uint64) uint64 {
 		//lint:panicfree documented precondition, matching math/rand's contract; callers pass compiled-in distribution parameters
 		panic("rng: Uint64n called with n == 0")
 	}
-	hi, _ := mul64(s.Uint64(), n)
+	hi, _ := bits.Mul64(s.Uint64(), n)
 	return hi
 }
 
@@ -115,22 +118,4 @@ func (s *Source) Geometric(p float64) int {
 // marching in lockstep.
 func (s *Source) Split() *Source {
 	return New(s.Uint64())
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo) without
-// depending on math/bits (kept local so the package is self-contained).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	aLo, aHi := a&mask32, a>>32
-	bLo, bHi := b&mask32, b>>32
-	t := aLo * bLo
-	lo32 := t & mask32
-	carry := t >> 32
-	t = aHi*bLo + carry
-	mid := t & mask32
-	hiPart := t >> 32
-	t = aLo*bHi + mid
-	hi = aHi*bHi + hiPart + t>>32
-	lo = t<<32 | lo32
-	return hi, lo
 }

@@ -2,9 +2,7 @@ package rng
 
 import (
 	"math"
-	"math/bits"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -173,17 +171,6 @@ func TestSplitDecorrelates(t *testing.T) {
 	}
 	if same > 0 {
 		t.Fatalf("split streams matched %d times", same)
-	}
-}
-
-func TestMul64MatchesBits(t *testing.T) {
-	f := func(a, b uint64) bool {
-		hi, lo := mul64(a, b)
-		whi, wlo := bits.Mul64(a, b)
-		return hi == whi && lo == wlo
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
-		t.Fatal(err)
 	}
 }
 
