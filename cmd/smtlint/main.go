@@ -1,25 +1,20 @@
-// Command smtlint runs the repo's invariant-checker suite — the custom
-// analyzers of internal/analysis that enforce the determinism,
-// cancellation and panic-freedom contracts — over a set of package
-// patterns, alongside the standard go vet passes.
+// Command smtlint runs the repo's invariant-checker suite — the
+// nowallclock analyzer of internal/analysis, which keeps wall clocks and
+// global math/rand out of the simulation packages — over a set of
+// package patterns, alongside the standard go vet passes.
 //
 //	go run ./cmd/smtlint ./...          # the CI lint gate
-//	go run ./cmd/smtlint -vet=false ./internal/sched
+//	go run ./cmd/smtlint -vet=false ./internal/core
 //	go run ./cmd/smtlint -list
 //	go run ./cmd/smtlint -json ./...    # one JSON object per finding, per line
 //
-// With -json each finding (and, with -suppressed, each silenced
-// finding) prints as a single-line JSON object on stdout —
-// {"file":...,"line":...,"analyzer":...,"message":...,"suppressed":...}
-// — for editors and CI annotators; the human summary still goes to
-// stderr and the exit codes are unchanged.
+// With -json each finding prints as a single-line JSON object on stdout —
+// {"file":...,"line":...,"analyzer":...,"message":...} — for editors and
+// CI annotators; the human summary still goes to stderr and the exit
+// codes are unchanged.
 //
 // Findings print in the usual file:line:col form and make the process
-// exit 1; a clean tree exits 0. A finding is silenced — never casually:
-// a justification is mandatory — with a directive comment on or above
-// the flagged line:
-//
-//	//lint:<analyzer> <why this site cannot violate the invariant>
+// exit 1; a clean tree exits 0. There is no suppression directive.
 //
 // Exit status: 0 clean, 1 findings (smtlint or vet), 2 usage or load
 // failure.
@@ -41,17 +36,15 @@ import (
 // line, stable field set, so CI annotators and editors can consume
 // findings without parsing the human file:line:col rendering.
 type jsonFinding struct {
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Analyzer   string `json:"analyzer"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
 }
 
 func main() {
 	vet := flag.Bool("vet", true, "also run the standard go vet passes over the same patterns")
 	list := flag.Bool("list", false, "list the suite's analyzers and exit")
-	showSuppressed := flag.Bool("suppressed", false, "also print findings silenced by justified //lint: directives")
 	jsonOut := flag.Bool("json", false, "print findings as one JSON object per line instead of file:line:col text")
 	flag.Parse()
 
@@ -94,37 +87,24 @@ func main() {
 	}
 	elapsed := time.Since(start).Round(time.Millisecond)
 
-	emit := func(d lint.Diagnostic, suppressed bool) {
+	for _, d := range res.Diagnostics {
 		if *jsonOut {
 			line, _ := json.Marshal(jsonFinding{
-				File:       d.Pos.Filename,
-				Line:       d.Pos.Line,
-				Analyzer:   d.Analyzer,
-				Message:    d.Message,
-				Suppressed: suppressed,
+				File:     d.Pos.Filename,
+				Line:     d.Pos.Line,
+				Analyzer: d.Analyzer,
+				Message:  d.Message,
 			})
 			fmt.Println(string(line))
-		} else if suppressed {
-			fmt.Printf("%s (suppressed)\n", d)
 		} else {
 			fmt.Println(d)
 		}
 	}
-	for _, d := range res.Diagnostics {
-		emit(d, false)
-	}
-	if *showSuppressed {
-		for _, d := range res.Suppressed {
-			emit(d, true)
-		}
-	}
 	if n := len(res.Diagnostics); n > 0 {
-		fmt.Fprintf(os.Stderr, "smtlint: %d finding(s) across %d package(s) (%d suppressed by justified directives) in %s\n",
-			n, len(pkgs), len(res.Suppressed), elapsed)
+		fmt.Fprintf(os.Stderr, "smtlint: %d finding(s) across %d package(s) in %s\n", n, len(pkgs), elapsed)
 		failed = true
 	} else {
-		fmt.Fprintf(os.Stderr, "smtlint: clean — %d package(s), %d analyzer(s), %d finding(s) suppressed by justified directives in %s\n",
-			len(pkgs), len(analyzers), len(res.Suppressed), elapsed)
+		fmt.Fprintf(os.Stderr, "smtlint: clean — %d package(s), %d analyzer(s) in %s\n", len(pkgs), len(analyzers), elapsed)
 	}
 	if failed {
 		os.Exit(1)

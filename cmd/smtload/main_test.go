@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// TestReferenceHonorsContext locks the ctxflow fix: the in-process
+// TestReferenceHonorsContext locks the context fix: the in-process
 // reference run threads its context into the session, so a canceled
 // smtload (Ctrl-C) stops simulating reference grids instead of running
 // every remaining spec to completion. Before the fix, reference() called

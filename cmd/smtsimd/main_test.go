@@ -99,6 +99,12 @@ func TestScenarioBadRequests(t *testing.T) {
 		"oversized combo": {ts.URL + "/v1/scenario", `{"name":"x","axes":[{"name":"a","points":[{"delta":{"robSize":0}}]}],"base":{"robSize":-1}}`, http.StatusBadRequest},
 		"trailing spec":   {ts.URL + "/v1/scenario", testSpec + ` {"name":"y"}`, http.StatusBadRequest},
 		"trailing junk":   {ts.URL + "/v1/scenario", testSpec + ` garbage`, http.StatusBadRequest},
+		// Latencies past the completion wheel and a runahead cache the
+		// policy enables with no entries: rejected at plan time, before
+		// any worker simulates them.
+		"memLatency 1100": {ts.URL + "/v1/scenario", `{"name":"memlat","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":2000},"axes":[{"name":"mem","points":[{"delta":{"memLatency":1100}}]}],"metrics":["throughput"]}`, http.StatusBadRequest},
+		"fpDivLat 5000":   {ts.URL + "/v1/scenario", `{"name":"fpdiv","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":2000,"fpDivLat":5000}}`, http.StatusBadRequest},
+		"racache 0":       {ts.URL + "/v1/scenario", `{"name":"racache","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":2000,"policy":"RaT-racache","raCacheEntries":0}}`, http.StatusBadRequest},
 	} {
 		status, body := post(t, tc.url, tc.body)
 		if status != tc.want {
@@ -110,6 +116,14 @@ func TestScenarioBadRequests(t *testing.T) {
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: body %q is not a JSON error", name, body)
 		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("healthz after the bad requests: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz status after the bad requests = %d", resp.StatusCode)
 	}
 	if method, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/scenario", nil); method != nil {
 		resp, err := http.DefaultClient.Do(method)

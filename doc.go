@@ -181,28 +181,29 @@
 //
 // # Static analysis and invariants
 //
-// Most of the contracts above are held by tests that run the real
-// code: the figure goldens, TestResultsPinnedExactly, the Workers=1 vs
-// GOMAXPROCS byte-equality tests, the cancellation tests and the fuzz
-// corpora. internal/analysis adds lint-time checks only where a bug
-// seeded at its production sites passes every one of those gates: a
-// suite of analyzers in the style of golang.org/x/tools/go/analysis
-// (built on an in-house stdlib-only driver, internal/analysis/lint, so
-// the tree stays dependency-free), run by cmd/smtlint alongside go vet.
-// ctxflow flags context.Background() outside main, because a wait that
-// ignores cancellation still returns the right result; detrange flags
-// range-over-map in the result-producing and serializing packages,
-// because Go ranges a small map in insertion order most of the time and
-// a golden then rarely sees the bug; nowallclock forbids wall-clock
-// reads and global math/rand in simulation packages; panicfree forbids
-// panic and Must* calls in library packages outside the documented
-// wrapper shapes, because some damaged-input paths have no test. Float
-// rendering needs no analyzer: the goldens and the encoders' reference
-// tests catch every float that reaches output through a verb default. A
-// site that is correct for a reason the analyzer cannot see carries a
-// justified //lint:<analyzer> directive — the justification is
-// mandatory, suppressions are themselves test-locked, and TestLintClean
-// keeps `go run ./cmd/smtlint ./...` at zero findings on every commit.
+// The contracts above are held by tests that run the real code: the
+// figure goldens, TestResultsPinnedExactly, the Workers=1 vs GOMAXPROCS
+// byte-equality tests, the cancellation tests and the fuzz corpora.
+// Where a bug once passed all of them, a test was added rather than a
+// lint rule: sessions that never drain their queue prove every wait
+// honours its context, a recording runner proves every dispatch carries
+// the requester, figure results with twelve groups prove the renderers
+// follow Groups rather than a map, a reopen test pins blobstore's
+// oldest-mtime-first adoption, and the codecs' damaged-input tests feed
+// impossible counts. FuzzRun in internal/scenario draws configuration
+// deltas: each is rejected by plan-time validation
+// (core.Config.Validate, which checks the pipeline the policy implies,
+// including the completion-wheel bound on latencies) or runs without
+// panicking, with finite metrics and a repeatable Result.
+//
+// One lint-time check is left, by design: nowallclock forbids wall-clock
+// reads and global math/rand in the simulation packages, where
+// internal/rng and the cycle counter are the only sanctioned sources of
+// nondeterminism. It runs under cmd/smtlint alongside go vet, on an
+// in-house stdlib-only framework (internal/analysis/lint) shaped like
+// golang.org/x/tools/go/analysis, and TestLintClean keeps
+// `go run ./cmd/smtlint ./...` at zero findings. There is no suppression
+// directive.
 // See internal/analysis/README.md.
 //
 // # Concurrency invariants

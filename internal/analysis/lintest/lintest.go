@@ -4,20 +4,16 @@
 //
 // Expectations ride the flagged line as comments:
 //
-//	for k := range m { // want "range over map"
-//	//lint:detrange builds a map
-//	for k := range m { // want-suppressed "range over map"
+//	t := time.Now() // want "time.Now in simulation package"
 //
-// `// want "re"` demands an unsuppressed diagnostic on that line whose
-// message matches the regexp; `// want-suppressed "re"` demands the
-// diagnostic was produced AND silenced by a justified //lint: directive
-// — which is how suppression handling itself stays regression-locked:
-// an annotated site must keep passing precisely because its directive
-// engaged, not because the analyzer went blind.
+// `// want "re"` demands a diagnostic on that line whose message matches
+// the regexp, and every diagnostic must match one. An expectation nothing
+// fires means the analyzer went blind; a diagnostic nothing expects is a
+// false positive. Both fail the run.
 //
 // Testdata packages live under testdata/<case>/ (ignored by the go
 // tool) and are type-checked under a caller-chosen import path, so an
-// analyzer scoped to, say, repro/internal/report can be exercised both
+// analyzer scoped to, say, repro/internal/core can be exercised both
 // inside and outside its target set.
 package lintest
 
@@ -50,18 +46,16 @@ type TB interface {
 // wantRe matches one quoted regexp in a want comment's payload.
 var wantRe = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"`)
 
-// expectation is one expected diagnostic: a regexp at a line, either
-// surviving or suppressed.
+// expectation is one expected diagnostic: a regexp at a line.
 type expectation struct {
-	file       string
-	line       int
-	re         *regexp.Regexp
-	suppressed bool
-	matched    bool
+	file    string
+	line    int
+	re      *regexp.Regexp
+	matched bool
 }
 
 // Run loads dir as a package named pkgPath, applies a, and compares
-// diagnostics against the // want and // want-suppressed comments.
+// diagnostics against the // want comments.
 func Run(t TB, a *lint.Analyzer, dir, pkgPath string) {
 	t.Helper()
 	pkg, err := loadDir(dir, pkgPath)
@@ -79,10 +73,9 @@ func Run(t TB, a *lint.Analyzer, dir, pkgPath string) {
 		t.Fatal(err)
 		return
 	}
-	match := func(d lint.Diagnostic, suppressed bool) bool {
+	match := func(d lint.Diagnostic) bool {
 		for _, w := range wants {
-			if !w.matched && w.suppressed == suppressed && w.file == d.Pos.Filename &&
-				w.line == d.Pos.Line && w.re.MatchString(d.Message) {
+			if !w.matched && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
 				w.matched = true
 				return true
 			}
@@ -90,22 +83,13 @@ func Run(t TB, a *lint.Analyzer, dir, pkgPath string) {
 		return false
 	}
 	for _, d := range res.Diagnostics {
-		if !match(d, false) {
+		if !match(d) {
 			t.Errorf("unexpected diagnostic: %s", d)
-		}
-	}
-	for _, d := range res.Suppressed {
-		if !match(d, true) {
-			t.Errorf("unexpected suppressed diagnostic: %s", d)
 		}
 	}
 	for _, w := range wants {
 		if !w.matched {
-			kind := "diagnostic"
-			if w.suppressed {
-				kind = "suppressed diagnostic"
-			}
-			t.Errorf("%s:%d: expected %s matching %q, got none", w.file, w.line, kind, w.re)
+			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
 		}
 	}
 }
@@ -169,11 +153,10 @@ func importsOf(dir string, goFiles []string) ([]string, error) {
 	return out, nil
 }
 
-// expectations scans the files' comments for want / want-suppressed
-// markers.
+// expectations scans the files' comments for want markers.
 func expectations(fset *token.FileSet, files []*ast.File) ([]*expectation, error) {
 	var out []*expectation
-	re := regexp.MustCompile(`^//\s*(want|want-suppressed)\s+(.*)$`)
+	re := regexp.MustCompile(`^//\s*want\s+(.*)$`)
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -182,21 +165,16 @@ func expectations(fset *token.FileSet, files []*ast.File) ([]*expectation, error
 					continue
 				}
 				pos := fset.Position(c.Slash)
-				quoted := wantRe.FindAllStringSubmatch(m[2], -1)
+				quoted := wantRe.FindAllStringSubmatch(m[1], -1)
 				if len(quoted) == 0 {
-					return nil, fmt.Errorf("%s:%d: %s comment without a quoted regexp", pos.Filename, pos.Line, m[1])
+					return nil, fmt.Errorf("%s:%d: want comment without a quoted regexp", pos.Filename, pos.Line)
 				}
 				for _, q := range quoted {
 					r, err := regexp.Compile(q[1])
 					if err != nil {
 						return nil, fmt.Errorf("%s:%d: bad want regexp: %w", pos.Filename, pos.Line, err)
 					}
-					out = append(out, &expectation{
-						file:       pos.Filename,
-						line:       pos.Line,
-						re:         r,
-						suppressed: m[1] == "want-suppressed",
-					})
+					out = append(out, &expectation{file: pos.Filename, line: pos.Line, re: r})
 				}
 			}
 		}

@@ -13,6 +13,7 @@ package nowallclock
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 
 	"repro/internal/analysis/lint"
 )
@@ -54,7 +55,7 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
-	if !lint.PathIn(pass.Pkg.Path(), TargetPackages) {
+	if !slices.Contains(TargetPackages, pass.Pkg.Path()) {
 		return nil
 	}
 	for _, f := range pass.Files {

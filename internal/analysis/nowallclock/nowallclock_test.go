@@ -8,8 +8,8 @@ import (
 )
 
 // TestSimulationPackage runs nowallclock over a package inside its
-// target set: clock reads and global math/rand are flagged, duration
-// arithmetic passes, and a justified directive suppresses.
+// target set: clock reads and global math/rand are flagged and duration
+// arithmetic passes.
 func TestSimulationPackage(t *testing.T) {
 	lintest.Run(t, nowallclock.Analyzer, "testdata/sim", "repro/internal/core")
 }

@@ -34,10 +34,3 @@ func draw() int {
 func durations() time.Duration {
 	return 5 * time.Millisecond
 }
-
-// justified carries a directive: timing that feeds a diagnostic
-// counter and can never reach a Result.
-func justified() time.Time {
-	//lint:nowallclock diagnostic-only timing that never reaches a Result
-	return time.Now() // want-suppressed "time.Now in simulation package"
-}

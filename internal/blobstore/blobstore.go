@@ -326,7 +326,7 @@ func (s *Store) forget(name string) {
 func (s *Store) evict() {
 	for s.maxBytes > 0 && s.bytes > s.maxBytes && len(s.entries) > 0 {
 		victim, min := "", uint64(math.MaxUint64)
-		//lint:detrange victim selection minimizes seq, a per-store monotonic counter that is unique across entries, so iteration order cannot change which entry wins
+		// seq is unique per entry, so map order cannot change the victim.
 		for name, e := range s.entries {
 			if e.seq < min {
 				victim, min = name, e.seq

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 var testFormat = Format{Magic: "TEST", Version: 3, Suffix: ".blob"}
@@ -317,11 +318,10 @@ func TestSharedDirAdoption(t *testing.T) {
 	}
 }
 
-// TestEvictionVictimDeterministic locks the claim behind the
-// //lint:detrange directive on evict(): the victim is the entry
-// with the unique minimum access seq, so two stores driven through an
-// identical Put/Get history shed exactly the same entries, whatever
-// order their accounting maps happen to iterate in.
+// TestEvictionVictimDeterministic locks the claim evict rests on: the
+// victim is the entry with the unique minimum access seq, so two stores
+// driven through an identical Put/Get history shed exactly the same
+// entries, whatever order their accounting maps happen to iterate in.
 func TestEvictionVictimDeterministic(t *testing.T) {
 	size := entrySize(t)
 	history := func() []string {
@@ -341,6 +341,37 @@ func TestEvictionVictimDeterministic(t *testing.T) {
 	a, b := history(), history()
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("identical histories left different survivors:\n a: %v\n b: %v", a, b)
+	}
+}
+
+// TestReopenEvictsOldestMtimeFirst: recency survives a restart through
+// file modification times. Ten entries get distinct mtimes in an order
+// unrelated to their file names or write order; reopening under a bound
+// one entry smaller each time must delete exactly the oldest remaining
+// entry, every time.
+func TestReopenEvictsOldestMtimeFirst(t *testing.T) {
+	size := entrySize(t)
+	dir := t.TempDir()
+	s := open(t, dir, 0)
+	age := []int{3, 9, 0, 7, 1, 8, 5, 2, 6, 4} // entry i is the age[i]-th oldest
+	base := time.Now().Add(-time.Hour)
+	byAge := make([]string, len(age))
+	for i, a := range age {
+		put(t, s, i)
+		name := s.name(id(i))
+		mtime := base.Add(time.Duration(a) * time.Minute)
+		if err := os.Chtimes(filepath.Join(dir, name), mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
+		byAge[a] = name
+	}
+	for kept := len(age) - 1; kept > 0; kept-- {
+		open(t, dir, int64(kept)*size)
+		want := append([]string(nil), byAge[len(age)-kept:]...)
+		sort.Strings(want)
+		if got := entryNames(t, dir); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reopened to keep %d entries: kept %v, want the %d newest %v", kept, got, kept, want)
+		}
 	}
 }
 

@@ -228,10 +228,38 @@ func RunTraced(cfg Config, w workload.Workload, ts *tracestore.Store) (*Result, 
 	return measure(c, cfg, w), nil
 }
 
+// machine derives the policy and the pipeline configuration a run of cfg
+// builds: Pipeline with the runahead mechanism the policy implies.
+// newMachine and Validate share it, so validation sees exactly the
+// machine a run would build.
+func (cfg Config) machine() (pipeline.Config, pipeline.Policy, error) {
+	pol, ra, err := buildPolicy(cfg.Policy)
+	if err != nil {
+		return pipeline.Config{}, nil, err
+	}
+	if cfg.RunaheadExitPenalty > 0 {
+		ra.ExitPenalty = cfg.RunaheadExitPenalty
+	}
+	pcfg := cfg.Pipeline
+	pcfg.Runahead = ra
+	return pcfg, pol, nil
+}
+
+// Validate reports whether a run of cfg can build its machine: the
+// policy is known, and the pipeline it implies, runahead mechanism
+// included, is coherent.
+func (cfg Config) Validate() error {
+	pcfg, _, err := cfg.machine()
+	if err != nil {
+		return err
+	}
+	return pcfg.Validate()
+}
+
 // newMachine builds the cache-warmed pipeline a run of w under cfg (with
 // its run defaults applied) measures.
 func newMachine(cfg Config, w workload.Workload, ts *tracestore.Store) (*pipeline.Core, error) {
-	pol, ra, err := buildPolicy(cfg.Policy)
+	pcfg, pol, err := cfg.machine()
 	if err != nil {
 		return nil, err
 	}
@@ -239,11 +267,6 @@ func newMachine(cfg Config, w workload.Workload, ts *tracestore.Store) (*pipelin
 	if err != nil {
 		return nil, err
 	}
-	if cfg.RunaheadExitPenalty > 0 {
-		ra.ExitPenalty = cfg.RunaheadExitPenalty
-	}
-	pcfg := cfg.Pipeline
-	pcfg.Runahead = ra
 	c, err := pipeline.New(pcfg, traces, pol)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -92,6 +93,35 @@ func TestUnknownPolicyRejected(t *testing.T) {
 	cfg.Policy = "bogus"
 	if _, err := Run(cfg, workload.MustByGroup("ILP2")[0]); err == nil {
 		t.Fatal("bogus policy accepted")
+	}
+}
+
+// TestValidateSeesPolicyRunahead: Validate checks the pipeline the
+// policy implies, not Config.Pipeline alone, so the runahead-cache
+// ablation with no cache entries fails validation, as its run would,
+// while policies that use no runahead cache ignore the size.
+func TestValidateSeesPolicyRunahead(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Pipeline.RunaheadCacheEntries = 0
+	if err := cfg.Pipeline.Validate(); err != nil {
+		t.Fatalf("Pipeline alone: %v", err)
+	}
+	cfg.Policy = PolicyRaTCache
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "runahead cache") {
+		t.Errorf("%s with 0 entries: err = %v, want the runahead cache rejected", cfg.Policy, err)
+	}
+	if _, err := Run(cfg, workload.MustByGroup("ILP2")[0]); err == nil {
+		t.Errorf("%s with 0 entries ran", cfg.Policy)
+	}
+	for _, p := range []PolicyKind{PolicyICount, PolicyRaT, PolicyRaTDCRA} {
+		cfg.Policy = p
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", p, err)
+		}
+	}
+	cfg.Policy = "bogus"
+	if err := cfg.Validate(); err == nil {
+		t.Error("bogus policy validated")
 	}
 }
 

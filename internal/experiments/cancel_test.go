@@ -150,3 +150,66 @@ func TestCancelMidSweepDrains(t *testing.T) {
 		t.Errorf("no cell was abandoned and all %d dispatched cells ran", st.Misses)
 	}
 }
+
+// stalledSession builds a session whose queue is never drained: with no
+// worker allowed, every cell a call dispatches stays queued, so the call
+// can only return through its own context.
+func stalledSession(t *testing.T) *Session {
+	t.Helper()
+	o := tinyOptions()
+	o.Groups = []string{"MEM2"}
+	o.RegSizes = []int{64}
+	s := mustSession(t, o)
+	s.maxWorkers = 0
+	return s
+}
+
+// TestCanceledWaitsReturnPromptly: RunConfigCtx and every figure, each
+// cancelled once its first cell is queued on a session that never
+// simulates, return context.Canceled well within the deadline. A wait
+// that dropped its caller's context would block until the deadline.
+func TestCanceledWaitsReturnPromptly(t *testing.T) {
+	w := workload.MustByGroup("MEM2")[0]
+	for _, c := range []struct {
+		name string
+		call func(*Session, context.Context) error
+	}{
+		{"RunConfigCtx", func(s *Session, ctx context.Context) error {
+			_, err := s.RunConfigCtx(ctx, w, s.BaseConfig())
+			return err
+		}},
+		{"Fig1", func(s *Session, ctx context.Context) error { _, err := s.Fig1(ctx); return err }},
+		{"Fig2", func(s *Session, ctx context.Context) error { _, err := s.Fig2(ctx); return err }},
+		{"Fig3", func(s *Session, ctx context.Context) error { _, err := s.Fig3(ctx); return err }},
+		{"Fig4", func(s *Session, ctx context.Context) error { _, err := s.Fig4(ctx); return err }},
+		{"Fig5", func(s *Session, ctx context.Context) error { _, err := s.Fig5(ctx); return err }},
+		{"Fig6", func(s *Session, ctx context.Context) error { _, err := s.Fig6(ctx); return err }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := stalledSession(t)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- c.call(s, ctx) }()
+			deadline := time.After(5 * time.Second)
+			for s.SchedStats().QueuedJobs == 0 {
+				select {
+				case err := <-done:
+					t.Fatalf("returned before queueing a cell: %v", err)
+				case <-deadline:
+					t.Fatal("no cell queued")
+				case <-time.After(time.Millisecond):
+				}
+			}
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+			case <-deadline:
+				t.Fatal("still waiting on a queued cell after its context was cancelled")
+			}
+		})
+	}
+}

@@ -63,7 +63,7 @@ func (s *Session) Fig4(ctx context.Context) (*Fig4Result, error) {
 			// useless runahead (no prefetching) vs ICOUNT.
 			icount, noPf := rs.Result(wi, iIC), rs.Result(wi, iNoPf)
 			for i := range w.Benchmarks {
-				//lint:panicfree static call site: w comes from the compiled-in Table 2 suite, whose every benchmark is in the trace table, so the lookup cannot fail
+				// NewSession validated every benchmark of the selection.
 				if trace.MustLookup(w.Benchmarks[i]).Class == trace.ClassMEM {
 					continue
 				}
@@ -230,7 +230,6 @@ func Table2() string {
 	tb := report.NewTable("Table 2: SMT simulation workloads", "group", "workloads")
 	for _, g := range workload.Groups() {
 		var names []string
-		//lint:panicfree static call site: g ranges over workload.Groups(), the same compiled-in table MustByGroup indexes
 		for _, w := range workload.MustByGroup(g) {
 			names = append(names, strings.Join(w.Benchmarks, ","))
 		}

@@ -68,11 +68,10 @@ type Cache struct {
 	useClock  uint64
 }
 
-// NewCache builds a cache; it panics on invalid configuration (cache
-// geometries are static data, so misconfiguration is a programming error).
+// NewCache builds a cache; it panics on an invalid configuration, which
+// pipeline.Config.Validate rejects first.
 func NewCache(cfg CacheConfig) *Cache {
 	if err := cfg.Validate(); err != nil {
-		//lint:panicfree documented constructor contract: cache geometries are compiled-in static data, so an invalid one is a programming error, not an input error
 		panic(err)
 	}
 	lines := cfg.SizeBytes / cfg.LineBytes

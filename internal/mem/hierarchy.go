@@ -123,12 +123,11 @@ type Hierarchy struct {
 
 // NewHierarchy builds the hierarchy.
 func NewHierarchy(cfg Config) *Hierarchy {
+	// pipeline.Config.Validate rejects both first.
 	if cfg.MSHRs <= 0 {
-		//lint:panicfree constructor precondition on compiled-in machine configurations; violation is a programming error
 		panic("mem: need at least one MSHR")
 	}
 	if cfg.MemLatency == 0 {
-		//lint:panicfree constructor precondition on compiled-in machine configurations; violation is a programming error
 		panic("mem: zero memory latency")
 	}
 	return &Hierarchy{

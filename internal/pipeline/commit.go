@@ -147,7 +147,6 @@ func (c *Core) exitRunahead(t *thread, now uint64) {
 	c.squashThread(t)
 	if c.paranoid {
 		if live := t.liveWriters(); live != 0 {
-			//lint:panicfree paranoid-mode invariant: a live mapping here means rename-state corruption; continuing would silently produce wrong results, which is worse than halting
 			panic(fmt.Sprintf("pipeline: thread %d exits runahead with %d live mappings", t.id, live))
 		}
 	}

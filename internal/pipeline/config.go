@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mem"
 	"repro/internal/runahead"
@@ -112,8 +113,28 @@ func (c Config) Validate() error {
 	if c.Mem.MSHRs <= 0 {
 		return fmt.Errorf("mem: %d MSHRs, need at least one", c.Mem.MSHRs)
 	}
+	if lat := c.maxCompletionLatency(); lat >= wheelSize {
+		return fmt.Errorf("pipeline: completion latency %d cycles does not fit the %d-cycle completion wheel", lat, wheelSize)
+	}
 	if c.Runahead.Enabled && c.Runahead.UseRunaheadCache && c.RunaheadCacheEntries <= 0 {
 		return fmt.Errorf("pipeline: runahead cache enabled with %d entries", c.RunaheadCacheEntries)
 	}
 	return nil
+}
+
+// maxCompletionLatency is the longest delay execute can hand schedule:
+// a functional-unit latency, or a load served by main memory, which
+// mem.Hierarchy.Access completes after L1, L2 and memory latency. A load
+// merging into an instruction-fetch miss inherits that miss's IL1
+// latency, so the larger L1 latency counts. The sum saturates instead of
+// wrapping.
+func (c Config) maxCompletionLatency() uint64 {
+	memory := max(c.Mem.IL1.Latency, c.Mem.DL1.Latency)
+	for _, l := range []uint64{c.Mem.L2.Latency, c.Mem.MemLatency} {
+		if memory += l; memory < l {
+			memory = math.MaxUint64
+			break
+		}
+	}
+	return max(c.IntMulLat, c.FPAluLat, c.FPMulLat, c.FPDivLat, memory)
 }

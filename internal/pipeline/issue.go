@@ -271,8 +271,8 @@ func (c *Core) executeRunaheadStore(t *thread, di *DynInst, now uint64) {
 // schedule registers di's completion at cycle done.
 func (c *Core) schedule(di *DynInst, now, done uint64) {
 	if done-now >= wheelSize {
-		// Defensive: the wheel must never wrap past an in-flight event.
-		//lint:panicfree unreachable-invariant guard: wheelSize exceeds the maximum latency any unit can report; wrapping would corrupt event ordering, so halting beats a silently wrong simulation
+		// Unreachable: Config.Validate bounds every completion latency
+		// below wheelSize, and a wrapped event would fire a lap early.
 		panic(fmt.Sprintf("pipeline: completion %d cycles ahead exceeds wheel %d", done-now, wheelSize))
 	}
 	di.doneAt = done

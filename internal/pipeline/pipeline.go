@@ -70,8 +70,9 @@ type Policy interface {
 	Tick(c *Core)
 }
 
-// wheelSize is the completion ring capacity; it must exceed the longest
-// possible completion latency (memory: 3+20+400, plus slack).
+// wheelSize is the completion ring capacity. Config.Validate rejects a
+// machine whose longest completion latency (maxCompletionLatency) does
+// not fit, so the ring never wraps past an in-flight event.
 const wheelSize = 1024
 
 // issueQueue is one shared issue queue: an occupancy count and the ready
@@ -266,7 +267,7 @@ func (c *Core) Step() {
 	c.sample()
 	if c.paranoid {
 		if err := c.CheckInvariants(); err != nil {
-			//lint:panicfree paranoid-mode invariant check: per-cycle state corruption cannot be reported as a value up the hot Step path; halting beats a silently wrong simulation
+			// Step returns no error, so a failed check halts.
 			panic(fmt.Sprintf("cycle %d: %v", now, err))
 		}
 	}

@@ -63,7 +63,7 @@ type File struct {
 // statistics.
 func New(name string, size int) *File {
 	if size <= 0 {
-		//lint:panicfree constructor precondition on compiled-in machine configurations (Table 1 sizes); violation is a programming error
+		// pipeline.Config.Validate rejects a non-positive size first.
 		panic("regfile: non-positive size")
 	}
 	f := &File{
@@ -117,7 +117,7 @@ func (f *File) IncRef(p PhysReg) {
 func (f *File) DecRef(p PhysReg) {
 	s := f.state(p)
 	if s.refs == 0 {
-		//lint:panicfree refcount underflow means rename bookkeeping corruption; continuing would free live registers and silently corrupt results
+		// Rename bookkeeping is corrupt; continuing would free live registers.
 		panic(fmt.Sprintf("regfile %s: DecRef(%d) below zero", f.name, p))
 	}
 	s.refs--
@@ -160,7 +160,7 @@ func (f *File) Inv(p PhysReg) bool {
 func (f *File) Release(p PhysReg) {
 	s := f.state(p)
 	if s.dead {
-		//lint:panicfree double release means retirement bookkeeping corruption; continuing would double-free a register another thread may hold
+		// Continuing would double-free a register another thread may hold.
 		panic(fmt.Sprintf("regfile %s: double Release(%d)", f.name, p))
 	}
 	s.dead = true
@@ -181,12 +181,11 @@ func (f *File) maybeFree(p PhysReg) {
 
 func (f *File) state(p PhysReg) *regState {
 	if p < 0 || int(p) >= len(f.regs) {
-		//lint:panicfree an out-of-range tag can only come from pipeline state corruption; equivalent to the bounds check the next line would trip anyway
 		panic(fmt.Sprintf("regfile %s: register %d out of range", f.name, p))
 	}
 	s := &f.regs[p]
 	if !s.allocated {
-		//lint:panicfree touching an unallocated register means a stale tag survived a squash; continuing would read garbage state
+		// A stale tag survived a squash.
 		panic(fmt.Sprintf("regfile %s: register %d not allocated", f.name, p))
 	}
 	return s

@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"math/rand"
@@ -226,6 +227,22 @@ func TestCorruptEntriesReadAsMiss(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := b.Put(identity(res.Workload, cfg), encodePayload(res)); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"implausible thread count": func(t *testing.T, path string, cfg core.Config, res *core.Result) {
+			// A well-formed envelope around a payload that claims 2^32-1
+			// threads and carries none: decoding must refuse it, not
+			// allocate for it.
+			noThreads := *res
+			noThreads.Threads = nil
+			payload := encodePayload(&noThreads)
+			binary.LittleEndian.PutUint32(payload[len(payload)-4:], math.MaxUint32)
+			b, err := blobstore.Open(filepath.Dir(path), 0, format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Put(identity(res.Workload, cfg), payload); err != nil {
 				t.Fatal(err)
 			}
 		},

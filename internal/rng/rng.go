@@ -57,7 +57,6 @@ func (s *Source) Uint64() uint64 {
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {
-		//lint:panicfree documented precondition, matching math/rand.Intn's contract; callers pass compiled-in distribution parameters
 		panic("rng: Intn called with n <= 0")
 	}
 	// Lemire's multiply-shift rejection method would remove modulo bias
@@ -72,7 +71,6 @@ func (s *Source) Intn(n int) int {
 // Uint64n returns a uniform uint64 in [0, n). It panics if n == 0.
 func (s *Source) Uint64n(n uint64) uint64 {
 	if n == 0 {
-		//lint:panicfree documented precondition, matching math/rand's contract; callers pass compiled-in distribution parameters
 		panic("rng: Uint64n called with n == 0")
 	}
 	hi, _ := bits.Mul64(s.Uint64(), n)
@@ -104,7 +102,6 @@ func (s *Source) Geometric(p float64) int {
 		return 0
 	}
 	if p <= 0 {
-		//lint:panicfree documented precondition; probabilities come from compiled-in workload class tables, so p <= 0 is a programming error
 		panic("rng: Geometric called with p <= 0")
 	}
 	u := s.Float64()

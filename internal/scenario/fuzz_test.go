@@ -3,11 +3,15 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 // FuzzSpecJSON is the contract of the spec-parsing surface — the exact
@@ -88,6 +92,71 @@ func FuzzSpecJSON(f *testing.F) {
 				seen[c.Fingerprint] = true
 			}
 			_ = seen
+		}
+	})
+}
+
+// FuzzRun is the contract of the configuration space a client reaches
+// through a scenario delta: the delta either fails plan-time validation
+// (Spec.Combos) or describes a machine that runs without panicking or
+// failing, reports finite values for every per-cell metric, and gives a
+// bit-identical Result when run again. Traces are at most 500
+// instructions and runs at most 40,000 cycles, so an input costs
+// milliseconds. Latencies range up to 65,535 cycles, far past the
+// pipeline's 1024-cycle completion wheel.
+func FuzzRun(f *testing.F) {
+	pols := core.AllPolicies()
+	pol := func(k core.PolicyKind) uint8 { return uint8(slices.Index(pols, k)) }
+	all := workload.All()
+	wl := func(name string) uint8 {
+		return uint8(slices.IndexFunc(all, func(w workload.Workload) bool { return w.Name() == name }))
+	}
+	// The Table 1 machine, then the crash inputs: memory latency 1100
+	// (1123 cycles with the L1 and L2), an FP divide of 5000 cycles on a
+	// workload that divides, and the runahead-cache ablation with no
+	// cache entries.
+	f.Add(wl("MEM2/art+mcf"), pol(core.PolicyRaT), int16(512), int16(320), int16(64), uint16(400), uint16(20), uint16(12), int16(512), uint16(400), uint64(1))
+	f.Add(wl("MEM2/art+mcf"), pol(core.PolicyICount), int16(512), int16(320), int16(64), uint16(1100), uint16(20), uint16(12), int16(512), uint16(400), uint64(1))
+	f.Add(wl("MEM2/applu+art"), pol(core.PolicyICount), int16(512), int16(320), int16(64), uint16(400), uint16(20), uint16(5000), int16(512), uint16(400), uint64(1))
+	f.Add(wl("MEM2/art+mcf"), pol(core.PolicyRaTCache), int16(512), int16(320), int16(64), uint16(400), uint16(20), uint16(12), int16(0), uint16(400), uint64(1))
+	f.Fuzz(func(t *testing.T, wsel, psel uint8, rob, regs, iq int16, memLat, l2Lat, fpDivLat uint16, raEntries int16, traceLen uint16, seed uint64) {
+		w := all[int(wsel)%len(all)]
+		policy := string(pols[int(psel)%len(pols)])
+		robSize, nregs, niq, nra := int(rob), int(regs), int(iq), int(raEntries)
+		mem, l2, div := uint64(memLat), uint64(l2Lat), uint64(fpDivLat)
+		tl, maxCycles := 1+int(traceLen)%500, uint64(40_000)
+		d := Delta{
+			Policy: &policy, ROBSize: &robSize, Regs: &nregs, IQ: &niq,
+			MemLatency: &mem, L2Lat: &l2, FPDivLat: &div, RunaheadCacheEntries: &nra,
+			TraceLen: &tl, MaxCycles: &maxCycles, Seed: &seed,
+		}
+		combos, err := (&Spec{Name: "fuzz", Base: d}).Combos(core.DefaultConfig())
+		if err != nil {
+			return
+		}
+		cfg := combos[0].Config
+		first, err := core.Run(cfg, w)
+		if err != nil {
+			t.Fatalf("%s %s: validated configuration failed to run: %v", w.Name(), d.Label(), err)
+		}
+		for _, m := range metricTable {
+			if m.needsReference {
+				continue
+			}
+			if v := m.compute(first, nil); math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%s %s: metric %s = %v", w.Name(), d.Label(), m.name, v)
+			}
+		}
+		for i, th := range first.Threads {
+			for _, v := range []float64{th.IPC, th.RegsNormal, th.RegsRunahead} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("%s %s: thread %d reports %+v", w.Name(), d.Label(), i, th)
+				}
+			}
+		}
+		again, err := core.Run(cfg, w)
+		if err != nil || !reflect.DeepEqual(first, again) {
+			t.Fatalf("%s %s: repeat run differs (err %v):\n first %+v\n again %+v", w.Name(), d.Label(), err, first, again)
 		}
 	})
 }

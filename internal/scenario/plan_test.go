@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sched"
 	"repro/internal/simcache"
 	"repro/internal/workload"
 )
@@ -181,5 +183,86 @@ func TestExecuteFlushesOnlyBeforeAWait(t *testing.T) {
 	}
 	if got := flushTrace(t, []string{"fairness"}, "ST/mcf@128"); !slices.Equal(got, []int{1}) {
 		t.Errorf("pending reference of row 2: flushes at rows %v, want [1]", got)
+	}
+}
+
+// recordingRunner records the requester stamp of every StartRunCtx call.
+// A run completes at once when settle is set and otherwise never
+// settles; onStart, when set, runs on each call.
+type recordingRunner struct {
+	cache   *simcache.Cache[string, *core.Result]
+	settle  bool
+	onStart func()
+	stamps  []string
+}
+
+func newRecordingRunner(settle bool) *recordingRunner {
+	return &recordingRunner{cache: simcache.New[string, *core.Result](0, 0, nil), settle: settle}
+}
+
+func (r *recordingRunner) BaseConfig() core.Config { return core.DefaultConfig() }
+
+func (r *recordingRunner) StartRunCtx(ctx context.Context, w workload.Workload, cfg core.Config) *simcache.Call[*core.Result] {
+	r.stamps = append(r.stamps, sched.Requester(ctx))
+	if r.onStart != nil {
+		r.onStart()
+	}
+	c, created := r.cache.BeginCtx(ctx, w.Name()+"@"+cfg.Fingerprint())
+	if created && r.settle {
+		c.Fulfill(&core.Result{Threads: []core.ThreadResult{{IPC: 1}, {IPC: 1}}}, nil)
+	}
+	return c
+}
+
+// TestEveryStartCarriesTheRequester: the sweep hands its context to
+// every dispatch, grid cells and fairness references alike, so the
+// runner's fair queue charges all of a request's work to the client
+// that sent it.
+func TestEveryStartCarriesTheRequester(t *testing.T) {
+	r := newRecordingRunner(true)
+	p, err := NewPlan(r, planSpec(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := sched.WithRequester(context.Background(), "client-a")
+	if _, err := ExecuteStreamCtx(ctx, p, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	// 6 grid cells plus one reference per benchmark per cell.
+	if len(r.stamps) != 6+6*2 {
+		t.Fatalf("runner saw %d starts, want %d", len(r.stamps), 6+6*2)
+	}
+	for i, s := range r.stamps {
+		if s != "client-a" {
+			t.Errorf("start %d carried requester %q, want client-a", i, s)
+		}
+	}
+}
+
+// TestCanceledSweepReturnsWhileCellsRun: a sweep whose cells never
+// settle returns its context's error promptly once that context is
+// cancelled. Here the context is cancelled by the first dispatch, so the
+// sweep can only return through its own waits.
+func TestCanceledSweepReturnsWhileCellsRun(t *testing.T) {
+	r := newRecordingRunner(false)
+	p, err := NewPlan(r, planSpec(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r.onStart = cancel
+	done := make(chan error, 1)
+	go func() {
+		_, err := ExecuteStreamCtx(ctx, p, func(Row) error { return nil }, func() {})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled sweep still waiting on an unsettled cell")
 	}
 }

@@ -369,7 +369,7 @@ func (sp *Spec) Combos(base core.Config) ([]Combo, error) {
 		combos = next
 	}
 	for i := range combos {
-		if err := combos[i].Config.Pipeline.Validate(); err != nil {
+		if err := combos[i].Config.Validate(); err != nil {
 			return nil, fmt.Errorf("scenario %s: point %s: %w",
 				sp.Name, strings.Join(combos[i].Labels, "/"), err)
 		}

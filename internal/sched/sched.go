@@ -155,7 +155,6 @@ func (q *Queue[T]) Push(j Job[T]) {
 // iteration order.
 func (q *Queue[T]) next() *client[T] {
 	var best *client[T]
-	//lint:detrange the (inService, lastPop, arrival) key documented above is a total order over distinct clients, so the minimum is unique and iteration order cannot change the winner
 	for _, c := range q.clients {
 		if len(c.queue) == 0 {
 			continue
@@ -218,7 +217,6 @@ func (q *Queue[T]) Snapshot() Snapshot {
 	}
 	if len(q.clients) > 0 {
 		s.Clients = make(map[string]ClientStat, len(q.clients))
-		//lint:detrange builds a key-addressed map serialized via encoding/json (sorted keys); iteration order is unobservable
 		for id, c := range q.clients {
 			s.Clients[id] = ClientStat{
 				QueuedJobs:     len(c.queue),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -220,11 +221,10 @@ func TestEveryPushIsPopped(t *testing.T) {
 	}
 }
 
-// TestSnapshotSerializesByteStable locks the claim behind the
-// //lint:detrange directive on the Snapshot builder: the client map
-// it ranges over is key-addressed and reaches clients only as sorted-key
-// JSON, so two identically driven queues serialize to identical bytes,
-// with jobs queued and in service.
+// TestSnapshotSerializesByteStable: Snapshot ranges over the client map,
+// which is key-addressed and reaches clients only as sorted-key JSON, so
+// two identically driven queues serialize to identical bytes, with jobs
+// queued and in service.
 func TestSnapshotSerializesByteStable(t *testing.T) {
 	drive := func(t *testing.T) []byte {
 		s := &Queue[string]{}
@@ -246,5 +246,46 @@ func TestSnapshotSerializesByteStable(t *testing.T) {
 	a, b := drive(t), drive(t)
 	if !bytes.Equal(a, b) {
 		t.Errorf("identically driven snapshots serialize differently:\n a: %s\n b: %s", a, b)
+	}
+}
+
+// TestPopOrderIndependentOfMapOrder: Pop's choice among requesters
+// depends only on the (inService, lastPop, arrival) key, never on the
+// order the client map ranges in. Two queues driven identically, with
+// twelve requesters (past the size at which Go ranges a map in
+// insertion order) and jobs left in service to create ties and
+// reorderings, pop the same sequence.
+func TestPopOrderIndependentOfMapOrder(t *testing.T) {
+	drive := func() []string {
+		s := &Queue[string]{}
+		var order []string
+		var held []Job[string]
+		for round := 0; round < 3; round++ {
+			for r := 0; r < 12; r++ {
+				req := string(rune('a' + (r*5)%12))
+				push(s, req, req+"-"+string(rune('0'+round)), 1+(r+round)%3)
+			}
+			for i := 0; i < 7; i++ {
+				j, ok := s.Pop()
+				if !ok {
+					t.Fatal("queue drained early")
+				}
+				order = append(order, j.Payload)
+				held = append(held, j)
+			}
+			// Release every other held job: the rest stay in service.
+			for i := 0; i < len(held); i += 2 {
+				s.Done(held[i])
+			}
+			held = held[:0]
+		}
+		return append(order, drain(t, s)...)
+	}
+	a, b := drive(), drive()
+	if len(a) != 36 {
+		t.Fatalf("popped %d jobs, want 36", len(a))
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("identically driven queues popped differently:\n a: %v\n b: %v", a, b)
 	}
 }

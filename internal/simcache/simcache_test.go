@@ -295,6 +295,33 @@ func TestAbandonDropsDeadCall(t *testing.T) {
 	}
 }
 
+// TestAbandonAfterCreatorAndJoinerCancel: a joiner's interest is
+// registered under the joiner's own context, so once the creator and
+// the joiner have both cancelled, Abandon drops the call.
+func TestAbandonAfterCreatorAndJoinerCancel(t *testing.T) {
+	g := New[string, int](0, 0, nil)
+	creator, cancelCreator := context.WithCancel(context.Background())
+	joiner, cancelJoiner := context.WithCancel(context.Background())
+	c, created := g.BeginCtx(creator, "k")
+	if !created {
+		t.Fatal("not created")
+	}
+	if j, created := g.BeginCtx(joiner, "k"); created || j != c {
+		t.Fatal("join did not return the in-flight call")
+	}
+	cancelCreator()
+	if g.Abandon("k", c, context.Canceled) {
+		t.Fatal("Abandon dropped a call the live joiner still wants")
+	}
+	cancelJoiner()
+	if !g.Abandon("k", c, context.Canceled) {
+		t.Fatal("Abandon = false after the creator and the joiner both cancelled")
+	}
+	if st := g.Stats(); st.Canceled != 1 || st.Entries != 0 {
+		t.Fatalf("stats = %+v, want 1 canceled, empty cache", st)
+	}
+}
+
 // TestAbandonRefusedWhileAnyRequesterLives: one live joiner pins the
 // computation, however many other requesters canceled.
 func TestAbandonRefusedWhileAnyRequesterLives(t *testing.T) {

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"reflect"
 	"testing"
 
@@ -70,8 +72,10 @@ func TestCodecRejectsOutOfRangeOperand(t *testing.T) {
 	if _, err := DecodeBinary(data); err != nil {
 		t.Fatalf("valid instruction rejected: %v", err)
 	}
-	// The last instruction's operand bytes sit just before its two bools.
+	// The last instruction's operand bytes sit just before its two bools;
+	// the instruction count sits just before the only instruction.
 	opOff := len(data) - 6
+	countOff := len(data) - instBytes - 8
 	cases := []struct {
 		name string
 		off  int
@@ -83,12 +87,14 @@ func TestCodecRejectsOutOfRangeOperand(t *testing.T) {
 		{"src1 -2", opOff + 2, 0xfe},
 		{"src2 127", opOff + 3, 127},
 		{"src2 -128", opOff + 3, 0x80},
+		{"count 0", countOff, 0},
+		{"count 2^32+1", countOff + 4, 1},
 	}
 	for _, c := range cases {
 		bad := append([]byte(nil), data...)
 		bad[c.off] = c.b
 		if _, err := DecodeBinary(bad); err == nil {
-			t.Errorf("%s: no error for out-of-range operand byte %#x", c.name, c.b)
+			t.Errorf("%s: no error for out-of-range byte %#x", c.name, c.b)
 		}
 	}
 }
@@ -136,6 +142,12 @@ func FuzzDecodeBinary(f *testing.F) {
 		{PC: 0x40, Op: isa.OpFpLoad, Dst: isa.FPReg(0), Src1: isa.IntReg(31), Src2: isa.RegNone, Addr: 0xdead_beef, AddrDependsOnLoad: true},
 		{PC: 0x44, Op: isa.OpBlock, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone, Taken: true},
 	}).AppendBinary(nil))
+	// Impossible instruction counts: none, and one past int32.
+	for _, n := range []uint64{0, math.MaxInt32 + 1} {
+		data := FromInsts("x", ClassILP, []isa.Inst{{Op: isa.OpIntAlu}}).AppendBinary(nil)
+		binary.LittleEndian.PutUint64(data[len(data)-instBytes-8:], n)
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := DecodeBinary(data)
 		if err != nil {

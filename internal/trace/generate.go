@@ -77,7 +77,8 @@ type Trace struct {
 // custom workloads use it; Generate is the production path.
 func FromInsts(name string, class Class, insts []isa.Inst) *Trace {
 	if len(insts) == 0 {
-		//lint:panicfree documented precondition on a test/hand-built-trace helper; an empty trace is a programming error, not runtime input
+		// Only tests and hand-built workloads call FromInsts; no runtime
+		// input reaches it.
 		panic("trace: FromInsts with no instructions")
 	}
 	return &Trace{Name: name, Class: class, insts: insts}

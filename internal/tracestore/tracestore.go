@@ -156,7 +156,9 @@ func (s *Store) Generate(name string, opt trace.Options) (*trace.Trace, error) {
 	}
 	opt = opt.Normalized()
 	key := Key{Benchmark: p.Name, Len: opt.Len, Seed: opt.Seed, DataBase: opt.DataBase, CodeBase: opt.CodeBase}
-	//lint:ctxflow trace generation is bounded CPU-pure work that must complete into the shared cache regardless of requester death (the same contract running cells have), so owning and joining a generation are never bound to one caller's context
+	// Generation is bounded CPU work that completes into the shared cache
+	// whoever asked for it, as running cells do, so neither owning nor
+	// joining one is bound to a caller's context.
 	ctx := context.Background()
 	if call := s.mem.Peek(key); call != nil {
 		return call.WaitCtx(ctx)
