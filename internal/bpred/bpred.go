@@ -53,30 +53,56 @@ type Perceptron struct {
 // NewPerceptron builds a private-table perceptron predictor with the given
 // number of perceptron rows (rounded up to a power of two).
 func NewPerceptron(rows int) *Perceptron {
-	return &Perceptron{table: newPerceptronTable(rows)}
+	t := &perceptronTable{}
+	t.reset(rows)
+	return &Perceptron{table: t}
 }
 
 // NewPerceptronShared builds n predictors (one per thread) sharing one
 // weight table, the standard SMT arrangement.
 func NewPerceptronShared(rows, n int) []*Perceptron {
-	t := newPerceptronTable(rows)
-	out := make([]*Perceptron, n)
-	for i := range out {
-		out[i] = &Perceptron{table: t}
-	}
-	return out
+	return ResetShared(nil, rows, n)
 }
 
-func newPerceptronTable(rows int) *perceptronTable {
+// ResetShared rebuilds ps, predictors from an earlier NewPerceptronShared
+// or ResetShared, as NewPerceptronShared(rows, n) builds them: every
+// weight and history zero. The shared table keeps its storage when rows
+// fit in it, and the predictors of ps are reused.
+func ResetShared(ps []*Perceptron, rows, n int) []*Perceptron {
+	t := &perceptronTable{}
+	if len(ps) > 0 {
+		t = ps[0].table
+	}
+	t.reset(rows)
+	if cap(ps) < n {
+		ps = append(make([]*Perceptron, 0, n), ps...)
+	}
+	ps = ps[:n]
+	for i, p := range ps {
+		if p == nil {
+			p = &Perceptron{}
+			ps[i] = p
+		}
+		*p = Perceptron{table: t}
+	}
+	return ps
+}
+
+// reset empties t and sizes it to rows rounded up to a power of two,
+// keeping its storage when that fits.
+func (t *perceptronTable) reset(rows int) {
 	n := 1
 	for n < rows {
 		n <<= 1
 	}
-	return &perceptronTable{
-		rows:  make([][rowLen]int8, n),
-		mask:  uint64(n - 1),
-		theta: perceptronTheta,
+	if cap(t.rows) >= n {
+		t.rows = t.rows[:n]
+		clear(t.rows)
+	} else {
+		t.rows = make([][rowLen]int8, n)
 	}
+	t.mask = uint64(n - 1)
+	t.theta = perceptronTheta
 }
 
 // index hashes a PC to a table row.

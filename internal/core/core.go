@@ -7,6 +7,14 @@
 // thread's trace re-executes in a loop, and the measurement window closes
 // only when each thread has completed at least MinIterations full trace
 // executions, so no thread is under-represented in the reported IPCs.
+//
+// A run needs a machine, and a Machine runs many in turn: each Run resets
+// it in place to the cell's configuration, so its caches, predictor table,
+// register files and instruction pool are built once and reused, and the
+// result is exactly that of a new machine. Run and RunTraced build a new
+// Machine for their one run and drop it. A sweep engine keeps one per
+// worker goroutine for the worker's life (experiments.Session does), never
+// one shared between goroutines or kept while no worker runs.
 package core
 
 import (
@@ -218,19 +226,37 @@ func Run(cfg Config, w workload.Workload) (*Result, error) {
 
 // RunTraced is Run against an explicit trace tier (nil = the process-wide
 // default): the workload's traces are served from the tier, shared with
-// every other run of the same identity, and treated as read-only.
+// every other run of the same identity, and treated as read-only. It runs
+// on a new Machine.
 func RunTraced(cfg Config, w workload.Workload, ts *tracestore.Store) (*Result, error) {
+	return new(Machine).Run(cfg, w, ts)
+}
+
+// Machine is one simulated machine that runs cells one after another.
+// Each Run rebuilds it in place (pipeline.Core.Reset), so a run on a
+// reused Machine returns exactly what a run on a new one does, while the
+// caches, predictor table, register files and instruction pool keep their
+// storage from the cells before. The zero value is ready to use, and
+// builds its pipeline on its first Run. A Machine is not safe for
+// concurrent use, and holds the traces of its last cell until its next
+// Run or until it is dropped.
+type Machine struct {
+	core *pipeline.Core
+}
+
+// Run executes workload w under cfg on m, against the trace tier ts as
+// RunTraced does, and returns its measurement.
+func (m *Machine) Run(cfg Config, w workload.Workload, ts *tracestore.Store) (*Result, error) {
 	cfg = cfg.withRunDefaults()
-	c, err := newMachine(cfg, w, ts)
-	if err != nil {
+	if err := m.load(cfg, w, ts); err != nil {
 		return nil, err
 	}
-	return measure(c, cfg, w), nil
+	return measure(m.core, cfg, w), nil
 }
 
 // machine derives the policy and the pipeline configuration a run of cfg
 // builds: Pipeline with the runahead mechanism the policy implies.
-// newMachine and Validate share it, so validation sees exactly the
+// Machine.load and Validate share it, so validation sees exactly the
 // machine a run would build.
 func (cfg Config) machine() (pipeline.Config, pipeline.Policy, error) {
 	pol, ra, err := buildPolicy(cfg.Policy)
@@ -256,23 +282,25 @@ func (cfg Config) Validate() error {
 	return pcfg.Validate()
 }
 
-// newMachine builds the cache-warmed pipeline a run of w under cfg (with
+// load rebuilds m as the cache-warmed pipeline a run of w under cfg (with
 // its run defaults applied) measures.
-func newMachine(cfg Config, w workload.Workload, ts *tracestore.Store) (*pipeline.Core, error) {
+func (m *Machine) load(cfg Config, w workload.Workload, ts *tracestore.Store) error {
 	pcfg, pol, err := cfg.machine()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	traces, err := w.TracesVia(ts, cfg.TraceLen, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	c, err := pipeline.New(pcfg, traces, pol)
-	if err != nil {
-		return nil, err
+	if m.core == nil {
+		m.core = &pipeline.Core{}
 	}
-	c.WarmupCaches()
-	return c, nil
+	if err := m.core.Reset(pcfg, traces, pol); err != nil {
+		return err
+	}
+	m.core.WarmupCaches()
+	return nil
 }
 
 // measure runs the warm phase and the FAME measurement window on c.

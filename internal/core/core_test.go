@@ -216,12 +216,12 @@ func TestParanoidEveryPolicy(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", w.Name(), p, err)
 			}
-			c, err := newMachine(cfg, w, nil)
-			if err != nil {
+			var m Machine
+			if err := m.load(cfg, w, nil); err != nil {
 				t.Fatalf("%s %s: %v", w.Name(), p, err)
 			}
-			c.SetParanoid(true)
-			if got := measure(c, cfg, w); !reflect.DeepEqual(got, want) {
+			m.core.SetParanoid(true)
+			if got := measure(m.core, cfg, w); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s %s: paranoid run differs:\n got  %+v\n want %+v", w.Name(), p, got, want)
 			}
 			// The runahead variants must actually run ahead on MEM2, or

@@ -13,10 +13,11 @@ import (
 func runCounted(t *testing.T, cfg Config, w workload.Workload) (*Result, bool) {
 	t.Helper()
 	cfg = cfg.withRunDefaults()
-	c, err := newMachine(cfg, w, nil)
-	if err != nil {
+	var m Machine
+	if err := m.load(cfg, w, nil); err != nil {
 		t.Fatal(err)
 	}
+	c := m.core
 	res := measure(c, cfg, w)
 	missed := false
 	for tid := 0; tid < c.NumThreads(); tid++ {

@@ -310,7 +310,13 @@ func (s *Session) dispatch(requester string, j job) {
 // populates the cache. A job counts against its requester's in-service
 // account from pop to Done, which is what the queue's ICOUNT-style
 // priority reads.
+//
+// The worker builds one machine and runs every cell it pops on it, each
+// cell resetting the machine in place. The machine lives as long as the
+// worker: it is dropped when the queue empties and the worker exits, so
+// an idle session keeps none.
 func (s *Session) work() {
+	var m core.Machine
 	for {
 		s.mu.Lock()
 		sj, ok := s.queue.Pop()
@@ -325,7 +331,7 @@ func (s *Session) work() {
 		var err error
 		abandoned := s.cache.Abandon(j.key, j.call, context.Canceled)
 		if !abandoned {
-			res, err = s.run(j.w, j.key.config)
+			res, err = s.run(&m, j.w, j.key.config)
 		}
 		// Release the in-service account before waking the waiters, so a
 		// requester holding its result never sees its cell in service.
@@ -340,15 +346,16 @@ func (s *Session) work() {
 
 // run computes one cell. It first probes the persistent result tier — a
 // stored result is bit-identical to what the simulation would produce, so
-// a hit skips the simulation entirely — and otherwise simulates against
-// the session's trace tier and writes the result behind.
-func (s *Session) run(w workload.Workload, cfg core.Config) (*core.Result, error) {
+// a hit skips the simulation entirely — and otherwise simulates on m, the
+// calling worker's machine, against the session's trace tier and writes
+// the result behind.
+func (s *Session) run(m *core.Machine, w workload.Workload, cfg core.Config) (*core.Result, error) {
 	if s.store != nil {
 		if r, ok := s.store.Get(w.Name(), cfg); ok {
 			return r, nil
 		}
 	}
-	r, err := core.RunTraced(cfg, w, s.traces)
+	r, err := m.Run(cfg, w, s.traces)
 	if err != nil {
 		return nil, fmt.Errorf("%s under %s: %w", w.Name(), cfg.Policy, err)
 	}

@@ -71,21 +71,36 @@ type Cache struct {
 // NewCache builds a cache; it panics on an invalid configuration, which
 // pipeline.Config.Validate rejects first.
 func NewCache(cfg CacheConfig) *Cache {
+	c := &Cache{}
+	c.reset(cfg)
+	return c
+}
+
+// reset rebuilds c as NewCache(cfg) builds it, every way invalid, keeping
+// its tag and LRU arrays when cfg's line count fits in them.
+func (c *Cache) reset(cfg CacheConfig) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	lines := cfg.SizeBytes / cfg.LineBytes
-	c := &Cache{
+	keys, lastUse := c.keys, c.lastUse
+	if uint64(cap(keys)) >= lines {
+		keys, lastUse = keys[:lines], lastUse[:lines]
+		clear(keys)
+		clear(lastUse)
+	} else {
+		keys, lastUse = make([]uint64, lines), make([]uint64, lines)
+	}
+	*c = Cache{
 		cfg:     cfg,
-		keys:    make([]uint64, lines),
-		lastUse: make([]uint64, lines),
+		keys:    keys,
+		lastUse: lastUse,
 		ways:    cfg.Ways,
 		setMask: lines/uint64(cfg.Ways) - 1,
 	}
 	for ls := cfg.LineBytes; ls > 1; ls >>= 1 {
 		c.lineShift++
 	}
-	return c
 }
 
 // LineAddr returns the line-aligned address containing addr.

@@ -123,6 +123,15 @@ type Hierarchy struct {
 
 // NewHierarchy builds the hierarchy.
 func NewHierarchy(cfg Config) *Hierarchy {
+	h := &Hierarchy{}
+	h.Reset(cfg)
+	return h
+}
+
+// Reset rebuilds h as NewHierarchy(cfg) builds it: every cache empty, no
+// miss outstanding, counters zero. A cache keeps its tag and LRU arrays,
+// and the MSHR file its storage, wherever cfg's sizes fit in them.
+func (h *Hierarchy) Reset(cfg Config) {
 	// pipeline.Config.Validate rejects both first.
 	if cfg.MSHRs <= 0 {
 		panic("mem: need at least one MSHR")
@@ -130,12 +139,22 @@ func NewHierarchy(cfg Config) *Hierarchy {
 	if cfg.MemLatency == 0 {
 		panic("mem: zero memory latency")
 	}
-	return &Hierarchy{
+	il1, dl1, l2, mshrs := h.il1, h.dl1, h.l2, h.mshrs
+	if il1 == nil {
+		il1, dl1, l2 = &Cache{}, &Cache{}, &Cache{}
+	}
+	il1.reset(cfg.IL1)
+	dl1.reset(cfg.DL1)
+	l2.reset(cfg.L2)
+	if cap(mshrs) < cfg.MSHRs {
+		mshrs = make([]mshr, 0, cfg.MSHRs)
+	}
+	*h = Hierarchy{
 		cfg:      cfg,
-		il1:      NewCache(cfg.IL1),
-		dl1:      NewCache(cfg.DL1),
-		l2:       NewCache(cfg.L2),
-		mshrs:    make([]mshr, 0, cfg.MSHRs),
+		il1:      il1,
+		dl1:      dl1,
+		l2:       l2,
+		mshrs:    mshrs[:0],
 		nextFill: math.MaxUint64,
 	}
 }

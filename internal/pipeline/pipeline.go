@@ -41,6 +41,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bpred"
 	"repro/internal/isa"
@@ -122,13 +123,15 @@ type wheelRef struct {
 // taken on.
 func (r wheelRef) live() bool { return r.di.id == r.id }
 
-// Core is the SMT processor.
+// Core is the SMT processor. The zero value is an empty core: Reset
+// builds a machine in it, and New is Reset on a new one.
 type Core struct {
 	cfg     Config
 	hier    *mem.Hierarchy
 	intRF   *regfile.File
 	fpRF    *regfile.File
 	threads []*thread
+	preds   []*bpred.Perceptron // one per thread, over one shared table
 	policy  Policy
 	racache *runahead.Cache
 
@@ -141,7 +144,10 @@ type Core struct {
 	// consumers never outlive the allocation they waited on.
 	intWaiters, fpWaiters [][]wheelRef
 
-	wheel         [wheelSize][]wheelRef
+	// wheel holds the completion events by cycle modulo wheelSize. It is
+	// its own allocation so that a Core stays small enough to rebuild by
+	// value in Reset.
+	wheel         *[wheelSize][]wheelRef
 	pendingDetect []wheelRef // L2 misses awaiting detection
 	cycle         uint64
 	nextID        uint64
@@ -159,48 +165,135 @@ type Core struct {
 // New builds a core running the given traces (one per hardware context)
 // under the given policy. A nil policy selects plain ICOUNT.
 func New(cfg Config, traces []*trace.Trace, pol Policy) (*Core, error) {
-	if err := cfg.Validate(); err != nil {
+	c := &Core{}
+	if err := c.Reset(cfg, traces, pol); err != nil {
 		return nil, err
 	}
+	return c, nil
+}
+
+// Reset rebuilds c in place as the machine New(cfg, traces, pol) returns,
+// whatever state c is in: empty, finished, or stopped mid-run with
+// instructions in flight, a runahead episode open and misses outstanding.
+// Every instruction the core allocated returns to its free list, and
+// every buffer whose size still fits is kept: cache tag and LRU arrays,
+// the perceptron table, register-file state and free lists, waiter lists
+// and completion-wheel slots, issue-queue ready lists, per-thread rings
+// and suppression sets. Parts whose size no longer fits are reallocated.
+// On error c is unchanged.
+func (c *Core) Reset(cfg Config, traces []*trace.Trace, pol Policy) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if len(traces) == 0 {
-		return nil, fmt.Errorf("pipeline: no threads")
+		return fmt.Errorf("pipeline: no threads")
 	}
 	if len(traces) > 8 {
-		return nil, fmt.Errorf("pipeline: %d threads exceeds the 8-context limit", len(traces))
+		return fmt.Errorf("pipeline: %d threads exceeds the 8-context limit", len(traces))
 	}
 	if pol == nil {
 		pol = ICount{}
 	}
-	c := &Core{
-		cfg:        cfg,
-		hier:       mem.NewHierarchy(cfg.Mem),
-		intRF:      regfile.New("int", cfg.IntRegs),
-		fpRF:       regfile.New("fp", cfg.FPRegs),
-		intWaiters: make([][]wheelRef, cfg.IntRegs),
-		fpWaiters:  make([][]wheelRef, cfg.FPRegs),
-		policy:     pol,
+	c.reclaimInsts()
+	wheel := c.wheel
+	if wheel == nil {
+		wheel = new([wheelSize][]wheelRef)
 	}
-	c.iqs[IQInt] = &issueQueue{kind: IQInt, cap: cfg.IntIQ, ready: make([]*DynInst, 0, cfg.IntIQ)}
-	c.iqs[IQFP] = &issueQueue{kind: IQFP, cap: cfg.FPIQ, ready: make([]*DynInst, 0, cfg.FPIQ)}
-	c.iqs[IQLS] = &issueQueue{kind: IQLS, cap: cfg.LSIQ, ready: make([]*DynInst, 0, cfg.LSIQ)}
-	c.fuBusy[IQInt] = make([]uint64, cfg.IntFU)
-	c.fuBusy[IQFP] = make([]uint64, cfg.FPFU)
-	c.fuBusy[IQLS] = make([]uint64, cfg.LSFU)
-	c.orderBuf = make([]int, 0, len(traces))
+	for i := range wheel {
+		wheel[i] = wheel[i][:0]
+	}
+	hier, intRF, fpRF := c.hier, c.intRF, c.fpRF
+	if hier == nil {
+		hier, intRF, fpRF = mem.NewHierarchy(cfg.Mem), regfile.New("int", cfg.IntRegs), regfile.New("fp", cfg.FPRegs)
+	} else {
+		hier.Reset(cfg.Mem)
+		intRF.Reset(cfg.IntRegs)
+		fpRF.Reset(cfg.FPRegs)
+	}
+	var racache *runahead.Cache
 	if cfg.Runahead.UseRunaheadCache {
-		c.racache = runahead.NewCache(cfg.RunaheadCacheEntries)
+		if racache = c.racache; racache == nil {
+			racache = runahead.NewCache(cfg.RunaheadCacheEntries)
+		} else {
+			racache.Reset(cfg.RunaheadCacheEntries)
+		}
 	}
-	preds := bpred.NewPerceptronShared(cfg.BranchPredRows, len(traces))
+	preds := bpred.ResetShared(c.preds, cfg.BranchPredRows, len(traces))
+	threads := c.threads[:0]
 	for i, tr := range traces {
-		c.threads = append(c.threads, &thread{
-			id:  i,
-			tr:  tr,
-			bp:  preds[i],
-			fq:  newInstRing(cfg.FetchQueue),
-			rob: newInstRing(cfg.ROBSize),
-		})
+		t := &thread{}
+		if i < len(c.threads) {
+			t = c.threads[i]
+		}
+		t.reset(i, tr, preds[i], cfg)
+		threads = append(threads, t)
 	}
-	return c, nil
+	if len(threads) < len(c.threads) {
+		clear(c.threads[len(threads):]) // drop contexts no longer used, and their traces
+	}
+	*c = Core{
+		cfg:           cfg,
+		hier:          hier,
+		intRF:         intRF,
+		fpRF:          fpRF,
+		threads:       threads,
+		preds:         preds,
+		policy:        pol,
+		racache:       racache,
+		intWaiters:    resetWaiters(c.intWaiters, cfg.IntRegs),
+		fpWaiters:     resetWaiters(c.fpWaiters, cfg.FPRegs),
+		wheel:         wheel,
+		pendingDetect: c.pendingDetect[:0],
+		freeInsts:     c.freeInsts,
+		orderBuf:      slices.Grow(c.orderBuf[:0], len(traces)),
+		iqs: [4]*issueQueue{
+			IQInt: c.iqs[IQInt].reset(IQInt, cfg.IntIQ),
+			IQFP:  c.iqs[IQFP].reset(IQFP, cfg.FPIQ),
+			IQLS:  c.iqs[IQLS].reset(IQLS, cfg.LSIQ),
+		},
+		fuBusy: [4][]uint64{
+			IQInt: resetUnits(c.fuBusy[IQInt], cfg.IntFU),
+			IQFP:  resetUnits(c.fuBusy[IQFP], cfg.FPFU),
+			IQLS:  resetUnits(c.fuBusy[IQLS], cfg.LSFU),
+		},
+	}
+	return nil
+}
+
+// reset empties q (a nil q is a new queue) and sizes it to size entries,
+// keeping its ready list's storage when that fits.
+func (q *issueQueue) reset(kind IQKind, size int) *issueQueue {
+	if q == nil || cap(q.ready) < size {
+		return &issueQueue{kind: kind, cap: size, ready: make([]*DynInst, 0, size)}
+	}
+	*q = issueQueue{kind: kind, cap: size, ready: q.ready[:0]}
+	return q
+}
+
+// resetWaiters returns n empty waiter lists, reusing ws's lists and their
+// storage.
+func resetWaiters(ws [][]wheelRef, n int) [][]wheelRef {
+	if cap(ws) < n {
+		grown := make([][]wheelRef, n)
+		copy(grown, ws[:cap(ws)])
+		ws = grown
+	}
+	ws = ws[:cap(ws)]
+	for i := range ws {
+		ws[i] = ws[i][:0]
+	}
+	return ws[:n]
+}
+
+// resetUnits returns n idle functional units, reusing busy's storage when
+// it fits.
+func resetUnits(busy []uint64, n int) []uint64 {
+	if cap(busy) < n {
+		return make([]uint64, n)
+	}
+	busy = busy[:n]
+	clear(busy)
+	return busy
 }
 
 // SetParanoid toggles per-cycle invariant checking (slow; tests only).

@@ -43,6 +43,29 @@ func (c *Core) freeInst(di *DynInst) {
 	c.freeInsts = append(c.freeInsts, di)
 }
 
+// reclaimInsts returns every instruction still in the machine to the free
+// list: the front-end queues, the ROB windows and the pseudo-retired
+// instructions awaiting their episode's end. Every other instruction the
+// core took from the heap is on the free list already, so afterwards all
+// of them are, cleared so that none keeps its trace alive. Only Reset
+// calls it, as it discards the state that still names these instructions.
+func (c *Core) reclaimInsts() {
+	for _, t := range c.threads {
+		for i := 0; i < t.fq.len(); i++ {
+			c.freeInst(t.fq.at(i))
+		}
+		for i := 0; i < t.rob.len(); i++ {
+			c.freeInst(t.rob.at(i))
+		}
+		for _, di := range t.deferredFree {
+			c.freeInst(di)
+		}
+	}
+	for _, di := range c.freeInsts {
+		*di = DynInst{pooled: true}
+	}
+}
+
 // instRing is a growable power-of-two ring buffer of instructions. The
 // front-end queue and per-thread ROB windows use it so that steady-state
 // push/pop cycles touch no allocator (a plain slice advanced with s[1:]
@@ -53,13 +76,20 @@ type instRing struct {
 	n    int
 }
 
-// newInstRing returns a ring with capacity for at least capHint entries.
-func newInstRing(capHint int) instRing {
+// reset empties r and sizes it for at least capHint entries, keeping its
+// buffer when that fits (a larger buffer is a grown ring, and behaves as
+// one).
+func (r *instRing) reset(capHint int) {
 	cp := 8
 	for cp < capHint {
 		cp <<= 1
 	}
-	return instRing{buf: make([]*DynInst, cp)}
+	if len(r.buf) >= cp {
+		clear(r.buf)
+		r.head, r.n = 0, 0
+		return
+	}
+	*r = instRing{buf: make([]*DynInst, cp)}
 }
 
 // len returns the number of buffered instructions.
@@ -165,6 +195,12 @@ func (s *seqSet) insert(k uint64) {
 		}
 		i = (i + 1) & mask
 	}
+}
+
+// reset empties the set, keeping its table.
+func (s *seqSet) reset() {
+	clear(s.slots)
+	s.n = 0
 }
 
 // has reports membership.

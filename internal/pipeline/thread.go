@@ -121,6 +121,25 @@ type thread struct {
 	stats ThreadStats
 }
 
+// reset rebuilds t as context id of a fresh core running tr under cfg,
+// keeping its rings' and suppression set's storage.
+func (t *thread) reset(id int, tr *trace.Trace, bp *bpred.Perceptron, cfg Config) {
+	fq, rob, suppress := t.fq, t.rob, t.raSuppress
+	fq.reset(cfg.FetchQueue)
+	rob.reset(cfg.ROBSize)
+	suppress.reset()
+	clear(t.deferredFree)
+	*t = thread{
+		id:           id,
+		tr:           tr,
+		bp:           bp,
+		fq:           fq,
+		rob:          rob,
+		raSuppress:   suppress,
+		deferredFree: t.deferredFree[:0],
+	}
+}
+
 // mapGet resolves an architectural register to its current physical
 // mapping: None for architectural (committed) state, Invalid for a
 // poisoned value with no backing register, or the in-flight writer's

@@ -62,20 +62,35 @@ type File struct {
 // New builds a file with size registers. The name appears in panics and
 // statistics.
 func New(name string, size int) *File {
+	f := &File{name: name}
+	f.Reset(size)
+	return f
+}
+
+// Reset rebuilds f as New builds it, with size registers, all free: the
+// register state and free list keep their storage when size fits in it.
+func (f *File) Reset(size int) {
 	if size <= 0 {
 		// pipeline.Config.Validate rejects a non-positive size first.
 		panic("regfile: non-positive size")
 	}
-	f := &File{
-		name: name,
-		regs: make([]regState, size),
-		free: make([]PhysReg, size),
+	regs, free := f.regs, f.free
+	if cap(regs) >= size {
+		regs = regs[:size]
+		clear(regs)
+	} else {
+		regs = make([]regState, size)
+	}
+	if cap(free) >= size {
+		free = free[:size]
+	} else {
+		free = make([]PhysReg, size)
 	}
 	// Free list as a stack, low registers on top for determinism.
-	for i := range f.free {
-		f.free[i] = PhysReg(size - 1 - i)
+	for i := range free {
+		free[i] = PhysReg(size - 1 - i)
 	}
-	return f
+	*f = File{name: f.name, regs: regs, free: free}
 }
 
 // Size returns the total number of physical registers.

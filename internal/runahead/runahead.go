@@ -95,11 +95,25 @@ type Cache struct {
 // NewCache builds a runahead cache with the given number of entries
 // (rounded up to a power of two).
 func NewCache(entries int) *Cache {
+	c := &Cache{}
+	c.Reset(entries)
+	return c
+}
+
+// Reset rebuilds c as NewCache(entries) builds it, every slot empty,
+// keeping its storage when the slots fit in it.
+func (c *Cache) Reset(entries int) {
 	n := 1
 	for n < entries {
 		n <<= 1
 	}
-	return &Cache{entries: make([]CacheEntry, n), mask: uint64(n - 1)}
+	if cap(c.entries) >= n {
+		c.entries = c.entries[:n]
+		clear(c.entries)
+	} else {
+		c.entries = make([]CacheEntry, n)
+	}
+	c.mask = uint64(n - 1)
 }
 
 // index maps a line address to a slot.

@@ -100,10 +100,13 @@ func FuzzSpecJSON(f *testing.F) {
 // through a scenario delta: the delta either fails plan-time validation
 // (Spec.Combos) or describes a machine that runs without panicking or
 // failing, reports finite values for every per-cell metric, and gives a
-// bit-identical Result when run again. Traces are at most 500
-// instructions and runs at most 40,000 cycles, so an input costs
-// milliseconds. Latencies range up to 65,535 cycles, far past the
-// pipeline's 1024-cycle completion wheel.
+// bit-identical Result when run again on a core.Machine kept across
+// inputs, so every input also checks a machine reset from the previous
+// input's shape against a new one. Traces are at most 500 instructions
+// and runs at most 40,000 cycles, so an input costs milliseconds.
+// Latencies range up to 65,535 cycles, far past the pipeline's 1024-cycle
+// completion wheel; the L2 is at most 255 KB, so a 1-byte line keeps its
+// tag arrays small.
 func FuzzRun(f *testing.F) {
 	pols := core.AllPolicies()
 	pol := func(k core.PolicyKind) uint8 { return uint8(slices.Index(pols, k)) }
@@ -111,23 +114,35 @@ func FuzzRun(f *testing.F) {
 	wl := func(name string) uint8 {
 		return uint8(slices.IndexFunc(all, func(w workload.Workload) bool { return w.Name() == name }))
 	}
-	// The Table 1 machine, then the crash inputs: memory latency 1100
-	// (1123 cycles with the L1 and L2), an FP divide of 5000 cycles on a
-	// workload that divides, and the runahead-cache ablation with no
-	// cache entries.
-	f.Add(wl("MEM2/art+mcf"), pol(core.PolicyRaT), int16(512), int16(320), int16(64), uint16(400), uint16(20), uint16(12), int16(512), uint16(400), uint64(1))
-	f.Add(wl("MEM2/art+mcf"), pol(core.PolicyICount), int16(512), int16(320), int16(64), uint16(1100), uint16(20), uint16(12), int16(512), uint16(400), uint64(1))
-	f.Add(wl("MEM2/applu+art"), pol(core.PolicyICount), int16(512), int16(320), int16(64), uint16(400), uint16(20), uint16(5000), int16(512), uint16(400), uint64(1))
-	f.Add(wl("MEM2/art+mcf"), pol(core.PolicyRaTCache), int16(512), int16(320), int16(64), uint16(400), uint16(20), uint16(12), int16(0), uint16(400), uint64(1))
-	f.Fuzz(func(t *testing.T, wsel, psel uint8, rob, regs, iq int16, memLat, l2Lat, fpDivLat uint16, raEntries int16, traceLen uint16, seed uint64) {
+	// The Table 1 machine (with a 128 KB L2), then the crash inputs:
+	// memory latency 1100 (1123 cycles with the L1 and L2), an FP divide
+	// of 5000 cycles on a workload that divides, and the runahead-cache
+	// ablation with no cache entries; then a reshaped machine.
+	f.Add(wl("MEM2/art+mcf"), pol(core.PolicyRaT), int16(512), int16(320), int16(64), uint16(400), uint16(20), uint16(12), int16(512), uint16(400), uint64(1),
+		uint8(128), int8(8), uint8(64), int8(6), int8(4), int8(16), int16(4096), uint16(4))
+	f.Add(wl("MEM2/art+mcf"), pol(core.PolicyICount), int16(512), int16(320), int16(64), uint16(1100), uint16(20), uint16(12), int16(512), uint16(400), uint64(1),
+		uint8(128), int8(8), uint8(64), int8(6), int8(4), int8(16), int16(4096), uint16(4))
+	f.Add(wl("MEM2/applu+art"), pol(core.PolicyICount), int16(512), int16(320), int16(64), uint16(400), uint16(20), uint16(5000), int16(512), uint16(400), uint64(1),
+		uint8(128), int8(8), uint8(64), int8(6), int8(4), int8(16), int16(4096), uint16(4))
+	f.Add(wl("MEM2/art+mcf"), pol(core.PolicyRaTCache), int16(512), int16(320), int16(64), uint16(400), uint16(20), uint16(12), int16(0), uint16(400), uint64(1),
+		uint8(128), int8(8), uint8(64), int8(6), int8(4), int8(16), int16(4096), uint16(4))
+	f.Add(wl("MEM4/art+mcf+swim+twolf"), pol(core.PolicyRaTNoPrefetch), int16(96), int16(64), int16(16), uint16(300), uint16(10), uint16(12), int16(64), uint16(300), uint64(7),
+		uint8(32), int8(4), uint8(32), int8(2), int8(1), int8(4), int16(64), uint16(40))
+	var machine core.Machine
+	f.Fuzz(func(t *testing.T, wsel, psel uint8, rob, regs, iq int16, memLat, l2Lat, fpDivLat uint16, raEntries int16, traceLen uint16, seed uint64,
+		l2KB uint8, l2Ways int8, lineBytes uint8, intFU, lsFU, fetchQueue int8, bpRows int16, raExit uint16) {
 		w := all[int(wsel)%len(all)]
 		policy := string(pols[int(psel)%len(pols)])
 		robSize, nregs, niq, nra := int(rob), int(regs), int(iq), int(raEntries)
 		mem, l2, div := uint64(memLat), uint64(l2Lat), uint64(fpDivLat)
 		tl, maxCycles := 1+int(traceLen)%500, uint64(40_000)
+		l2Size, ways, line := int(l2KB), int(l2Ways), uint64(lineBytes)
+		nint, nls, fq, rows, exit := int(intFU), int(lsFU), int(fetchQueue), int(bpRows), uint64(raExit)
 		d := Delta{
 			Policy: &policy, ROBSize: &robSize, Regs: &nregs, IQ: &niq,
 			MemLatency: &mem, L2Lat: &l2, FPDivLat: &div, RunaheadCacheEntries: &nra,
+			L2KB: &l2Size, L2Ways: &ways, LineBytes: &line, RunaheadExitPenalty: &exit,
+			IntFU: &nint, LSFU: &nls, FetchQueue: &fq, BranchPredRows: &rows,
 			TraceLen: &tl, MaxCycles: &maxCycles, Seed: &seed,
 		}
 		combos, err := (&Spec{Name: "fuzz", Base: d}).Combos(core.DefaultConfig())
@@ -154,9 +169,9 @@ func FuzzRun(f *testing.F) {
 				}
 			}
 		}
-		again, err := core.Run(cfg, w)
+		again, err := machine.Run(cfg, w, nil)
 		if err != nil || !reflect.DeepEqual(first, again) {
-			t.Fatalf("%s %s: repeat run differs (err %v):\n first %+v\n again %+v", w.Name(), d.Label(), err, first, again)
+			t.Fatalf("%s %s: repeat run on the reused machine differs (err %v):\n first %+v\n again %+v", w.Name(), d.Label(), err, first, again)
 		}
 	})
 }

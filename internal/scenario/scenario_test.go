@@ -201,6 +201,28 @@ func TestCombosCrossProduct(t *testing.T) {
 	}
 }
 
+// TestCombosErrorNamesThePoint: a rejected point is named by its axis
+// labels, and the one point of a spec with no axes by "base".
+func TestCombosErrorNamesThePoint(t *testing.T) {
+	racache := scenario.Delta{Policy: ptr("RaT-racache"), RunaheadCacheEntries: ptr(0)}
+	for _, tc := range []struct {
+		sp   *scenario.Spec
+		want string
+	}{
+		{&scenario.Spec{Name: "rc", Base: racache},
+			"scenario rc: point base: pipeline: runahead cache enabled with 0 entries"},
+		{&scenario.Spec{Name: "rc", Axes: []scenario.Axis{
+			{Name: "policy", Points: []scenario.Point{{Label: "rc0", Delta: racache}}},
+			{Name: "rob", Points: []scenario.Point{{Delta: scenario.Delta{ROBSize: ptr(64)}}}},
+		}}, "scenario rc: point rc0/robSize=64: pipeline: runahead cache enabled with 0 entries"},
+	} {
+		_, err := tc.sp.Combos(core.DefaultConfig())
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("error %v, want %q", err, tc.want)
+		}
+	}
+}
+
 // testSpec is a small but real sweep: one non-policy, non-regfile knob
 // (ROB size) under RaT on one 2-thread workload.
 func testSpec() *scenario.Spec {

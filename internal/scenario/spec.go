@@ -370,8 +370,12 @@ func (sp *Spec) Combos(base core.Config) ([]Combo, error) {
 	}
 	for i := range combos {
 		if err := combos[i].Config.Validate(); err != nil {
-			return nil, fmt.Errorf("scenario %s: point %s: %w",
-				sp.Name, strings.Join(combos[i].Labels, "/"), err)
+			// A spec with no axes has one point, the base itself.
+			point := "base"
+			if len(combos[i].Labels) > 0 {
+				point = strings.Join(combos[i].Labels, "/")
+			}
+			return nil, fmt.Errorf("scenario %s: point %s: %w", sp.Name, point, err)
 		}
 		combos[i].Fingerprint = combos[i].Config.Fingerprint()
 	}
