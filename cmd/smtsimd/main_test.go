@@ -105,6 +105,11 @@ func TestScenarioBadRequests(t *testing.T) {
 		"memLatency 1100": {ts.URL + "/v1/scenario", `{"name":"memlat","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":2000},"axes":[{"name":"mem","points":[{"delta":{"memLatency":1100}}]}],"metrics":["throughput"]}`, http.StatusBadRequest},
 		"fpDivLat 5000":   {ts.URL + "/v1/scenario", `{"name":"fpdiv","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":2000,"fpDivLat":5000}}`, http.StatusBadRequest},
 		"racache 0":       {ts.URL + "/v1/scenario", `{"name":"racache","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":2000,"policy":"RaT-racache","raCacheEntries":0}}`, http.StatusBadRequest},
+		// Structures no worker can allocate, which would take the daemon
+		// down with it.
+		"negative l2KB":  {ts.URL + "/v1/scenario", `{"name":"l2neg","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":2000,"l2KB":-1,"l2Ways":18014398509481983}}`, http.StatusBadRequest},
+		"1 PiB L2":       {ts.URL + "/v1/scenario", `{"name":"l2pib","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":2000,"l2KB":1099511627776,"l2Ways":2}}`, http.StatusBadRequest},
+		"robSize 2^62+1": {ts.URL + "/v1/scenario", `{"name":"rob","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":2000,"robSize":4611686018427387905}}`, http.StatusBadRequest},
 	} {
 		status, body := post(t, tc.url, tc.body)
 		if status != tc.want {

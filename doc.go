@@ -199,10 +199,10 @@
 // One lint-time check is left, by design: nowallclock forbids wall-clock
 // reads and global math/rand in the simulation packages, where
 // internal/rng and the cycle counter are the only sanctioned sources of
-// nondeterminism. It runs under cmd/smtlint alongside go vet, on an
-// in-house stdlib-only framework (internal/analysis/lint) shaped like
-// golang.org/x/tools/go/analysis, and TestLintClean keeps
-// `go run ./cmd/smtlint ./...` at zero findings. There is no suppression
+// nondeterminism. `go test ./internal/analysis/...` runs it: TestLintClean
+// lists the module's packages, parses them with go/parser (the check
+// resolves package names through each file's import table, so nothing
+// is type-checked) and must find nothing. There is no suppression
 // directive.
 // See internal/analysis/README.md.
 //

@@ -1,7 +1,8 @@
-// Package analysis assembles the smtlint suite. One analyzer is left,
-// nowallclock, which keeps wall clocks and global math/rand out of the
-// simulation packages. See README.md in this directory for why the
-// others were replaced by tests.
+// Package analysis assembles the lint suite, which `go test
+// ./internal/analysis/...` runs over the tree (TestLintClean). One
+// analyzer is left, nowallclock, which keeps wall clocks and global
+// math/rand out of the simulation packages. See README.md in this
+// directory for why the others were replaced by tests.
 package analysis
 
 import (

@@ -29,7 +29,7 @@ func moduleRoot(t *testing.T) string {
 // zero diagnostics from the full analyzer suite.
 func TestLintClean(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loads and type-checks the whole tree")
+		t.Skip("lists and parses the whole tree")
 	}
 	pkgs, err := lint.Load(moduleRoot(t), "./...")
 	if err != nil {

@@ -5,111 +5,30 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"io"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 )
 
-// Package is one loaded, type-checked target package.
+// Package is one loaded target package: its import path and its parsed
+// non-test Go files.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
-	Types      *types.Package
-	Info       *types.Info
 }
 
-// listedPkg is the slice of `go list -json` output the loader consumes.
-type listedPkg struct {
-	Dir        string
-	ImportPath string
-	Export     string
-	Standard   bool
-	DepOnly    bool
-	GoFiles    []string
-	CgoFiles   []string
-}
-
-// stdCache is the process-wide memo of standard-library export data.
-// Std packages are immutable for the life of a process (one toolchain,
-// one build cache), so once any load has listed a std package — and,
-// because goList always passes -deps, its entire import closure — every
-// later load can reuse the paths without shelling out to `go list`
-// again. This is what turns a lintest-heavy test binary from one
-// `go list` per test case into one per *distinct* std import set:
-// ListExports short-circuits entirely when every requested pattern is a
-// cached std package. Module packages are never cached: their export
-// data depends on the module root (lintest scratch modules redefine
-// repro/* paths), so they are re-listed per call.
-var stdCache = struct {
-	sync.Mutex
-	// listed marks std import paths whose transitive closure is in paths.
-	listed map[string]bool
-	// paths maps every std import path seen so far to its export file.
-	paths map[string]string
-}{listed: map[string]bool{}, paths: map[string]string{}}
-
-// cacheStd memoizes the std packages of one go list result.
-func cacheStd(requested []string, pkgs []listedPkg) {
-	stdCache.Lock()
-	defer stdCache.Unlock()
-	std := map[string]bool{}
-	for _, p := range pkgs {
-		if p.Standard && p.Export != "" {
-			stdCache.paths[p.ImportPath] = p.Export
-			std[p.ImportPath] = true
-		}
-	}
-	// A requested std pattern now has its whole closure cached (-deps
-	// lists it); only those patterns may skip go list next time.
-	for _, r := range requested {
-		if std[r] {
-			stdCache.listed[r] = true
-		}
-	}
-}
-
-// stdCached returns a snapshot of every cached std export path when all
-// of patterns are cached std packages, or nil when any needs a real
-// `go list`. Returning the full snapshot (a superset of the requested
-// closure) is deliberate: the importer looks paths up lazily and
-// ignores entries it never asks for.
-func stdCached(patterns []string) map[string]string {
-	stdCache.Lock()
-	defer stdCache.Unlock()
-	for _, p := range patterns {
-		if !stdCache.listed[p] {
-			return nil
-		}
-	}
-	out := make(map[string]string, len(stdCache.paths))
-	for k, v := range stdCache.paths {
-		out[k] = v
-	}
-	return out
-}
-
-// goList runs `go list -export -deps -json` for patterns in dir and
-// decodes the package stream. -export makes the go tool compile (or
-// reuse from the build cache) every listed package and report the path
-// of its export data, which is what lets the loader type-check targets
-// against the exact compiled form of their dependencies — std library
-// included — with no module downloads and no source re-checking of the
-// whole dependency graph. Std results feed stdCache as a side effect.
-func goList(dir string, patterns ...string) ([]listedPkg, error) {
-	args := append([]string{
-		"list", "-export", "-deps",
-		"-json=ImportPath,Export,Dir,GoFiles,CgoFiles,Standard,DepOnly",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
+// Load lists patterns module-aware from dir with `go list` and parses
+// every matched package's non-test Go files (cgo files included).
+// Nothing is compiled or type-checked, so a load costs one `go list`
+// plus one parse of the targets. Test files are not loaded: the
+// invariants the suite guards are production-code contracts, and tests
+// legitimately use wall clocks.
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	cmd := exec.Command("go", append([]string{"list", "-json=ImportPath,Dir,GoFiles,CgoFiles"}, patterns...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -117,128 +36,27 @@ func goList(dir string, patterns ...string) ([]listedPkg, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
 	}
-	var pkgs []listedPkg
+	fset := token.NewFileSet()
+	var pkgs []*Package
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
-		var p listedPkg
+		var p struct {
+			ImportPath, Dir   string
+			GoFiles, CgoFiles []string
+		}
 		if err := dec.Decode(&p); err == io.EOF {
-			break
+			return pkgs, nil
 		} else if err != nil {
 			return nil, fmt.Errorf("lint: decoding go list output: %w", err)
 		}
-		pkgs = append(pkgs, p)
-	}
-	cacheStd(patterns, pkgs)
-	return pkgs, nil
-}
-
-// ListExports returns the import-path → export-data-file map for
-// patterns (transitively), resolved module-aware from dir. lintest uses
-// it to satisfy testdata packages' std library imports; when every
-// pattern is an already-cached std package the call answers from
-// stdCache without running `go list` at all.
-func ListExports(dir string, patterns ...string) (map[string]string, error) {
-	if cached := stdCached(patterns); cached != nil {
-		return cached, nil
-	}
-	pkgs, err := goList(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string, len(pkgs))
-	for _, p := range pkgs {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	return exports, nil
-}
-
-// Importer returns a types.Importer resolving import paths through the
-// compiler's export data files in exports.
-func Importer(fset *token.FileSet, exports map[string]string) types.Importer {
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("lint: no export data for import %q", path)
-		}
-		return os.Open(file)
-	})
-}
-
-// newInfo allocates a fully-populated types.Info.
-func newInfo() *types.Info {
-	return &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
-}
-
-// CheckFiles parses and type-checks one directory's non-test Go files as
-// the package pkgPath, resolving imports through exports. It is the
-// loading half lintest shares with Load.
-func CheckFiles(fset *token.FileSet, dir string, goFiles []string, pkgPath string, imp types.Importer) (*Package, error) {
-	var files []*ast.File
-	for _, name := range goFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, fmt.Errorf("lint: parsing %s: %w", name, err)
-		}
-		files = append(files, f)
-	}
-	info := newInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(pkgPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", pkgPath, err)
-	}
-	return &Package{
-		ImportPath: pkgPath,
-		Dir:        dir,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-	}, nil
-}
-
-// Load lists patterns module-aware from dir and type-checks every
-// matched package (dependencies resolve from compiled export data, so
-// each target checks independently and the whole load costs one build
-// plus one source pass over the targets). Test files are not loaded:
-// the invariants the suite guards are production-code contracts, and
-// tests legitimately use wall clocks, panics and Background contexts.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	listed, err := goList(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string, len(listed))
-	for _, p := range listed {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	fset := token.NewFileSet()
-	imp := Importer(fset, exports)
-	var pkgs []*Package
-	for _, p := range listed {
-		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 {
-			continue
-		}
-		if len(p.CgoFiles) > 0 {
-			return nil, fmt.Errorf("lint: %s uses cgo, which the loader does not support", p.ImportPath)
-		}
-		pkg, err := CheckFiles(fset, p.Dir, p.GoFiles, p.ImportPath, imp)
-		if err != nil {
-			return nil, err
+		pkg := &Package{ImportPath: p.ImportPath, Fset: fset}
+		for _, name := range append(p.GoFiles, p.CgoFiles...) {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, fmt.Errorf("lint: %w", err)
+			}
+			pkg.Files = append(pkg.Files, f)
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	return pkgs, nil
 }

@@ -79,25 +79,54 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate rejects incoherent configurations.
+// Caps on the knobs that size an allocation when a core is built. A
+// scenario delta can set any of them, and one unbounded value (a 1 PiB
+// L2, a ROB of 2^62 entries) would panic or exhaust the worker that
+// builds the core, and with it the daemon. Each cap is far above Table 1
+// and above anything FuzzRun draws.
+const (
+	// maxCacheLines bounds each cache at 2^22 lines: two uint64 words
+	// of tag and LRU state a line, 64 MiB at the cap. Table 1's L2 has
+	// 16 Ki lines; FuzzRun reaches 255 Ki (255 KB of 1-byte lines).
+	maxCacheLines = 1 << 22
+	// maxPredictorRows bounds the perceptron table at 2^20 rows of 32
+	// bytes, 32 MiB at the cap. Table 1 has 4096 rows; FuzzRun draws an
+	// int16.
+	maxPredictorRows = 1 << 20
+	// maxEntries bounds every other sized structure: the ROB, fetch
+	// queue, issue queues, functional units, register files, MSHRs and
+	// runahead cache, each at most a few MiB at 2^16 entries. Table 1's
+	// largest is 512; FuzzRun draws an int16 at most.
+	maxEntries = 1 << 16
+)
+
+// Validate rejects incoherent configurations, and configurations too
+// large to build.
 func (c Config) Validate() error {
 	switch {
 	case c.Width <= 0:
 		return fmt.Errorf("pipeline: width %d", c.Width)
 	case c.FetchThreads <= 0:
 		return fmt.Errorf("pipeline: fetch threads %d", c.FetchThreads)
-	case c.ROBSize <= 0:
-		return fmt.Errorf("pipeline: ROB size %d", c.ROBSize)
-	case c.IntRegs <= 0 || c.FPRegs <= 0:
-		return fmt.Errorf("pipeline: register file sizes %d/%d", c.IntRegs, c.FPRegs)
-	case c.IntIQ <= 0 || c.FPIQ <= 0 || c.LSIQ <= 0:
-		return fmt.Errorf("pipeline: issue queue sizes %d/%d/%d", c.IntIQ, c.FPIQ, c.LSIQ)
-	case c.IntFU <= 0 || c.FPFU <= 0 || c.LSFU <= 0:
-		return fmt.Errorf("pipeline: functional unit counts %d/%d/%d", c.IntFU, c.FPFU, c.LSFU)
-	case c.FetchQueue <= 0:
-		return fmt.Errorf("pipeline: fetch queue %d", c.FetchQueue)
-	case c.BranchPredRows <= 0:
-		return fmt.Errorf("pipeline: predictor rows %d", c.BranchPredRows)
+	}
+	for _, s := range []struct {
+		name      string
+		n, lo, hi int
+	}{
+		{"fetch queue entries", c.FetchQueue, 1, maxEntries}, {"ROB entries", c.ROBSize, 1, maxEntries},
+		{"integer registers", c.IntRegs, 1, maxEntries}, {"FP registers", c.FPRegs, 1, maxEntries},
+		{"integer issue queue entries", c.IntIQ, 1, maxEntries},
+		{"FP issue queue entries", c.FPIQ, 1, maxEntries},
+		{"load/store issue queue entries", c.LSIQ, 1, maxEntries},
+		{"integer units", c.IntFU, 1, maxEntries}, {"FP units", c.FPFU, 1, maxEntries},
+		{"load/store units", c.LSFU, 1, maxEntries},
+		{"predictor rows", c.BranchPredRows, 1, maxPredictorRows},
+		{"MSHRs", c.Mem.MSHRs, 1, maxEntries},
+		{"runahead cache entries", c.RunaheadCacheEntries, 0, maxEntries},
+	} {
+		if s.n < s.lo || s.n > s.hi {
+			return fmt.Errorf("pipeline: %d %s, want %d to %d", s.n, s.name, s.lo, s.hi)
+		}
 	}
 	// Validate the memory hierarchy here too: scenario deltas can reshape
 	// any cache, and mem's constructors panic on incoherent geometry, so
@@ -106,12 +135,12 @@ func (c Config) Validate() error {
 		if err := cc.Validate(); err != nil {
 			return err
 		}
+		if lines := cc.SizeBytes / cc.LineBytes; lines > maxCacheLines {
+			return fmt.Errorf("mem: %s: %d lines, want at most %d", cc.Name, lines, maxCacheLines)
+		}
 	}
 	if c.Mem.MemLatency == 0 {
 		return fmt.Errorf("mem: zero main-memory latency")
-	}
-	if c.Mem.MSHRs <= 0 {
-		return fmt.Errorf("mem: %d MSHRs, need at least one", c.Mem.MSHRs)
 	}
 	if lat := c.maxCompletionLatency(); lat >= wheelSize {
 		return fmt.Errorf("pipeline: completion latency %d cycles does not fit the %d-cycle completion wheel", lat, wheelSize)

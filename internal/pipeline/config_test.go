@@ -40,3 +40,48 @@ func TestValidateCompletionWheelBound(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateSizeBounds: every knob that sizes an allocation is bounded
+// on both sides, so no configuration can ask the host for more memory
+// than a worker holds. Each cap is accepted, and one past it is rejected.
+func TestValidateSizeBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		ok   bool
+	}{
+		{"L2 of 2^22 lines", func(c *Config) { c.Mem.L2.SizeBytes = maxCacheLines * 64 }, true},
+		{"L2 of 2^23 lines", func(c *Config) { c.Mem.L2.SizeBytes = 2 * maxCacheLines * 64 }, false},
+		{"1 PiB L2", func(c *Config) { c.Mem.L2.SizeBytes, c.Mem.L2.Ways = 1<<50, 2 }, false},
+		{"DL1 of 1-byte lines", func(c *Config) { c.Mem.DL1.LineBytes = 1; c.Mem.DL1.SizeBytes = 2 * maxCacheLines }, false},
+		{"predictor rows at cap", func(c *Config) { c.BranchPredRows = maxPredictorRows }, true},
+		{"predictor rows past cap", func(c *Config) { c.BranchPredRows = maxPredictorRows + 1 }, false},
+		{"ROB at cap", func(c *Config) { c.ROBSize = maxEntries }, true},
+		{"ROB 0", func(c *Config) { c.ROBSize = 0 }, false},
+		{"no runahead cache", func(c *Config) { c.RunaheadCacheEntries = 0 }, true},
+		{"runahead cache -1", func(c *Config) { c.RunaheadCacheEntries = -1 }, false},
+		{"ROB 2^62", func(c *Config) { c.ROBSize = 1 << 62 }, false},
+		{"fetch queue", func(c *Config) { c.FetchQueue = maxEntries + 1 }, false},
+		{"ROB", func(c *Config) { c.ROBSize = maxEntries + 1 }, false},
+		{"int regs", func(c *Config) { c.IntRegs = maxEntries + 1 }, false},
+		{"FP regs", func(c *Config) { c.FPRegs = maxEntries + 1 }, false},
+		{"int IQ", func(c *Config) { c.IntIQ = maxEntries + 1 }, false},
+		{"FP IQ", func(c *Config) { c.FPIQ = maxEntries + 1 }, false},
+		{"LS IQ", func(c *Config) { c.LSIQ = maxEntries + 1 }, false},
+		{"int FUs", func(c *Config) { c.IntFU = maxEntries + 1 }, false},
+		{"FP FUs", func(c *Config) { c.FPFU = maxEntries + 1 }, false},
+		{"LS FUs", func(c *Config) { c.LSFU = maxEntries + 1 }, false},
+		{"MSHRs", func(c *Config) { c.Mem.MSHRs = maxEntries + 1 }, false},
+		{"runahead cache", func(c *Config) { c.RunaheadCacheEntries = maxEntries + 1 }, false},
+	} {
+		c := DefaultConfig()
+		tc.set(&c)
+		err := c.Validate()
+		if tc.ok && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "want")) {
+			t.Errorf("%s: err = %v, want a cap", tc.name, err)
+		}
+	}
+}

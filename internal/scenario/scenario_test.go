@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -52,6 +53,23 @@ func TestDeltaApply(t *testing.T) {
 	}
 }
 
+// TestDeltaApplyRejectsUnrepresentableCacheSizes: a negative KB count
+// would wrap to an enormous byte size, and a count of 2^53 KB or more
+// does not fit 63 bits of bytes (from 2^54 KB it wraps to a small size);
+// both are errors that name the knob.
+func TestDeltaApplyRejectsUnrepresentableCacheSizes(t *testing.T) {
+	for _, kb := range []int{-1, math.MinInt, math.MaxInt64>>10 + 1, math.MaxInt} {
+		for name, d := range map[string]scenario.Delta{
+			"il1KB": {IL1KB: &kb}, "dl1KB": {DL1KB: &kb}, "l2KB": {L2KB: &kb},
+		} {
+			cfg := core.DefaultConfig()
+			if err := d.Apply(&cfg); err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s %d: err = %v, want one naming %s", name, kb, err, name)
+			}
+		}
+	}
+}
+
 func TestDeltaLabel(t *testing.T) {
 	if got := (scenario.Delta{}).Label(); got != "base" {
 		t.Errorf("empty delta label = %q", got)
@@ -75,6 +93,11 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"duplicate point": `{"name":"x","axes":[{"name":"a","points":[{"delta":{"robSize":1}},{"delta":{"robSize":1}}]}]}`,
 		"trailing spec":   `{"name":"x"} {"name":"y"}`,
 		"trailing junk":   `{"name":"x"} garbage`,
+		// Sizes no worker can allocate: a negative L2 that wraps to 2^64
+		// bytes, a 1 PiB L2, and a ROB whose ring size would overflow.
+		"negative l2KB":  `{"name":"x","base":{"l2KB":-1,"l2Ways":18014398509481983}}`,
+		"1 PiB L2":       `{"name":"x","base":{"l2KB":1099511627776,"l2Ways":2}}`,
+		"robSize 2^62+1": `{"name":"x","axes":[{"name":"a","points":[{"delta":{"robSize":4611686018427387905}}]}]}`,
 	}
 	for what, doc := range cases {
 		if _, err := scenario.Parse(strings.NewReader(doc)); err == nil {

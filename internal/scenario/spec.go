@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -149,15 +150,23 @@ func (d Delta) Apply(c *core.Config) error {
 		}
 	}
 	for _, f := range []struct {
-		dst *uint64
-		kb  *int
+		name string
+		dst  *uint64
+		kb   *int
 	}{
-		{&p.Mem.IL1.SizeBytes, d.IL1KB}, {&p.Mem.DL1.SizeBytes, d.DL1KB},
-		{&p.Mem.L2.SizeBytes, d.L2KB},
+		{"il1KB", &p.Mem.IL1.SizeBytes, d.IL1KB}, {"dl1KB", &p.Mem.DL1.SizeBytes, d.DL1KB},
+		{"l2KB", &p.Mem.L2.SizeBytes, d.L2KB},
 	} {
-		if f.kb != nil {
-			*f.dst = uint64(*f.kb) << 10
+		if f.kb == nil {
+			continue
 		}
+		// A negative size would wrap to an enormous unsigned one, and
+		// from 2^54 KB up the shift wraps to a small one. Byte sizes are
+		// kept to 63 bits.
+		if *f.kb < 0 || *f.kb > math.MaxInt64>>10 {
+			return fmt.Errorf("%s %d out of range", f.name, *f.kb)
+		}
+		*f.dst = uint64(*f.kb) << 10
 	}
 	return nil
 }
@@ -413,6 +422,7 @@ func Decode(r io.Reader) (*Spec, error) {
 }
 
 // Parse decodes a spec from JSON and validates it, workload selection
+// and every point's machine configuration (on the Table 1 machine)
 // included.
 func Parse(r io.Reader) (*Spec, error) {
 	sp, err := Decode(r)
@@ -424,6 +434,9 @@ func Parse(r io.Reader) (*Spec, error) {
 	}
 	if _, err := sp.Workloads.Select(); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
+	}
+	if _, err := sp.Combos(core.DefaultConfig()); err != nil {
+		return nil, err
 	}
 	return sp, nil
 }
