@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -74,6 +75,31 @@ func TestNegativeFlagsRejected(t *testing.T) {
 		stdout, stderr, code := runExperiments(t, "-fig", "table1", "-"+name, "-3")
 		if code != 2 || stdout != "" || !strings.Contains(stderr, "-"+name) {
 			t.Errorf("experiments -%s -3: exit %d, stdout %q, stderr %q; want exit 2, no output, the flag named", name, code, stdout, stderr)
+		}
+	}
+}
+
+// TestMeasurementCapsRejected: a trace length past core's cap, from the
+// flag or from a scenario spec, and a FAME span that wraps to 0 exit 1
+// naming the knob, before anything simulates. The session validates its
+// base, so the flag fails at start-up rather than in every cell.
+func TestMeasurementCapsRejected(t *testing.T) {
+	stdout, stderr, code := runExperiments(t, "-fig", "fig1", "-tracelen", "1099511627776")
+	if code != 1 || stdout != "" || !strings.Contains(stderr, "trace length") {
+		t.Errorf("-tracelen 2^40: exit %d, stdout %q, stderr %q; want exit 1, no output, the trace length named", code, stdout, stderr)
+	}
+	for name, base := range map[string]string{
+		"traceLen 2^40":      `{"traceLen":1099511627776}`,
+		"wrapping FAME span": `{"traceLen":16384,"minIterations":1125899906842624}`,
+	} {
+		path := filepath.Join(t.TempDir(), "spec.json")
+		spec := `{"name":"caps","workloads":{"groups":["MEM2"],"perGroup":1},"base":` + base + `}`
+		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stdout, stderr, code := runExperiments(t, "-scenario", path)
+		if code != 1 || stdout != "" || stderr == "" {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1 and an error", name, code, stdout, stderr)
 		}
 	}
 }

@@ -3,7 +3,7 @@
 // results, with every simulation deduplicated and cached across requests
 // by full canonical machine configuration.
 //
-//	smtsimd -addr :8080 -cache-entries 4096 -cache-bytes 268435456 -j 8
+//	smtsimd -addr :8080 -cache-entries 4096 -j 8
 //
 // API:
 //
@@ -36,10 +36,11 @@
 //	    Liveness probe; 200 "ok".
 //
 // The process is safe to run indefinitely: the simulation cache is an
-// LRU bounded by -cache-entries and -cache-bytes (internal/simcache), so
+// LRU bounded by -cache-entries (internal/simcache; 0 = unbounded), so
 // arbitrary client sweeps recycle memory instead of growing the process,
 // while in-flight simulations are never evicted and repeated identical
-// sweeps stay cache hits.
+// sweeps stay cache hits. A cached result is at most about 1 KB, so the
+// 4096-entry default holds a few MB.
 //
 // With -store-dir the daemon adds a persistent on-disk tier beneath the
 // memory cache (internal/resultstore): every completed simulation is
@@ -54,9 +55,8 @@
 // Generated instruction traces are served from an in-memory trace tier
 // shared by every cell of every sweep: N configurations of one workload
 // decode the trace once, and single-thread fairness references reuse
-// the traces their SMT runs already generated. The tier keeps a trace
-// only while cells use it, plus a 4 MiB recency tier of recently
-// finished traces (tracestore.DefaultMemBytes), so cold traffic of
+// the traces their SMT runs already generated. The tier is a 4 MiB
+// recency LRU of traces (tracestore.DefaultMemBytes), so cold traffic of
 // distinct specs does not accumulate traces. With -trace-dir the tier
 // persists traces on disk so restarts skip regeneration.
 //
@@ -73,11 +73,8 @@
 // ICOUNT-style — the client with the fewest grid cells in service pops
 // next — so a one-cell probe submitted behind a 4096-cell sweep is
 // served long before the sweep drains. Scheduling only reorders
-// execution, never results. -max-inflight-per-client N (0 = unbounded)
-// additionally caps concurrent scenario requests per client identity,
-// answering breaches with 429 and a Retry-After hint. /v1/metrics
-// reports the queue depth ("queued"), admission rejections
-// ("rejected"), the queue's per-client accounting ("scheduler") and the
+// execution, never results. /v1/metrics reports the queue depth
+// ("queued"), the queue's per-client accounting ("scheduler") and the
 // live goroutine count ("goroutines") — a leak gauge that returns to its
 // post-startup baseline when the daemon goes idle.
 //
@@ -106,7 +103,6 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -121,7 +117,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	entries := flag.Int("cache-entries", 4096, "simulation cache entry bound (0 = unbounded)")
-	bytes := flag.Int64("cache-bytes", 256<<20, "simulation cache approximate byte bound (0 = unbounded)")
 	workers := flag.Int("j", 0, "concurrent simulations (0 = all cores)")
 	traceLen := flag.Int("tracelen", 0, "default per-thread trace length (specs may override via base.traceLen)")
 	maxBody := flag.Int64("max-body", 1<<20, "maximum request body size in bytes")
@@ -131,10 +126,9 @@ func main() {
 	storeBytes := flag.Int64("store-bytes", 0, "on-disk result store byte bound (0 = unbounded)")
 	traceDir := flag.String("trace-dir", "", "persistent on-disk trace store directory (empty = disabled)")
 	traceBytes := flag.Int64("trace-bytes", 0, "on-disk trace store byte bound (0 = unbounded)")
-	maxInflight := flag.Int("max-inflight-per-client", 0, "concurrent scenario requests per client identity (0 = unbounded)")
 	flag.Parse()
-	rejectNegative("cache-entries", "cache-bytes", "j", "tracelen", "max-body", "max-cells",
-		"drain", "store-bytes", "trace-bytes", "max-inflight-per-client")
+	rejectNegative("cache-entries", "j", "tracelen", "max-body", "max-cells",
+		"drain", "store-bytes", "trace-bytes")
 
 	opt := experiments.Default()
 	if *traceLen > 0 {
@@ -142,7 +136,6 @@ func main() {
 	}
 	opt.Workers = *workers
 	opt.CacheEntries = *entries
-	opt.CacheBytes = *bytes
 	opt.StoreDir = *storeDir
 	opt.StoreBytes = *storeBytes
 	opt.TraceDir = *traceDir
@@ -154,11 +147,10 @@ func main() {
 		os.Exit(1)
 	}
 	srv.maxCells = *maxCells
-	srv.maxInflight = *maxInflight
 	if *storeDir != "" {
 		log.Printf("smtsimd persistent result store at %s (bound %d bytes)", *storeDir, *storeBytes)
 	}
-	log.Printf("smtsimd listening on %s (cache bounds: %d entries, %d bytes)", *addr, *entries, *bytes)
+	log.Printf("smtsimd listening on %s (cache bound: %d entries)", *addr, *entries)
 	// No WriteTimeout: NDJSON responses legitimately stream for as long
 	// as a sweep simulates. Header and idle timeouts still bound what a
 	// stalled or idle client can pin.
@@ -225,17 +217,9 @@ type server struct {
 	// function of the body.
 	plans *simcache.Cache[string, planned]
 
-	// maxInflight bounds concurrent scenario requests per client
-	// identity (0 = unbounded); breaches answer 429. inflightByClient
-	// holds only clients with at least one open request.
-	maxInflight      int
-	admitMu          sync.Mutex
-	inflightByClient map[string]int
-
 	requests atomic.Uint64 // scenario requests accepted
 	failures atomic.Uint64 // scenario requests that failed simulating
 	canceled atomic.Uint64 // scenario requests cut short by the client
-	rejected atomic.Uint64 // scenario requests refused by admission (429)
 	rows     atomic.Uint64 // reduced rows served
 }
 
@@ -249,11 +233,10 @@ func newServer(opt experiments.Options, maxBody int64) (*server, error) {
 		maxBody = 1 << 20
 	}
 	return &server{
-		session:          s,
-		maxBody:          maxBody,
-		maxCells:         4096,
-		plans:            simcache.New[string](planEntries, planBytes, func(p planned) int64 { return p.bytes }),
-		inflightByClient: map[string]int{},
+		session:  s,
+		maxBody:  maxBody,
+		maxCells: 4096,
+		plans:    simcache.New[string](planEntries, planBytes, func(p planned) int64 { return p.bytes }),
 	}, nil
 }
 
@@ -296,8 +279,8 @@ func (s *server) plan(ctx context.Context, body []byte) (*scenario.Plan, error) 
 
 // clientID attributes a request to a client identity: the X-Client
 // header when the client names itself (smtload -client, the CI smoke
-// jobs), otherwise the remote host. Both the admission bound and the
-// fair queue key on this identity.
+// jobs), otherwise the remote host. The fair queue keys on this
+// identity.
 func (s *server) clientID(r *http.Request) string {
 	if id := r.Header.Get("X-Client"); id != "" {
 		return id
@@ -306,37 +289,6 @@ func (s *server) clientID(r *http.Request) string {
 		return host
 	}
 	return r.RemoteAddr
-}
-
-// admit reserves an in-flight slot for the client, reporting false when
-// the per-client bound is already met. Every true return must be paired
-// with exactly one release.
-func (s *server) admit(client string) bool {
-	if s.maxInflight <= 0 {
-		return true
-	}
-	s.admitMu.Lock()
-	defer s.admitMu.Unlock()
-	if s.inflightByClient[client] >= s.maxInflight {
-		return false
-	}
-	s.inflightByClient[client]++
-	return true
-}
-
-// release returns a client's admission slot, forgetting idle clients so
-// the map tracks only clients with open requests.
-func (s *server) release(client string) {
-	if s.maxInflight <= 0 {
-		return
-	}
-	s.admitMu.Lock()
-	defer s.admitMu.Unlock()
-	if n := s.inflightByClient[client] - 1; n > 0 {
-		s.inflightByClient[client] = n
-	} else {
-		delete(s.inflightByClient, client)
-	}
 }
 
 // handler routes the three endpoints.
@@ -365,20 +317,6 @@ func (s *server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST a scenario spec"))
 		return
 	}
-	// Admission runs before any parsing work: a client over its in-flight
-	// bound is told to back off (429 + Retry-After) without costing the
-	// daemon a body read. The slot is held for the request's full
-	// lifetime, streaming included.
-	client := s.clientID(r)
-	if !s.admit(client) {
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests,
-			fmt.Errorf("client %q has %d scenario requests in flight (limit %d)",
-				client, s.maxInflight, s.maxInflight))
-		return
-	}
-	defer s.release(client)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
 		// An oversized body is its own condition (413), not a malformed
@@ -417,7 +355,7 @@ func (s *server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	// the request counts as canceled, not failed. The client identity
 	// rides the same context so the session's fair queue attributes every
 	// job this sweep queues — references included.
-	ctx := sched.WithRequester(r.Context(), client)
+	ctx := sched.WithRequester(r.Context(), s.clientID(r))
 	if format == "ndjson" {
 		s.streamScenario(ctx, w, plan)
 		return
@@ -526,10 +464,12 @@ func (s *server) streamScenario(ctx context.Context, w http.ResponseWriter, plan
 	}
 }
 
-// metricsDoc is the /v1/metrics wire shape. Failures counts sweeps that
-// failed simulating or emitting; Canceled counts sweeps cut short by the
-// client going away (disconnects, resets) — the two are never conflated,
-// so a flaky client population cannot masquerade as simulator trouble.
+// metricsDoc is the /v1/metrics wire shape. The cache object is the
+// result cache's view; it is bounded by entries only, so its bytes and
+// maxBytes read 0. Failures counts sweeps that failed simulating or
+// emitting; Canceled counts sweeps cut short by the client going away
+// (disconnects, resets) — the two are never conflated, so a flaky client
+// population cannot masquerade as simulator trouble.
 // The disk* fields describe the persistent result store and stay zero
 // when -store-dir is unset: diskHits are memory-cache misses served from
 // disk without simulating, diskMisses are probes that fell through to a
@@ -552,17 +492,15 @@ func (s *server) streamScenario(ctx context.Context, w http.ResponseWriter, plan
 // Queued counts grid cells accepted into the work queue but not yet
 // picked up by a worker — the complement of cache.inFlight, which only
 // counts started cells, so a daemon sitting on a deep backlog no longer
-// reports an idle picture. Rejected counts requests refused by the
-// per-client admission bound (429s), and the scheduler object is the
-// work queue's own view: queued jobs/cells, in-service cells, and per-client
-// queued/in-service accounting (active clients only).
+// reports an idle picture. The scheduler object is the work queue's own
+// view: queued jobs/cells, in-service cells, and per-client queued/
+// in-service accounting (active clients only).
 type metricsDoc struct {
 	Cache           simcache.Stats   `json:"cache"`
 	Plans           simcache.Stats   `json:"plans"`
 	Requests        uint64           `json:"requests"`
 	Failures        uint64           `json:"failures"`
 	Canceled        uint64           `json:"canceled"`
-	Rejected        uint64           `json:"rejected"`
 	Rows            uint64           `json:"rows"`
 	Goroutines      int              `json:"goroutines"`
 	Queued          int              `json:"queued"`
@@ -588,7 +526,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Requests:        s.requests.Load(),
 		Failures:        s.failures.Load(),
 		Canceled:        s.canceled.Load(),
-		Rejected:        s.rejected.Load(),
 		Rows:            s.rows.Load(),
 		Goroutines:      runtime.NumGoroutine(),
 		Queued:          schedSnap.QueuedCells,

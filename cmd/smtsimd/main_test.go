@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -110,6 +109,10 @@ func TestScenarioBadRequests(t *testing.T) {
 		"negative l2KB":  {ts.URL + "/v1/scenario", `{"name":"l2neg","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":2000,"l2KB":-1,"l2Ways":18014398509481983}}`, http.StatusBadRequest},
 		"1 PiB L2":       {ts.URL + "/v1/scenario", `{"name":"l2pib","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":2000,"l2KB":1099511627776,"l2Ways":2}}`, http.StatusBadRequest},
 		"robSize 2^62+1": {ts.URL + "/v1/scenario", `{"name":"rob","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":2000,"robSize":4611686018427387905}}`, http.StatusBadRequest},
+		// Measurement knobs past their caps: a trace no worker can make,
+		// and a FAME span that wraps to 0 and reports an empty window.
+		"traceLen 2^40":      {ts.URL + "/v1/scenario", `{"name":"tl","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":1099511627776}}`, http.StatusBadRequest},
+		"wrapping FAME span": {ts.URL + "/v1/scenario", `{"name":"fame","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":16384,"minIterations":1125899906842624}}`, http.StatusBadRequest},
 	} {
 		status, body := post(t, tc.url, tc.body)
 		if status != tc.want {
@@ -591,9 +594,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	if doc.Queued != 0 || doc.Scheduler.QueuedCells != 0 || len(doc.Scheduler.Clients) != 0 {
 		t.Errorf("scheduler not idle at rest: queued=%d %+v", doc.Queued, doc.Scheduler)
 	}
-	if doc.Rejected != 0 {
-		t.Errorf("rejected = %d, want 0 (admission unbounded by default)", doc.Rejected)
-	}
 	if doc.Goroutines <= 0 {
 		t.Errorf("goroutines gauge = %d, want a live count", doc.Goroutines)
 	}
@@ -768,198 +768,47 @@ func TestColdTrafficTraceTierBounded(t *testing.T) {
 	}
 }
 
-// postClient is post with an X-Client identity header.
-func postClient(t *testing.T, url, spec, client string) (int, []byte) {
+// runDaemon runs main() with args in a subprocess and returns its exit
+// code (-1 when it did not exit by itself) and stderr. The timeout turns
+// a regression (a daemon that starts serving) into a failure rather than
+// a hang.
+func runDaemon(t *testing.T, args ...string) (int, string) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(spec))
-	if err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if client != "" {
-		req.Header.Set("X-Client", client)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, body
+	return cmd.ProcessState.ExitCode(), stderr.String()
 }
 
-// TestAdmissionPerClient pins the per-client admission bound end to end:
-// with -max-inflight-per-client 1, a client holding a streaming sweep
-// open is refused a second concurrent request (429, counted under
-// rejected), a differently-named client is admitted and served, the
-// backlog shows up in the queued gauge and the scheduler's per-client
-// accounting, and the slot frees as soon as the held stream closes.
-func TestAdmissionPerClient(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation run")
-	}
-	opt := testOptions()
-	opt.Workers = 1
-	s, ts := newTestServer(t, opt)
-	s.maxInflight = 1
-
-	// One workload × 8 ROB points behind a single worker. Long traces
-	// keep each cell simulating for hundreds of milliseconds, so once the
-	// first row arrives the request is reliably still in flight — slot
-	// taken, later cells queued — for the assertions below.
-	var axes strings.Builder
-	for i := 0; i < 8; i++ {
-		if i > 0 {
-			axes.WriteString(",")
-		}
-		fmt.Fprintf(&axes, `{"label":"%d","delta":{"robSize":%d}}`, 64+16*i, 64+16*i)
-	}
-	heldSpec := `{
-	  "name": "admission-held",
-	  "workloads": {"adhoc": ["art+mcf"]},
-	  "base": {"traceLen": 16000, "maxCycles": 20000000, "seed": 17},
-	  "axes": [{"name": "rob", "points": [` + axes.String() + `]}],
-	  "metrics": ["throughput"]
-	}`
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/scenario", strings.NewReader(heldSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
-		t.Fatalf("first NDJSON row: %v", err)
-	}
-
-	// The backlog is visible: queued cells, attributed to this client.
-	doc := getMetrics(t, ts.URL)
-	if doc.Queued == 0 {
-		t.Errorf("queued = 0 with a 7-cell backlog behind one worker: %+v", doc.Scheduler)
-	}
-	if len(doc.Scheduler.Clients) == 0 {
-		t.Errorf("scheduler clients empty mid-sweep: %+v", doc.Scheduler)
-	}
-
-	// Same identity (remote host), second concurrent request: refused.
-	status, body := post(t, ts.URL+"/v1/scenario", testSpec)
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("concurrent same-client status = %d (body %s), want 429", status, body)
-	}
-	var e struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "in flight") {
-		t.Errorf("429 body %q is not a JSON error naming the bound", body)
-	}
-	if got := getMetrics(t, ts.URL).Rejected; got != 1 {
-		t.Errorf("rejected = %d, want 1", got)
-	}
-
-	// A different identity is admitted and served while the first
-	// client's sweep still streams — fair scheduling in one request.
-	tiny := `{
-	  "name": "admission-other",
-	  "workloads": {"adhoc": ["art+mcf"]},
-	  "base": {"traceLen": 200, "maxCycles": 400, "seed": 19},
-	  "metrics": ["throughput"]
-	}`
-	if status, body := postClient(t, ts.URL+"/v1/scenario", tiny, "other"); status != http.StatusOK {
-		t.Errorf("other-client status = %d (body %s), want 200", status, body)
-	}
-
-	// Releasing the held stream frees the slot.
-	resp.Body.Close()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if status, _ := post(t, ts.URL+"/v1/scenario", tiny); status == http.StatusOK {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("admission slot never released after the held stream closed")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// TestAdmissionConcurrentClients hammers admission from many goroutines
-// across a handful of client identities (run under -race in CI): every
-// response is either served or a clean 429, accounting never wedges, and
-// once the burst drains every client is admitted again.
-func TestAdmissionConcurrentClients(t *testing.T) {
-	// Registered before newTestServer's ts.Close cleanup so it runs after
-	// it (cleanups are LIFO): the check must see the listener closed and
-	// DefaultTransport's keep-alives drained, not flag them.
-	t.Cleanup(func() { leakcheck.Check(t) })
-	tiny := `{
-	  "name": "admission-burst",
-	  "workloads": {"adhoc": ["art+mcf"]},
-	  "base": {"traceLen": 200, "maxCycles": 400, "seed": 23},
-	  "metrics": ["throughput"]
-	}`
-	s, ts := newTestServer(t, testOptions())
-	s.maxInflight = 2
-
-	clients := []string{"a", "b", "c", "d"}
-	var wg sync.WaitGroup
-	var served, rejected atomic.Uint64
-	for i := 0; i < 24; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			status, body := postClient(t, ts.URL+"/v1/scenario", tiny, clients[i%len(clients)])
-			switch status {
-			case http.StatusOK:
-				served.Add(1)
-			case http.StatusTooManyRequests:
-				rejected.Add(1)
-			default:
-				t.Errorf("burst status = %d (body %s), want 200 or 429", status, body)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if served.Load() == 0 {
-		t.Error("burst: no request was served")
-	}
-	if got := getMetrics(t, ts.URL).Rejected; got != rejected.Load() {
-		t.Errorf("rejected metric = %d, clients saw %d", got, rejected.Load())
-	}
-	// The burst drained, so every identity has its slots back.
-	for _, c := range clients {
-		if status, body := postClient(t, ts.URL+"/v1/scenario", tiny, c); status != http.StatusOK {
-			t.Errorf("post-burst client %q status = %d (body %s), want 200", c, status, body)
-		}
-	}
-}
-
-// TestNegativeFlagsRejected: `-cache-bytes -7` used to start a daemon
-// whose cache enforced no byte bound at all. Every size, count and bound
-// flag now refuses a negative value before the daemon listens; the
-// timeout turns a regression (a daemon that starts serving) into a
-// failure rather than a hang.
+// TestNegativeFlagsRejected: `-cache-entries -7` used to start a daemon
+// whose cache enforced no bound at all. Every size, count and bound flag
+// now refuses a negative value before the daemon listens.
 func TestNegativeFlagsRejected(t *testing.T) {
-	for _, name := range []string{"cache-entries", "cache-bytes", "j", "tracelen", "max-body",
-		"max-cells", "drain", "store-bytes", "trace-bytes", "max-inflight-per-client"} {
+	for _, name := range []string{"cache-entries", "j", "tracelen", "max-body",
+		"max-cells", "drain", "store-bytes", "trace-bytes"} {
 		value := "-7"
 		if name == "drain" {
 			value = "-7s" // a bare -7 fails the duration parse, not the sign check
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		cmd := exec.CommandContext(ctx, os.Args[0], "-addr", "127.0.0.1:0", "-"+name, value)
-		cmd.Env = append(os.Environ(), runMainEnv+"=1")
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		cancel()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), "-"+name) {
-			t.Errorf("smtsimd -%s %s: %v, stderr %q; want exit 2 naming the flag", name, value, err, stderr.String())
+		if code, stderr := runDaemon(t, "-"+name, value); code != 2 || !strings.Contains(stderr, "-"+name) {
+			t.Errorf("smtsimd -%s %s: exit %d, stderr %q; want exit 2 naming the flag", name, value, code, stderr)
 		}
+	}
+}
+
+// TestTraceLenCapRejected: a -tracelen past core's cap used to start a
+// daemon whose every request then failed. The session validates its
+// base, so the daemon exits 1 naming the trace length before it listens.
+func TestTraceLenCapRejected(t *testing.T) {
+	if code, stderr := runDaemon(t, "-tracelen", "1099511627776"); code != 1 || !strings.Contains(stderr, "trace length") {
+		t.Errorf("smtsimd -tracelen 2^40: exit %d, stderr %q; want exit 1 naming the trace length", code, stderr)
 	}
 }

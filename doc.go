@@ -53,10 +53,11 @@
 // hit/miss/eviction/in-flight counters and /healthz answers liveness
 // probes. What makes the process safe to run indefinitely is
 // internal/simcache, the session's simulation cache: an LRU keyed by
-// (workload name, core.Config value) and bounded by entry count and
-// approximate result bytes (experiments.Options.CacheEntries/CacheBytes;
-// smtsimd's -cache-entries/-cache-bytes; 0 = unbounded, the CLI default),
-// with the singleflight contract preserved — duplicate requests join one
+// (workload name, core.Config value) and bounded by entry count
+// (experiments.Options.CacheEntries; smtsimd's -cache-entries, 4096 by
+// default; 0 = unbounded, the cmd/experiments default). A result is at
+// most about 1 KB, so the entry count bounds the cache's memory too. The
+// singleflight contract is preserved — duplicate requests join one
 // computation, in-flight simulations are never evicted, and eviction only
 // ever costs recomputation because every simulation is deterministic.
 // cmd/smtload is the proof harness: it fires N concurrent seeded sweep
@@ -101,15 +102,12 @@
 // so N grid cells that differ only in machine configuration decode one
 // shared trace instead of regenerating it N times, and a workload's
 // single-thread fairness references reuse the context-0 traces the SMT
-// runs already produced. The tier keeps a trace only while cells use
-// it. An in-use index of weak pointers hands any trace a running cell
-// still holds to every later requester, so a trace in use is never
-// generated or decoded twice, yet the index never keeps one alive. A
-// small recency LRU (tracestore.DefaultMemBytes, 4 MiB per session)
-// keeps recently finished traces alive between consecutive cells of one
-// workload. A figures run whose traces outgrow that bound, such as the
-// -quick or full suite, may therefore regenerate a trace between
-// figures; the results are the same either way. Like results, traces can persist:
+// runs already produced. The tier is a small recency LRU
+// (tracestore.DefaultMemBytes, 4 MiB per session) that keeps recent
+// traces between consecutive cells of one workload. A figures run whose
+// traces outgrow that bound, such as the -quick or full suite, may
+// therefore regenerate a trace between figures, or while a cell still
+// holds it; the results are the same either way. Like results, traces can persist:
 // -trace-dir / -trace-bytes (experiments.Options.TraceDir/TraceBytes) add
 // an on-disk tier that is another internal/blobstore store — the same
 // envelope, writes, eviction and durability contract as the result store,
@@ -139,12 +137,10 @@
 // reorders execution, never results (simulations are deterministic and
 // reductions collect in fixed order), so the bit-identity guarantees
 // above hold for attributed and anonymous sweeps alike; the starvation
-// regression test in internal/experiments locks the fix. The daemon adds
-// per-client admission control on top (-max-inflight-per-client, 429 +
-// Retry-After on breach) and reports the queue in /v1/metrics: "queued"
-// (cells accepted but not yet started — the complement of the cache's
-// inFlight), "rejected", and a "scheduler" object with queued and
-// in-service cells in total and per client. cmd/smtload prints
+// regression test in internal/experiments locks the fix. The daemon
+// reports the queue in /v1/metrics: "queued" (cells accepted but not yet
+// started — the complement of the cache's inFlight) and a "scheduler"
+// object with queued and in-service cells in total and per client. cmd/smtload prints
 // per-request latency percentiles (min/p50/p99/max) and takes -client to
 // name itself.
 //
@@ -192,9 +188,10 @@
 // oldest-mtime-first adoption, and the codecs' damaged-input tests feed
 // impossible counts. FuzzRun in internal/scenario draws configuration
 // deltas: each is rejected by plan-time validation
-// (core.Config.Validate, which checks the pipeline the policy implies,
-// including the completion-wheel bound on latencies) or runs without
-// panicking, with finite metrics and a repeatable Result.
+// (core.Config.Validate, which checks the trace length and FAME
+// iteration caps and the pipeline the policy implies, including the
+// completion-wheel bound on latencies) or runs without panicking, with
+// finite metrics and a repeatable Result.
 //
 // One lint-time check is left, by design: nowallclock forbids wall-clock
 // reads and global math/rand in the simulation packages, where
@@ -209,11 +206,10 @@
 // # Concurrency invariants
 //
 // The serving layers — a singleflight cache, a fair scheduler, a worker
-// pool, two disk tiers and the daemon's admission map — hold four
-// mutexes (blobstore, simcache, experiments, smtsimd's admitMu) and
-// start goroutines in two places (the experiments worker pool and the
-// daemon's listener). Their contracts are enforced dynamically, by
-// gates that run the real code:
+// pool and two disk tiers — hold three mutexes (blobstore, simcache,
+// experiments) and start goroutines in two places (the experiments
+// worker pool and the daemon's listener). Their contracts are enforced
+// dynamically, by gates that run the real code:
 //
 //   - CI runs the whole suite under `go test -race -timeout 5m`. The
 //     race detector catches unsynchronized access. A lock left held on

@@ -207,10 +207,10 @@ func buildPolicy(kind PolicyKind) (pipeline.Policy, runahead.Config, error) {
 // withRunDefaults fills in the zero config fields Run documents as
 // defaulted.
 func (cfg Config) withRunDefaults() Config {
-	if cfg.TraceLen <= 0 {
+	if cfg.TraceLen == 0 {
 		cfg.TraceLen = trace.DefaultLen
 	}
-	if cfg.MinIterations <= 0 {
+	if cfg.MinIterations == 0 {
 		cfg.MinIterations = 1
 	}
 	if cfg.MaxCycles == 0 {
@@ -255,10 +255,23 @@ func (m *Machine) Run(cfg Config, w workload.Workload, ts *tracestore.Store) (*R
 }
 
 // machine derives the policy and the pipeline configuration a run of cfg
-// builds: Pipeline with the runahead mechanism the policy implies.
-// Machine.load and Validate share it, so validation sees exactly the
-// machine a run would build.
+// builds: Pipeline with the runahead mechanism the policy implies. It
+// first checks the measurement knobs against their caps (0 selects the
+// run default). Machine.load and Validate share it, so validation sees
+// exactly the machine a run would build, and a run of an unvalidated
+// config fails where validation would.
 func (cfg Config) machine() (pipeline.Config, pipeline.Policy, error) {
+	for _, k := range []struct {
+		name      string
+		n, lo, hi int
+	}{
+		{"trace length", cfg.TraceLen, 0, maxTraceLen},
+		{"minimum iterations", cfg.MinIterations, 0, maxMinIterations},
+	} {
+		if k.n < k.lo || k.n > k.hi {
+			return pipeline.Config{}, nil, fmt.Errorf("core: %s %d, want %d to %d", k.name, k.n, k.lo, k.hi)
+		}
+	}
 	pol, ra, err := buildPolicy(cfg.Policy)
 	if err != nil {
 		return pipeline.Config{}, nil, err
@@ -271,9 +284,26 @@ func (cfg Config) machine() (pipeline.Config, pipeline.Policy, error) {
 	return pcfg, pol, nil
 }
 
-// Validate reports whether a run of cfg can build its machine: the
-// policy is known, and the pipeline it implies, runahead mechanism
-// included, is coherent.
+// Caps on the measurement knobs. Like pipeline's structure caps, each is
+// far above what DefaultConfig, the examples and the benchmark use, and
+// below what would take a worker down or make a run report a wrong
+// window.
+const (
+	// maxTraceLen bounds each thread's trace at 2^20 instructions: 24 MiB
+	// a thread, 96 MiB for a 4-thread workload at the cap. DefaultConfig
+	// uses 60,000 and the experiments 20,000 or fewer. An unbounded length
+	// asks trace.Generate for a slice the runtime cannot make.
+	maxTraceLen = 1 << 20
+	// maxMinIterations bounds the FAME iterations at 2^16, so the window
+	// span TraceLen × MinIterations (at most 2^36 instructions) cannot
+	// wrap a uint64 and end the window at once with a zero result.
+	// DefaultConfig uses 1.
+	maxMinIterations = 1 << 16
+)
+
+// Validate reports whether a run of cfg can build its machine and measure
+// it: the measurement knobs are within their caps, the policy is known,
+// and the pipeline it implies, runahead mechanism included, is coherent.
 func (cfg Config) Validate() error {
 	pcfg, _, err := cfg.machine()
 	if err != nil {

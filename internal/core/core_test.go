@@ -125,6 +125,58 @@ func TestValidateSeesPolicyRunahead(t *testing.T) {
 	}
 }
 
+// TestValidateMeasurementBounds: each measurement cap is accepted and one
+// past it rejected, by Validate and by a run alike; 0 selects the run
+// default and a negative value is rejected. The rejected inputs include
+// a 2^40-instruction trace, which no worker can generate, and a FAME span
+// of 2^14 x 2^50 = 2^64, which wrapped to 0 and reported an empty window.
+func TestValidateMeasurementBounds(t *testing.T) {
+	w := workload.MustByGroup("MEM2")[1]
+	for _, tc := range []struct {
+		name          string
+		traceLen, min int
+		ok            bool
+	}{
+		{"defaults", 0, 0, true},
+		{"trace length cap", maxTraceLen, 1, true},
+		{"iterations cap", 1000, maxMinIterations, true},
+		{"trace length past cap", maxTraceLen + 1, 1, false},
+		{"trace length 2^40", 1 << 40, 1, false},
+		{"negative trace length", -1, 1, false},
+		{"iterations past cap", 1000, maxMinIterations + 1, false},
+		{"wrapping FAME span", 1 << 14, 1 << 50, false},
+		{"negative iterations", 1000, -1, false},
+	} {
+		cfg := fastCfg()
+		cfg.TraceLen, cfg.MinIterations = tc.traceLen, tc.min
+		err := cfg.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok %v", tc.name, err, tc.ok)
+		}
+		if !tc.ok {
+			if _, err := Run(cfg, w); err == nil {
+				t.Errorf("%s: ran", tc.name)
+			}
+		}
+	}
+}
+
+// TestHugeWarmupTruncates: the warm phase is bounded by MaxCycles/2, not
+// by WarmupInsts, so a 2^40-instruction warm-up on a 20,000-cycle budget
+// returns at once with Truncated set.
+func TestHugeWarmupTruncates(t *testing.T) {
+	cfg := fastCfg()
+	cfg.WarmupInsts = 1 << 40
+	cfg.MaxCycles = 20_000
+	res, err := Run(cfg, workload.MustByGroup("MEM2")[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Truncated {
+		t.Errorf("2^40 warm-up instructions in 20,000 cycles not truncated: %+v", res)
+	}
+}
+
 func TestAllPoliciesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("policy sweep")

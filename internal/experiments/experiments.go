@@ -23,7 +23,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -56,15 +55,15 @@ type Options struct {
 	// deterministic and reductions run in a fixed order), so Workers only
 	// changes wall-clock time.
 	Workers int
-	// CacheEntries bounds the simulation result cache by entry count and
-	// CacheBytes by approximate retained result bytes (each 0 = unbounded,
-	// the right default for one-shot figure regeneration where every run
-	// may be re-read). Long-lived processes — the smtsimd daemon — set
-	// them so arbitrary client sweeps cannot grow the process without
-	// bound; in-flight simulations are never evicted, and eviction only
-	// costs recomputation (results are deterministic), never correctness.
+	// CacheEntries bounds the simulation result cache by entry count (0 =
+	// unbounded, the right default for one-shot figure regeneration where
+	// every run may be re-read). Long-lived processes — the smtsimd daemon
+	// — set it so arbitrary client sweeps cannot grow the process without
+	// bound; a result is at most about 1 KB, so the entry count bounds
+	// the cache's memory too. In-flight simulations are never evicted,
+	// and eviction only costs recomputation (results are deterministic),
+	// never correctness.
 	CacheEntries int
-	CacheBytes   int64
 	// StoreDir, when non-empty, enables the persistent on-disk result
 	// tier (internal/resultstore) beneath the in-memory cache: a memory
 	// miss probes the store before simulating, and every completed
@@ -80,9 +79,9 @@ type Options struct {
 	// session's trace store (internal/tracestore): generated traces are
 	// written behind first use and served across restarts, with TraceBytes
 	// bounding the directory (0 = unbounded). The in-memory trace tier is
-	// always present: it shares every trace a cell still uses and keeps
-	// recently finished ones up to tracestore.DefaultMemBytes, so with a
-	// TraceDir a trace dropped from memory is decoded, not regenerated.
+	// always present: it keeps recently used traces up to
+	// tracestore.DefaultMemBytes, so with a TraceDir a trace dropped from
+	// memory is decoded, not regenerated.
 	TraceDir   string
 	TraceBytes int64
 }
@@ -201,6 +200,11 @@ func NewSession(opt Options) (*Session, error) {
 		base.MaxCycles = opt.MaxCycles
 	}
 	base.Seed = opt.Seed
+	// A base no cell could run (a trace length past core's cap) fails
+	// here, at start-up, rather than in every later request.
+	if err := base.Validate(); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -225,25 +229,10 @@ func NewSession(opt Options) (*Session, error) {
 		opt:        opt,
 		base:       base,
 		maxWorkers: workers,
-		cache:      simcache.New[runKey, *core.Result](opt.CacheEntries, opt.CacheBytes, resultBytes),
+		cache:      simcache.New[runKey, *core.Result](opt.CacheEntries, 0, nil),
 		store:      store,
 		traces:     traces,
 	}, nil
-}
-
-// resultBytes approximates the retained size of one cached simulation
-// result for the cache's byte bound: the Result struct plus its
-// per-thread slice and benchmark name payloads.
-func resultBytes(r *core.Result) int64 {
-	if r == nil {
-		return 0
-	}
-	n := int64(unsafe.Sizeof(*r)) + int64(len(r.Workload))
-	n += int64(len(r.Threads)) * int64(unsafe.Sizeof(core.ThreadResult{}))
-	for i := range r.Threads {
-		n += int64(len(r.Threads[i].Benchmark))
-	}
-	return n
 }
 
 // CacheStats snapshots the simulation cache's hit/miss/eviction counters

@@ -105,8 +105,9 @@ func FuzzSpecJSON(f *testing.F) {
 // input's shape against a new one. Traces are at most 500 instructions
 // and runs at most 40,000 cycles, so an input costs milliseconds.
 // Latencies range up to 65,535 cycles, far past the pipeline's 1024-cycle
-// completion wheel; the L2 is at most 255 KB, so a 1-byte line keeps its
-// tag arrays small.
+// completion wheel; the caches are at most 255 KB, so a 1-byte line keeps
+// their tag arrays small. The FAME iterations range to 2^32, past core's
+// cap, and the warm-up to 2^31 instructions, which MaxCycles cuts short.
 func FuzzRun(f *testing.F) {
 	pols := core.AllPolicies()
 	pol := func(k core.PolicyKind) uint8 { return uint8(slices.Index(pols, k)) }
@@ -117,20 +118,39 @@ func FuzzRun(f *testing.F) {
 	// The Table 1 machine (with a 128 KB L2), then the crash inputs:
 	// memory latency 1100 (1123 cycles with the L1 and L2), an FP divide
 	// of 5000 cycles on a workload that divides, and the runahead-cache
-	// ablation with no cache entries; then a reshaped machine.
+	// ablation with no cache entries; then a reshaped back end, and a
+	// reshaped front end, L1s, latencies and measurement. The last two
+	// lines of each seed are the fields drawn after raExit.
 	f.Add(wl("MEM2/art+mcf"), pol(core.PolicyRaT), int16(512), int16(320), int16(64), uint16(400), uint16(20), uint16(12), int16(512), uint16(400), uint64(1),
-		uint8(128), int8(8), uint8(64), int8(6), int8(4), int8(16), int16(4096), uint16(4))
+		uint8(128), int8(8), uint8(64), int8(6), int8(4), int8(16), int16(4096), uint16(4),
+		int8(8), int8(2), uint16(5), int8(3), int16(64), uint8(64), int8(4), uint16(1), uint8(64), int8(4), uint16(3),
+		uint16(3), uint16(4), uint16(4), uint16(7), uint32(1), int32(0))
 	f.Add(wl("MEM2/art+mcf"), pol(core.PolicyICount), int16(512), int16(320), int16(64), uint16(1100), uint16(20), uint16(12), int16(512), uint16(400), uint64(1),
-		uint8(128), int8(8), uint8(64), int8(6), int8(4), int8(16), int16(4096), uint16(4))
+		uint8(128), int8(8), uint8(64), int8(6), int8(4), int8(16), int16(4096), uint16(4),
+		int8(8), int8(2), uint16(5), int8(3), int16(64), uint8(64), int8(4), uint16(1), uint8(64), int8(4), uint16(3),
+		uint16(3), uint16(4), uint16(4), uint16(7), uint32(1), int32(0))
 	f.Add(wl("MEM2/applu+art"), pol(core.PolicyICount), int16(512), int16(320), int16(64), uint16(400), uint16(20), uint16(5000), int16(512), uint16(400), uint64(1),
-		uint8(128), int8(8), uint8(64), int8(6), int8(4), int8(16), int16(4096), uint16(4))
+		uint8(128), int8(8), uint8(64), int8(6), int8(4), int8(16), int16(4096), uint16(4),
+		int8(8), int8(2), uint16(5), int8(3), int16(64), uint8(64), int8(4), uint16(1), uint8(64), int8(4), uint16(3),
+		uint16(3), uint16(4), uint16(4), uint16(7), uint32(1), int32(0))
 	f.Add(wl("MEM2/art+mcf"), pol(core.PolicyRaTCache), int16(512), int16(320), int16(64), uint16(400), uint16(20), uint16(12), int16(0), uint16(400), uint64(1),
-		uint8(128), int8(8), uint8(64), int8(6), int8(4), int8(16), int16(4096), uint16(4))
+		uint8(128), int8(8), uint8(64), int8(6), int8(4), int8(16), int16(4096), uint16(4),
+		int8(8), int8(2), uint16(5), int8(3), int16(64), uint8(64), int8(4), uint16(1), uint8(64), int8(4), uint16(3),
+		uint16(3), uint16(4), uint16(4), uint16(7), uint32(1), int32(0))
 	f.Add(wl("MEM4/art+mcf+swim+twolf"), pol(core.PolicyRaTNoPrefetch), int16(96), int16(64), int16(16), uint16(300), uint16(10), uint16(12), int16(64), uint16(300), uint64(7),
-		uint8(32), int8(4), uint8(32), int8(2), int8(1), int8(4), int16(64), uint16(40))
+		uint8(32), int8(4), uint8(32), int8(2), int8(1), int8(4), int16(64), uint16(40),
+		int8(8), int8(2), uint16(5), int8(3), int16(64), uint8(64), int8(4), uint16(1), uint8(64), int8(4), uint16(3),
+		uint16(3), uint16(4), uint16(4), uint16(7), uint32(1), int32(0))
+	f.Add(wl("MIX2/applu+vortex"), pol(core.PolicyFLUSH), int16(128), int16(96), int16(24), uint16(200), uint16(12), uint16(12), int16(512), uint16(450), uint64(3),
+		uint8(64), int8(4), uint8(32), int8(3), int8(2), int8(8), int16(1024), uint16(4),
+		int8(2), int8(1), uint16(12), int8(1), int16(4), uint8(8), int8(1), uint16(2), uint8(4), int8(2), uint16(4),
+		uint16(7), uint16(6), uint16(9), uint16(20), uint32(2), int32(300))
 	var machine core.Machine
 	f.Fuzz(func(t *testing.T, wsel, psel uint8, rob, regs, iq int16, memLat, l2Lat, fpDivLat uint16, raEntries int16, traceLen uint16, seed uint64,
-		l2KB uint8, l2Ways int8, lineBytes uint8, intFU, lsFU, fetchQueue int8, bpRows int16, raExit uint16) {
+		l2KB uint8, l2Ways int8, lineBytes uint8, intFU, lsFU, fetchQueue int8, bpRows int16, raExit uint16,
+		width, fetchThreads int8, frontEnd uint16, fpFU int8, mshrs int16,
+		il1KB uint8, il1Ways int8, il1Lat uint16, dl1KB uint8, dl1Ways int8, dl1Lat uint16,
+		intMulLat, fpAluLat, fpMulLat, redirect uint16, minIter uint32, warmup int32) {
 		w := all[int(wsel)%len(all)]
 		policy := string(pols[int(psel)%len(pols)])
 		robSize, nregs, niq, nra := int(rob), int(regs), int(iq), int(raEntries)
@@ -138,12 +158,19 @@ func FuzzRun(f *testing.F) {
 		tl, maxCycles := 1+int(traceLen)%500, uint64(40_000)
 		l2Size, ways, line := int(l2KB), int(l2Ways), uint64(lineBytes)
 		nint, nls, fq, rows, exit := int(intFU), int(lsFU), int(fetchQueue), int(bpRows), uint64(raExit)
+		wd, ft, fe, nfp, nmshr := int(width), int(fetchThreads), uint64(frontEnd), int(fpFU), int(mshrs)
+		i1, i1w, i1l, d1, d1w, d1l := int(il1KB), int(il1Ways), uint64(il1Lat), int(dl1KB), int(dl1Ways), uint64(dl1Lat)
+		mul, fpalu, fpmul, red := uint64(intMulLat), uint64(fpAluLat), uint64(fpMulLat), uint64(redirect)
+		iters, warm := int(minIter), int(warmup)
 		d := Delta{
 			Policy: &policy, ROBSize: &robSize, Regs: &nregs, IQ: &niq,
 			MemLatency: &mem, L2Lat: &l2, FPDivLat: &div, RunaheadCacheEntries: &nra,
 			L2KB: &l2Size, L2Ways: &ways, LineBytes: &line, RunaheadExitPenalty: &exit,
 			IntFU: &nint, LSFU: &nls, FetchQueue: &fq, BranchPredRows: &rows,
-			TraceLen: &tl, MaxCycles: &maxCycles, Seed: &seed,
+			Width: &wd, FetchThreads: &ft, FrontEndDepth: &fe, FPFU: &nfp, MSHRs: &nmshr,
+			IL1KB: &i1, IL1Ways: &i1w, IL1Lat: &i1l, DL1KB: &d1, DL1Ways: &d1w, DL1Lat: &d1l,
+			IntMulLat: &mul, FPAluLat: &fpalu, FPMulLat: &fpmul, MispredictCost: &red,
+			TraceLen: &tl, MinIterations: &iters, WarmupInsts: &warm, MaxCycles: &maxCycles, Seed: &seed,
 		}
 		combos, err := (&Spec{Name: "fuzz", Base: d}).Combos(core.DefaultConfig())
 		if err != nil {

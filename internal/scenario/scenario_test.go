@@ -98,6 +98,11 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"negative l2KB":  `{"name":"x","base":{"l2KB":-1,"l2Ways":18014398509481983}}`,
 		"1 PiB L2":       `{"name":"x","base":{"l2KB":1099511627776,"l2Ways":2}}`,
 		"robSize 2^62+1": `{"name":"x","axes":[{"name":"a","points":[{"delta":{"robSize":4611686018427387905}}]}]}`,
+		// Measurement knobs past their caps: a 2^40-instruction trace no
+		// worker can make, and a FAME span of 2^14 x 2^50 = 2^64 that
+		// wraps to 0 and ends the window at once.
+		"traceLen 2^40":      `{"name":"x","base":{"traceLen":1099511627776}}`,
+		"wrapping FAME span": `{"name":"x","base":{"traceLen":16384,"minIterations":1125899906842624}}`,
 	}
 	for what, doc := range cases {
 		if _, err := scenario.Parse(strings.NewReader(doc)); err == nil {

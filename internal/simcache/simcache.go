@@ -1,6 +1,8 @@
-// Package simcache is the simulation result cache behind the experiment
-// session and the smtsimd daemon: a singleflight-deduplicating LRU with
-// configurable entry-count and approximate-byte bounds.
+// Package simcache is a singleflight-deduplicating LRU with configurable
+// entry-count and approximate-byte bounds. It is the simulation result
+// cache behind the experiment session and the smtsimd daemon, bounded by
+// entries only; the smtsimd plan cache and the trace tier
+// (internal/tracestore) use it with a byte bound.
 //
 // It replaces the former internal/singleflight package, whose memoizing
 // Group grew without bound for the life of the process — fine for a
@@ -49,8 +51,8 @@ import (
 // direct JSON emission by the smtsimd /v1/metrics endpoint.
 type Stats struct {
 	// Hits counts BeginCtx calls that joined an existing entry (completed or
-	// in flight) and Peek calls that found a settled one; Misses counts
-	// BeginCtx calls that had to register a computation.
+	// in flight); Misses counts BeginCtx calls that had to register a
+	// computation.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// Evictions counts completed entries dropped to respect the bounds.
@@ -59,7 +61,9 @@ type Stats struct {
 	// because every interested requester's context was done.
 	Canceled uint64 `json:"canceled"`
 	// Entries and InFlight describe the current population; Bytes is the
-	// approximate retained result size reported by the size function.
+	// approximate retained result size reported by the size function, 0
+	// for a cache built without one (the experiments result cache, which
+	// is bounded by entries only).
 	Entries  int   `json:"entries"`
 	InFlight int   `json:"inflight"`
 	Bytes    int64 `json:"bytes"`
@@ -195,27 +199,6 @@ func (c *Cache[K, V]) BeginCtx(ctx context.Context, key K) (call *Call[V], creat
 	c.m[key] = el
 	e.call.settle = func() { c.settle(el) }
 	return e.call, true
-}
-
-// Peek returns key's settled call, counting a hit and marking the entry
-// most recently used, or nil when key has no settled entry. Unlike
-// BeginCtx it never registers a computation and never joins one in
-// flight, so a caller can consult another source before committing to
-// compute.
-func (c *Cache[K, V]) Peek(key K) *Call[V] {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		return nil
-	}
-	e := el.Value.(*entry[K, V])
-	if e.inflight {
-		return nil
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return e.call
 }
 
 // Abandon drops an in-flight call whose interested requesters have all

@@ -96,40 +96,6 @@ func TestEntryBoundEvictsLRU(t *testing.T) {
 	}
 }
 
-// TestPeekTouchesWithoutRegistering: Peek serves and refreshes a settled
-// entry, and leaves absent and in-flight keys alone — no registration, no
-// miss, no join.
-func TestPeekTouchesWithoutRegistering(t *testing.T) {
-	g := New[string, int](2, 0, nil)
-	if c := g.Peek("a"); c != nil {
-		t.Fatal("Peek of an absent key returned a call")
-	}
-	if st := g.Stats(); st.Entries != 0 || st.Misses != 0 || st.Hits != 0 {
-		t.Fatalf("Peek of an absent key changed the cache: %+v", st)
-	}
-	fill(t, g, "a", 1)
-	fill(t, g, "b", 2)
-	c := g.Peek("a") // touch a: b is now LRU
-	if c == nil {
-		t.Fatal("Peek missed a settled entry")
-	}
-	if v, err := c.WaitCtx(context.Background()); v != 1 || err != nil {
-		t.Fatalf("Peek(a) = %d, %v; want 1", v, err)
-	}
-	fill(t, g, "c", 3) // evicts b
-	if g.Peek("a") == nil || g.Peek("b") != nil {
-		t.Error("Peek did not refresh a's recency")
-	}
-	inflight, _ := g.BeginCtx(context.Background(), "d")
-	if g.Peek("d") != nil {
-		t.Error("Peek returned an in-flight call")
-	}
-	inflight.Fulfill(4, nil)
-	if st := g.Stats(); st.Hits != 2 || st.Misses != 4 {
-		t.Errorf("stats = %+v, want 2 hits (one per settled Peek) and 4 misses", st)
-	}
-}
-
 func TestByteBoundEvicts(t *testing.T) {
 	g := New[string, int](0, 100, func(v int) int64 { return int64(v) })
 	fill(t, g, "a", 60)

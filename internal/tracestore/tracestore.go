@@ -5,22 +5,15 @@
 // generation and the pipeline only ever reads them, so one stored trace
 // can feed any number of concurrent simulations; a sweep that runs dozens
 // of configurations over one workload pays trace generation once instead
-// of once per cell, and a workload's fairness references reuse the exact
-// trace objects its SMT run generated.
+// of once per cell, and a workload's fairness references reuse the trace
+// objects its SMT run generated.
 //
-// A trace is kept while cells use it, and only briefly after. The store
-// has two in-memory layers:
-//
-//   - An in-use index holds one weak pointer per identity. Any trace a
-//     running cell still holds is served to every later requester from
-//     it, so a trace is never generated or decoded twice while in use.
-//     The index never keeps a trace alive: once the last holder drops a
-//     trace and the garbage collector reclaims it, a runtime cleanup
-//     removes its entry.
-//   - A small byte-bounded LRU (the recency tier, DefaultMemBytes in a
-//     session) keeps recently finished traces alive, so consecutive cells
-//     of one workload find their traces even when no cell holds them in
-//     between.
+// Traces are kept in a small byte-bounded LRU (the recency tier,
+// DefaultMemBytes in a session), so consecutive cells of one workload
+// find their traces without regenerating them. A trace the LRU evicted
+// while a cell still holds it is materialized again (generated, or read
+// from the disk tier) by the next cell that asks; the copy is
+// bit-identical, so only time is lost.
 //
 // An optional on-disk tier (Open with a directory) persists encoded
 // traces across process restarts; it is an internal/blobstore store,
@@ -33,10 +26,8 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"weak"
 
 	"repro/internal/blobstore"
 	"repro/internal/simcache"
@@ -62,12 +53,11 @@ type Key struct {
 // for direct JSON emission by the smtsimd /v1/metrics endpoint.
 type Stats struct {
 	// Hits counts Generate calls served by (or joined onto) a trace already
-	// in memory, whether from the recency tier or the in-use index; Misses
-	// counts calls that had to materialize one.
+	// in the recency tier; Misses counts calls that had to materialize one.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// Evictions counts recency-tier entries dropped to respect the byte
-	// bound. An evicted trace that a cell still holds stays shared.
+	// bound.
 	Evictions uint64 `json:"evictions"`
 	// Entries and Bytes describe the recency tier's population; MaxBytes
 	// echoes its configured bound (0 = unbounded).
@@ -87,10 +77,9 @@ type Stats struct {
 }
 
 // DefaultMemBytes bounds the recency tier of the process-wide default
-// store and of every experiments session. It only has to bridge the gap
-// between consecutive cells of one workload, because traces in use are
-// shared through the in-use index whatever the bound: 4 MiB holds a
-// 4-thread workload's traces at 20 000 instructions (1.9 MB) twice over.
+// store and of every experiments session. It has to bridge the gap
+// between consecutive cells of one workload: 4 MiB holds a 4-thread
+// workload's traces at 20 000 instructions (1.9 MB) twice over.
 const DefaultMemBytes = 4 << 20
 
 // Store is the trace tier. All methods are safe for concurrent use.
@@ -98,30 +87,12 @@ type Store struct {
 	mem       *simcache.Cache[Key, *trace.Trace]
 	disk      *blobstore.Store // nil without a persistent tier
 	generated atomic.Uint64
-	live      *liveIndex
-}
-
-// liveIndex is the in-use index. It is an allocation of its own that
-// holds no trace and no Store, because the cleanups that prune it keep it
-// reachable while any indexed trace lives: a cleanup that reached the
-// Store would reach its LRU and keep the LRU's traces alive for good.
-type liveIndex struct {
-	// mu guards the index. Generate holds it from the index lookup through
-	// registering a computation, and a materialized trace enters the index
-	// before its call settles, so a requester that misses the index always
-	// finds the trace's call still registered.
-	mu   sync.Mutex
-	m    map[Key]weak.Pointer[trace.Trace]
-	hits uint64 // requests served by the index after the LRU dropped the trace
 }
 
 // New builds an in-memory-only store whose recency tier is bounded to
 // memBytes of trace data (0 = unbounded).
 func New(memBytes int64) *Store {
-	return &Store{
-		mem:  simcache.New[Key](0, memBytes, (*trace.Trace).SizeBytes),
-		live: &liveIndex{m: map[Key]weak.Pointer[trace.Trace]{}},
-	}
+	return &Store{mem: simcache.New[Key](0, memBytes, (*trace.Trace).SizeBytes)}
 }
 
 // Open builds a store with a persistent tier rooted at dir, bounded to
@@ -160,17 +131,7 @@ func (s *Store) Generate(name string, opt trace.Options) (*trace.Trace, error) {
 	// whoever asked for it, as running cells do, so neither owning nor
 	// joining one is bound to a caller's context.
 	ctx := context.Background()
-	if call := s.mem.Peek(key); call != nil {
-		return call.WaitCtx(ctx)
-	}
-	s.live.mu.Lock()
-	if t := s.live.m[key].Value(); t != nil {
-		s.live.hits++
-		s.live.mu.Unlock()
-		return t, nil
-	}
 	call, created := s.mem.BeginCtx(ctx, key)
-	s.live.mu.Unlock()
 	if !created {
 		return call.WaitCtx(ctx)
 	}
@@ -184,37 +145,8 @@ func (s *Store) Generate(name string, opt trace.Options) (*trace.Trace, error) {
 			}
 		}
 	}
-	if err == nil {
-		s.live.track(key, t)
-	}
 	call.Fulfill(t, err)
 	return t, err
-}
-
-// liveRef names one in-use index entry for the cleanup that removes it.
-type liveRef struct {
-	key Key
-	wp  weak.Pointer[trace.Trace]
-}
-
-// track enters t into the index and arranges for the entry to go once t
-// is collected.
-func (l *liveIndex) track(k Key, t *trace.Trace) {
-	ref := liveRef{k, weak.Make(t)}
-	l.mu.Lock()
-	l.m[k] = ref.wp
-	l.mu.Unlock()
-	runtime.AddCleanup(t, l.untrack, ref)
-}
-
-// untrack removes a collected trace's entry, unless the identity has
-// since been materialized again under a new entry.
-func (l *liveIndex) untrack(ref liveRef) {
-	l.mu.Lock()
-	if l.m[ref.key] == ref.wp {
-		delete(l.m, ref.key)
-	}
-	l.mu.Unlock()
 }
 
 // Generated returns the number of actual trace generations this store has
@@ -224,11 +156,8 @@ func (s *Store) Generated() uint64 { return s.generated.Load() }
 // Stats returns a consistent snapshot of the counters.
 func (s *Store) Stats() Stats {
 	m := s.mem.Stats()
-	s.live.mu.Lock()
-	liveHits := s.live.hits
-	s.live.mu.Unlock()
 	st := Stats{
-		Hits:      m.Hits + liveHits,
+		Hits:      m.Hits,
 		Misses:    m.Misses,
 		Evictions: m.Evictions,
 		Entries:   m.Entries,

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"weak"
 
 	"repro/internal/blobstore"
 	"repro/internal/leakcheck"
@@ -121,8 +120,7 @@ func TestByteBoundEvicts(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatalf("no evictions with bound %d after two traces", one.SizeBytes()+1)
 	}
-	// The evicted identity regenerates on demand once nothing holds it.
-	runtime.GC()
+	// The evicted identity regenerates on demand.
 	if _, err := s.Generate("art", trace.Options{Len: 500, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -131,98 +129,32 @@ func TestByteBoundEvicts(t *testing.T) {
 	}
 }
 
-// liveLen returns the size of the store's in-use index.
-func (s *Store) liveLen() int {
-	s.live.mu.Lock()
-	defer s.live.mu.Unlock()
-	return len(s.live.m)
-}
-
-// collected reports whether the garbage collector reclaims the object
-// behind p within a few cycles (cleanups elsewhere may need a cycle of
-// their own to drop their references).
-func collected[T any](p weak.Pointer[T]) bool {
-	for i := 0; i < 10; i++ {
-		runtime.GC()
-		if p.Value() == nil {
-			return true
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return false
-}
-
-// TestDroppedStoreReleasesTraces: the in-use index's cleanups must not
-// keep a store reachable, or every trace in a dropped store's recency
-// tier would live for the rest of the process — a store per sweep or per
-// session would then leak all its traces.
+// TestDroppedStoreReleasesTraces: a store holds its traces only through
+// itself, so once a store is dropped every trace in its recency tier is
+// collected. A store per sweep or per session must not leak its traces
+// for the rest of the process.
 func TestDroppedStoreReleasesTraces(t *testing.T) {
-	p := func() weak.Pointer[trace.Trace] {
+	freed := make(chan struct{})
+	func() {
 		s := New(0)
 		tr, err := s.Generate("art", trace.Options{Len: 500, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return weak.Make(tr)
+		runtime.AddCleanup(tr, func(c chan struct{}) { close(c) }, freed)
 	}()
-	if !collected(p) {
-		t.Fatal("a trace of an unreachable store was never collected")
-	}
-}
-
-// TestInUseTraceSharedPastEviction: a trace that a holder still uses is
-// served from the in-use index after the recency tier has evicted it —
-// the same object, no regeneration, one more hit. Once every holder drops
-// it, the identity regenerates, and the index shrinks back to the
-// recency tier's entries, so it does not grow per identity.
-func TestInUseTraceSharedPastEviction(t *testing.T) {
-	optA, optB := trace.Options{Len: 500, Seed: 1}, trace.Options{Len: 500, Seed: 2}
-	probe, err := New(0).Generate("art", optA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(probe.SizeBytes() + 1) // admits one trace
-	gen := func(opt trace.Options) *trace.Trace {
-		t.Helper()
-		tr, err := s.Generate("art", opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-
-	func() {
-		a := gen(optA)
-		gen(optB) // evicts A from the recency tier; a still holds it
-		st := s.Stats()
-		if st.Evictions != 1 || st.Entries != 1 {
-			t.Fatalf("after A and B under a one-trace bound: %+v, want 1 eviction and 1 entry", st)
-		}
-		again := gen(optA)
-		if again != a {
-			t.Fatal("a held trace was materialized again after its eviction")
-		}
-		if got := s.Generated(); got != 2 {
-			t.Fatalf("generated %d traces, want 2 (A was in use)", got)
-		}
-		if got := s.Stats().Hits; got != st.Hits+1 {
-			t.Fatalf("hits %d -> %d, want one more", st.Hits, got)
-		}
-	}()
-
-	runtime.GC()
-	gen(optA)
-	if got := s.Generated(); got != 3 {
-		t.Fatalf("generated %d traces, want 3 (A regenerated once unheld)", got)
-	}
-	for i := 0; ; i++ {
+	// A cleanup runs on its own goroutine after the collection that finds
+	// the trace unreachable, so collect until it has run.
+	deadline := time.After(5 * time.Second)
+	for {
 		runtime.GC()
-		if n, want := s.liveLen(), s.Stats().Entries; n == want {
-			break
-		} else if i == 100 {
-			t.Fatalf("in-use index holds %d entries, want the recency tier's %d", n, want)
+		select {
+		case <-freed:
+			return
+		case <-deadline:
+			t.Fatal("a trace of an unreachable store was never collected")
+		case <-time.After(time.Millisecond):
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -436,10 +368,8 @@ func TestDiskEvictionDeterministic(t *testing.T) {
 
 	history := func(t *testing.T) []string {
 		dir := t.TempDir()
-		// A 1-byte recency tier keeps nothing resident and a collection
-		// before each reread drops the trace from the in-use index, so
-		// every reread goes back through the disk tier and bumps its
-		// access recency.
+		// A 1-byte recency tier keeps nothing resident, so every reread
+		// goes back through the disk tier and bumps its access recency.
 		s, err := Open(1, dir, 4*entrySize)
 		if err != nil {
 			t.Fatal(err)
@@ -450,7 +380,6 @@ func TestDiskEvictionDeterministic(t *testing.T) {
 			}
 			// Interleaved rereads decouple recency from insertion order.
 			if i%3 == 0 {
-				runtime.GC()
 				if _, err := s.Generate("art", opt(i/2)); err != nil {
 					t.Fatal(err)
 				}
