@@ -80,8 +80,8 @@ func TestNegativeFlagsRejected(t *testing.T) {
 }
 
 // TestMeasurementCapsRejected: a trace length past core's cap, from the
-// flag or from a scenario spec, and a FAME span that wraps to 0 exit 1
-// naming the knob, before anything simulates. The session validates its
+// flag or from a scenario spec, a FAME span that wraps to 0 and a delay
+// that wraps the cycle count exit 1, before anything simulates. The session validates its
 // base, so the flag fails at start-up rather than in every cell.
 func TestMeasurementCapsRejected(t *testing.T) {
 	stdout, stderr, code := runExperiments(t, "-fig", "fig1", "-tracelen", "1099511627776")
@@ -91,6 +91,10 @@ func TestMeasurementCapsRejected(t *testing.T) {
 	for name, base := range map[string]string{
 		"traceLen 2^40":      `{"traceLen":1099511627776}`,
 		"wrapping FAME span": `{"traceLen":16384,"minIterations":1125899906842624}`,
+		// Delays that would wrap the cycle count to a few cycles.
+		"mispredictRedirect 2^64-1": `{"traceLen":2000,"mispredictRedirect":18446744073709551615}`,
+		"frontEndDepth 2^64-1":      `{"traceLen":2000,"frontEndDepth":18446744073709551615}`,
+		"raExitPenalty 2^64-1":      `{"traceLen":2000,"policy":"RaT","raExitPenalty":18446744073709551615}`,
 	} {
 		path := filepath.Join(t.TempDir(), "spec.json")
 		spec := `{"name":"caps","workloads":{"groups":["MEM2"],"perGroup":1},"base":` + base + `}`

@@ -24,8 +24,8 @@
 // /v1/metrics document prints to stdout (ready for jq in CI), and
 // per-request wall-clock latency percentiles (min/p50/p99/max) print to
 // stderr. -client names this process in the daemon's X-Client header,
-// keying its fair-queue and admission accounting; unset, the daemon
-// falls back to the remote address.
+// keying its fair-queue accounting; unset, the daemon falls back to the
+// remote address.
 //
 // -restart-check is the warm-restart proof for a daemon running with
 // -store-dir: run smtload once against a fresh daemon (populating the

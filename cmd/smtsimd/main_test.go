@@ -113,6 +113,10 @@ func TestScenarioBadRequests(t *testing.T) {
 		// and a FAME span that wraps to 0 and reports an empty window.
 		"traceLen 2^40":      {ts.URL + "/v1/scenario", `{"name":"tl","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":1099511627776}}`, http.StatusBadRequest},
 		"wrapping FAME span": {ts.URL + "/v1/scenario", `{"name":"fame","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":16384,"minIterations":1125899906842624}}`, http.StatusBadRequest},
+		// Delays that would wrap the cycle count to a few cycles.
+		"mispredictRedirect 2^64-1": {ts.URL + "/v1/scenario", `{"name":"redirect","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":2000,"mispredictRedirect":18446744073709551615}}`, http.StatusBadRequest},
+		"frontEndDepth 2^64-1":      {ts.URL + "/v1/scenario", `{"name":"frontend","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":2000,"frontEndDepth":18446744073709551615}}`, http.StatusBadRequest},
+		"raExitPenalty 2^64-1":      {ts.URL + "/v1/scenario", `{"name":"raexit","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":2000,"policy":"RaT","raExitPenalty":18446744073709551615}}`, http.StatusBadRequest},
 	} {
 		status, body := post(t, tc.url, tc.body)
 		if status != tc.want {

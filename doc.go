@@ -190,8 +190,12 @@
 // deltas: each is rejected by plan-time validation
 // (core.Config.Validate, which checks the trace length and FAME
 // iteration caps and the pipeline the policy implies, including the
-// completion-wheel bound on latencies) or runs without panicking, with
-// finite metrics and a repeatable Result.
+// completion-wheel bound on latencies and the cap on the delays added to
+// the cycle count) or runs without panicking, with finite metrics and a
+// repeatable Result. FuzzMetamorphic in internal/core checks exact
+// relations between policies on drawn configurations: with one thread
+// RR equals ICOUNT, and on a run with no L2-miss load every policy that
+// reacts only to L2 misses equals ICOUNT.
 //
 // One lint-time check is left, by design: nowallclock forbids wall-clock
 // reads and global math/rand in the simulation packages, where

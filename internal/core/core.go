@@ -173,9 +173,9 @@ func buildPolicy(kind PolicyKind) (pipeline.Policy, runahead.Config, error) {
 	case PolicySTALL:
 		return policy.Stall{}, runahead.Disabled(), nil
 	case PolicyFLUSH:
-		return policy.NewFlush(), runahead.Disabled(), nil
+		return policy.Flush{}, runahead.Disabled(), nil
 	case PolicyDCRA:
-		return rescontrol.NewDCRA(), runahead.Disabled(), nil
+		return rescontrol.DCRA{}, runahead.Disabled(), nil
 	case PolicyHillClimbing:
 		return rescontrol.NewHillClimbing(), runahead.Disabled(), nil
 	case PolicyRaT:
@@ -197,7 +197,7 @@ func buildPolicy(kind PolicyKind) (pipeline.Policy, runahead.Config, error) {
 		ra.InvalidateFP = false
 		return pipeline.ICount{}, ra, nil
 	case PolicyRaTDCRA:
-		return rescontrol.NewDCRA(), runahead.Default(), nil
+		return rescontrol.DCRA{}, runahead.Default(), nil
 	case PolicyMLP:
 		return policy.NewMLPAware(), runahead.Disabled(), nil
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/workload"
@@ -81,4 +82,69 @@ func TestMetamorphicRelations(t *testing.T) {
 	if missFree == 0 {
 		t.Fatal("no case ran without an L2-miss load: the ICOUNT-equivalence relation was never checked")
 	}
+}
+
+// FuzzMetamorphic checks TestMetamorphicRelations' two relations over the
+// configuration space instead of five fixed cells. It draws the workload
+// (every benchmark alone, then Table 2), seed, trace length (at most 500
+// instructions, so an input costs milliseconds), FAME iterations (1 to
+// 8), ROB, register, issue queue and L2 sizes, machine width, front-end
+// depth and L2 and memory latencies; configurations Validate rejects are
+// skipped. With one thread, RR must equal ICOUNT; when the ICOUNT run had
+// no L2-miss load, warm-up included, every miss-reactive policy must
+// equal it.
+func FuzzMetamorphic(f *testing.F) {
+	var ws []workload.Workload
+	for _, b := range workload.Benchmarks() {
+		ws = append(ws, workload.Workload{Group: "ST", Benchmarks: []string{b}})
+	}
+	ws = append(ws, workload.All()...)
+	wl := func(name string) uint8 {
+		return uint8(slices.IndexFunc(ws, func(w workload.Workload) bool { return w.Name() == name }))
+	}
+	// The Table 1 machine on gzip and mcf alone, an ILP pair and a MEM
+	// pair, then a reshaped machine with a small L2. gzip, the ILP pair
+	// and the reshaped apsi run without an L2-miss load.
+	f.Add(wl("ST/gzip"), uint64(1), uint16(500), uint8(0), int16(512), int16(320), int16(64), uint16(2048), int8(16), int8(8), uint16(5), uint16(20), uint16(400))
+	f.Add(wl("ST/mcf"), uint64(2), uint16(400), uint8(3), int16(512), int16(320), int16(64), uint16(2048), int8(16), int8(8), uint16(5), uint16(20), uint16(400))
+	f.Add(wl("ILP2/gzip+bzip2"), uint64(1), uint16(500), uint8(3), int16(512), int16(320), int16(64), uint16(2048), int8(16), int8(8), uint16(5), uint16(20), uint16(400))
+	f.Add(wl("MEM2/art+mcf"), uint64(3), uint16(300), uint8(1), int16(512), int16(320), int16(64), uint16(2048), int8(16), int8(8), uint16(5), uint16(20), uint16(400))
+	f.Add(wl("ST/apsi"), uint64(5), uint16(250), uint8(7), int16(64), int16(96), int16(16), uint16(256), int8(8), int8(4), uint16(2), uint16(12), uint16(150))
+	f.Fuzz(func(t *testing.T, wsel uint8, seed uint64, traceLen uint16, iters uint8, rob, regs, iq int16, l2KB uint16, l2Ways, width int8, frontEnd, l2Lat, memLat uint16) {
+		w := ws[int(wsel)%len(ws)]
+		cfg := DefaultConfig()
+		cfg.TraceLen, cfg.MinIterations = 1+int(traceLen)%500, 1+int(iters)%8
+		cfg.Seed, cfg.MaxCycles = seed, 40_000
+		p := &cfg.Pipeline
+		p.ROBSize, p.IntRegs, p.FPRegs = int(rob), int(regs), int(regs)
+		p.IntIQ, p.FPIQ, p.LSIQ = int(iq), int(iq), int(iq)
+		p.Mem.L2.SizeBytes, p.Mem.L2.Ways = uint64(l2KB)<<10, int(l2Ways)
+		p.Width, p.FrontEndDepth = int(width), uint64(frontEnd)
+		p.Mem.L2.Latency, p.Mem.MemLatency = uint64(l2Lat), uint64(memLat)
+		if cfg.Validate() != nil {
+			return
+		}
+		base, missed := runCounted(t, cfg, w)
+		check := func(pol PolicyKind) {
+			cfg.Policy = pol
+			got, _ := runCounted(t, cfg, w)
+			want := *base
+			want.Policy = pol
+			if !reflect.DeepEqual(got, &want) {
+				t.Fatalf("%s seed %d: %s differs from ICOUNT:\n got %+v\nwant %+v", w.Name(), seed, pol, *got, want)
+			}
+		}
+		if w.Threads() == 1 {
+			check(PolicyRR)
+		}
+		if missed {
+			return
+		}
+		for _, pol := range []PolicyKind{
+			PolicySTALL, PolicyFLUSH, PolicyMLP, PolicyRaT,
+			PolicyRaTNoPrefetch, PolicyRaTNoFetch, PolicyRaTCache, PolicyRaTNoFPInv,
+		} {
+			check(pol)
+		}
+	})
 }

@@ -110,7 +110,7 @@ func (c *Core) shouldEnterRunahead(t *thread, head *DynInst, now uint64) bool {
 	if now >= head.doneAt {
 		return false // resolves this cycle anyway
 	}
-	if t.raSuppress.has(head.seq) {
+	if _, ok := t.raSuppress[head.seq]; ok {
 		// Figure 4 methodology: loads invalidated during a no-prefetch
 		// episode must not re-trigger runahead after recovery.
 		return false

@@ -98,6 +98,13 @@ const (
 	// runahead cache, each at most a few MiB at 2^16 entries. Table 1's
 	// largest is 512; FuzzRun draws an int16 at most.
 	maxEntries = 1 << 16
+	// maxDelay bounds the delays the core adds to the current cycle (the
+	// front-end depth, the mispredict redirect and the runahead exit
+	// penalty) at 2^16 cycles. An unbounded delay wraps the sum and
+	// charges a few cycles instead: a wrong result with no warning. The
+	// cap is 64 times the completion wheel, far above Table 1's 5, 7 and
+	// 4 cycles, and FuzzRun draws a uint16.
+	maxDelay = 1 << 16
 )
 
 // Validate rejects incoherent configurations, and configurations too
@@ -126,6 +133,17 @@ func (c Config) Validate() error {
 	} {
 		if s.n < s.lo || s.n > s.hi {
 			return fmt.Errorf("pipeline: %d %s, want %d to %d", s.n, s.name, s.lo, s.hi)
+		}
+	}
+	for _, d := range []struct {
+		name string
+		n    uint64
+	}{
+		{"front-end depth", c.FrontEndDepth}, {"mispredict redirect", c.MispredictRedirect},
+		{"runahead exit penalty", c.Runahead.ExitPenalty},
+	} {
+		if d.n > maxDelay {
+			return fmt.Errorf("pipeline: %s %d cycles, want 0 to %d", d.name, d.n, maxDelay)
 		}
 	}
 	// Validate the memory hierarchy here too: scenario deltas can reshape

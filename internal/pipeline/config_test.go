@@ -43,7 +43,9 @@ func TestValidateCompletionWheelBound(t *testing.T) {
 
 // TestValidateSizeBounds: every knob that sizes an allocation is bounded
 // on both sides, so no configuration can ask the host for more memory
-// than a worker holds. Each cap is accepted, and one past it is rejected.
+// than a worker holds, and every delay added to the cycle count is
+// bounded, so none wraps the sum. Each cap is accepted, and one past it
+// is rejected.
 func TestValidateSizeBounds(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -73,6 +75,13 @@ func TestValidateSizeBounds(t *testing.T) {
 		{"LS FUs", func(c *Config) { c.LSFU = maxEntries + 1 }, false},
 		{"MSHRs", func(c *Config) { c.Mem.MSHRs = maxEntries + 1 }, false},
 		{"runahead cache", func(c *Config) { c.RunaheadCacheEntries = maxEntries + 1 }, false},
+		{"front-end depth at cap", func(c *Config) { c.FrontEndDepth = maxDelay }, true},
+		{"front-end depth past cap", func(c *Config) { c.FrontEndDepth = maxDelay + 1 }, false},
+		{"front-end depth 2^64-1", func(c *Config) { c.FrontEndDepth = math.MaxUint64 }, false},
+		{"mispredict redirect at cap", func(c *Config) { c.MispredictRedirect = maxDelay }, true},
+		{"mispredict redirect 2^64-1", func(c *Config) { c.MispredictRedirect = math.MaxUint64 }, false},
+		{"exit penalty at cap", func(c *Config) { c.Runahead.ExitPenalty = maxDelay }, true},
+		{"exit penalty 2^64-1", func(c *Config) { c.Runahead.ExitPenalty = math.MaxUint64 }, false},
 	} {
 		c := DefaultConfig()
 		tc.set(&c)

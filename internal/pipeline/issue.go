@@ -229,7 +229,10 @@ func (c *Core) executeLoad(t *thread, di *DynInst, now uint64) (ok bool, done ui
 			return true, now + c.cfg.Mem.DL1.Latency
 		}
 		di.inv = true
-		t.raSuppress.add(di.seq)
+		if t.raSuppress == nil {
+			t.raSuppress = make(map[uint64]struct{})
+		}
+		t.raSuppress[di.seq] = struct{}{}
 		return true, now + 1
 	}
 	res := c.hier.Access(mem.KindPrefetch, t.id, addr, now)

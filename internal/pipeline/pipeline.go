@@ -427,15 +427,10 @@ func (c *Core) ROBOccupancy(tid int) int { return c.threads[tid].rob.len() }
 // IQHeld returns the issue-queue entries of the given kind held by tid.
 func (c *Core) IQHeld(tid int, kind IQKind) int { return c.threads[tid].iqHeld[kind] }
 
-// RegsHeld returns the physical registers (INT+FP) held by tid.
-func (c *Core) RegsHeld(tid int) int {
-	return c.intRF.OwnerCount(tid) + c.fpRF.OwnerCount(tid)
-}
-
-// IntRegsHeld returns only the integer registers held by tid.
+// IntRegsHeld returns the integer registers held by tid.
 func (c *Core) IntRegsHeld(tid int) int { return c.intRF.OwnerCount(tid) }
 
-// FPRegsHeld returns only the FP registers held by tid.
+// FPRegsHeld returns the FP registers held by tid.
 func (c *Core) FPRegsHeld(tid int) int { return c.fpRF.OwnerCount(tid) }
 
 // Committed returns tid's architecturally committed instruction count.
@@ -508,7 +503,9 @@ func (c *Core) waitersFor(a isa.Reg, p regfile.PhysReg) *[]wheelRef {
 // ICount is the baseline ICOUNT fetch policy (Tullsen et al., ISCA 1996):
 // threads with the fewest in-flight (fetch-to-issue) instructions fetch
 // first. It imposes no dispatch caps and no miss reaction — it is both the
-// paper's baseline and the fetch-priority layer under STALL, FLUSH and RaT.
+// paper's baseline and the policy RaT runs under. Every other policy
+// embeds it for the hooks it leaves alone and overrides only those it
+// changes.
 type ICount struct{}
 
 // FetchPriority implements Policy: ascending ICOUNT order.

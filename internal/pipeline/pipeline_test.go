@@ -442,7 +442,7 @@ func TestRegistersDrainAfterRun(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		c.Step()
 	}
-	if c.RegsHeld(0)+c.RegsHeld(1) > cfg.IntRegs+cfg.FPRegs {
+	if c.IntRegsHeld(0)+c.FPRegsHeld(0)+c.IntRegsHeld(1)+c.FPRegsHeld(1) > cfg.IntRegs+cfg.FPRegs {
 		t.Fatal("register occupancy exceeds file sizes")
 	}
 }

@@ -1,10 +1,9 @@
 package pipeline
 
 // This file holds the allocation-free steady-state machinery of the hot
-// loop: the per-core DynInst free list, the ring buffers backing the
-// front-end and ROB windows, and the open-addressing sequence set that
-// replaces the per-thread suppression map. All three reach a fixed
-// footprint after warmup, after which Step performs no heap allocation.
+// loop: the per-core DynInst free list and the ring buffers backing the
+// front-end and ROB windows. Both reach a fixed footprint after warmup,
+// after which Step performs no heap allocation.
 
 // allocInst returns a zeroed DynInst from the core's free list (or the
 // heap when the list is empty), stamped with a fresh global id. Because
@@ -149,83 +148,4 @@ func (r *instRing) grow() {
 	}
 	r.buf = nb
 	r.head = 0
-}
-
-// seqSet is an insert-only open-addressing set of sequence numbers with
-// linear probing. It replaces the per-thread map[uint64]bool suppression
-// table: membership tests in the commit stage become a probe over a flat
-// array, and runs that never insert (every configuration except the
-// no-prefetch ablation) never allocate the backing storage at all.
-type seqSet struct {
-	// slots stores key+1 so the zero value means empty (seq 0 is legal).
-	slots []uint64
-	n     int
-}
-
-// add inserts k (idempotent). The table doubles at 50% load, so probes
-// stay short and semantics match the map it replaced exactly.
-func (s *seqSet) add(k uint64) {
-	if s.slots == nil {
-		s.slots = make([]uint64, 64)
-	} else if 2*(s.n+1) > len(s.slots) {
-		old := s.slots
-		s.slots = make([]uint64, 2*len(old))
-		s.n = 0
-		for _, v := range old {
-			if v != 0 {
-				s.insert(v - 1)
-			}
-		}
-	}
-	s.insert(k)
-}
-
-// insert places k assuming free space exists.
-func (s *seqSet) insert(k uint64) {
-	mask := uint64(len(s.slots) - 1)
-	i := hashSeq(k) & mask
-	for {
-		switch s.slots[i] {
-		case 0:
-			s.slots[i] = k + 1
-			s.n++
-			return
-		case k + 1:
-			return
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// reset empties the set, keeping its table.
-func (s *seqSet) reset() {
-	clear(s.slots)
-	s.n = 0
-}
-
-// has reports membership.
-func (s *seqSet) has(k uint64) bool {
-	if s.slots == nil {
-		return false
-	}
-	mask := uint64(len(s.slots) - 1)
-	i := hashSeq(k) & mask
-	for {
-		switch s.slots[i] {
-		case 0:
-			return false
-		case k + 1:
-			return true
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// hashSeq mixes a sequence number (sequences are near-consecutive, so
-// identity hashing would cluster into one probe run).
-func hashSeq(k uint64) uint64 {
-	k ^= k >> 33
-	k *= 0xff51afd7ed558ccd
-	k ^= k >> 33
-	return k
 }

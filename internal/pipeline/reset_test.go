@@ -79,7 +79,7 @@ func TestResetMidEpisodeMatchesNew(t *testing.T) {
 		stopMidEpisode(t, c, func() bool {
 			// The no-prefetch shape stops with loads in the suppression
 			// set of the context the next shape keeps.
-			return i != 1 || c.threads[0].raSuppress.n > 0
+			return i != 1 || len(c.threads[0].raSuppress) > 0
 		})
 		cfg, traces := build(i), shapes[i].traces
 		if err := c.Reset(cfg, traces, nil); err != nil {

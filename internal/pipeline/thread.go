@@ -111,8 +111,9 @@ type thread struct {
 	raEntered uint64 // cycle of entry, for period stats
 	// raSuppress records (by thread-local seq) loads that were invalidated
 	// during a no-prefetch runahead episode; they must not re-trigger
-	// runahead after recovery (Figure 4 methodology).
-	raSuppress seqSet
+	// runahead after recovery (Figure 4 methodology). It is allocated at
+	// its first insert, so other configurations never allocate it.
+	raSuppress map[uint64]struct{}
 	// deferredFree holds pseudo-retired invalid instructions: the rename
 	// table keeps resolving them to poison until the episode ends, so they
 	// recycle at exitRunahead (after the checkpoint restore), not at retire.
@@ -127,7 +128,7 @@ func (t *thread) reset(id int, tr *trace.Trace, bp *bpred.Perceptron, cfg Config
 	fq, rob, suppress := t.fq, t.rob, t.raSuppress
 	fq.reset(cfg.FetchQueue)
 	rob.reset(cfg.ROBSize)
-	suppress.reset()
+	clear(suppress)
 	clear(t.deferredFree)
 	*t = thread{
 		id:           id,

@@ -13,13 +13,11 @@ import (
 //
 // The predictor's reach is bounded by hardware (the long-latency shift
 // register); the paper's criticism is exactly that bound: distant MLP
-// beyond MaxSpan can never be exposed, whereas a runahead thread keeps
+// beyond maxSpan can never be exposed, whereas a runahead thread keeps
 // going for the whole memory latency. This implementation preserves that
 // limitation deliberately.
 type MLPAware struct {
-	// MinSpan and MaxSpan bound the predicted fetch-ahead distance in
-	// instructions; MaxSpan models the shift-register length.
-	MinSpan, MaxSpan uint64
+	pipeline.ICount
 
 	table map[uint64]uint64 // load PC -> predicted miss-cluster span
 
@@ -30,19 +28,26 @@ type MLPAware struct {
 	trigSeq [8]uint64
 }
 
-// NewMLPAware returns the policy with a 256-instruction maximum span.
+// minSpan and maxSpan bound the predicted fetch-ahead distance in
+// instructions; maxSpan models the shift-register length.
+const (
+	minSpan = 32
+	maxSpan = 256
+)
+
+// NewMLPAware returns the policy with an empty MLP predictor.
 func NewMLPAware() *MLPAware {
-	return &MLPAware{MinSpan: 32, MaxSpan: 256, table: map[uint64]uint64{}}
+	return &MLPAware{table: map[uint64]uint64{}}
 }
 
 // predict returns the fetch-ahead span for a trigger load.
 func (m *MLPAware) predict(pc uint64) uint64 {
 	span, ok := m.table[pc]
-	if !ok || span < m.MinSpan {
-		span = m.MinSpan
+	if !ok || span < minSpan {
+		span = minSpan
 	}
-	if span > m.MaxSpan {
-		span = m.MaxSpan
+	if span > maxSpan {
+		span = maxSpan
 	}
 	return span
 }
@@ -65,9 +70,6 @@ func (m *MLPAware) FetchPriority(c *pipeline.Core, buf []int) []int {
 	return kept
 }
 
-// CanDispatch implements pipeline.Policy.
-func (*MLPAware) CanDispatch(*pipeline.Core, int) bool { return true }
-
 // OnL2Miss implements pipeline.Policy: open (or train) the MLP window.
 func (m *MLPAware) OnL2Miss(c *pipeline.Core, ld *pipeline.DynInst) {
 	tid := ld.Thread() & 7
@@ -82,9 +84,9 @@ func (m *MLPAware) OnL2Miss(c *pipeline.Core, ld *pipeline.DynInst) {
 	// A further miss inside the window: the cluster extends at least this
 	// far — train the trigger's span (saturating at the hardware bound).
 	if ld.Seq() > m.trigSeq[tid] {
-		span := ld.Seq() - m.trigSeq[tid] + m.MinSpan
-		if span > m.MaxSpan {
-			span = m.MaxSpan
+		span := ld.Seq() - m.trigSeq[tid] + minSpan
+		if span > maxSpan {
+			span = maxSpan
 		}
 		if span > m.table[m.trigPC[tid]] {
 			m.table[m.trigPC[tid]] = span
@@ -94,6 +96,3 @@ func (m *MLPAware) OnL2Miss(c *pipeline.Core, ld *pipeline.DynInst) {
 		}
 	}
 }
-
-// Tick implements pipeline.Policy.
-func (*MLPAware) Tick(*pipeline.Core) {}

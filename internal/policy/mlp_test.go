@@ -53,7 +53,7 @@ func TestMLPAwareTrainsPredictor(t *testing.T) {
 		t.Fatal("MLP predictor never trained")
 	}
 	for pc, span := range m.table {
-		if span > m.MaxSpan {
+		if span > maxSpan {
 			t.Fatalf("PC %#x trained beyond the hardware bound: %d", pc, span)
 		}
 	}

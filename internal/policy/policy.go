@@ -1,8 +1,12 @@
 // Package policy implements the paper's static instruction-fetch policies:
-// Round-Robin, STALL and FLUSH (ICOUNT itself lives in the pipeline
-// package as the built-in baseline; STALL and FLUSH layer on top of
-// ICOUNT priority exactly as in Tullsen & Brown, "Handling long-latency
-// loads in a simultaneous multithreading processor", MICRO 2001).
+// Round-Robin, STALL and FLUSH, and the MLP-aware fetch policy. ICOUNT
+// itself lives in the pipeline package as the built-in baseline, and each
+// policy here embeds pipeline.ICount for the hooks it leaves alone. STALL
+// is ICOUNT with threads that have an L2 miss outstanding taken out of
+// the fetch order, and FLUSH is STALL that also squashes the missing
+// thread's younger instructions, exactly as in Tullsen & Brown, "Handling
+// long-latency loads in a simultaneous multithreading processor", MICRO
+// 2001.
 package policy
 
 import (
@@ -11,7 +15,7 @@ import (
 
 // RoundRobin rotates fetch priority across threads each cycle — the
 // original SMT fetch scheme, provided as a comparator.
-type RoundRobin struct{}
+type RoundRobin struct{ pipeline.ICount }
 
 // FetchPriority implements pipeline.Policy with a cycle-rotating order.
 func (RoundRobin) FetchPriority(c *pipeline.Core, buf []int) []int {
@@ -26,20 +30,11 @@ func (RoundRobin) FetchPriority(c *pipeline.Core, buf []int) []int {
 	return buf
 }
 
-// CanDispatch implements pipeline.Policy: no caps.
-func (RoundRobin) CanDispatch(*pipeline.Core, int) bool { return true }
-
-// OnL2Miss implements pipeline.Policy: no reaction.
-func (RoundRobin) OnL2Miss(*pipeline.Core, *pipeline.DynInst) {}
-
-// Tick implements pipeline.Policy.
-func (RoundRobin) Tick(*pipeline.Core) {}
-
 // Stall is the STALL policy: ICOUNT fetch priority, but a thread with a
 // pending L2 miss stops fetching until the miss resolves. Its already-
 // allocated resources are held — the under-utilization the paper calls
 // out.
-type Stall struct{}
+type Stall struct{ pipeline.ICount }
 
 // FetchPriority implements pipeline.Policy: ICOUNT order minus threads
 // with outstanding long-latency misses.
@@ -54,44 +49,22 @@ func (Stall) FetchPriority(c *pipeline.Core, buf []int) []int {
 	return kept
 }
 
-// CanDispatch implements pipeline.Policy: no caps.
-func (Stall) CanDispatch(*pipeline.Core, int) bool { return true }
-
-// OnL2Miss implements pipeline.Policy: gating is purely via FetchPriority.
-func (Stall) OnL2Miss(*pipeline.Core, *pipeline.DynInst) {}
-
-// Tick implements pipeline.Policy.
-func (Stall) Tick(*pipeline.Core) {}
-
 // Flush is the FLUSH policy: on detecting a long-latency load, all of the
 // thread's younger instructions are flushed (releasing every resource they
 // held) and fetch stays blocked until the miss returns, paying a re-start
 // latency. FLUSH trades re-fetch/re-execution energy for resource
-// availability — the trade the paper's ED² analysis quantifies.
-type Flush struct {
-	// RestartPenalty is the extra fetch-block after the miss returns,
-	// modelling pipeline refill.
-	RestartPenalty uint64
-}
+// availability — the trade the paper's ED² analysis quantifies. It
+// fetches in STALL's order: threads with pending misses do not fetch
+// (their window was just flushed anyway).
+type Flush struct{ Stall }
 
-// NewFlush returns FLUSH with the default restart penalty.
-func NewFlush() Flush { return Flush{RestartPenalty: 4} }
-
-// FetchPriority implements pipeline.Policy: like STALL, threads with
-// pending misses do not fetch (their window was just flushed anyway).
-func (Flush) FetchPriority(c *pipeline.Core, buf []int) []int {
-	return Stall{}.FetchPriority(c, buf)
-}
-
-// CanDispatch implements pipeline.Policy: no caps.
-func (Flush) CanDispatch(*pipeline.Core, int) bool { return true }
+// flushRefill is FLUSH's extra fetch-block in cycles after the miss
+// returns, modelling pipeline refill.
+const flushRefill = 4
 
 // OnL2Miss implements pipeline.Policy: flush younger instructions and
 // block fetch until the load's data returns.
-func (f Flush) OnL2Miss(c *pipeline.Core, ld *pipeline.DynInst) {
+func (Flush) OnL2Miss(c *pipeline.Core, ld *pipeline.DynInst) {
 	c.FlushAfter(ld)
-	c.BlockFetchUntil(ld.Thread(), ld.DoneAt()+f.RestartPenalty)
+	c.BlockFetchUntil(ld.Thread(), ld.DoneAt()+flushRefill)
 }
-
-// Tick implements pipeline.Policy.
-func (Flush) Tick(*pipeline.Core) {}

@@ -186,7 +186,7 @@ func TestFlushReleasesAndRestarts(t *testing.T) {
 		return []*trace.Trace{ilpTrace(1000), memTrace(4000)}
 	}
 	icount := runCore(t, pipeline.ICount{}, traces(), 15000)
-	flush := runCore(t, NewFlush(), traces(), 15000)
+	flush := runCore(t, Flush{}, traces(), 15000)
 	if flush.Stats(1).Squashed == 0 {
 		t.Fatal("FLUSH squashed nothing on a missing thread")
 	}
@@ -203,7 +203,7 @@ func TestFlushBeatsStallForPartner(t *testing.T) {
 		return []*trace.Trace{ilpTrace(1000), memTrace(4000)}
 	}
 	stall := runCore(t, Stall{}, traces(), 20000)
-	flush := runCore(t, NewFlush(), traces(), 20000)
+	flush := runCore(t, Flush{}, traces(), 20000)
 	st := stall.CommittedTotal()
 	fl := flush.CommittedTotal()
 	if float64(fl) < 0.9*float64(st) {
@@ -212,7 +212,7 @@ func TestFlushBeatsStallForPartner(t *testing.T) {
 }
 
 func TestFlushedThreadStillProgresses(t *testing.T) {
-	c := runCore(t, NewFlush(), []*trace.Trace{memTrace(2000)}, 30000)
+	c := runCore(t, Flush{}, []*trace.Trace{memTrace(2000)}, 30000)
 	if c.Committed(0) == 0 {
 		t.Fatal("flushed thread starved")
 	}

@@ -3,7 +3,10 @@
 // allocation in SMT processors", MICRO 2004) and Hill Climbing (Choi &
 // Yeung, "Learning-based SMT processor resource distribution via
 // hill-climbing", ISCA 2006). Both plug into the pipeline as Policies
-// whose CanDispatch hook enforces per-thread resource caps.
+// that embed pipeline.ICount: they fetch in ICOUNT order and ignore L2
+// misses as it does, and their CanDispatch hook enforces per-thread
+// resource caps. Hill Climbing also re-divides the caps each epoch from
+// its Tick hook.
 package rescontrol
 
 import (
@@ -14,33 +17,21 @@ import (
 // ("slow") threads a larger share of the critical shared resources,
 // gating any thread that exceeds its share. Classification follows the
 // DCRA paper's spirit: a thread with an outstanding cache miss is slow;
-// shares weight slow threads by SlowWeight.
-type DCRA struct {
-	// SlowWeight is the share multiplier for slow threads (the DCRA
-	// paper's C parameter; 4 reproduces its "slow threads need roughly 4x
-	// the registers" observation).
-	SlowWeight int
-}
-
-// NewDCRA returns DCRA with the paper's weighting.
-func NewDCRA() *DCRA { return &DCRA{SlowWeight: 4} }
-
-// FetchPriority implements pipeline.Policy: DCRA keeps ICOUNT fetch
+// shares weight slow threads by slowWeight. DCRA keeps ICOUNT fetch
 // priority; its control is in the allocation caps.
-func (*DCRA) FetchPriority(c *pipeline.Core, buf []int) []int {
-	return c.ThreadsByICount(buf)
-}
+type DCRA struct{ pipeline.ICount }
+
+// slowWeight is the share multiplier for slow threads (the DCRA paper's C
+// parameter; 4 reproduces its "slow threads need roughly 4x the
+// registers" observation).
+const slowWeight = 4
 
 // weights returns each thread's share weight and the total.
-func (d *DCRA) weights(c *pipeline.Core) (w [8]int, total int) {
-	sw := d.SlowWeight
-	if sw <= 0 {
-		sw = 4
-	}
+func (DCRA) weights(c *pipeline.Core) (w [8]int, total int) {
 	for tid := 0; tid < c.NumThreads(); tid++ {
 		w[tid] = 1
 		if c.PendingL2Miss(tid) || c.InRunahead(tid) {
-			w[tid] = sw
+			w[tid] = slowWeight
 		}
 		total += w[tid]
 	}
@@ -60,7 +51,7 @@ func share(capacity, weight, total int) int {
 // CanDispatch implements pipeline.Policy: a thread may dispatch while its
 // usage of every capped resource (physical registers and issue queue
 // entries) stays within its weighted share.
-func (d *DCRA) CanDispatch(c *pipeline.Core, tid int) bool {
+func (d DCRA) CanDispatch(c *pipeline.Core, tid int) bool {
 	w, total := d.weights(c)
 	cfg := c.Config()
 	wt := w[tid]
@@ -81,10 +72,3 @@ func (d *DCRA) CanDispatch(c *pipeline.Core, tid int) bool {
 	}
 	return true
 }
-
-// OnL2Miss implements pipeline.Policy: classification is re-derived each
-// cycle from pending-miss state, so nothing to do here.
-func (*DCRA) OnL2Miss(*pipeline.Core, *pipeline.DynInst) {}
-
-// Tick implements pipeline.Policy.
-func (*DCRA) Tick(*pipeline.Core) {}

@@ -10,13 +10,12 @@ import (
 // machine's partitionable resources (ROB share, physical registers, issue
 // queue entries) are divided by a per-thread share vector. Learning is
 // epoch-based gradient ascent: each round tries boosting each thread's
-// share by Delta for one epoch, measures throughput, then moves the base
-// partition toward the best trial.
+// share by shareDelta for one epoch, measures throughput, then moves the
+// base partition toward the best trial. It fetches in ICOUNT order.
 type HillClimbing struct {
-	// EpochCycles is the trial epoch length.
-	EpochCycles uint64
-	// Delta is the share boost applied to the trial thread.
-	Delta float64
+	pipeline.ICount
+
+	epochCycles uint64 // trial epoch length
 
 	shares   []float64 // base partition, sums to 1
 	trial    int       // thread whose share is boosted this epoch
@@ -26,14 +25,12 @@ type HillClimbing struct {
 	started  bool
 }
 
-// NewHillClimbing returns the policy with the paper-scale parameters.
-func NewHillClimbing() *HillClimbing {
-	return &HillClimbing{EpochCycles: 16384, Delta: 0.10}
-}
+// shareDelta is the share boost applied to the trial thread.
+const shareDelta = 0.10
 
-// FetchPriority implements pipeline.Policy: ICOUNT priority order.
-func (*HillClimbing) FetchPriority(c *pipeline.Core, buf []int) []int {
-	return c.ThreadsByICount(buf)
+// NewHillClimbing returns the policy with the paper-scale epoch.
+func NewHillClimbing() *HillClimbing {
+	return &HillClimbing{epochCycles: 16384}
 }
 
 // init sizes the share vector on first use.
@@ -49,12 +46,6 @@ func (h *HillClimbing) init(c *pipeline.Core) {
 	h.scores = make([]float64, n)
 	h.baseline = c.CommittedTotal()
 	h.started = true
-	if h.EpochCycles == 0 {
-		h.EpochCycles = 16384
-	}
-	if h.Delta <= 0 {
-		h.Delta = 0.10
-	}
 }
 
 // effectiveShare returns tid's share under the current trial.
@@ -64,9 +55,9 @@ func (h *HillClimbing) effectiveShare(c *pipeline.Core, tid int) float64 {
 	s := h.shares[tid]
 	if n > 1 {
 		if tid == h.trial {
-			s += h.Delta
+			s += shareDelta
 		} else {
-			s -= h.Delta / float64(n-1)
+			s -= shareDelta / float64(n-1)
 		}
 	}
 	if s < 0.05 {
@@ -111,14 +102,11 @@ func lim(share float64, capacity int) int {
 	return l
 }
 
-// OnL2Miss implements pipeline.Policy.
-func (*HillClimbing) OnL2Miss(*pipeline.Core, *pipeline.DynInst) {}
-
 // Tick implements pipeline.Policy: epoch accounting and the gradient move.
 func (h *HillClimbing) Tick(c *pipeline.Core) {
 	h.init(c)
 	h.inEpoch++
-	if h.inEpoch < h.EpochCycles {
+	if h.inEpoch < h.epochCycles {
 		return
 	}
 	// Epoch boundary: score the trial by committed throughput.
@@ -141,9 +129,9 @@ func (h *HillClimbing) Tick(c *pipeline.Core) {
 	n := float64(len(h.shares))
 	for i := range h.shares {
 		if i == best {
-			h.shares[i] += h.Delta / 2
+			h.shares[i] += shareDelta / 2
 		} else {
-			h.shares[i] -= h.Delta / 2 / (n - 1)
+			h.shares[i] -= shareDelta / 2 / (n - 1)
 		}
 		if h.shares[i] < 0.05 {
 			h.shares[i] = 0.05
@@ -157,11 +145,4 @@ func (h *HillClimbing) Tick(c *pipeline.Core) {
 	for i := range h.shares {
 		h.shares[i] /= sum
 	}
-}
-
-// Shares returns a copy of the current base partition (diagnostics).
-func (h *HillClimbing) Shares() []float64 {
-	out := make([]float64, len(h.shares))
-	copy(out, h.shares)
-	return out
 }

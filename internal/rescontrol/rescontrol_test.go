@@ -61,7 +61,7 @@ func TestDCRACapsHog(t *testing.T) {
 		return []*trace.Trace{ilpTrace(1000), memTrace(4000)}
 	}
 	icount := runCore(t, pipeline.ICount{}, traces(), 15000)
-	dcra := runCore(t, NewDCRA(), traces(), 15000)
+	dcra := runCore(t, DCRA{}, traces(), 15000)
 	if dcra.Committed(0) <= icount.Committed(0) {
 		t.Fatalf("ILP partner under DCRA (%d) not better than ICOUNT (%d)",
 			dcra.Committed(0), icount.Committed(0))
@@ -69,7 +69,7 @@ func TestDCRACapsHog(t *testing.T) {
 }
 
 func TestDCRASlowThreadGetsLargerShare(t *testing.T) {
-	d := NewDCRA()
+	d := DCRA{}
 	c, err := pipeline.New(pipeline.DefaultConfig(),
 		[]*trace.Trace{memTrace(4000), ilpTrace(500)}, d)
 	if err != nil {
@@ -80,10 +80,10 @@ func TestDCRASlowThreadGetsLargerShare(t *testing.T) {
 		c.Step()
 		if c.PendingL2Miss(0) && !c.PendingL2Miss(1) {
 			w, total := d.weights(c)
-			if w[0] != d.SlowWeight || w[1] != 1 {
+			if w[0] != slowWeight || w[1] != 1 {
 				t.Fatalf("weights = %v", w[:2])
 			}
-			if total != d.SlowWeight+1 {
+			if total != slowWeight+1 {
 				t.Fatalf("total = %d", total)
 			}
 			return
@@ -93,7 +93,7 @@ func TestDCRASlowThreadGetsLargerShare(t *testing.T) {
 }
 
 func TestDCRABothProgress(t *testing.T) {
-	c := runCore(t, NewDCRA(), []*trace.Trace{memTrace(4000), memTrace(4000)}, 20000)
+	c := runCore(t, DCRA{}, []*trace.Trace{memTrace(4000), memTrace(4000)}, 20000)
 	if c.Committed(0) == 0 || c.Committed(1) == 0 {
 		t.Fatal("starvation under DCRA")
 	}
@@ -101,7 +101,7 @@ func TestDCRABothProgress(t *testing.T) {
 
 func TestHillClimbingSharesEvolve(t *testing.T) {
 	h := NewHillClimbing()
-	h.EpochCycles = 256 // fast epochs for the test
+	h.epochCycles = 256 // fast epochs for the test
 	c, err := pipeline.New(pipeline.DefaultConfig(),
 		[]*trace.Trace{ilpTrace(1000), memTrace(4000)}, h)
 	if err != nil {
@@ -111,7 +111,7 @@ func TestHillClimbingSharesEvolve(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		c.Step()
 	}
-	shares := h.Shares()
+	shares := h.shares
 	var sum float64
 	for _, s := range shares {
 		if s < 0.04 {
@@ -131,7 +131,7 @@ func TestHillClimbingSharesEvolve(t *testing.T) {
 
 func TestHillClimbingBothProgress(t *testing.T) {
 	h := NewHillClimbing()
-	h.EpochCycles = 512
+	h.epochCycles = 512
 	c := runCore(t, h, []*trace.Trace{memTrace(4000), ilpTrace(1000)}, 20000)
 	if c.Committed(0) == 0 || c.Committed(1) == 0 {
 		t.Fatal("starvation under hill climbing")
@@ -141,7 +141,7 @@ func TestHillClimbingBothProgress(t *testing.T) {
 func TestHillClimbingSingleThread(t *testing.T) {
 	// Degenerate single-thread case must not divide by zero or stall.
 	h := NewHillClimbing()
-	h.EpochCycles = 256
+	h.epochCycles = 256
 	c := runCore(t, h, []*trace.Trace{ilpTrace(1000)}, 5000)
 	if c.Committed(0) == 0 {
 		t.Fatal("single thread starved under hill climbing")
@@ -156,7 +156,7 @@ func TestHillClimbingImprovesOverICountForMix(t *testing.T) {
 	}
 	icount := runCore(t, pipeline.ICount{}, traces(), 30000)
 	h := NewHillClimbing()
-	h.EpochCycles = 2048
+	h.epochCycles = 2048
 	hill := runCore(t, h, traces(), 30000)
 	ic, hc := icount.CommittedTotal(), hill.CommittedTotal()
 	if float64(hc) < 0.95*float64(ic) {

@@ -103,6 +103,11 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		// wraps to 0 and ends the window at once.
 		"traceLen 2^40":      `{"name":"x","base":{"traceLen":1099511627776}}`,
 		"wrapping FAME span": `{"name":"x","base":{"traceLen":16384,"minIterations":1125899906842624}}`,
+		// Delays added to the cycle count that would wrap it to a few
+		// cycles.
+		"mispredictRedirect 2^64-1": `{"name":"x","base":{"mispredictRedirect":18446744073709551615}}`,
+		"frontEndDepth 2^64-1":      `{"name":"x","base":{"frontEndDepth":18446744073709551615}}`,
+		"raExitPenalty 2^64-1":      `{"name":"x","base":{"policy":"RaT","raExitPenalty":18446744073709551615}}`,
 	}
 	for what, doc := range cases {
 		if _, err := scenario.Parse(strings.NewReader(doc)); err == nil {
