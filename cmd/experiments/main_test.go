@@ -88,16 +88,19 @@ func TestMeasurementCapsRejected(t *testing.T) {
 	if code != 1 || stdout != "" || !strings.Contains(stderr, "trace length") {
 		t.Errorf("-tracelen 2^40: exit %d, stdout %q, stderr %q; want exit 1, no output, the trace length named", code, stdout, stderr)
 	}
-	for name, base := range map[string]string{
-		"traceLen 2^40":      `{"traceLen":1099511627776}`,
-		"wrapping FAME span": `{"traceLen":16384,"minIterations":1125899906842624}`,
+	const oneMEM2 = `{"groups":["MEM2"],"perGroup":1}`
+	for name, c := range map[string]struct{ workloads, base string }{
+		"traceLen 2^40":      {oneMEM2, `{"traceLen":1099511627776}`},
+		"wrapping FAME span": {oneMEM2, `{"traceLen":16384,"minIterations":1125899906842624}`},
 		// Delays that would wrap the cycle count to a few cycles.
-		"mispredictRedirect 2^64-1": `{"traceLen":2000,"mispredictRedirect":18446744073709551615}`,
-		"frontEndDepth 2^64-1":      `{"traceLen":2000,"frontEndDepth":18446744073709551615}`,
-		"raExitPenalty 2^64-1":      `{"traceLen":2000,"policy":"RaT","raExitPenalty":18446744073709551615}`,
+		"mispredictRedirect 2^64-1": {oneMEM2, `{"traceLen":2000,"mispredictRedirect":18446744073709551615}`},
+		"frontEndDepth 2^64-1":      {oneMEM2, `{"traceLen":2000,"frontEndDepth":18446744073709551615}`},
+		"raExitPenalty 2^64-1":      {oneMEM2, `{"traceLen":2000,"policy":"RaT","raExitPenalty":18446744073709551615}`},
+		// A negative count used to run the whole group.
+		"negative perGroup": {`{"groups":["MEM2"],"perGroup":-2}`, `{"traceLen":2000}`},
 	} {
 		path := filepath.Join(t.TempDir(), "spec.json")
-		spec := `{"name":"caps","workloads":{"groups":["MEM2"],"perGroup":1},"base":` + base + `}`
+		spec := `{"name":"caps","workloads":` + c.workloads + `,"base":` + c.base + `}`
 		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 // Command smtsim runs one multiprogrammed workload on the simulated SMT
 // processor and prints per-thread statistics — the equivalent of one
-// SMTSIM invocation in the paper's methodology.
+// SMTSIM invocation in the paper's methodology. The cell runs as a
+// one-point scenario on an experiments session, the engine behind the
+// figures and smtsimd, which validates it and runs its fairness references.
 //
 // Usage:
 //
@@ -21,10 +23,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/report"
+	"repro/internal/scenario"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -49,30 +50,24 @@ func main() {
 		return
 	}
 
-	w := workload.Workload{Group: "custom", Benchmarks: strings.Split(*threads, ",")}
-	if err := w.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "%v (try -list)\n", err)
-		os.Exit(1)
+	// The machine is core.DefaultConfig, its cycle limit included, with
+	// the flags applied: not the session's figure base.
+	maxCycles := core.DefaultConfig().MaxCycles
+	sp := &scenario.Spec{
+		Name:      "smtsim",
+		Workloads: scenario.WorkloadSpec{Adhoc: []string{"custom/" + strings.ReplaceAll(*threads, ",", "+")}},
+		Base:      scenario.Delta{Policy: policy, TraceLen: traceLen, Seed: seed, MaxCycles: &maxCycles},
+		Metrics:   []string{"throughput"},
 	}
-	pol, err := core.ParsePolicy(*policy)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(1)
-	}
-
-	cfg := core.DefaultConfig()
-	cfg.Policy = pol
-	cfg.TraceLen = *traceLen
-	cfg.Seed = *seed
 	if *regs > 0 {
-		cfg.Pipeline.IntRegs = *regs
-		cfg.Pipeline.FPRegs = *regs
+		sp.Base.Regs = regs
+	}
+	if *fair {
+		sp.Metrics = append(sp.Metrics, "fairness")
 	}
 
-	// The run executes through an experiments session — the same pool and
-	// cancellation machinery the figure harness and the daemon use — so
-	// Ctrl-C stops queued work (the -fairness reference runs) immediately
-	// and the -j bound covers everything this invocation simulates.
+	// The session's pool bounds everything this invocation simulates by
+	// -j, and Ctrl-C stops queued work (the -fairness references) at once.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	opt := experiments.Default()
@@ -82,7 +77,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fail := func(err error) {
+	rs, err := sess.RunScenarioCtx(ctx, sp)
+	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "smtsim: interrupted")
 			os.Exit(130)
@@ -90,14 +86,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-
-	res, err := sess.RunConfigCtx(ctx, w, cfg)
-	if err != nil {
-		fail(err)
-	}
+	res := rs.Result(0, 0)
 
 	fmt.Printf("workload %s under %s: %d cycles (measurement window)\n\n",
-		w.Name(), res.Policy, res.Cycles)
+		res.Workload, res.Policy, res.Cycles)
 	tb := report.NewTable("per-thread results",
 		"thread", "benchmark", "committed", "IPC", "L2miss/kinst",
 		"RA-episodes", "prefetches", "regs(norm)", "regs(RA)")
@@ -118,31 +110,13 @@ func main() {
 		)
 	}
 	fmt.Println(tb.String())
-	fmt.Printf("throughput (avg IPC): %s\n", report.F(metrics.Throughput(res.IPCs())))
+	fmt.Printf("throughput (avg IPC): %s\n", report.F(rs.Value(0, 0, 0)))
 	fmt.Printf("executed instructions (energy proxy): %d\n", res.ExecutedTotal)
 	if res.Truncated {
 		fmt.Println("warning: run truncated at the cycle limit before FAME coverage")
 	}
-
 	if *fair {
-		// Queue every reference before waiting on any: the session pool
-		// runs up to -j of them concurrently, and a Ctrl-C abandons the
-		// ones no worker has picked up yet.
-		for _, b := range w.Benchmarks {
-			rw, rcfg := core.Reference(cfg, b)
-			sess.StartRunCtx(ctx, rw, rcfg)
-		}
-		stv := make([]float64, 0, len(w.Benchmarks))
-		for _, b := range w.Benchmarks {
-			rw, rcfg := core.Reference(cfg, b)
-			ref, err := sess.RunConfigCtx(ctx, rw, rcfg)
-			if err != nil {
-				fail(err)
-			}
-			stv = append(stv, ref.Threads[0].IPC)
-		}
-		fmt.Printf("fairness (vs single-thread ICOUNT): %s\n",
-			report.F(metrics.Fairness(stv, res.IPCs())))
+		fmt.Printf("fairness (vs single-thread ICOUNT): %s\n", report.F(rs.Value(0, 0, 1)))
 	}
 }
 

@@ -117,6 +117,10 @@ func TestScenarioBadRequests(t *testing.T) {
 		"mispredictRedirect 2^64-1": {ts.URL + "/v1/scenario", `{"name":"redirect","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":2000,"mispredictRedirect":18446744073709551615}}`, http.StatusBadRequest},
 		"frontEndDepth 2^64-1":      {ts.URL + "/v1/scenario", `{"name":"frontend","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":2000,"frontEndDepth":18446744073709551615}}`, http.StatusBadRequest},
 		"raExitPenalty 2^64-1":      {ts.URL + "/v1/scenario", `{"name":"raexit","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":2000,"policy":"RaT","raExitPenalty":18446744073709551615}}`, http.StatusBadRequest},
+		// A negative count that would run the whole group, and a negative
+		// warm-up that would run as the default under another fingerprint.
+		"negative perGroup":    {ts.URL + "/v1/scenario", `{"name":"pg","workloads":{"groups":["MEM2"],"perGroup":-2},"base":{"traceLen":2000}}`, http.StatusBadRequest},
+		"negative warmupInsts": {ts.URL + "/v1/scenario", `{"name":"warm","workloads":{"groups":["MEM2"],"perGroup":1},"base":{"traceLen":2000,"warmupInsts":-5}}`, http.StatusBadRequest},
 	} {
 		status, body := post(t, tc.url, tc.body)
 		if status != tc.want {

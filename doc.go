@@ -40,7 +40,11 @@
 // scenario points, figure runs and repeated sweeps that describe the same
 // machine share one simulation. The Fig1–Fig6 reproductions are
 // themselves Spec instances plus their paper-specific reductions, with
-// golden tests (internal/experiments/testdata) locking their text output.
+// golden tests (internal/experiments/testdata) locking their text output,
+// and cmd/smtsim runs its one cell as a one-point Spec. A spec is
+// validated before anything simulates: unknown names, a machine no worker
+// can build, a negative perGroup or warmupInsts, and a metric listed
+// twice are errors.
 //
 // The engine is also served as a long-running daemon, cmd/smtsimd: POST a
 // Spec to /v1/scenario and reduced rows stream back as NDJSON in a fixed
@@ -188,14 +192,14 @@
 // oldest-mtime-first adoption, and the codecs' damaged-input tests feed
 // impossible counts. FuzzRun in internal/scenario draws configuration
 // deltas: each is rejected by plan-time validation
-// (core.Config.Validate, which checks the trace length and FAME
-// iteration caps and the pipeline the policy implies, including the
+// (core.Config.Validate, which checks the trace length, FAME iteration
+// and warm-up bounds and the pipeline the policy implies, including the
 // completion-wheel bound on latencies and the cap on the delays added to
 // the cycle count) or runs without panicking, with finite metrics and a
 // repeatable Result. FuzzMetamorphic in internal/core checks exact
-// relations between policies on drawn configurations: with one thread
-// RR equals ICOUNT, and on a run with no L2-miss load every policy that
-// reacts only to L2 misses equals ICOUNT.
+// relations between policies on drawn configurations, in paranoid mode:
+// with one thread RR equals ICOUNT, and on a run with no L2-miss load
+// every policy that reacts only to L2 misses equals ICOUNT.
 //
 // One lint-time check is left, by design: nowallclock forbids wall-clock
 // reads and global math/rand in the simulation packages, where

@@ -7,8 +7,8 @@
 // after resolution, in program order. In an SMT the weight table is shared
 // between threads (as in the real machines the paper models); the global
 // history register, however, is per-thread, which callers obtain by
-// constructing one Perceptron per hardware context over a common table
-// with NewPerceptronShared.
+// building one Perceptron per hardware context over a common table with
+// ResetShared, which builds new ones when given nil.
 package bpred
 
 const (
@@ -58,16 +58,10 @@ func NewPerceptron(rows int) *Perceptron {
 	return &Perceptron{table: t}
 }
 
-// NewPerceptronShared builds n predictors (one per thread) sharing one
-// weight table, the standard SMT arrangement.
-func NewPerceptronShared(rows, n int) []*Perceptron {
-	return ResetShared(nil, rows, n)
-}
-
-// ResetShared rebuilds ps, predictors from an earlier NewPerceptronShared
-// or ResetShared, as NewPerceptronShared(rows, n) builds them: every
-// weight and history zero. The shared table keeps its storage when rows
-// fit in it, and the predictors of ps are reused.
+// ResetShared returns n predictors (one per thread) over one shared weight
+// table, every weight and history zero. Given nil it builds them; given an
+// earlier call's predictors it reuses them, and the table's storage when
+// rows fit in it.
 func ResetShared(ps []*Perceptron, rows, n int) []*Perceptron {
 	t := &perceptronTable{}
 	if len(ps) > 0 {

@@ -131,7 +131,7 @@ func TestSaturateProperty(t *testing.T) {
 }
 
 func TestSharedTableSeparateHistories(t *testing.T) {
-	ps := NewPerceptronShared(256, 2)
+	ps := ResetShared(nil, 256, 2)
 	if ps[0].table != ps[1].table {
 		t.Fatal("shared constructor did not share the table")
 	}
@@ -144,7 +144,7 @@ func TestSharedTableSeparateHistories(t *testing.T) {
 func TestSharedTableCrossThreadInterference(t *testing.T) {
 	// Two threads hammering the same PC with opposite outcomes should
 	// degrade each other — the point of modelling a shared table.
-	ps := NewPerceptronShared(16, 2)
+	ps := ResetShared(nil, 16, 2)
 	solo := NewPerceptron(16)
 	n := 20000
 	correct := 0

@@ -86,7 +86,7 @@ func (t *refTable) saturate(w int16, up bool) int16 {
 func TestPerceptronMatchesReference(t *testing.T) {
 	for threads := 1; threads <= 4; threads++ {
 		for seed := uint64(1); seed <= 4; seed++ {
-			got, ref := NewPerceptronShared(64, threads), newRefShared(64, threads)
+			got, ref := ResetShared(nil, 64, threads), newRefShared(64, threads)
 			r := rng.New(seed*10 + uint64(threads))
 			preload := seed%2 == 0
 			if preload {

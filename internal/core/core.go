@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/pipeline"
 	"repro/internal/policy"
@@ -86,7 +87,7 @@ type Config struct {
 	// WarmupInsts is the per-thread committed-instruction count of the
 	// timed-but-unmeasured warm phase that precedes measurement (cache,
 	// predictor and policy state converge there). Zero selects half a
-	// trace iteration.
+	// trace iteration; a negative count is invalid.
 	WarmupInsts int
 	// MaxCycles bounds the run (safety valve; a run that hits it is still
 	// reported, with Truncated set).
@@ -267,6 +268,8 @@ func (cfg Config) machine() (pipeline.Config, pipeline.Policy, error) {
 	}{
 		{"trace length", cfg.TraceLen, 0, maxTraceLen},
 		{"minimum iterations", cfg.MinIterations, 0, maxMinIterations},
+		// MaxCycles/2 ends the warm phase, so any count is safe.
+		{"warmup instructions", cfg.WarmupInsts, 0, math.MaxInt},
 	} {
 		if k.n < k.lo || k.n > k.hi {
 			return pipeline.Config{}, nil, fmt.Errorf("core: %s %d, want %d to %d", k.name, k.n, k.lo, k.hi)
@@ -340,7 +343,7 @@ func measure(c *pipeline.Core, cfg Config, w workload.Workload) *Result {
 	// climbing epochs) converge before measurement begins. Coverage is
 	// checked before the limit, both only between 256-cycle step blocks.
 	warm := uint64(cfg.WarmupInsts)
-	if cfg.WarmupInsts <= 0 {
+	if cfg.WarmupInsts == 0 {
 		warm = uint64(cfg.TraceLen / 2)
 	}
 	truncated := false

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -133,22 +134,24 @@ func TestValidateSeesPolicyRunahead(t *testing.T) {
 func TestValidateMeasurementBounds(t *testing.T) {
 	w := workload.MustByGroup("MEM2")[1]
 	for _, tc := range []struct {
-		name          string
-		traceLen, min int
-		ok            bool
+		name                  string
+		traceLen, min, warmup int
+		ok                    bool
 	}{
-		{"defaults", 0, 0, true},
-		{"trace length cap", maxTraceLen, 1, true},
-		{"iterations cap", 1000, maxMinIterations, true},
-		{"trace length past cap", maxTraceLen + 1, 1, false},
-		{"trace length 2^40", 1 << 40, 1, false},
-		{"negative trace length", -1, 1, false},
-		{"iterations past cap", 1000, maxMinIterations + 1, false},
-		{"wrapping FAME span", 1 << 14, 1 << 50, false},
-		{"negative iterations", 1000, -1, false},
+		{"defaults", 0, 0, 0, true},
+		{"trace length cap", maxTraceLen, 1, 0, true},
+		{"iterations cap", 1000, maxMinIterations, 0, true},
+		{"trace length past cap", maxTraceLen + 1, 1, 0, false},
+		{"trace length 2^40", 1 << 40, 1, 0, false},
+		{"negative trace length", -1, 1, 0, false},
+		{"iterations past cap", 1000, maxMinIterations + 1, 0, false},
+		{"wrapping FAME span", 1 << 14, 1 << 50, 0, false},
+		{"negative iterations", 1000, -1, 0, false},
+		{"warmup cap", 1000, 1, math.MaxInt, true},
+		{"negative warmup", 1000, 1, -5, false},
 	} {
 		cfg := fastCfg()
-		cfg.TraceLen, cfg.MinIterations = tc.traceLen, tc.min
+		cfg.TraceLen, cfg.MinIterations, cfg.WarmupInsts = tc.traceLen, tc.min, tc.warmup
 		err := cfg.Validate()
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: Validate = %v, want ok %v", tc.name, err, tc.ok)

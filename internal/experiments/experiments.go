@@ -381,18 +381,6 @@ func (s *Session) RunConfigCtx(ctx context.Context, w workload.Workload, cfg cor
 	return s.StartRunCtx(ctx, w, cfg).WaitCtx(ctx)
 }
 
-// configFor builds the session configuration for a policy and an
-// optionally overridden register file size (0 = Table 1 default).
-func (s *Session) configFor(pol core.PolicyKind, regs int) core.Config {
-	cfg := s.base
-	cfg.Policy = pol
-	if regs > 0 {
-		cfg.Pipeline.IntRegs = regs
-		cfg.Pipeline.FPRegs = regs
-	}
-	return cfg
-}
-
 // RunScenarioCtx plans (scenario.NewPlan, with no cell bound) and
 // executes a declarative sweep on this session's worker pool and cache.
 // Points that coincide with figure runs (or with each
@@ -512,19 +500,26 @@ func (f *PolicyFigure) String() string {
 		{"(a) Throughput (avg IPC)", f.Throughput},
 		{"(b) Fairness (harmonic mean of speedups)", f.Fairness},
 	} {
-		cols := append([]string{"workload"}, policyNames(f.Policies)...)
-		tb := report.NewTable(part.title, cols...)
-		for _, g := range f.Groups {
-			row := []string{g}
-			for _, p := range f.Policies {
-				row = append(row, report.F(part.data[g][p]))
-			}
-			tb.AddRow(row...)
-		}
-		b.WriteString(tb.String())
+		b.WriteString(groupTable(part.title, f.Groups, policyNames(f.Policies), func(g string, i int) string {
+			return report.F(part.data[g][f.Policies[i]])
+		}))
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// groupTable renders one figure panel: a row per workload group, a
+// column per cols entry, each cell cell(group, column index).
+func groupTable(title string, groups, cols []string, cell func(g string, i int) string) string {
+	tb := report.NewTable(title, append([]string{"workload"}, cols...)...)
+	for _, g := range groups {
+		row := []string{g}
+		for i := range cols {
+			row = append(row, cell(g, i))
+		}
+		tb.AddRow(row...)
+	}
+	return tb.String()
 }
 
 func policyNames(pols []core.PolicyKind) []string {
@@ -573,14 +568,6 @@ func (s *Session) Fig3(ctx context.Context) (*Fig3Result, error) {
 
 // String renders Figure 3.
 func (f *Fig3Result) String() string {
-	cols := append([]string{"workload"}, policyNames(f.Policies)...)
-	tb := report.NewTable("Figure 3: Energy-Delay² normalized to ICOUNT (lower is better)", cols...)
-	for _, g := range f.Groups {
-		row := []string{g}
-		for _, p := range f.Policies {
-			row = append(row, report.F(f.ED2[g][p]))
-		}
-		tb.AddRow(row...)
-	}
-	return tb.String()
+	return groupTable("Figure 3: Energy-Delay² normalized to ICOUNT (lower is better)", f.Groups,
+		policyNames(f.Policies), func(g string, i int) string { return report.F(f.ED2[g][f.Policies[i]]) })
 }

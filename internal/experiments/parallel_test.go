@@ -63,11 +63,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 	// Compare one raw Result end to end (every counter, not just the
 	// figure-level aggregates).
 	w := workload.MustByGroup("MEM2")[0]
-	sr, err := seq.RunConfigCtx(context.Background(), w, seq.configFor(core.PolicyRaT, 0))
+	cfg := seq.BaseConfig()
+	cfg.Policy = core.PolicyRaT
+	sr, err := seq.RunConfigCtx(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := par.RunConfigCtx(context.Background(), w, par.configFor(core.PolicyRaT, 0))
+	pr, err := par.RunConfigCtx(context.Background(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

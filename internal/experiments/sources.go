@@ -82,15 +82,10 @@ func (s *Session) Fig4(ctx context.Context) (*Fig4Result, error) {
 
 // String renders Figure 4.
 func (f *Fig4Result) String() string {
-	tb := report.NewTable("Figure 4: sources of improvement of RaT",
-		"workload", "prefetching", "resource-avail", "overhead")
-	for _, g := range f.Groups {
-		tb.AddRow(g,
-			report.Pct(f.Prefetching[g]),
-			report.Pct(f.ResourceAvailability[g]),
-			report.Pct(f.Overhead[g]))
-	}
-	return tb.String()
+	parts := []map[string]float64{f.Prefetching, f.ResourceAvailability, f.Overhead}
+	return groupTable("Figure 4: sources of improvement of RaT", f.Groups,
+		[]string{"prefetching", "resource-avail", "overhead"},
+		func(g string, i int) string { return report.Pct(parts[i][g]) })
 }
 
 // Fig5Result holds Figure 5: average allocated physical registers per
@@ -133,12 +128,9 @@ func (s *Session) Fig5(ctx context.Context) (*Fig5Result, error) {
 
 // String renders Figure 5.
 func (f *Fig5Result) String() string {
-	tb := report.NewTable("Figure 5: avg physical registers held per thread per cycle",
-		"workload", "normal mode", "runahead mode")
-	for _, g := range f.Groups {
-		tb.AddRow(g, report.F(f.Normal[g]), report.F(f.Runahead[g]))
-	}
-	return tb.String()
+	parts := []map[string]float64{f.Normal, f.Runahead}
+	return groupTable("Figure 5: avg physical registers held per thread per cycle", f.Groups,
+		[]string{"normal mode", "runahead mode"}, func(g string, i int) string { return report.F(parts[i][g]) })
 }
 
 // Fig6Result holds Figure 6: throughput as a function of physical register
@@ -184,25 +176,15 @@ func (s *Session) Fig6(ctx context.Context) (*Fig6Result, error) {
 	return f, nil
 }
 
-// String renders Figure 6.
+// String renders Figure 6: a FLUSH and a RaT column per register size.
 func (f *Fig6Result) String() string {
-	var b strings.Builder
-	cols := []string{"workload"}
+	pols := []core.PolicyKind{core.PolicyFLUSH, core.PolicyRaT}
+	var cols []string
 	for _, size := range f.Sizes {
 		cols = append(cols, fmt.Sprintf("FLUSH@%d", size), fmt.Sprintf("RaT@%d", size))
 	}
-	tb := report.NewTable("Figure 6: throughput vs physical register file size", cols...)
-	for _, g := range f.Groups {
-		row := []string{g}
-		for _, size := range f.Sizes {
-			row = append(row,
-				report.F(f.Throughput[g][size][core.PolicyFLUSH]),
-				report.F(f.Throughput[g][size][core.PolicyRaT]))
-		}
-		tb.AddRow(row...)
-	}
-	b.WriteString(tb.String())
-	return b.String()
+	return groupTable("Figure 6: throughput vs physical register file size", f.Groups, cols,
+		func(g string, i int) string { return report.F(f.Throughput[g][f.Sizes[i/2]][pols[i%2]]) })
 }
 
 // Table1 renders the baseline configuration (Table 1 of the paper) from

@@ -300,12 +300,11 @@ func resetUnits(busy []uint64, n int) []uint64 {
 func (c *Core) SetParanoid(on bool) { c.paranoid = on }
 
 // WarmupICache installs every code line of every thread's trace into the
-// instruction cache hierarchy, untimed. Measured intervals in the paper
-// start from warm SimPoint checkpoints; without this, a short simulation
-// spends its first thousands of cycles serializing on cold code misses
-// that no figure is about. Data caches are deliberately left cold: data
-// warmth is workload behaviour (the L2 miss rate defines the MEM class)
-// and emerges from the measured run itself.
+// instruction cache hierarchy, untimed, and leaves the data caches cold.
+// It is the tests' warm-up: without it a short simulation spends its
+// first thousands of cycles serializing on cold code misses, while cold
+// data caches let a test provoke the L2 misses it is about. Measured runs
+// (core) call WarmupCaches instead.
 func (c *Core) WarmupICache() {
 	for _, t := range c.threads {
 		for i := 0; i < t.tr.Len(); i++ {

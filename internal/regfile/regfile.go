@@ -96,12 +96,6 @@ func (f *File) Reset(size int) {
 // Size returns the total number of physical registers.
 func (f *File) Size() int { return len(f.regs) }
 
-// InUse returns the number of currently allocated registers.
-func (f *File) InUse() int { return len(f.regs) - len(f.free) }
-
-// FreeCount returns the number of registers available for allocation.
-func (f *File) FreeCount() int { return len(f.free) }
-
 // Alloc takes a register for thread tid's newly renamed destination. It
 // returns (None, false) when the file is exhausted — the rename stage must
 // stall that thread.
@@ -181,9 +175,6 @@ func (f *File) Release(p PhysReg) {
 	s.dead = true
 	f.maybeFree(p)
 }
-
-// Owner returns the thread that allocated p.
-func (f *File) Owner(p PhysReg) int { return int(f.state(p).owner) }
 
 func (f *File) maybeFree(p PhysReg) {
 	s := &f.regs[p]

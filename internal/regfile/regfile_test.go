@@ -7,6 +7,9 @@ import (
 	"repro/internal/rng"
 )
 
+// inUse counts the allocated registers.
+func inUse(f *File) int { return len(f.regs) - len(f.free) }
+
 func TestAllocExhaustion(t *testing.T) {
 	f := New("int", 4)
 	var regs []PhysReg
@@ -20,11 +23,11 @@ func TestAllocExhaustion(t *testing.T) {
 	if _, ok := f.Alloc(0); ok {
 		t.Fatal("alloc beyond capacity succeeded")
 	}
-	if f.InUse() != 4 || f.FreeCount() != 0 {
-		t.Fatalf("inUse=%d free=%d", f.InUse(), f.FreeCount())
+	if inUse(f) != 4 || len(f.free) != 0 {
+		t.Fatalf("inUse=%d free=%d", inUse(f), len(f.free))
 	}
 	f.Release(regs[0])
-	if f.InUse() != 3 {
+	if inUse(f) != 3 {
 		t.Fatal("release with no refs did not free")
 	}
 	if _, ok := f.Alloc(1); !ok {
@@ -38,15 +41,15 @@ func TestRefCountDelaysFree(t *testing.T) {
 	f.IncRef(p)
 	f.IncRef(p)
 	f.Release(p)
-	if f.InUse() != 1 {
+	if inUse(f) != 1 {
 		t.Fatal("register freed while referenced")
 	}
 	f.DecRef(p)
-	if f.InUse() != 1 {
+	if inUse(f) != 1 {
 		t.Fatal("register freed with one reference outstanding")
 	}
 	f.DecRef(p)
-	if f.InUse() != 0 {
+	if inUse(f) != 0 {
 		t.Fatal("register not freed after last reference drained")
 	}
 }
@@ -112,8 +115,8 @@ func TestUseAfterFreePanics(t *testing.T) {
 func TestOwner(t *testing.T) {
 	f := New("int", 4)
 	p, _ := f.Alloc(3)
-	if f.Owner(p) != 3 {
-		t.Fatalf("owner = %d", f.Owner(p))
+	if f.regs[p].owner != 3 {
+		t.Fatalf("owner = %d", f.regs[p].owner)
 	}
 }
 
@@ -182,7 +185,7 @@ func TestInvariantsUnderRandomWorkload(t *testing.T) {
 				f.Release(l.p)
 			}
 		}
-		return f.InUse() == 0 && f.CheckInvariants() == nil
+		return inUse(f) == 0 && f.CheckInvariants() == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -203,7 +206,7 @@ func BenchmarkAllocRelease(b *testing.B) {
 	var ring [256]PhysReg
 	n := 0
 	for i := 0; i < b.N; i++ {
-		if n == 256 || f.FreeCount() == 0 {
+		if n == 256 || len(f.free) == 0 {
 			for j := 0; j < n; j++ {
 				f.Release(ring[j])
 			}

@@ -37,9 +37,6 @@ func (d *Dataset) AddRow(cells ...any) {
 	d.rows = append(d.rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (d *Dataset) NumRows() int { return len(d.rows) }
-
 // cellString renders one cell for the text and CSV emitters. Floats use
 // the shortest representation that round-trips, so CSV output can be
 // parsed back to the exact values.

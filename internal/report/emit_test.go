@@ -117,8 +117,8 @@ func TestDatasetCSVRoundTrip(t *testing.T) {
 func TestDatasetPadding(t *testing.T) {
 	d := NewDataset("t", "a", "b")
 	d.AddRow("only") // short row pads with nil -> empty
-	if d.NumRows() != 1 {
-		t.Fatalf("rows = %d", d.NumRows())
+	if len(d.rows) != 1 {
+		t.Fatalf("rows = %d", len(d.rows))
 	}
 	var buf bytes.Buffer
 	if err := d.WriteCSV(&buf); err != nil {

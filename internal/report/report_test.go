@@ -19,8 +19,8 @@ func TestTableAlignment(t *testing.T) {
 			t.Fatalf("unexpected line count %d:\n%s", len(lines), s)
 		}
 	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("rows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.rows))
 	}
 	// Header and data rows must align on the widest cell.
 	header := lines[1]

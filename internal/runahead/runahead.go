@@ -144,6 +144,3 @@ func (c *Cache) FlushThread(tid int) {
 		}
 	}
 }
-
-// Size returns the number of slots.
-func (c *Cache) Size() int { return len(c.entries) }

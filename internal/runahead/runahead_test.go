@@ -81,7 +81,7 @@ func TestCacheFlushThread(t *testing.T) {
 }
 
 func TestCacheSizeRoundsUp(t *testing.T) {
-	if got := NewCache(100).Size(); got != 128 {
+	if got := len(NewCache(100).entries); got != 128 {
 		t.Fatalf("size = %d, want 128", got)
 	}
 }

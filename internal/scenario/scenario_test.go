@@ -108,6 +108,12 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"mispredictRedirect 2^64-1": `{"name":"x","base":{"mispredictRedirect":18446744073709551615}}`,
 		"frontEndDepth 2^64-1":      `{"name":"x","base":{"frontEndDepth":18446744073709551615}}`,
 		"raExitPenalty 2^64-1":      `{"name":"x","base":{"policy":"RaT","raExitPenalty":18446744073709551615}}`,
+		// A negative count used to select the whole group, a negative
+		// warm-up to run as the default under another fingerprint, and a
+		// repeated metric to print its column twice.
+		"negative perGroup":    `{"name":"x","workloads":{"groups":["MEM2"],"perGroup":-2}}`,
+		"negative warmupInsts": `{"name":"x","base":{"warmupInsts":-5}}`,
+		"duplicate metric":     `{"name":"x","metrics":["throughput","cycles","throughput"]}`,
 	}
 	for what, doc := range cases {
 		if _, err := scenario.Parse(strings.NewReader(doc)); err == nil {

@@ -234,8 +234,12 @@ type WorkloadSpec struct {
 
 // Select expands the selection in a fixed order: groups first (table
 // order within each), then ad-hoc workloads. Unknown group or benchmark
-// names surface as validation errors naming the valid choices.
+// names surface as validation errors naming the valid choices, and a
+// negative PerGroup is an error (0 means the whole group).
 func (ws WorkloadSpec) Select() ([]workload.Workload, error) {
+	if ws.PerGroup < 0 {
+		return nil, fmt.Errorf("scenario: perGroup %d is negative", ws.PerGroup)
+	}
 	groups := ws.Groups
 	if len(groups) == 0 && len(ws.Adhoc) == 0 {
 		groups = workload.Groups()
@@ -303,8 +307,17 @@ func (sp *Spec) Validate() error {
 	}
 	// Axis names become output columns (and NDJSON object keys) next to
 	// the fixed columns and the metric columns, so they must not collide.
+	// No metric is named like a fixed column, so a reserved metric name is
+	// one listed twice.
 	reserved := map[string]bool{"workload": true, "truncated": true, "config": true}
 	for _, m := range sp.metrics() {
+		if _, ok := metricByName(m); !ok {
+			return fmt.Errorf("scenario %s: unknown metric %q (valid: %s)",
+				sp.Name, m, strings.Join(MetricNames(), ", "))
+		}
+		if reserved[m] {
+			return fmt.Errorf("scenario %s: duplicate metric %q", sp.Name, m)
+		}
 		reserved[m] = true
 	}
 	seen := map[string]bool{}
@@ -329,12 +342,6 @@ func (sp *Spec) Validate() error {
 				return fmt.Errorf("scenario %s: axis %q has duplicate point %q", sp.Name, ax.Name, l)
 			}
 			labels[l] = true
-		}
-	}
-	for _, m := range sp.metrics() {
-		if _, ok := metricByName(m); !ok {
-			return fmt.Errorf("scenario %s: unknown metric %q (valid: %s)",
-				sp.Name, m, strings.Join(MetricNames(), ", "))
 		}
 	}
 	if err := CheckFormat(sp.Format); err != nil {

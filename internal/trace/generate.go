@@ -28,8 +28,11 @@ type Options struct {
 // construction, so a much shorter window measures the same steady state.
 const DefaultLen = 60_000
 
-// withDefaults fills in zero fields.
-func (o Options) withDefaults() Options {
+// Normalized returns the options with all defaults applied, so that two
+// Options values describing the same trace compare equal. Cache keys must
+// be built from normalized options: Generate(p, o) and
+// Generate(p, o.Normalized()) produce identical traces.
+func (o Options) Normalized() Options {
 	if o.Len == 0 {
 		o.Len = DefaultLen
 	}
@@ -41,12 +44,6 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
-
-// Normalized returns the options with all defaults applied, so that two
-// Options values describing the same trace compare equal. Cache keys must
-// be built from normalized options: Generate(p, o) and
-// Generate(p, o.Normalized()) produce identical traces.
-func (o Options) Normalized() Options { return o.withDefaults() }
 
 // Trace is a generated instruction sequence for one thread context.
 // Traces are immutable after generation; the simulator re-executes them in
@@ -111,8 +108,8 @@ func (t *Trace) AddrAt(seq uint64) uint64 {
 	return t.coldBase + off
 }
 
-// Summary reports aggregate trace composition, used by calibration tests
-// and the workload lister.
+// Summary reports aggregate trace composition, used by the calibration
+// tests.
 type Summary struct {
 	Total       int
 	Loads       int
@@ -225,7 +222,7 @@ func (w *regWindow) len() int { return w.n }
 // 1 is reported as an error: both can arrive from user-editable scenario
 // files or hand-built profiles, so they must not crash a serving process.
 func Generate(p Profile, opt Options) (*Trace, error) {
-	opt = opt.withDefaults()
+	opt = opt.Normalized()
 	if opt.Len <= 0 {
 		return nil, fmt.Errorf("trace: invalid length %d", opt.Len)
 	}

@@ -322,13 +322,6 @@ var profiles = map[string]Profile{
 	},
 }
 
-// Lookup returns the profile for a SPEC benchmark name. The second result
-// is false if the benchmark is unknown.
-func Lookup(name string) (Profile, bool) {
-	p, ok := profiles[name]
-	return p, ok
-}
-
 // Find returns the profile for a SPEC benchmark name, reporting an
 // unknown name — which can arrive straight from a user's flag, scenario
 // file, or HTTP request — as an error listing the valid names, never a
@@ -344,7 +337,7 @@ func Find(name string) (Profile, error) {
 
 // MustLookup returns the profile for name or panics with Find's error.
 // Workload tables are static data, so a missing profile is a programming
-// error; dynamic lookups use Find (or Lookup) instead.
+// error; dynamic lookups use Find instead.
 func MustLookup(name string) Profile {
 	p, err := Find(name)
 	if err != nil {

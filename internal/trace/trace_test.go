@@ -8,15 +8,6 @@ import (
 	"repro/internal/isa"
 )
 
-func TestLookup(t *testing.T) {
-	if _, ok := Lookup("mcf"); !ok {
-		t.Fatal("mcf missing from registry")
-	}
-	if _, ok := Lookup("nonexistent"); ok {
-		t.Fatal("bogus benchmark found")
-	}
-}
-
 // TestFindErrorListsValidNames: the error-returning lookup names every
 // valid benchmark, so a typo in a flag, scenario file or HTTP request is
 // self-correcting instead of a panic.
@@ -68,8 +59,8 @@ func TestAllTable2BenchmarksPresent(t *testing.T) {
 		"mgrid", "parser", "perl", "swim", "twolf", "vortex", "vpr", "wupwise",
 	}
 	for _, n := range table2 {
-		if _, ok := Lookup(n); !ok {
-			t.Errorf("Table 2 benchmark %q has no profile", n)
+		if _, err := Find(n); err != nil {
+			t.Errorf("Table 2 benchmark %q has no profile: %v", n, err)
 		}
 	}
 }

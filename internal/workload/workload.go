@@ -135,9 +135,9 @@ const MaxThreads = 8
 
 // Validate checks that the workload names a plausible thread count and
 // only known benchmarks, reporting unknown names with the valid list.
-// Entry points (experiments.NewSession, scenario loading, smtsim) call it
-// so that no user-supplied workload can reach the trace generator's
-// lookup path unchecked.
+// Entry points (experiments.NewSession, scenario loading) call it so that
+// no user-supplied workload can reach the trace generator's lookup path
+// unchecked.
 func (w Workload) Validate() error {
 	if len(w.Benchmarks) == 0 {
 		return fmt.Errorf("workload %q: no benchmarks", w.Group)
@@ -147,9 +147,8 @@ func (w Workload) Validate() error {
 			w.Name(), len(w.Benchmarks), MaxThreads)
 	}
 	for _, name := range w.Benchmarks {
-		if _, ok := trace.Lookup(name); !ok {
-			return fmt.Errorf("workload %s: unknown benchmark %q (valid benchmarks: %s)",
-				w.Name(), name, strings.Join(trace.Names(), ", "))
+		if _, err := trace.Find(name); err != nil {
+			return fmt.Errorf("workload %s: %w", w.Name(), err)
 		}
 	}
 	return nil

@@ -39,8 +39,8 @@ func TestThreadCountsMatchGroups(t *testing.T) {
 
 func TestAllBenchmarksHaveProfiles(t *testing.T) {
 	for _, b := range Benchmarks() {
-		if _, ok := trace.Lookup(b); !ok {
-			t.Errorf("benchmark %q in Table 2 has no profile", b)
+		if _, err := trace.Find(b); err != nil {
+			t.Errorf("benchmark %q in Table 2 has no profile: %v", b, err)
 		}
 	}
 }
