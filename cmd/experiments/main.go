@@ -46,10 +46,8 @@ func main() {
 	workers := flag.Int("j", 0, "concurrent simulations (0 = all cores)")
 	storeDir := flag.String("store-dir", "", "persistent on-disk result store directory (empty = disabled); repeated runs over one directory skip already-simulated cells")
 	storeBytes := flag.Int64("store-bytes", 0, "on-disk result store byte bound (0 = unbounded)")
-	traceDir := flag.String("trace-dir", "", "persistent on-disk trace store directory (empty = disabled); repeated runs skip trace regeneration")
-	traceBytes := flag.Int64("trace-bytes", 0, "on-disk trace store byte bound (0 = unbounded)")
 	flag.Parse()
-	rejectNegative("tracelen", "pergroup", "j", "store-bytes", "trace-bytes")
+	rejectNegative("tracelen", "pergroup", "j", "store-bytes")
 
 	// Record which flags the user actually set: defaults must not clobber
 	// values a scenario spec provides (the -seed default of 1, applied
@@ -76,8 +74,6 @@ func main() {
 	opt.Workers = *workers
 	opt.StoreDir = *storeDir
 	opt.StoreBytes = *storeBytes
-	opt.TraceDir = *traceDir
-	opt.TraceBytes = *traceBytes
 
 	// Ctrl-C / SIGTERM cancels the session context: queued simulations are
 	// never started, running ones finish, and the harness exits promptly
@@ -95,6 +91,12 @@ func main() {
 	}
 
 	if *scenarioPath != "" {
+		// A format the emitter would reject fails here, before the grid
+		// simulates, as an unknown -fig does.
+		if err := scenario.CheckFormat(*format); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: -format: %v\n", err)
+			os.Exit(2)
+		}
 		sp, err := scenario.Load(*scenarioPath)
 		if err != nil {
 			fail(err)

@@ -69,12 +69,38 @@ func TestFigNameCaseInsensitive(t *testing.T) {
 }
 
 // TestNegativeFlagsRejected: a negative bound used to be read as
-// unbounded and a negative count as the default, with exit 0.
+// unbounded and a negative count as the default, with exit 0. The flags
+// of the deleted trace disk tier, -trace-dir and -trace-bytes, now exit
+// 2 the same way, as unknown flags.
 func TestNegativeFlagsRejected(t *testing.T) {
-	for _, name := range []string{"tracelen", "pergroup", "j", "store-bytes", "trace-bytes"} {
-		stdout, stderr, code := runExperiments(t, "-fig", "table1", "-"+name, "-3")
-		if code != 2 || stdout != "" || !strings.Contains(stderr, "-"+name) {
-			t.Errorf("experiments -%s -3: exit %d, stdout %q, stderr %q; want exit 2, no output, the flag named", name, code, stdout, stderr)
+	for _, args := range [][]string{
+		{"-tracelen", "-3"}, {"-pergroup", "-3"}, {"-j", "-3"}, {"-store-bytes", "-3"},
+		{"-trace-dir", "d"}, {"-trace-bytes", "1"},
+	} {
+		stdout, stderr, code := runExperiments(t, append([]string{"-fig", "table1"}, args...)...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, args[0]) {
+			t.Errorf("experiments %s %s: exit %d, stdout %q, stderr %q; want exit 2, no output, the flag named", args[0], args[1], code, stdout, stderr)
+		}
+	}
+}
+
+// TestUnknownFormatRejected: an unknown -format used to be found by the
+// emitter, after the whole grid had simulated, and exit 1. It now exits
+// 2 naming the valid formats before the session is built, as an unknown
+// -fig does.
+func TestUnknownFormatRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spec.json")
+	spec := `{"name":"fmt","workloads":{"adhoc":["art+mcf"]},"base":{"traceLen":2000}}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := runExperiments(t, "-scenario", path, "-format", "xml")
+	if code != 2 || stdout != "" {
+		t.Fatalf("-format xml: exit %d, stdout %q, stderr %q; want exit 2 and no output", code, stdout, stderr)
+	}
+	for _, name := range []string{"xml", "table", "json", "csv", "ndjson"} {
+		if !strings.Contains(stderr, name) {
+			t.Errorf("stderr %q does not name %s", stderr, name)
 		}
 	}
 }

@@ -54,13 +54,16 @@
 //
 // Generated instruction traces are served from an in-memory trace tier
 // shared by every cell of every sweep: N configurations of one workload
-// decode the trace once, and single-thread fairness references reuse
+// generate the trace once, and single-thread fairness references reuse
 // the traces their SMT runs already generated. The tier is a 4 MiB
 // recency LRU of traces (tracestore.DefaultMemBytes), so cold traffic of
-// distinct specs does not accumulate traces. With -trace-dir the tier
-// persists traces on disk so restarts skip regeneration.
+// distinct specs does not accumulate traces. Traces are never written to
+// disk: a restarted daemon serves its earlier cells from -store-dir and
+// needs no trace for them. The -trace-dir flag is accepted and ignored,
+// so scripts that still pass it keep starting; the daemon logs that it
+// ignores it and creates nothing there.
 //
-// Both directories are internal/blobstore stores: one shared entry
+// The result store is an internal/blobstore store: a checksummed entry
 // envelope (magic, version, identity echo, payload, CRC-32), atomic
 // temp-file-then-rename writes, byte-bounded LRU eviction, and corrupt,
 // torn or stale files read as misses that are deleted and recomputed.
@@ -124,11 +127,13 @@ func main() {
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown deadline for in-flight responses")
 	storeDir := flag.String("store-dir", "", "persistent on-disk result store directory (empty = disabled)")
 	storeBytes := flag.Int64("store-bytes", 0, "on-disk result store byte bound (0 = unbounded)")
-	traceDir := flag.String("trace-dir", "", "persistent on-disk trace store directory (empty = disabled)")
-	traceBytes := flag.Int64("trace-bytes", 0, "on-disk trace store byte bound (0 = unbounded)")
+	traceDir := flag.String("trace-dir", "", "ignored: traces are kept in memory only (accepted so existing scripts still start)")
 	flag.Parse()
 	rejectNegative("cache-entries", "j", "tracelen", "max-body", "max-cells",
-		"drain", "store-bytes", "trace-bytes")
+		"drain", "store-bytes")
+	if *traceDir != "" {
+		log.Printf("smtsimd: -trace-dir %s ignored: traces are kept in memory only", *traceDir)
+	}
 
 	opt := experiments.Default()
 	if *traceLen > 0 {
@@ -138,8 +143,6 @@ func main() {
 	opt.CacheEntries = *entries
 	opt.StoreDir = *storeDir
 	opt.StoreBytes = *storeBytes
-	opt.TraceDir = *traceDir
-	opt.TraceBytes = *traceBytes
 
 	srv, err := newServer(opt, *maxBody)
 	if err != nil {
@@ -480,8 +483,7 @@ func (s *server) streamScenario(ctx context.Context, w http.ResponseWriter, plan
 // The trace object reports the shared trace tier: hits/misses/generated
 // count how often a grid cell's instruction traces were served from
 // memory versus generated fresh; entries/bytes/maxBytes/evictions
-// describe its recency tier (disk* subfields mirror the persistent tier
-// enabled by -trace-dir).
+// describe its recency tier.
 // The plans object is the plan cache's view: a hit is a request whose
 // body was already decoded and planned, so hits/(hits+misses) is the
 // share of repeated bodies.

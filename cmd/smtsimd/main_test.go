@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -480,7 +481,8 @@ func TestEmitErrorClassification(t *testing.T) {
 // daemon with a persistent store is torn down after a sweep; a fresh
 // daemon over the same directory serves the identical sweep
 // byte-identically with zero new simulations — every memory-cache miss
-// becomes a disk hit.
+// becomes a disk hit — and without generating or even asking for a
+// single trace, which is why traces need no disk tier of their own.
 func TestRestartServesFromDisk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
@@ -513,6 +515,9 @@ func TestRestartServesFromDisk(t *testing.T) {
 	}
 	if warm.DiskHits == 0 {
 		t.Errorf("restarted daemon served no disk hits: %+v", warm)
+	}
+	if warm.Trace.Generated != 0 || warm.Trace.Misses != 0 {
+		t.Errorf("restarted daemon needed traces to replay stored cells: %+v", warm.Trace)
 	}
 	if warm.Failures != 0 || warm.Canceled != 0 {
 		t.Errorf("restarted daemon counters dirty: %+v", warm)
@@ -798,16 +803,18 @@ func runDaemon(t *testing.T, args ...string) (int, string) {
 
 // TestNegativeFlagsRejected: `-cache-entries -7` used to start a daemon
 // whose cache enforced no bound at all. Every size, count and bound flag
-// now refuses a negative value before the daemon listens.
+// now refuses a negative value before the daemon listens. -trace-bytes
+// bounded the deleted trace disk tier; it is an unknown flag now and
+// exits 2 the same way.
 func TestNegativeFlagsRejected(t *testing.T) {
-	for _, name := range []string{"cache-entries", "j", "tracelen", "max-body",
-		"max-cells", "drain", "store-bytes", "trace-bytes"} {
-		value := "-7"
-		if name == "drain" {
-			value = "-7s" // a bare -7 fails the duration parse, not the sign check
-		}
-		if code, stderr := runDaemon(t, "-"+name, value); code != 2 || !strings.Contains(stderr, "-"+name) {
-			t.Errorf("smtsimd -%s %s: exit %d, stderr %q; want exit 2 naming the flag", name, value, code, stderr)
+	for _, args := range [][]string{
+		{"-cache-entries", "-7"}, {"-j", "-7"}, {"-tracelen", "-7"}, {"-max-body", "-7"},
+		{"-max-cells", "-7"}, {"-store-bytes", "-7"},
+		{"-drain", "-7s"}, // a bare -7 fails the duration parse, not the sign check
+		{"-trace-bytes", "1"},
+	} {
+		if code, stderr := runDaemon(t, args...); code != 2 || !strings.Contains(stderr, args[0]) {
+			t.Errorf("smtsimd %s %s: exit %d, stderr %q; want exit 2 naming the flag", args[0], args[1], code, stderr)
 		}
 	}
 }
@@ -818,5 +825,24 @@ func TestNegativeFlagsRejected(t *testing.T) {
 func TestTraceLenCapRejected(t *testing.T) {
 	if code, stderr := runDaemon(t, "-tracelen", "1099511627776"); code != 1 || !strings.Contains(stderr, "trace length") {
 		t.Errorf("smtsimd -tracelen 2^40: exit %d, stderr %q; want exit 1 naming the trace length", code, stderr)
+	}
+}
+
+// TestTraceDirIgnored: -trace-dir is accepted, so scripts that pass it
+// still start, and it creates nothing. With a -tracelen past the cap the
+// daemon exits 1 for the trace length when it builds its session, before
+// it listens: by then the flag has parsed (an unknown flag exits 2), the
+// daemon has said it ignores it, and the session has made nothing there.
+func TestTraceDirIgnored(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "t")
+	code, stderr := runDaemon(t, "-trace-dir", dir, "-tracelen", "1099511627776")
+	if code != 1 || !strings.Contains(stderr, "trace length") {
+		t.Errorf("smtsimd -trace-dir %s -tracelen 2^40: exit %d, stderr %q; want exit 1 naming the trace length", dir, code, stderr)
+	}
+	if !strings.Contains(stderr, "-trace-dir "+dir+" ignored") {
+		t.Errorf("stderr %q does not say -trace-dir is ignored", stderr)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("-trace-dir %s exists after the daemon ran (err=%v)", dir, err)
 	}
 }

@@ -77,25 +77,24 @@
 // core.Config.Canonical()), so its result can be persisted and replayed:
 // a memory-cache miss probes the store before simulating, and every
 // completed simulation is written behind its result. The disk mechanics
-// belong to internal/blobstore, which both persistent tiers share: an
-// entry is a file named by the SHA-256 of its identity (here the
-// workload name and the full canonical configuration) and holds one
-// envelope — magic, version, the identity echoed back, the payload and
-// a CRC-32 trailer. Anything unexpected on read (truncation, corruption,
-// a stale version, an identity mismatch) is a clean miss that deletes
-// the entry and recomputes, never a wrong answer. Writes go to a temp
-// file renamed into place; there is no fsync, so a crash may lose recent
-// entries or leave a torn one, which the next read catches and
-// recomputes — the blobstore package documentation states this
-// durability contract in full. The store is byte-bounded:
-// least-recently-accessed entries are deleted past StoreBytes, with
-// recency persisted in file modification times. A killed-and-restarted
-// smtsimd over the same -store-dir therefore serves previously-run
-// sweeps byte-identically with zero new simulations (visible as
-// diskHits with diskMisses == 0 in /v1/metrics, alongside diskBytes and
-// diskEvictions), and several daemons may share one directory —
-// `smtload -restart-check` proves the contract against a live daemon,
-// and the restart-smoke CI job replays it on every push.
+// belong to internal/blobstore, the package beneath it: an entry is a
+// file named by the SHA-256 of its identity (the workload name and the
+// full canonical configuration) and holds one envelope — magic,
+// version, the identity echoed back, the payload and a CRC-32 trailer.
+// Anything unexpected on read (truncation, corruption, a stale version,
+// an identity mismatch) is a clean miss that deletes the entry and
+// recomputes, never a wrong answer. Writes go to a temp file renamed
+// into place; there is no fsync, so a crash may lose recent entries or
+// leave a torn one, which the next read catches and recomputes — the
+// blobstore package documentation states this durability contract in
+// full. The store is byte-bounded: least-recently-accessed entries are
+// deleted past StoreBytes, with recency persisted in file modification
+// times. A killed-and-restarted smtsimd over the same -store-dir
+// therefore serves previously-run sweeps byte-identically with zero new
+// simulations (visible as diskHits with diskMisses == 0 in /v1/metrics,
+// alongside diskBytes and diskEvictions), and several daemons may share
+// one directory — `smtload -restart-check` proves the contract against
+// a live daemon, and the restart-smoke CI job replays it on every push.
 //
 // # Trace tier
 //
@@ -103,25 +102,24 @@
 // has a pure identity — (benchmark, length, per-context derived seed,
 // address-space placement; workload.ContextOptions) — and
 // internal/tracestore serves all of them with singleflight generation,
-// so N grid cells that differ only in machine configuration decode one
-// shared trace instead of regenerating it N times, and a workload's
+// so N grid cells that differ only in machine configuration share one
+// generated trace instead of regenerating it N times, and a workload's
 // single-thread fairness references reuse the context-0 traces the SMT
 // runs already produced. The tier is a small recency LRU
 // (tracestore.DefaultMemBytes, 4 MiB per session) that keeps recent
 // traces between consecutive cells of one workload. A figures run whose
 // traces outgrow that bound, such as the -quick or full suite, may
 // therefore regenerate a trace between figures, or while a cell still
-// holds it; the results are the same either way. Like results, traces can persist:
-// -trace-dir / -trace-bytes (experiments.Options.TraceDir/TraceBytes) add
-// an on-disk tier that is another internal/blobstore store — the same
-// envelope, writes, eviction and durability contract as the result store,
-// with trace.CodecVersion folded into the entry version so a codec change
-// turns old files into misses. Every cell runs through the one scalar
-// path, core.RunTraced, against the session's tier; traces are immutable
-// after generation, so sharing them cannot change a result.
-// TestSweepSharesTraces locks the sharing (every identity generated
-// exactly once, repeats served as hits), and the tier's counters are
-// visible in /v1/metrics under "trace".
+// holds it; the results are the same either way. Traces live in memory
+// only: one regenerates from its identity in a few milliseconds, and a
+// restarted process serves its earlier cells from the result store
+// without asking for a trace at all (TestRestartServesFromDisk checks
+// that the restarted daemon generates none). Every cell runs through the
+// one scalar path, core.RunTraced, against the session's tier; traces
+// are immutable after generation, so sharing them cannot change a
+// result. TestSweepSharesTraces locks the sharing (every identity
+// generated exactly once, repeats served as hits), and the tier's
+// counters are visible in /v1/metrics under "trace".
 //
 // # Scheduling and fairness
 //
@@ -189,9 +187,9 @@
 // honours its context, a recording runner proves every dispatch carries
 // the requester, figure results with twelve groups prove the renderers
 // follow Groups rather than a map, a reopen test pins blobstore's
-// oldest-mtime-first adoption, and the codecs' damaged-input tests feed
-// impossible counts. FuzzRun in internal/scenario draws configuration
-// deltas: each is rejected by plan-time validation
+// oldest-mtime-first adoption, and the result codec's damaged-input
+// test feeds an impossible thread count. FuzzRun in internal/scenario
+// draws configuration deltas: each is rejected by plan-time validation
 // (core.Config.Validate, which checks the trace length, FAME iteration
 // and warm-up bounds and the pipeline the policy implies, including the
 // completion-wheel bound on latencies and the cap on the delays added to
@@ -214,7 +212,7 @@
 // # Concurrency invariants
 //
 // The serving layers — a singleflight cache, a fair scheduler, a worker
-// pool and two disk tiers — hold three mutexes (blobstore, simcache,
+// pool and one disk tier — hold three mutexes (blobstore, simcache,
 // experiments) and start goroutines in two places (the experiments
 // worker pool and the daemon's listener). Their contracts are enforced
 // dynamically, by gates that run the real code:

@@ -1,9 +1,8 @@
-// Package blobstore is the one implementation of the repository's
-// persistent disk tiers: a byte-bounded, content-addressed directory of
-// checksummed entries. internal/resultstore (simulated cells) and
-// internal/tracestore (generated traces) are small codecs over it; each
-// supplies an identity — the full key its payload is a pure function of —
-// and a payload encoding, and blobstore does everything else.
+// Package blobstore implements the repository's persistent disk tier: a
+// byte-bounded, content-addressed directory of checksummed entries. Its
+// one user is internal/resultstore (simulated cells), a small codec over
+// it that supplies an identity — the full key its payload is a pure
+// function of — and a payload encoding; blobstore does everything else.
 //
 // # Format
 //
@@ -30,7 +29,7 @@
 //   - A crash (of the process or the machine) may lose recently written
 //     entries or leave a torn one behind.
 //   - A torn entry fails the length or CRC check on read, reads as a
-//     miss, and the cell or trace is recomputed and rewritten.
+//     miss, and the cell is recomputed and rewritten.
 //   - Each write goes to a temp file and is renamed into place, so a
 //     rename is atomic per entry: a reader sees the old entry, the new
 //     one, or none, never a mix.
@@ -178,9 +177,6 @@ func Open(dir string, maxBytes int64, f Format) (*Store, error) {
 	s.mu.Unlock()
 	return s, nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // name derives the entry file for an identity.
 func (s *Store) name(identity []byte) string {

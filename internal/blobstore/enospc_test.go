@@ -61,10 +61,9 @@ func TestPutOnFullDisk(t *testing.T) {
 	}
 }
 
-// TestSessionOnFullDisk: a session whose result and trace directories
-// both fail every write with ENOSPC returns exactly the results of an
-// unstored session, and its in-memory trace tier still shares traces
-// across cells.
+// TestSessionOnFullDisk: a session whose result directory fails every
+// write with ENOSPC returns exactly the results of an unstored session,
+// and its trace tier still shares traces across cells.
 func TestSessionOnFullDisk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
@@ -79,12 +78,12 @@ func TestSessionOnFullDisk(t *testing.T) {
 		}}},
 		Metrics: []string{"throughput", "fairness"},
 	}
-	options := func(storeDir, traceDir string) experiments.Options {
+	options := func(storeDir string) experiments.Options {
 		o := experiments.Default()
 		o.TraceLen = 1500
 		o.MaxCycles = 2_000_000
 		o.Workers = 2
-		o.StoreDir, o.TraceDir = storeDir, traceDir
+		o.StoreDir = storeDir
 		return o
 	}
 	run := func(o experiments.Options) (*experiments.Session, *scenario.ResultSet) {
@@ -98,27 +97,21 @@ func TestSessionOnFullDisk(t *testing.T) {
 		}
 		return s, rs
 	}
-	_, want := run(options("", ""))
+	_, want := run(options(""))
 
 	blobstore.FailWrites(t, syscall.ENOSPC)
-	storeDir, traceDir := t.TempDir(), t.TempDir()
-	s, got := run(options(storeDir, traceDir))
+	storeDir := t.TempDir()
+	s, got := run(options(storeDir))
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("results on a full disk differ from an unstored run:\nwant: %+v\n got: %+v", want.Rows, got.Rows)
 	}
 	if st := s.StoreStats(); st.WriteErrors == 0 || st.Files != 0 {
 		t.Errorf("result store stats = %+v, want write errors and no files", st)
 	}
-	ts := s.TraceStats()
-	if ts.DiskWriteErrors == 0 || ts.DiskFiles != 0 {
-		t.Errorf("trace tier stats = %+v, want disk write errors and no files", ts)
-	}
-	if ts.Generated == 0 || ts.Hits == 0 || ts.Generated != ts.Misses {
+	if ts := s.TraceStats(); ts.Generated == 0 || ts.Hits == 0 || ts.Generated != ts.Misses {
 		t.Errorf("trace tier stats = %+v, want every identity generated once and later cells served as hits", ts)
 	}
-	for _, dir := range []string{storeDir, traceDir} {
-		if tmp := tempFiles(t, dir); len(tmp) != 0 {
-			t.Errorf("failed writes left temp files %v in %s", tmp, dir)
-		}
+	if tmp := tempFiles(t, storeDir); len(tmp) != 0 {
+		t.Errorf("failed writes left temp files %v", tmp)
 	}
 }

@@ -9,8 +9,6 @@ import (
 	"repro/internal/blobstore"
 	"repro/internal/core"
 	"repro/internal/resultstore"
-	"repro/internal/trace"
-	"repro/internal/tracestore"
 )
 
 // soleEntry returns the path and contents of the one file in dir.
@@ -71,7 +69,7 @@ func checkTorn(t *testing.T, path string, entry []byte) {
 }
 
 // TestTornEntryAtEveryOffset runs the torn-write fault over one real
-// result entry and one real trace entry.
+// result entry.
 func TestTornEntryAtEveryOffset(t *testing.T) {
 	t.Run("result", func(t *testing.T) {
 		dir := t.TempDir()
@@ -82,18 +80,6 @@ func TestTornEntryAtEveryOffset(t *testing.T) {
 		res := &core.Result{Workload: "art+mcf", Policy: core.PolicyKind("RaT"), Cycles: 12345,
 			Threads: []core.ThreadResult{{Benchmark: "art", IPC: 0.75}, {Benchmark: "mcf", IPC: 0.25}}}
 		if err := rs.Put(res.Workload, core.DefaultConfig(), res); err != nil {
-			t.Fatal(err)
-		}
-		path, entry := soleEntry(t, dir)
-		checkTorn(t, path, entry)
-	})
-	t.Run("trace", func(t *testing.T) {
-		dir := t.TempDir()
-		ts, err := tracestore.Open(0, dir, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ts.Generate("art", trace.Options{Len: 40, Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
 		path, entry := soleEntry(t, dir)

@@ -75,15 +75,6 @@ type Options struct {
 	// (least-recently-accessed entries are deleted past it; 0 = unbounded).
 	StoreDir   string
 	StoreBytes int64
-	// TraceDir, when non-empty, adds a persistent on-disk tier to the
-	// session's trace store (internal/tracestore): generated traces are
-	// written behind first use and served across restarts, with TraceBytes
-	// bounding the directory (0 = unbounded). The in-memory trace tier is
-	// always present: it keeps recently used traces up to
-	// tracestore.DefaultMemBytes, so with a TraceDir a trace dropped from
-	// memory is decoded, not regenerated.
-	TraceDir   string
-	TraceBytes int64
 }
 
 // Default returns the full-suite options.
@@ -216,22 +207,13 @@ func NewSession(opt Options) (*Session, error) {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
 	}
-	var traces *tracestore.Store
-	if opt.TraceDir != "" {
-		var err error
-		if traces, err = tracestore.Open(tracestore.DefaultMemBytes, opt.TraceDir, opt.TraceBytes); err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
-	} else {
-		traces = tracestore.New(tracestore.DefaultMemBytes)
-	}
 	return &Session{
 		opt:        opt,
 		base:       base,
 		maxWorkers: workers,
 		cache:      simcache.New[runKey, *core.Result](opt.CacheEntries, 0, nil),
 		store:      store,
-		traces:     traces,
+		traces:     tracestore.New(tracestore.DefaultMemBytes),
 	}, nil
 }
 
@@ -248,9 +230,9 @@ func (s *Session) StoreStats() resultstore.Stats {
 	return s.store.Stats()
 }
 
-// TraceStats snapshots the session's trace tier: memory-tier hit/miss/
-// eviction counters, actual generation count, and the disk tier when
-// configured (the smtsimd /v1/metrics "trace" payload).
+// TraceStats snapshots the session's trace tier: hit/miss/eviction
+// counters and the actual generation count (the smtsimd /v1/metrics
+// "trace" payload).
 func (s *Session) TraceStats() tracestore.Stats { return s.traces.Stats() }
 
 // BatchStats always reports zero: the session has a single scalar

@@ -51,9 +51,6 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	return &Store{blobs: b}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.blobs.Dir() }
-
 // identity is the full, collision-free key of a cell.
 func identity(workload string, cfg core.Config) []byte {
 	return []byte(workload + "\x00" + cfg.Canonical())

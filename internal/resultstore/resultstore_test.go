@@ -150,10 +150,11 @@ func storeWith(t *testing.T) (*Store, core.Config, *core.Result, string) {
 	return s, cfg, res, path
 }
 
-// reopen drops the in-process state, as a daemon restart would.
-func reopen(t *testing.T, s *Store) *Store {
+// reopen drops the in-process state, as a daemon restart would, and
+// opens the unbounded store in dir again.
+func reopen(t *testing.T, dir string) *Store {
 	t.Helper()
-	ns, err := Open(s.Dir(), s.Stats().MaxBytes)
+	ns, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +162,8 @@ func reopen(t *testing.T, s *Store) *Store {
 }
 
 func TestGetHitAfterReopen(t *testing.T) {
-	s, cfg, res, _ := storeWith(t)
-	s = reopen(t, s)
+	_, cfg, res, path := storeWith(t)
+	s := reopen(t, filepath.Dir(path))
 	got, ok := s.Get(res.Workload, cfg)
 	if !ok {
 		t.Fatal("stored entry did not survive reopen")
@@ -260,15 +261,15 @@ func TestCorruptEntriesReadAsMiss(t *testing.T) {
 			if err := s.Put(res.Workload, other, res); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.Rename(entryPath(s.Dir(), res.Workload, other), path); err != nil {
+			if err := os.Rename(entryPath(filepath.Dir(path), res.Workload, other), path); err != nil {
 				t.Fatal(err)
 			}
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			s, cfg, res, path := storeWith(t)
+			_, cfg, res, path := storeWith(t)
 			corrupt(t, path, cfg, res)
-			s = reopen(t, s)
+			s := reopen(t, filepath.Dir(path))
 			if got, ok := s.Get(res.Workload, cfg); ok {
 				t.Fatalf("corrupt entry served as a hit: %+v", got)
 			}
@@ -392,7 +393,7 @@ func TestBoundEnforcedAtOpen(t *testing.T) {
 // TestPutReplacesAtomically: overwriting a key keeps exactly one file's
 // worth of accounting and temp files never accumulate.
 func TestPutReplacesAtomically(t *testing.T) {
-	s, cfg, res, _ := storeWith(t)
+	s, cfg, res, path := storeWith(t)
 	first := s.Stats()
 	res2 := randResult(rand.New(rand.NewSource(8)))
 	res2.Workload = res.Workload
@@ -410,7 +411,7 @@ func TestPutReplacesAtomically(t *testing.T) {
 	if !ok || !sameResult(res2, got) {
 		t.Fatal("overwrite did not replace the stored result")
 	}
-	des, err := os.ReadDir(s.Dir())
+	des, err := os.ReadDir(filepath.Dir(path))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,12 +470,12 @@ func TestSharedDirAdoption(t *testing.T) {
 // prefix); reopening the result store deletes it so kill/restart cycles
 // cannot leak disk outside the byte bound.
 func TestOpenSweepsStaleTempFiles(t *testing.T) {
-	s, cfg, res, _ := storeWith(t)
-	stale := filepath.Join(s.Dir(), ".tmp-orphan")
+	_, cfg, res, path := storeWith(t)
+	stale := filepath.Join(filepath.Dir(path), ".tmp-orphan")
 	if err := os.WriteFile(stale, []byte("half-written entry"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s = reopen(t, s)
+	s := reopen(t, filepath.Dir(path))
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Errorf("stale temp file survived reopen (err=%v)", err)
 	}

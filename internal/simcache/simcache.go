@@ -4,14 +4,10 @@
 // entries only; the smtsimd plan cache and the trace tier
 // (internal/tracestore) use it with a byte bound.
 //
-// It replaces the former internal/singleflight package, whose memoizing
-// Group grew without bound for the life of the process — fine for a
-// one-shot CLI regenerating figures, fatal for a long-running service
-// sweeping arbitrary client scenarios. The singleflight contract is
-// unchanged: the first requester of a key computes its value, every
-// concurrent requester joins that computation, and a completed result is
-// served from cache until evicted. Two properties make eviction safe
-// under that contract:
+// The singleflight contract: the first requester of a key computes its
+// value, every concurrent requester joins that computation, and a
+// completed result is served from cache until evicted. Two properties
+// make eviction safe under that contract:
 //
 //   - In-flight calls are never evicted. A computation some goroutine
 //     owns (and others wait on) always stays registered, so one key never

@@ -207,8 +207,8 @@ func ContextOptions(i int, length int, seed uint64) trace.Options {
 }
 
 // TracesVia is Traces against an explicit trace tier; a nil store means
-// the process-wide default. Sessions with a private store (their own
-// byte bound or a persistent directory) pass it here.
+// the process-wide default. Sessions, which keep a private store, pass
+// it here.
 func (w Workload) TracesVia(ts *tracestore.Store, length int, seed uint64) ([]*trace.Trace, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
