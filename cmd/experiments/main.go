@@ -13,9 +13,10 @@
 //	experiments -scenario examples/scenarios/rob-sweep.json -format json
 //	experiments -scenario examples/scenarios/l2-latency.json -format csv -quick
 //
-// Figure output is plain text shaped like the paper's figures.
-// Scenario output renders as an aligned table, JSON, or CSV (-format,
-// falling back to the spec's "format" field).
+// Figure output is plain text shaped like the paper's figures, so
+// -format without -scenario exits 2. Scenario output renders as an
+// aligned table, JSON, or CSV (-format, falling back to the spec's
+// "format" field).
 package main
 
 import (
@@ -54,6 +55,12 @@ func main() {
 	// unconditionally, used to overwrite any spec seed).
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	// Figures print as text only; a -format they would ignore is a
+	// mistake, as an unknown -fig is.
+	if set["format"] && *scenarioPath == "" {
+		fmt.Fprintln(os.Stderr, "experiments: -format applies only with -scenario (figures print as text)")
+		os.Exit(2)
+	}
 
 	opt := experiments.Default()
 	if *quick {

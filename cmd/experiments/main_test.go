@@ -71,11 +71,13 @@ func TestFigNameCaseInsensitive(t *testing.T) {
 // TestNegativeFlagsRejected: a negative bound used to be read as
 // unbounded and a negative count as the default, with exit 0. The flags
 // of the deleted trace disk tier, -trace-dir and -trace-bytes, now exit
-// 2 the same way, as unknown flags.
+// 2 the same way, as unknown flags, and so does -format without
+// -scenario, which figures used to ignore.
 func TestNegativeFlagsRejected(t *testing.T) {
 	for _, args := range [][]string{
 		{"-tracelen", "-3"}, {"-pergroup", "-3"}, {"-j", "-3"}, {"-store-bytes", "-3"},
 		{"-trace-dir", "d"}, {"-trace-bytes", "1"},
+		{"-format", "xml"}, {"-format", "json"},
 	} {
 		stdout, stderr, code := runExperiments(t, append([]string{"-fig", "table1"}, args...)...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, args[0]) {

@@ -55,13 +55,14 @@
 // Generated instruction traces are served from an in-memory trace tier
 // shared by every cell of every sweep: N configurations of one workload
 // generate the trace once, and single-thread fairness references reuse
-// the traces their SMT runs already generated. The tier is a 4 MiB
-// recency LRU of traces (tracestore.DefaultMemBytes), so cold traffic of
-// distinct specs does not accumulate traces. Traces are never written to
-// disk: a restarted daemon serves its earlier cells from -store-dir and
-// needs no trace for them. The -trace-dir flag is accepted and ignored,
-// so scripts that still pass it keep starting; the daemon logs that it
-// ignores it and creates nothing there.
+// the traces their SMT runs already generated. The tier is a recency LRU
+// of at most MaxThreads × (workers+1) traces and 4 MiB
+// (workload.MaxThreads, -j, tracestore.DefaultMemBytes), so cold traffic
+// of distinct specs does not accumulate traces. Traces are never
+// written to disk: a restarted daemon serves its earlier cells from
+// -store-dir and needs no trace for them. The -trace-dir flag is
+// accepted and ignored, so scripts that still pass it keep starting; the
+// daemon logs that it ignores it and creates nothing there.
 //
 // The result store is an internal/blobstore store: a checksummed entry
 // envelope (magic, version, identity echo, payload, CRC-32), atomic
@@ -482,8 +483,9 @@ func (s *server) streamScenario(ctx context.Context, w http.ResponseWriter, plan
 // nowhere else — before a restart re-simulates everything).
 // The trace object reports the shared trace tier: hits/misses/generated
 // count how often a grid cell's instruction traces were served from
-// memory versus generated fresh; entries/bytes/maxBytes/evictions
-// describe its recency tier.
+// memory versus generated fresh; entries/bytes/evictions describe its
+// recency tier, and maxEntries/maxBytes its bounds: at most
+// MaxThreads × (workers+1) traces and 4 MiB.
 // The plans object is the plan cache's view: a hit is a request whose
 // body was already decoded and planned, so hits/(hits+misses) is the
 // share of repeated bodies.

@@ -105,21 +105,25 @@
 // so N grid cells that differ only in machine configuration share one
 // generated trace instead of regenerating it N times, and a workload's
 // single-thread fairness references reuse the context-0 traces the SMT
-// runs already produced. The tier is a small recency LRU
-// (tracestore.DefaultMemBytes, 4 MiB per session) that keeps recent
-// traces between consecutive cells of one workload. A figures run whose
-// traces outgrow that bound, such as the -quick or full suite, may
-// therefore regenerate a trace between figures, or while a cell still
-// holds it; the results are the same either way. Traces live in memory
-// only: one regenerates from its identity in a few milliseconds, and a
-// restarted process serves its earlier cells from the result store
-// without asking for a trace at all (TestRestartServesFromDisk checks
-// that the restarted daemon generates none). Every cell runs through the
-// one scalar path, core.RunTraced, against the session's tier; traces
-// are immutable after generation, so sharing them cannot change a
-// result. TestSweepSharesTraces locks the sharing (every identity
-// generated exactly once, repeats served as hits), and the tier's
-// counters are visible in /v1/metrics under "trace".
+// runs already produced. The tier is a small recency LRU of at most
+// MaxThreads × (workers+1) traces and 4 MiB per session
+// (workload.MaxThreads, tracestore.DefaultMemBytes) that keeps recent
+// traces between consecutive cells of one workload: cells run
+// workload-major, so each worker needs one workload's traces at a time,
+// plus one workload of slack (TestTraceTierBoundedByWorkers checks the
+// bound under cold traffic). A figures run whose traces outgrow that
+// bound, such as the -quick or full suite, may therefore regenerate a
+// trace between figures, or while a cell still holds it; the results are
+// the same either way. Traces live in memory only: one regenerates from
+// its identity in a few milliseconds, and a restarted process serves its
+// earlier cells from the result store without asking for a trace at all
+// (TestRestartServesFromDisk checks that the restarted daemon generates
+// none). Every cell runs through the one scalar path, core.RunTraced,
+// against the session's tier; traces are immutable after generation, so
+// sharing them cannot change a result. TestSweepSharesTraces locks the
+// sharing (every identity generated exactly once, repeats served as
+// hits), and the tier's counters are visible in /v1/metrics under
+// "trace".
 //
 // # Scheduling and fairness
 //

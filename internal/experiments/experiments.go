@@ -213,7 +213,9 @@ func NewSession(opt Options) (*Session, error) {
 		maxWorkers: workers,
 		cache:      simcache.New[runKey, *core.Result](opt.CacheEntries, 0, nil),
 		store:      store,
-		traces:     tracestore.New(tracestore.DefaultMemBytes),
+		// Cells run workload-major, so each worker needs at most one
+		// workload's traces at a time; one more workload is slack.
+		traces: tracestore.NewBounded(workload.MaxThreads*(workers+1), tracestore.DefaultMemBytes),
 	}, nil
 }
 

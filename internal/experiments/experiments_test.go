@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/tracestore"
 )
 
 // tinyOptions keeps harness tests fast: one workload per group, short
@@ -209,6 +211,66 @@ func TestSweepSharesTraces(t *testing.T) {
 	if st.Generated != st.Misses {
 		t.Errorf("generated %d != misses %d: some identity generated twice",
 			st.Generated, st.Misses)
+	}
+}
+
+// TestTraceTierBoundedByWorkers: cold traffic of distinct specs leaves a
+// 2-worker session's trace tier at most MaxThreads × 3 = 24 traces and
+// within its byte bound, and the bound still keeps the traces the last
+// spec's cells read: replaying that spec after its results left the
+// cache simulates again without generating a trace.
+func TestTraceTierBoundedByWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("harness run")
+	}
+	const specs = 40
+	o := Quick()
+	o.Workers = 2
+	o.CacheEntries = 1
+	s := mustSession(t, o)
+	coldSpec := func(i int) *scenario.Spec {
+		sp, err := scenario.Parse(strings.NewReader(fmt.Sprintf(`{
+  "name": "cold-%d",
+  "workloads": {"adhoc": ["A/art+mcf", "B/gzip+bzip2"]},
+  "base": {"traceLen": 3000, "seed": %d}
+}`, i, 1000+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
+	}
+	ctx := context.Background()
+	var last *scenario.ResultSet
+	for i := 0; i < specs; i++ {
+		rs, err := s.RunScenarioCtx(ctx, coldSpec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = rs
+	}
+	st := s.TraceStats()
+	if st.MaxEntries != 24 || st.Entries > 24 || st.Bytes > tracestore.DefaultMemBytes {
+		t.Errorf("trace tier %+v: want maxEntries 24, at most 24 entries and at most %d bytes",
+			st, tracestore.DefaultMemBytes)
+	}
+	if st.Generated != st.Misses {
+		t.Errorf("trace tier %+v: generated != misses, some identity generated twice", st)
+	}
+
+	before, cacheBefore := st, s.CacheStats()
+	rs, err := s.RunScenarioCtx(ctx, coldSpec(specs-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, cacheAfter := s.TraceStats(), s.CacheStats()
+	if cacheAfter.Misses == cacheBefore.Misses {
+		t.Fatalf("replay missed no cell in a 1-entry cache: %+v", cacheAfter)
+	}
+	if after.Generated != before.Generated || after.Hits == before.Hits {
+		t.Errorf("replay moved the trace tier from %+v to %+v, want hits and no generation", before, after)
+	}
+	if !reflect.DeepEqual(rs.Rows, last.Rows) {
+		t.Error("replay rows differ from the first run")
 	}
 }
 

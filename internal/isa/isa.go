@@ -56,9 +56,6 @@ const (
 	numOps
 )
 
-// NumOps is the number of defined operation classes.
-const NumOps = int(numOps)
-
 var opNames = [...]string{
 	OpNop:     "nop",
 	OpIntAlu:  "int_alu",
@@ -146,9 +143,6 @@ func (r Reg) IsInt() bool { return r >= 0 && r < NumIntArchRegs }
 
 // IsFP reports whether r names a floating-point architectural register.
 func (r Reg) IsFP() bool { return r >= NumIntArchRegs && r < NumArchRegs }
-
-// Valid reports whether r names any architectural register.
-func (r Reg) Valid() bool { return r >= 0 && r < NumArchRegs }
 
 // String renders the register in Alpha-ish notation (r0..r31, f0..f31).
 func (r Reg) String() string {

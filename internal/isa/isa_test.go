@@ -9,7 +9,7 @@ import (
 func TestOpClassPredicatesDisjoint(t *testing.T) {
 	// Every op must belong to a coherent set of classes; in particular an op
 	// cannot be both FP-compute and memory, or both branch and memory.
-	for o := Op(0); o < Op(NumOps); o++ {
+	for o := Op(0); o < numOps; o++ {
 		if o.IsFP() && o.IsMem() {
 			t.Errorf("%v is both FP and Mem", o)
 		}
@@ -62,7 +62,7 @@ func TestFPLoadsAreNotFPResources(t *testing.T) {
 
 func TestOpStrings(t *testing.T) {
 	seen := map[string]Op{}
-	for o := Op(0); o < Op(NumOps); o++ {
+	for o := Op(0); o < numOps; o++ {
 		s := o.String()
 		if s == "" {
 			t.Fatalf("op %d has empty name", o)
@@ -80,21 +80,21 @@ func TestOpStrings(t *testing.T) {
 func TestRegClassification(t *testing.T) {
 	for n := 0; n < NumIntArchRegs; n++ {
 		r := IntReg(n)
-		if !r.IsInt() || r.IsFP() || !r.Valid() {
+		if !r.IsInt() || r.IsFP() {
 			t.Fatalf("IntReg(%d) misclassified", n)
 		}
 	}
 	for n := 0; n < NumFPArchRegs; n++ {
 		r := FPReg(n)
-		if r.IsInt() || !r.IsFP() || !r.Valid() {
+		if r.IsInt() || !r.IsFP() {
 			t.Fatalf("FPReg(%d) misclassified", n)
 		}
 	}
-	if RegNone.Valid() || RegNone.IsInt() || RegNone.IsFP() {
+	if RegNone.IsInt() || RegNone.IsFP() {
 		t.Fatal("RegNone misclassified")
 	}
-	if Reg(NumArchRegs).Valid() {
-		t.Fatal("out-of-range reg claims validity")
+	if r := Reg(NumArchRegs); r.IsInt() || r.IsFP() {
+		t.Fatal("out-of-range reg claims a register class")
 	}
 }
 

@@ -201,11 +201,11 @@ func TestRegistersWellFormed(t *testing.T) {
 		tr := MustGenerate(MustLookup(name), Options{Len: 20000, Seed: 7})
 		for i := 0; i < tr.Len(); i++ {
 			in := tr.At(uint64(i))
-			if in.Dst != isa.RegNone && !in.Dst.Valid() {
+			if in.Dst != isa.RegNone && !(in.Dst.IsInt() || in.Dst.IsFP()) {
 				t.Fatalf("%s inst %d: invalid dst %v", name, i, in.Dst)
 			}
 			for _, src := range []isa.Reg{in.Src1, in.Src2} {
-				if src != isa.RegNone && !src.Valid() {
+				if src != isa.RegNone && !(src.IsInt() || src.IsFP()) {
 					t.Fatalf("%s inst %d: invalid src %v", name, i, src)
 				}
 			}

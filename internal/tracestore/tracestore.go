@@ -8,11 +8,14 @@
 // of once per cell, and a workload's fairness references reuse the trace
 // objects its SMT run generated.
 //
-// Traces are kept in a small byte-bounded LRU (the recency tier,
-// DefaultMemBytes in a session), so consecutive cells of one workload
-// find their traces without regenerating them. A trace the LRU evicted
-// while a cell still holds it is generated again by the next cell that
-// asks; the copy is bit-identical, so only time is lost.
+// Traces are kept in a small LRU (the recency tier), so consecutive
+// cells of one workload find their traces without regenerating them. A
+// session bounds it at MaxThreads × (workers+1) traces and 4 MiB
+// (workload.MaxThreads, DefaultMemBytes): cells run workload-major, so each worker needs at
+// most one workload's traces at a time, plus one workload of slack. A
+// trace the LRU evicted while a cell still holds it is generated again
+// by the next cell that asks; the copy is bit-identical, so only time is
+// lost.
 //
 // The tier lives in memory only. A trace regenerates from its key in a
 // few milliseconds, and a restarted process serves its earlier cells from
@@ -50,14 +53,15 @@ type Stats struct {
 	// in the recency tier; Misses counts calls that had to generate one.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
-	// Evictions counts recency-tier entries dropped to respect the byte
+	// Evictions counts recency-tier entries dropped to respect either
 	// bound.
 	Evictions uint64 `json:"evictions"`
-	// Entries and Bytes describe the recency tier's population; MaxBytes
-	// echoes its configured bound (0 = unbounded).
-	Entries  int   `json:"entries"`
-	Bytes    int64 `json:"bytes"`
-	MaxBytes int64 `json:"maxBytes"`
+	// Entries and Bytes describe the recency tier's population;
+	// MaxEntries and MaxBytes echo its configured bounds (0 = unbounded).
+	Entries    int   `json:"entries"`
+	Bytes      int64 `json:"bytes"`
+	MaxEntries int   `json:"maxEntries"`
+	MaxBytes   int64 `json:"maxBytes"`
 	// Generated counts actual trace.Generate runs — the work every other
 	// counter exists to avoid. A warm tier serves a whole sweep with zero.
 	Generated uint64 `json:"generated"`
@@ -66,7 +70,11 @@ type Stats struct {
 // DefaultMemBytes bounds the recency tier of the process-wide default
 // store and of every experiments session. It has to bridge the gap
 // between consecutive cells of one workload: 4 MiB holds a 4-thread
-// workload's traces at 20 000 instructions (1.9 MB) twice over.
+// workload's traces at 20 000 instructions (1.9 MB) twice over. A
+// session also bounds the tier's entries, so it holds at most
+// MaxThreads × (workers+1) traces and 4 MiB; the byte bound alone lets
+// cold traffic of short traces fill 4 MiB with traces no later cell
+// reads.
 const DefaultMemBytes = 4 << 20
 
 // Store is the trace tier. All methods are safe for concurrent use.
@@ -75,13 +83,17 @@ type Store struct {
 	generated atomic.Uint64
 }
 
-// New builds a store whose recency tier is bounded to memBytes of trace
-// data (0 = unbounded).
-func New(memBytes int64) *Store {
-	return &Store{mem: simcache.New[Key](0, memBytes, (*trace.Trace).SizeBytes)}
+// NewBounded builds a store whose recency tier holds at most maxEntries
+// traces and memBytes of trace data (0 = that bound off).
+func NewBounded(maxEntries int, memBytes int64) *Store {
+	return &Store{mem: simcache.New[Key](maxEntries, memBytes, (*trace.Trace).SizeBytes)}
 }
 
-var defaultStore = sync.OnceValue(func() *Store { return New(DefaultMemBytes) })
+// New builds a store bounded by memBytes of trace data only (0 =
+// unbounded). It remains because the benchmark module calls it.
+func New(memBytes int64) *Store { return NewBounded(0, memBytes) }
+
+var defaultStore = sync.OnceValue(func() *Store { return NewBounded(0, DefaultMemBytes) })
 
 // Default returns the process-wide shared store, its recency tier
 // bounded to DefaultMemBytes. workload.Traces routes through it so that
@@ -117,20 +129,17 @@ func (s *Store) Generate(name string, opt trace.Options) (*trace.Trace, error) {
 	return t, err
 }
 
-// Generated returns the number of actual trace generations this store has
-// performed.
-func (s *Store) Generated() uint64 { return s.generated.Load() }
-
 // Stats returns a consistent snapshot of the counters.
 func (s *Store) Stats() Stats {
 	m := s.mem.Stats()
 	return Stats{
-		Hits:      m.Hits,
-		Misses:    m.Misses,
-		Evictions: m.Evictions,
-		Entries:   m.Entries,
-		Bytes:     m.Bytes,
-		MaxBytes:  m.MaxBytes,
-		Generated: s.generated.Load(),
+		Hits:       m.Hits,
+		Misses:     m.Misses,
+		Evictions:  m.Evictions,
+		Entries:    m.Entries,
+		Bytes:      m.Bytes,
+		MaxEntries: m.MaxEntries,
+		MaxBytes:   m.MaxBytes,
+		Generated:  s.generated.Load(),
 	}
 }

@@ -24,7 +24,7 @@ func TestGenerateDedupes(t *testing.T) {
 	if a != b {
 		t.Fatal("same identity returned distinct trace objects")
 	}
-	if got := s.Generated(); got != 1 {
+	if got := s.Stats().Generated; got != 1 {
 		t.Fatalf("generated %d traces, want 1", got)
 	}
 	st := s.Stats()
@@ -64,7 +64,7 @@ func TestKeyIncludesAddressBases(t *testing.T) {
 	if a == b {
 		t.Fatal("different data bases shared one trace")
 	}
-	if got := s.Generated(); got != 2 {
+	if got := s.Stats().Generated; got != 2 {
 		t.Fatalf("generated %d traces, want 2", got)
 	}
 }
@@ -92,7 +92,7 @@ func TestConcurrentSingleflight(t *testing.T) {
 			t.Fatal("concurrent requesters got distinct trace objects")
 		}
 	}
-	if got := s.Generated(); got != 1 {
+	if got := s.Stats().Generated; got != 1 {
 		t.Fatalf("%d concurrent requesters generated %d traces, want 1", n, got)
 	}
 }
@@ -118,8 +118,47 @@ func TestByteBoundEvicts(t *testing.T) {
 	if _, err := s.Generate("art", trace.Options{Len: 500, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Generated(); got != 3 {
+	if got := s.Stats().Generated; got != 3 {
 		t.Fatalf("generated %d traces, want 3 (two distinct + one regeneration)", got)
+	}
+}
+
+// TestEntryBoundEvictsLeastRecent: NewBounded's entry bound drops the
+// least recently used trace first, under a byte bound that never binds,
+// while New stays bounded by bytes only.
+func TestEntryBoundEvictsLeastRecent(t *testing.T) {
+	opt := func(seed uint64) trace.Options { return trace.Options{Len: 300, Seed: seed} }
+	s := NewBounded(2, DefaultMemBytes)
+	for _, seed := range []uint64{1, 2, 1, 3} { // 3 evicts 2, the least recent
+		if _, err := s.Generate("art", opt(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.Stats()
+	if st.MaxEntries != 2 || st.Entries != 2 || st.Evictions != 1 || st.Generated != 3 {
+		t.Fatalf("stats %+v: want 2 of at most 2 entries, 1 eviction, 3 generations", st)
+	}
+	if _, err := s.Generate("art", opt(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Generated; got != 3 {
+		t.Fatalf("seed 1, used more recently than seed 2, was evicted: %d generations", got)
+	}
+	if _, err := s.Generate("art", opt(2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Generated; got != 4 {
+		t.Fatalf("seed 2 was kept past the entry bound: %d generations, want 4", got)
+	}
+
+	u := New(DefaultMemBytes)
+	for seed := uint64(1); seed <= 10; seed++ {
+		if _, err := u.Generate("art", opt(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := u.Stats(); st.MaxEntries != 0 || st.Entries != 10 || st.Evictions != 0 {
+		t.Fatalf("New(%d) stats %+v: want no entry bound and all 10 traces kept", DefaultMemBytes, st)
 	}
 }
 
@@ -160,7 +199,7 @@ func TestGenerateErrors(t *testing.T) {
 	if _, err := s.Generate("art", trace.Options{Len: -4}); err == nil {
 		t.Fatal("no error for negative length")
 	}
-	if got := s.Generated(); got != 0 {
+	if got := s.Stats().Generated; got != 0 {
 		t.Fatalf("errors generated %d traces", got)
 	}
 }

@@ -227,7 +227,7 @@ func TestTracesDedupeAcrossWorkloads(t *testing.T) {
 		t.Fatal("distinct benchmarks at context 1 shared one trace")
 	}
 	// 3 distinct identities: art@0 (shared), mcf@1, gzip@1.
-	if got := ts.Generated(); got != 3 {
+	if got := ts.Stats().Generated; got != 3 {
 		t.Fatalf("generated %d traces, want 3", got)
 	}
 }
