@@ -64,11 +64,11 @@
 // accepted and ignored, so scripts that still pass it keep starting; the
 // daemon logs that it ignores it and creates nothing there.
 //
-// The result store is an internal/blobstore store: a checksummed entry
-// envelope (magic, version, identity echo, payload, CRC-32), atomic
+// The result store keeps each result in a checksummed entry envelope
+// (magic, version, identity echo, payload, CRC-32), with atomic
 // temp-file-then-rename writes, byte-bounded LRU eviction, and corrupt,
 // torn or stale files read as misses that are deleted and recomputed.
-// The blobstore package documentation states the durability contract:
+// The resultstore package documentation states the durability contract:
 // no fsync, so a crash costs recomputation, never a wrong answer.
 //
 // Scheduling across clients is fair: each request is attributed to a

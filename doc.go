@@ -76,17 +76,16 @@
 // simulation is a deterministic pure function of (workload,
 // core.Config.Canonical()), so its result can be persisted and replayed:
 // a memory-cache miss probes the store before simulating, and every
-// completed simulation is written behind its result. The disk mechanics
-// belong to internal/blobstore, the package beneath it: an entry is a
+// completed simulation is written behind its result. An entry is a
 // file named by the SHA-256 of its identity (the workload name and the
 // full canonical configuration) and holds one envelope — magic,
-// version, the identity echoed back, the payload and a CRC-32 trailer.
-// Anything unexpected on read (truncation, corruption, a stale version,
-// an identity mismatch) is a clean miss that deletes the entry and
-// recomputes, never a wrong answer. Writes go to a temp file renamed
+// version, the identity echoed back, the encoded result and a CRC-32
+// trailer. Anything unexpected on read (truncation, corruption, a stale
+// version, an identity mismatch) is a clean miss that deletes the entry
+// and recomputes, never a wrong answer. Writes go to a temp file renamed
 // into place; there is no fsync, so a crash may lose recent entries or
 // leave a torn one, which the next read catches and recomputes — the
-// blobstore package documentation states this durability contract in
+// resultstore package documentation states this durability contract in
 // full. The store is byte-bounded: least-recently-accessed entries are
 // deleted past StoreBytes, with recency persisted in file modification
 // times. A killed-and-restarted smtsimd over the same -store-dir
@@ -190,7 +189,7 @@
 // lint rule: sessions that never drain their queue prove every wait
 // honours its context, a recording runner proves every dispatch carries
 // the requester, figure results with twelve groups prove the renderers
-// follow Groups rather than a map, a reopen test pins blobstore's
+// follow Groups rather than a map, a reopen test pins resultstore's
 // oldest-mtime-first adoption, and the result codec's damaged-input
 // test feeds an impossible thread count. FuzzRun in internal/scenario
 // draws configuration deltas: each is rejected by plan-time validation
@@ -216,7 +215,7 @@
 // # Concurrency invariants
 //
 // The serving layers — a singleflight cache, a fair scheduler, a worker
-// pool and one disk tier — hold three mutexes (blobstore, simcache,
+// pool and one disk tier — hold three mutexes (resultstore, simcache,
 // experiments) and start goroutines in two places (the experiments
 // worker pool and the daemon's listener). Their contracts are enforced
 // dynamically, by gates that run the real code:

@@ -5,9 +5,9 @@
 // time.Now or rand.Intn in a simulation path silently breaks replay,
 // fingerprint-addressed caching, and cross-machine determinism.
 //
-// The serving and storage layers (simcache, blobstore, resultstore,
-// tracestore, sched, the daemons) legitimately read clocks — LRU
-// recency, latency measurement — and are simply not in the target set.
+// The serving and storage layers (simcache, resultstore, tracestore,
+// sched, the daemons) legitimately read clocks — LRU recency, latency
+// measurement — and are simply not in the target set.
 //
 // The check works on syntax alone. A selector X.Sel is resolved through
 // the file's import table: X is the alias of an import, or the default

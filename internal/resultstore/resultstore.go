@@ -1,54 +1,192 @@
 // Package resultstore is the persistent on-disk tier beneath the
-// experiment session's in-memory simulation cache: a content-addressed
-// directory of encoded core.Result values, keyed by (workload,
-// core.Config.Canonical()), that lets a restarted process — or a second
-// process pointed at the same directory — serve previously simulated
-// cells without re-simulating them. Every simulation here is a
-// deterministic pure function of its key, so a stored result is exactly
-// the result a recomputation would produce, and the store can never
-// serve anything a fresh run would not.
+// experiment session's in-memory simulation cache: a byte-bounded,
+// content-addressed directory of checksummed, encoded core.Result
+// values, keyed by (workload, core.Config.Canonical()), that lets a
+// restarted process — or a second process pointed at the same directory
+// — serve previously simulated cells without re-simulating them. Every
+// simulation here is a deterministic pure function of its key, so a
+// stored result is exactly the result a recomputation would produce, and
+// the store can never serve anything a fresh run would not.
 //
-// The disk mechanics — file naming, the checksummed envelope, atomic
-// writes, byte-bounded LRU eviction and the durability contract — are
-// internal/blobstore's. This package is the codec: the identity
-// workload + "\x00" + canonical config, and the core.Result payload.
+// # Format
+//
+// A cell's identity is workload + "\x00" + canonical config. Its entry
+// is one file named by the SHA-256 of the identity plus ".smtres", so
+// distinct identities never share a file. It holds
+//
+//	"SMRS" | version u16 | identity length u32 | identity | payload | CRC-32
+//
+// where the payload encodes every core.Result field and the trailer
+// checksums everything before it. A reader accepts an entry only if the
+// magic, version, checksum and the echoed identity all match and the
+// payload decodes. Anything else — an absent or unreadable file, a torn
+// or corrupted one, a stale version, an entry for another identity under
+// this name, an undecodable payload — is one counted miss that deletes
+// the file: the caller recomputes and rewrites, and a damaged store
+// degrades to recomputation, never to a wrong answer.
+//
+// # Durability
+//
+// The store never calls fsync. Crash safety means "detect, then
+// recompute", which is enough because every payload is a deterministic
+// function of its identity and costs only time to rebuild:
+//
+//   - A crash (of the process or the machine) may lose recently written
+//     entries or leave a torn one behind.
+//   - A torn entry fails the length or CRC check on read, reads as a
+//     miss, and the cell is recomputed and rewritten.
+//   - Each write goes to a temp file and is renamed into place, so a
+//     rename is atomic per entry: a reader sees the old entry, the new
+//     one, or none, never a mix.
+//   - Open deletes every ".tmp-*" file in the directory, because a writer
+//     killed between create and rename leaves one behind. Processes may
+//     share a directory, so Open may also delete another writer's
+//     in-flight temp file. That write then fails its rename and counts as
+//     a WriteError; it never produces a wrong answer.
+//
+// # Eviction
+//
+// The store is byte-bounded (0 = unbounded): when the tracked footprint
+// passes the bound, least-recently-accessed entries are deleted until it
+// fits. Recency persists across restarts through file modification
+// times: Open adopts existing entries oldest-mtime-first, and every hit
+// bumps its file's mtime. Eviction, like corruption, only costs
+// recomputation.
 package resultstore
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
+	"time"
 
-	"repro/internal/blobstore"
 	"repro/internal/core"
 )
 
-// schemaVersion names the encoding this package writes. Any change to the
-// identity or payload layout (new core.Result fields, different field
-// order) must bump it; readers treat every other version as a miss.
-const schemaVersion uint16 = 2
+const (
+	// magic opens every entry file.
+	magic = "SMRS"
+	// schemaVersion names the encoding this package writes. Any change to
+	// the identity or payload layout (new core.Result fields, different
+	// field order) must bump it; readers treat every other version as a
+	// miss.
+	schemaVersion uint16 = 2
+	// suffix names entry files; anything else in the directory is ignored.
+	suffix = ".smtres"
+	// tmpPrefix names in-progress writes; Open sweeps stale ones.
+	tmpPrefix = ".tmp-"
+	// headLen is the envelope before the identity: magic, version and
+	// identity length.
+	headLen = len(magic) + 2 + 4
+)
 
-// format is the result tier's blob format.
-var format = blobstore.Format{Magic: "SMRS", Version: schemaVersion, Suffix: ".smtres"}
+// Stats is a point-in-time snapshot of store effectiveness, shaped for
+// the smtsimd /v1/metrics endpoint.
+type Stats struct {
+	// Hits counts Get calls served from disk; Misses counts Get calls
+	// that found nothing usable (absent, stale-version, corrupt, or
+	// mismatched entries all read as misses).
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	// Evictions counts entries deleted to respect MaxBytes.
+	Evictions uint64 `json:"evictions"`
+	// WriteErrors counts Put calls that failed to land an entry.
+	WriteErrors uint64 `json:"writeErrors"`
+	// Files and Bytes describe the tracked population.
+	Files int   `json:"files"`
+	Bytes int64 `json:"bytes"`
+	// MaxBytes echoes the configured bound (0 = unbounded).
+	MaxBytes int64 `json:"maxBytes"`
+}
 
-// Stats is the store's counter snapshot, shaped for the smtsimd
-// /v1/metrics endpoint.
-type Stats = blobstore.Stats
+// fileEntry is the in-memory accounting for one entry file.
+type fileEntry struct {
+	size int64
+	seq  uint64 // logical access clock; highest = most recently used
+}
 
 // Store is the on-disk result tier. All methods are safe for concurrent
 // use.
 type Store struct {
-	blobs *blobstore.Store
+	dir      string
+	maxBytes int64
+
+	mu      sync.Mutex
+	entries map[string]*fileEntry // file name -> accounting
+	bytes   int64
+	seq     uint64
+	hits    uint64
+	misses  uint64
+	evicted uint64
+	werrs   uint64
 }
 
 // Open opens (creating if needed) a store rooted at dir, bounded to
-// maxBytes of entry files (0 = unbounded).
+// maxBytes of entry files (0 = unbounded). It sweeps stale temp files,
+// adopts existing entries with their modification times as access
+// recency, and enforces the bound immediately, so a shrunken bound takes
+// effect at open.
 func Open(dir string, maxBytes int64) (*Store, error) {
-	b, err := blobstore.Open(dir, maxBytes, format)
+	if dir == "" {
+		return nil, fmt.Errorf("resultstore: empty directory")
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("resultstore: %w", err)
+	}
+	des, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
-	return &Store{blobs: b}, nil
+	type adopted struct {
+		name  string
+		size  int64
+		mtime time.Time
+	}
+	var found []adopted
+	for _, de := range des {
+		if de.IsDir() {
+			continue
+		}
+		if strings.HasPrefix(de.Name(), tmpPrefix) {
+			// Temp files are invisible to lookups and exempt from the
+			// byte bound, so left alone they would leak disk across
+			// kill/restart cycles.
+			os.Remove(filepath.Join(dir, de.Name()))
+			continue
+		}
+		if !strings.HasSuffix(de.Name(), suffix) {
+			continue
+		}
+		info, err := de.Info()
+		if err != nil {
+			continue // raced with a sharing process's eviction
+		}
+		found = append(found, adopted{de.Name(), info.Size(), info.ModTime()})
+	}
+	// Oldest first, so adopted entries get ascending sequence numbers and
+	// eviction order matches on-disk recency.
+	sort.Slice(found, func(i, j int) bool {
+		if !found[i].mtime.Equal(found[j].mtime) {
+			return found[i].mtime.Before(found[j].mtime)
+		}
+		return found[i].name < found[j].name
+	})
+	s := &Store{dir: dir, maxBytes: maxBytes, entries: map[string]*fileEntry{}}
+	s.mu.Lock()
+	for _, a := range found {
+		s.touch(a.name, a.size)
+	}
+	s.evict()
+	s.mu.Unlock()
+	return s, nil
 }
 
 // identity is the full, collision-free key of a cell.
@@ -56,30 +194,178 @@ func identity(workload string, cfg core.Config) []byte {
 	return []byte(workload + "\x00" + cfg.Canonical())
 }
 
-// Get probes the store for a previously stored result. Every failure
-// mode is a miss (ok=false); a hit returns a Result bit-identical to the
-// one stored.
+// entryName derives the entry file for an identity.
+func entryName(identity []byte) string {
+	sum := sha256.Sum256(identity)
+	return hex.EncodeToString(sum[:]) + suffix
+}
+
+// Get probes the store for a previously stored result. Every defect —
+// absent or unreadable file, bad magic, version or checksum, an identity
+// echo mismatch, or a payload that does not decode — is one counted miss
+// (ok=false) that deletes the file. A hit returns a Result bit-identical
+// to the one stored and marks the entry most recently accessed.
 func (s *Store) Get(workload string, cfg core.Config) (*core.Result, bool) {
-	var r *core.Result
-	ok := s.blobs.Get(identity(workload, cfg), func(payload []byte) (err error) {
-		r, err = decodePayload(payload)
-		return err
-	})
-	return r, ok
+	id := identity(workload, cfg)
+	name := entryName(id)
+	path := filepath.Join(s.dir, name)
+
+	// File I/O runs outside the lock: per-key dedup lives upstream (the
+	// session's singleflight cache), so the mutex only covers accounting.
+	data, err := os.ReadFile(path)
+	if err == nil {
+		if payload, ok := verify(data, id); ok {
+			if r, err := decodePayload(payload); err == nil {
+				now := time.Now()
+				os.Chtimes(path, now, now) // persist recency; best-effort
+				s.mu.Lock()
+				s.hits++
+				// touch also adopts an entry written by a sharing process;
+				// evict then re-enforces the bound the adoption may break.
+				s.touch(name, int64(len(data)))
+				s.evict()
+				s.mu.Unlock()
+				return r, true
+			}
+		}
+		os.Remove(path)
+	}
+	s.mu.Lock()
+	s.misses++
+	// Dropping the accounting of a gone or damaged file keeps Bytes
+	// honest and stops evict chasing ghosts.
+	s.forget(name)
+	s.mu.Unlock()
+	return nil, false
+}
+
+// verify checks an entry's envelope against identity and returns its
+// payload.
+func verify(data, identity []byte) ([]byte, bool) {
+	if len(data) < headLen+len(identity)+4 {
+		return nil, false
+	}
+	body, trailer := data[:len(data)-4], data[len(data)-4:]
+	if string(body[:len(magic)]) != magic ||
+		binary.LittleEndian.Uint16(body[len(magic):]) != schemaVersion ||
+		crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) ||
+		binary.LittleEndian.Uint32(body[headLen-4:]) != uint32(len(identity)) ||
+		string(body[headLen:headLen+len(identity)]) != string(identity) {
+		return nil, false
+	}
+	return body[headLen+len(identity):], true
 }
 
 // Put stores a result, atomically replacing any previous entry for the
-// key. Failures are counted and returned; callers for whom persistence is
-// best-effort (the experiment session) may ignore the error.
+// key, then enforces the byte bound. Failures are counted in WriteErrors
+// and returned but leave the store consistent; callers for whom
+// persistence is best-effort (the experiment session) may ignore the
+// error.
 func (s *Store) Put(workload string, cfg core.Config, r *core.Result) error {
-	if err := s.blobs.Put(identity(workload, cfg), encodePayload(r)); err != nil {
+	id := identity(workload, cfg)
+	payload := encodePayload(r)
+	data := make([]byte, 0, headLen+len(id)+len(payload)+4)
+	data = append(data, magic...)
+	data = binary.LittleEndian.AppendUint16(data, schemaVersion)
+	data = binary.LittleEndian.AppendUint32(data, uint32(len(id)))
+	data = append(data, id...)
+	data = append(data, payload...)
+	data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(data))
+
+	name := entryName(id)
+	if err := s.write(name, data); err != nil {
+		s.mu.Lock()
+		s.werrs++
+		s.mu.Unlock()
 		return fmt.Errorf("resultstore: %w", err)
 	}
+	s.mu.Lock()
+	s.forget(name) // replacing an entry drops its old accounting
+	s.touch(name, int64(len(data)))
+	s.evict()
+	s.mu.Unlock()
 	return nil
 }
 
+// writeTemp fills a freshly created temp file. It is a variable so tests
+// can inject the write faults of a full or failing disk (ENOSPC, EIO).
+var writeTemp = func(f *os.File, data []byte) error {
+	_, err := f.Write(data)
+	return err
+}
+
+// write lands data under name via a temp file and an atomic rename. Like
+// Get's read, it runs outside the lock.
+func (s *Store) write(name string, data []byte) error {
+	tmp, err := os.CreateTemp(s.dir, tmpPrefix+"*")
+	if err != nil {
+		return err
+	}
+	err = writeTemp(tmp, data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(s.dir, name))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
+}
+
+// touch marks name most recently accessed, adopting it with size if it
+// is not yet tracked. Caller holds mu.
+func (s *Store) touch(name string, size int64) {
+	s.seq++
+	if e, ok := s.entries[name]; ok {
+		e.seq = s.seq
+		return
+	}
+	s.entries[name] = &fileEntry{size: size, seq: s.seq}
+	s.bytes += size
+}
+
+// forget drops an entry's accounting without touching the file or the
+// eviction counter. Caller holds mu.
+func (s *Store) forget(name string) {
+	if e, ok := s.entries[name]; ok {
+		s.bytes -= e.size
+		delete(s.entries, name)
+	}
+}
+
+// evict deletes least-recently-accessed entries until the byte bound
+// holds. Caller holds mu.
+func (s *Store) evict() {
+	for s.maxBytes > 0 && s.bytes > s.maxBytes && len(s.entries) > 0 {
+		victim, min := "", uint64(math.MaxUint64)
+		// seq is unique per entry, so map order cannot change the victim.
+		for name, e := range s.entries {
+			if e.seq < min {
+				victim, min = name, e.seq
+			}
+		}
+		s.forget(victim)
+		s.evicted++
+		os.Remove(filepath.Join(s.dir, victim))
+	}
+}
+
 // Stats returns a consistent snapshot of the counters.
-func (s *Store) Stats() Stats { return s.blobs.Stats() }
+func (s *Store) Stats() Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return Stats{
+		Hits:        s.hits,
+		Misses:      s.misses,
+		Evictions:   s.evicted,
+		WriteErrors: s.werrs,
+		Files:       len(s.entries),
+		Bytes:       s.bytes,
+		MaxBytes:    s.maxBytes,
+	}
+}
 
 // encodePayload renders every core.Result field, floats as IEEE-754 bit
 // patterns so decode round-trips exactly.
@@ -110,6 +396,12 @@ func encodePayload(r *core.Result) []byte {
 	return b
 }
 
+// minThreadLen is the smallest encoded core.ThreadResult: an empty
+// length-prefixed Benchmark and eleven 8-byte fields. decodePayload
+// refuses a thread count the payload is too short to hold before it
+// allocates for it.
+const minThreadLen = 4 + 11*8
+
 // decodePayload parses one encodePayload rendering; every defect is an
 // error, which the store maps to a miss.
 func decodePayload(data []byte) (*core.Result, error) {
@@ -123,7 +415,7 @@ func decodePayload(data []byte) (*core.Result, error) {
 		Truncated:      d.bool(),
 	}
 	n := d.uint32()
-	if d.err == nil && uint64(n)*89 > uint64(len(data)) { // 89 = minimum encoded thread size
+	if d.err == nil && uint64(n)*minThreadLen > uint64(len(data)) {
 		return nil, fmt.Errorf("resultstore: implausible thread count %d", n)
 	}
 	for i := uint32(0); i < n && d.err == nil; i++ {
