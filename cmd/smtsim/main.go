@@ -4,6 +4,11 @@
 // one-point scenario on an experiments session, the engine behind the
 // figures and smtsimd, which validates it and runs its fairness references.
 //
+// The per-thread L2miss/kinst column is demand loads served by memory per
+// thousand committed instructions (core.ThreadResult.L2MissLoads). A load
+// that merges into an outstanding MSHR counts; stores and instruction
+// fetches do not. So it is not an L2 line-miss rate.
+//
 // Usage:
 //
 //	smtsim -threads art,mcf -policy RaT

@@ -69,7 +69,11 @@
 // temp-file-then-rename writes, byte-bounded LRU eviction, and corrupt,
 // torn or stale files read as misses that are deleted and recomputed.
 // The resultstore package documentation states the durability contract:
-// no fsync, so a crash costs recomputation, never a wrong answer.
+// no fsync, so a crash costs recomputation, never a wrong answer. If the
+// -store-dir directory is removed under a running daemon, the daemon does
+// not recreate it: every later write fails and counts in diskWriteErrors,
+// every later disk probe misses, and sweeps are still served, simulated
+// or from the memory cache. Restarting the daemon recreates the directory.
 //
 // Scheduling across clients is fair: each request is attributed to a
 // client identity (the X-Client header when present, otherwise the

@@ -174,6 +174,35 @@ func TestGridBound(t *testing.T) {
 	}
 }
 
+// mustSession is an in-process session over testOptions, without a store.
+func mustSession(t *testing.T) *experiments.Session {
+	t.Helper()
+	sess, err := experiments.NewSession(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+// inProcessNDJSON renders spec's rows as NDJSON from an in-process
+// session, the bytes a daemon must answer with.
+func inProcessNDJSON(t *testing.T, sess *experiments.Session, spec string) []byte {
+	t.Helper()
+	sp, err := scenario.Parse(strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := sess.RunScenarioCtx(context.Background(), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rs.WriteNDJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestNDJSONMatchesInProcess locks the daemon's default streaming format
 // to the engine's own serialization: the streamed body must be
 // bit-identical to rendering the same sweep in process.
@@ -187,24 +216,9 @@ func TestNDJSONMatchesInProcess(t *testing.T) {
 		t.Fatalf("status = %d, body %s", status, body)
 	}
 
-	sp, err := scenario.Parse(strings.NewReader(testSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := experiments.NewSession(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := sess.RunScenarioCtx(context.Background(), sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := rs.WriteNDJSON(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, want.Bytes()) {
-		t.Errorf("streamed NDJSON differs from in-process render:\ngot:\n%s\nwant:\n%s", body, want.Bytes())
+	want := inProcessNDJSON(t, mustSession(t), testSpec)
+	if !bytes.Equal(body, want) {
+		t.Errorf("streamed NDJSON differs from in-process render:\ngot:\n%s\nwant:\n%s", body, want)
 	}
 	if n := bytes.Count(body, []byte("\n")); n != 4 {
 		t.Errorf("row count = %d, want 4 (2 workloads x 2 combos)", n)
@@ -524,6 +538,54 @@ func TestRestartServesFromDisk(t *testing.T) {
 	}
 }
 
+// TestStoreDirRemovedUnderDaemon: the -store-dir directory vanishes under
+// a running daemon. The daemon does not recreate it: every new cell's
+// write fails and is counted in diskWriteErrors, while rows stay
+// byte-identical to an in-process run and /healthz stays 200. (A
+// read-only directory is not tested: root, which CI runs as, ignores the
+// mode bits.)
+func TestStoreDirRemovedUnderDaemon(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation run")
+	}
+	opt := testOptions()
+	opt.StoreDir = filepath.Join(t.TempDir(), "store")
+	_, ts := newTestServer(t, opt)
+	sess := mustSession(t)
+	first := mustPost(t, ts.URL+"/v1/scenario", coldSpec(0))
+	if before := getMetrics(t, ts.URL); before.DiskWriteErrors != 0 || before.DiskBytes == 0 {
+		t.Fatalf("metrics before removal %+v: want a populated store and no write error", before)
+	}
+	if err := os.RemoveAll(opt.StoreDir); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 1; i <= 2; i++ { // two specs of new cells, two cells each
+		got := mustPost(t, ts.URL+"/v1/scenario", coldSpec(i))
+		if want := inProcessNDJSON(t, sess, coldSpec(i)); !bytes.Equal(got, want) {
+			t.Errorf("spec %d after removal differs from the in-process render:\ngot:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
+	if got := mustPost(t, ts.URL+"/v1/scenario", coldSpec(0)); !bytes.Equal(got, first) {
+		t.Errorf("replay after removal differs:\ngot:\n%s\nwant:\n%s", got, first)
+	}
+	doc := getMetrics(t, ts.URL)
+	if doc.DiskWriteErrors != 4 || doc.Failures != 0 {
+		t.Errorf("metrics %+v: want 4 disk write errors (one per new cell) and no failure", doc)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz status = %d after removal", resp.StatusCode)
+	}
+	if _, err := os.Stat(opt.StoreDir); !os.IsNotExist(err) {
+		t.Errorf("store directory after removal: stat err = %v, want it still absent", err)
+	}
+}
+
 // TestTinyTraceAllFormats runs a deliberately starved configuration —
 // tiny trace, cycle budget low enough to truncate — through every output
 // format: truncated rows must emit cleanly (finite JSON numbers, no
@@ -724,25 +786,10 @@ func TestColdTrafficTraceTierBounded(t *testing.T) {
 		t.Skip("simulation run")
 	}
 	const specs = 16
-	sess, err := experiments.NewSession(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := mustSession(t)
 	want := make([][]byte, specs)
 	for i := range want {
-		sp, err := scenario.Parse(strings.NewReader(coldSpec(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := sess.RunScenarioCtx(context.Background(), sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := rs.WriteNDJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		want[i] = buf.Bytes()
+		want[i] = inProcessNDJSON(t, sess, coldSpec(i))
 	}
 
 	_, ts := newTestServer(t, testOptions())

@@ -94,6 +94,9 @@
 // alongside diskBytes and diskEvictions), and several daemons may share
 // one directory — `smtload -restart-check` proves the contract against
 // a live daemon, and the restart-smoke CI job replays it on every push.
+// A store directory removed under a running daemon is not recreated:
+// writes fail and count as diskWriteErrors while every sweep is still
+// served, which the same CI job checks after the replay.
 //
 // # Trace tier
 //
@@ -160,8 +163,8 @@
 // Execution is cancellation-correct at every layer. The session's worker
 // pool is the fair queue drained by at most Workers goroutines (spawned
 // on demand, exiting when idle), and every dispatch entry point takes a
-// context — experiments.Session.StartRunCtx / RunConfigCtx /
-// RunScenarioCtx, scenario.ExecuteStreamCtx (over a scenario.Plan),
+// context — experiments.Session.StartRunCtx / RunScenarioCtx,
+// scenario.ExecuteStreamCtx (over a scenario.Plan),
 // simcache.Cache.BeginCtx / Call.WaitCtx — threading the requester's
 // context down to the queue.
 // When every requester interested in a queued cell has canceled before a

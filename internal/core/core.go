@@ -85,9 +85,9 @@ type Config struct {
 	// executions per thread before measurement may stop.
 	MinIterations int
 	// WarmupInsts is the per-thread committed-instruction count of the
-	// timed-but-unmeasured warm phase that precedes measurement (cache,
-	// predictor and policy state converge there). Zero selects half a
-	// trace iteration; a negative count is invalid.
+	// timed-but-unmeasured warm phase that precedes measurement, run on
+	// caches prewarmed with trace iteration 0 (see measure). Zero selects
+	// half a trace iteration; a negative count is invalid.
 	WarmupInsts int
 	// MaxCycles bounds the run (safety valve; a run that hits it is still
 	// reported, with Truncated set).
@@ -123,7 +123,10 @@ type ThreadResult struct {
 	IPC float64
 	// Executed counts energy-consuming executions (ED² input).
 	Executed uint64
-	// L2MissLoads counts demand loads served by memory.
+	// L2MissLoads counts the window's demand loads served by memory
+	// (pipeline.ThreadStats.L2MissLoads): merges into an outstanding MSHR
+	// included, stores and instruction fetches not counted. It is not an
+	// L2 line-miss count.
 	L2MissLoads uint64
 	// RunaheadEpisodes, PseudoRetired, Folded, PrefetchesIssued summarize
 	// RaT activity.
@@ -338,10 +341,14 @@ func (m *Machine) load(cfg Config, w workload.Workload, ts *tracestore.Store) er
 
 // measure runs the warm phase and the FAME measurement window on c.
 func measure(c *pipeline.Core, cfg Config, w workload.Workload) *Result {
-	// Phase 1 — timed, unmeasured warm phase: cache contents, branch
-	// predictor weights, and policy state (DCRA classification, hill-
-	// climbing epochs) converge before measurement begins. Coverage is
-	// checked before the limit, both only between 256-cycle step blocks.
+	// Phase 1 — timed, unmeasured warm phase: every thread commits warm
+	// instructions, TraceLen/2 by default, on caches WarmupCaches filled
+	// with every line of trace iteration 0. Trace.AddrAt shifts cold
+	// addresses only from iteration 1, so the default phase ends midway
+	// through iteration 0 and the window opens on the rest of it, whose
+	// lines are all in the L2: no L2 miss until iteration 1 unless the
+	// prewarm itself evicted a line. Coverage is checked before the
+	// limit, both only between 256-cycle step blocks.
 	warm := uint64(cfg.WarmupInsts)
 	if cfg.WarmupInsts == 0 {
 		warm = uint64(cfg.TraceLen / 2)

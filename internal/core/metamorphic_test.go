@@ -96,10 +96,13 @@ func TestMetamorphicRelations(t *testing.T) {
 // (1 to 8), ROB, register, issue queue and L2 sizes, machine width,
 // front-end depth, L2 and memory latencies, the IL1 and DL1 size, ways
 // and latency, the functional-unit latencies, the mispredict redirect,
-// fetch threads per cycle and MSHRs; configurations Validate rejects are
-// skipped. With one thread, RR must equal ICOUNT; when the ICOUNT run had
-// no L2-miss load, warm-up included, every miss-reactive policy must
-// equal it.
+// fetch threads per cycle, MSHRs, the integer, FP and load/store unit
+// counts, the fetch queue, the predictor rows, the line size, the
+// runahead exit penalty and the runahead cache entries; configurations
+// Validate rejects are skipped, and so is a policy Validate rejects on an
+// accepted machine (RaT-racache with no cache entries). With one thread,
+// RR must equal ICOUNT; when the ICOUNT run had no L2-miss load, warm-up
+// included, every miss-reactive policy must equal it.
 func FuzzMetamorphic(f *testing.F) {
 	var ws []workload.Workload
 	for _, b := range workload.Benchmarks() {
@@ -115,18 +118,27 @@ func FuzzMetamorphic(f *testing.F) {
 	// L2-miss load. Each second line holds the knobs after memory latency:
 	// IL1 KB, ways, latency; DL1 KB, ways, latency; INT multiply, FP add,
 	// FP multiply and FP divide latencies; redirect, fetch threads, MSHRs.
+	// Each third line holds the Table 1 INT, FP and LS unit counts, fetch
+	// queue, predictor rows and line size, the policy's own exit penalty
+	// (0) and the runahead cache entries.
 	f.Add(wl("ST/gzip"), uint64(1), uint16(500), uint8(0), int16(512), int16(320), int16(64), uint16(2048), int8(16), int8(8), uint16(5), uint16(20), uint16(400),
-		uint8(64), int8(4), uint8(1), uint8(64), int8(4), uint8(3), uint8(3), uint8(4), uint8(4), uint8(12), uint8(7), int8(2), int8(64))
+		uint8(64), int8(4), uint8(1), uint8(64), int8(4), uint8(3), uint8(3), uint8(4), uint8(4), uint8(12), uint8(7), int8(2), int8(64),
+		int8(6), int8(3), int8(4), int8(16), int16(4096), uint8(64), uint16(0), int16(512))
 	f.Add(wl("ST/mcf"), uint64(2), uint16(400), uint8(3), int16(512), int16(320), int16(64), uint16(2048), int8(16), int8(8), uint16(5), uint16(20), uint16(400),
-		uint8(64), int8(4), uint8(1), uint8(64), int8(4), uint8(3), uint8(3), uint8(4), uint8(4), uint8(12), uint8(7), int8(2), int8(64))
+		uint8(64), int8(4), uint8(1), uint8(64), int8(4), uint8(3), uint8(3), uint8(4), uint8(4), uint8(12), uint8(7), int8(2), int8(64),
+		int8(6), int8(3), int8(4), int8(16), int16(4096), uint8(64), uint16(0), int16(512))
 	f.Add(wl("ILP2/gzip+bzip2"), uint64(1), uint16(500), uint8(3), int16(512), int16(320), int16(64), uint16(2048), int8(16), int8(8), uint16(5), uint16(20), uint16(400),
-		uint8(64), int8(4), uint8(1), uint8(64), int8(4), uint8(3), uint8(3), uint8(4), uint8(4), uint8(12), uint8(7), int8(2), int8(64))
+		uint8(64), int8(4), uint8(1), uint8(64), int8(4), uint8(3), uint8(3), uint8(4), uint8(4), uint8(12), uint8(7), int8(2), int8(64),
+		int8(6), int8(3), int8(4), int8(16), int16(4096), uint8(64), uint16(0), int16(512))
 	f.Add(wl("MEM2/art+mcf"), uint64(3), uint16(300), uint8(1), int16(512), int16(320), int16(64), uint16(2048), int8(16), int8(8), uint16(5), uint16(20), uint16(400),
-		uint8(64), int8(4), uint8(1), uint8(64), int8(4), uint8(3), uint8(3), uint8(4), uint8(4), uint8(12), uint8(7), int8(2), int8(64))
+		uint8(64), int8(4), uint8(1), uint8(64), int8(4), uint8(3), uint8(3), uint8(4), uint8(4), uint8(12), uint8(7), int8(2), int8(64),
+		int8(6), int8(3), int8(4), int8(16), int16(4096), uint8(64), uint16(0), int16(512))
 	f.Add(wl("ST/apsi"), uint64(5), uint16(250), uint8(7), int16(64), int16(96), int16(16), uint16(256), int8(8), int8(4), uint16(2), uint16(12), uint16(150),
-		uint8(16), int8(2), uint8(2), uint8(16), int8(2), uint8(2), uint8(2), uint8(3), uint8(5), uint8(20), uint8(4), int8(1), int8(8))
+		uint8(16), int8(2), uint8(2), uint8(16), int8(2), uint8(2), uint8(2), uint8(3), uint8(5), uint8(20), uint8(4), int8(1), int8(8),
+		int8(6), int8(3), int8(4), int8(16), int16(4096), uint8(64), uint16(0), int16(512))
 	f.Fuzz(func(t *testing.T, wsel uint8, seed uint64, traceLen uint16, iters uint8, rob, regs, iq int16, l2KB uint16, l2Ways, width int8, frontEnd, l2Lat, memLat uint16,
-		il1KB uint8, il1Ways int8, il1Lat, dl1KB uint8, dl1Ways int8, dl1Lat, intMulLat, fpAluLat, fpMulLat, fpDivLat, redirect uint8, fetchThreads, mshrs int8) {
+		il1KB uint8, il1Ways int8, il1Lat, dl1KB uint8, dl1Ways int8, dl1Lat, intMulLat, fpAluLat, fpMulLat, fpDivLat, redirect uint8, fetchThreads, mshrs int8,
+		intFU, fpFU, lsFU, fetchQueue int8, bpRows int16, lineBytes uint8, raExit uint16, raEntries int16) {
 		w := ws[int(wsel)%len(ws)]
 		cfg := DefaultConfig()
 		cfg.TraceLen, cfg.MinIterations = 1+int(traceLen)%500, 1+int(iters)%8
@@ -141,12 +153,18 @@ func FuzzMetamorphic(f *testing.F) {
 		p.Mem.DL1.SizeBytes, p.Mem.DL1.Ways, p.Mem.DL1.Latency = uint64(dl1KB)<<10, int(dl1Ways), uint64(dl1Lat)
 		p.IntMulLat, p.FPAluLat, p.FPMulLat, p.FPDivLat = uint64(intMulLat), uint64(fpAluLat), uint64(fpMulLat), uint64(fpDivLat)
 		p.MispredictRedirect, p.FetchThreads, p.Mem.MSHRs = uint64(redirect), int(fetchThreads), int(mshrs)
+		p.IntFU, p.FPFU, p.LSFU, p.FetchQueue, p.BranchPredRows = int(intFU), int(fpFU), int(lsFU), int(fetchQueue), int(bpRows)
+		p.Mem.IL1.LineBytes, p.Mem.DL1.LineBytes, p.Mem.L2.LineBytes = uint64(lineBytes), uint64(lineBytes), uint64(lineBytes)
+		cfg.RunaheadExitPenalty, p.RunaheadCacheEntries = uint64(raExit), int(raEntries)
 		if cfg.Validate() != nil {
 			return
 		}
 		base, missed := runCounted(t, cfg, w, true)
 		check := func(pol PolicyKind) {
 			cfg.Policy = pol
+			if cfg.Validate() != nil {
+				return
+			}
 			got, _ := runCounted(t, cfg, w, true)
 			want := *base
 			want.Policy = pol

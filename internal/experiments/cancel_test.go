@@ -70,7 +70,8 @@ func TestCanceledCellsNeverSimulate(t *testing.T) {
 
 	// The same cells requested with a live context now simulate normally:
 	// abandonment forgot the keys, it did not poison them.
-	if _, err := s.RunConfigCtx(context.Background(), w, cfgs[0]); err != nil {
+	live := context.Background()
+	if _, err := s.StartRunCtx(live, w, cfgs[0]).WaitCtx(live); err != nil {
 		t.Fatalf("recompute after abandonment: %v", err)
 	}
 }
@@ -164,7 +165,7 @@ func stalledSession(t *testing.T) *Session {
 	return s
 }
 
-// TestCanceledWaitsReturnPromptly: RunConfigCtx and every figure, each
+// TestCanceledWaitsReturnPromptly: a single cell's wait and every figure, each
 // cancelled once its first cell is queued on a session that never
 // simulates, return context.Canceled well within the deadline. A wait
 // that dropped its caller's context would block until the deadline.
@@ -174,8 +175,8 @@ func TestCanceledWaitsReturnPromptly(t *testing.T) {
 		name string
 		call func(*Session, context.Context) error
 	}{
-		{"RunConfigCtx", func(s *Session, ctx context.Context) error {
-			_, err := s.RunConfigCtx(ctx, w, s.BaseConfig())
+		{"StartRunCtx", func(s *Session, ctx context.Context) error {
+			_, err := s.StartRunCtx(ctx, w, s.BaseConfig()).WaitCtx(ctx)
 			return err
 		}},
 		{"Fig1", func(s *Session, ctx context.Context) error { _, err := s.Fig1(ctx); return err }},

@@ -357,14 +357,6 @@ func (s *Session) StartRunCtx(ctx context.Context, w workload.Workload, cfg core
 	return c
 }
 
-// RunConfigCtx executes (and caches) one workload under one complete
-// configuration, blocking for the result. The wait returns ctx's error
-// as soon as ctx is done, and a cell no live request is interested in is
-// never simulated.
-func (s *Session) RunConfigCtx(ctx context.Context, w workload.Workload, cfg core.Config) (*core.Result, error) {
-	return s.StartRunCtx(ctx, w, cfg).WaitCtx(ctx)
-}
-
 // RunScenarioCtx plans (scenario.NewPlan, with no cell bound) and
 // executes a declarative sweep on this session's worker pool and cache.
 // Points that coincide with figure runs (or with each
@@ -410,14 +402,17 @@ func regsAxis(sizes []int) scenario.Axis {
 	return ax
 }
 
-// groupRows calls fn for each workload of a group, in selection order,
-// with the workload's grid row index.
-func groupRows(rs *scenario.ResultSet, group string, fn func(wi int, w workload.Workload)) {
+// groupMean is the Table 2 group average every figure reports: the
+// mean of the values vals returns for each workload of group g, in
+// selection order. vals gets the workload's grid row index.
+func groupMean(rs *scenario.ResultSet, g string, vals func(wi int) []float64) float64 {
+	var xs []float64
 	for wi, w := range rs.Workloads {
-		if w.Group == group {
-			fn(wi, w)
+		if w.Group == g {
+			xs = append(xs, vals(wi)...)
 		}
 	}
+	return metrics.Mean(xs)
 }
 
 // PolicyFigure is the shared shape of Figures 1 and 2: group-average
@@ -449,13 +444,8 @@ func (s *Session) policyFigure(ctx context.Context, name string, pols []core.Pol
 		f.Throughput[g] = map[core.PolicyKind]float64{}
 		f.Fairness[g] = map[core.PolicyKind]float64{}
 		for pi, p := range pols {
-			var thrus, fairs []float64
-			groupRows(rs, g, func(wi int, _ workload.Workload) {
-				thrus = append(thrus, rs.Value(wi, pi, 0))
-				fairs = append(fairs, rs.Value(wi, pi, 1))
-			})
-			f.Throughput[g][p] = metrics.Mean(thrus)
-			f.Fairness[g][p] = metrics.Mean(fairs)
+			f.Throughput[g][p] = groupMean(rs, g, func(wi int) []float64 { return []float64{rs.Value(wi, pi, 0)} })
+			f.Fairness[g][p] = groupMean(rs, g, func(wi int) []float64 { return []float64{rs.Value(wi, pi, 1)} })
 		}
 	}
 	return f, nil
@@ -536,15 +526,10 @@ func (s *Session) Fig3(ctx context.Context) (*Fig3Result, error) {
 		f.ED2[g] = map[core.PolicyKind]float64{}
 		// Per-workload ED2 normalized to that workload's ICOUNT, then
 		// group-averaged (the paper normalizes per workload).
-		sums := map[core.PolicyKind][]float64{}
-		groupRows(rs, g, func(wi int, _ workload.Workload) {
-			baseED2 := rs.Value(wi, icIdx, 0)
-			for pi, p := range pols {
-				sums[p] = append(sums[p], metrics.Normalize(rs.Value(wi, pi, 0), baseED2))
-			}
-		})
-		for _, p := range pols {
-			f.ED2[g][p] = metrics.Mean(sums[p])
+		for pi, p := range pols {
+			f.ED2[g][p] = groupMean(rs, g, func(wi int) []float64 {
+				return []float64{metrics.Normalize(rs.Value(wi, pi, 0), rs.Value(wi, icIdx, 0))}
+			})
 		}
 	}
 	return f, nil

@@ -77,12 +77,12 @@ func TestFig1ShapeAndCache(t *testing.T) {
 		}
 	}
 	// The session must cache: a second Fig1 reuses every run.
-	before := s.cache.Len()
+	before := s.cache.Stats().Entries
 	if _, err := s.Fig1(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if s.cache.Len() != before {
-		t.Fatalf("cache grew on repeat: %d -> %d", before, s.cache.Len())
+	if after := s.cache.Stats().Entries; after != before {
+		t.Fatalf("cache grew on repeat: %d -> %d", before, after)
 	}
 }
 
@@ -302,7 +302,7 @@ func TestFairnessReferenceIsCoreReference(t *testing.T) {
 	for _, b := range rs.Workloads[0].Benchmarks {
 		before := s.CacheStats()
 		w, ref := core.Reference(cfg, b)
-		got, err := s.RunConfigCtx(ctx, w, ref)
+		got, err := s.StartRunCtx(ctx, w, ref).WaitCtx(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,11 +65,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 	w := workload.MustByGroup("MEM2")[0]
 	cfg := seq.BaseConfig()
 	cfg.Policy = core.PolicyRaT
-	sr, err := seq.RunConfigCtx(context.Background(), w, cfg)
+	ctx := context.Background()
+	sr, err := seq.StartRunCtx(ctx, w, cfg).WaitCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := par.RunConfigCtx(context.Background(), w, cfg)
+	pr, err := par.StartRunCtx(ctx, w, cfg).WaitCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestSessionSharesRunsAcrossConcurrentFigures(t *testing.T) {
 	// metric adds one single-thread reference per benchmark (the combos
 	// differ only in policy, so all four collapse onto one ICOUNT
 	// reference config): 2 more entries for the 2-thread workload.
-	if n := s.cache.Len(); n != 8 {
+	if n := s.cache.Stats().Entries; n != 8 {
 		t.Errorf("cache holds %d entries, want 8 (6 shared runs + 2 references)", n)
 	}
 }

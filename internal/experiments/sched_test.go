@@ -72,11 +72,11 @@ func TestStarvationRegression(t *testing.T) {
 
 		// Scheduling must not change answers: the probe matches a
 		// fresh Workers=1 session's unattributed run.
-		wantRes, err := mustSession(t, o).RunConfigCtx(ctx, w, smallCfg)
+		wantRes, err := mustSession(t, o).StartRunCtx(ctx, w, smallCfg).WaitCtx(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRes, err := s.RunConfigCtx(ctx, w, smallCfg)
+		gotRes, err := s.StartRunCtx(ctx, w, smallCfg).WaitCtx(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

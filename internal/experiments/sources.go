@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -47,24 +46,25 @@ func (s *Session) Fig4(ctx context.Context) (*Fig4Result, error) {
 		Overhead:             map[string]float64{},
 	}
 	for _, g := range f.Groups {
-		var pref, avail, over []float64
-		groupRows(rs, g, func(wi int, w workload.Workload) {
-			tRat := rs.Value(wi, iRat, 0)
-			tNoPf := rs.Value(wi, iNoPf, 0)
-			tNoFetch := rs.Value(wi, iNoFetch, 0)
-			tIC := rs.Value(wi, iIC, 0)
-			if tNoPf > 0 {
-				pref = append(pref, tRat/tNoPf-1)
+		f.Prefetching[g] = groupMean(rs, g, func(wi int) []float64 {
+			if t := rs.Value(wi, iNoPf, 0); t > 0 {
+				return []float64{rs.Value(wi, iRat, 0)/t - 1}
 			}
-			if tIC > 0 {
-				avail = append(avail, tNoFetch/tIC-1)
+			return nil
+		})
+		f.ResourceAvailability[g] = groupMean(rs, g, func(wi int) []float64 {
+			if t := rs.Value(wi, iIC, 0); t > 0 {
+				return []float64{rs.Value(wi, iNoFetch, 0)/t - 1}
 			}
-			// Overhead: degradation of the non-MEM co-runners under
-			// useless runahead (no prefetching) vs ICOUNT.
+			return nil
+		})
+		// Overhead: degradation of the non-MEM co-runners under useless
+		// runahead (no prefetching) vs ICOUNT.
+		f.Overhead[g] = groupMean(rs, g, func(wi int) (over []float64) {
 			icount, noPf := rs.Result(wi, iIC), rs.Result(wi, iNoPf)
-			for i := range w.Benchmarks {
+			for i, name := range rs.Workloads[wi].Benchmarks {
 				// NewSession validated every benchmark of the selection.
-				if trace.MustLookup(w.Benchmarks[i]).Class == trace.ClassMEM {
+				if trace.MustLookup(name).Class == trace.ClassMEM {
 					continue
 				}
 				a, b := icount.Threads[i].IPC, noPf.Threads[i].IPC
@@ -72,10 +72,8 @@ func (s *Session) Fig4(ctx context.Context) (*Fig4Result, error) {
 					over = append(over, 1-b/a)
 				}
 			}
+			return over
 		})
-		f.Prefetching[g] = metrics.Mean(pref)
-		f.ResourceAvailability[g] = metrics.Mean(avail)
-		f.Overhead[g] = metrics.Mean(over)
 	}
 	return f, nil
 }
@@ -110,18 +108,20 @@ func (s *Session) Fig5(ctx context.Context) (*Fig5Result, error) {
 	}
 	f := &Fig5Result{Groups: s.opt.groups(), Normal: map[string]float64{}, Runahead: map[string]float64{}}
 	for _, g := range f.Groups {
-		var normal, ra []float64
-		groupRows(rs, g, func(wi int, w workload.Workload) {
-			icount, rat := rs.Result(wi, iIC), rs.Result(wi, iRat)
-			for i := range w.Benchmarks {
-				normal = append(normal, icount.Threads[i].RegsNormal)
-				if rat.Threads[i].CyclesInRunahead > 0 {
-					ra = append(ra, rat.Threads[i].RegsRunahead)
+		f.Normal[g] = groupMean(rs, g, func(wi int) (normal []float64) {
+			for _, th := range rs.Result(wi, iIC).Threads {
+				normal = append(normal, th.RegsNormal)
+			}
+			return normal
+		})
+		f.Runahead[g] = groupMean(rs, g, func(wi int) (ra []float64) {
+			for _, th := range rs.Result(wi, iRat).Threads {
+				if th.CyclesInRunahead > 0 {
+					ra = append(ra, th.RegsRunahead)
 				}
 			}
+			return ra
 		})
-		f.Normal[g] = metrics.Mean(normal)
-		f.Runahead[g] = metrics.Mean(ra)
 	}
 	return f, nil
 }
@@ -165,11 +165,7 @@ func (s *Session) Fig6(ctx context.Context) (*Fig6Result, error) {
 			f.Throughput[g][size] = map[core.PolicyKind]float64{}
 			for pi, p := range pols {
 				ci := si*len(pols) + pi // regs axis is slowest-varying
-				var thrus []float64
-				groupRows(rs, g, func(wi int, _ workload.Workload) {
-					thrus = append(thrus, rs.Value(wi, ci, 0))
-				})
-				f.Throughput[g][size][p] = metrics.Mean(thrus)
+				f.Throughput[g][size][p] = groupMean(rs, g, func(wi int) []float64 { return []float64{rs.Value(wi, ci, 0)} })
 			}
 		}
 	}

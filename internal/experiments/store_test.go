@@ -95,11 +95,12 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
+	ctx := context.Background()
 	dir := t.TempDir()
 	w := workload.Workload{Group: "AD", Benchmarks: []string{"art", "mcf"}}
 
 	cold := mustSession(t, storeOptions(dir))
-	want, err := cold.RunConfigCtx(context.Background(), w, cold.BaseConfig())
+	want, err := cold.StartRunCtx(ctx, w, cold.BaseConfig()).WaitCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 	}
 
 	warm := mustSession(t, storeOptions(dir))
-	got, err := warm.RunConfigCtx(context.Background(), w, warm.BaseConfig())
+	got, err := warm.StartRunCtx(ctx, w, warm.BaseConfig()).WaitCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 
 	// The rewrite healed the store: a third session hits.
 	healed := mustSession(t, storeOptions(dir))
-	if _, err := healed.RunConfigCtx(context.Background(), w, healed.BaseConfig()); err != nil {
+	if _, err := healed.StartRunCtx(ctx, w, healed.BaseConfig()).WaitCtx(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if st := healed.StoreStats(); st.Hits == 0 || st.Misses != 0 {
@@ -146,12 +147,13 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 // TestUnwritableStoreKeepsResults sabotages the store mid-session: its
 // directory is replaced by a regular file, so every write fails with
 // ENOTDIR (even for root). Persistence is write-behind and best-effort,
-// so RunConfigCtx must still return exactly the result of an unstored
+// so a cell's wait must still return exactly the result of an unstored
 // session while the failures are counted.
 func TestUnwritableStoreKeepsResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
+	ctx := context.Background()
 	dir := t.TempDir()
 	w := workload.Workload{Group: "AD", Benchmarks: []string{"art", "mcf"}}
 
@@ -162,13 +164,13 @@ func TestUnwritableStoreKeepsResults(t *testing.T) {
 	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.RunConfigCtx(context.Background(), w, s.BaseConfig())
+	got, err := s.StartRunCtx(ctx, w, s.BaseConfig()).WaitCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	plain := mustSession(t, storeOptions(""))
-	want, err := plain.RunConfigCtx(context.Background(), w, plain.BaseConfig())
+	want, err := plain.StartRunCtx(ctx, w, plain.BaseConfig()).WaitCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -313,14 +313,13 @@ func (c *Core) WarmupICache() {
 	}
 }
 
-// WarmupCaches performs a full untimed warm pass: one trace iteration per
-// thread installing both code and data lines (interleaved across threads
-// so shared-cache capacity pressure at measurement start resembles steady
-// state). This reproduces the paper's measurement discipline — SimPoint
-// intervals start from checkpoints with warm caches, so no figure includes
-// cold-start compulsory misses. Capacity behaviour is unaffected:
-// footprints beyond the L2 still miss in steady state, which is exactly
-// the MEM classification.
+// WarmupCaches performs an untimed warm pass that installs every code and
+// data line trace iteration 0 touches (positions 0 to Len-1, data at
+// AddrAt), interleaved across threads. Trace.AddrAt shifts cold addresses
+// only from iteration 1, so until then a thread's accesses hit in the L2
+// unless this pass itself evicted the line there (the iteration-0 lines
+// of all threads overflowing a set). It stands in for the paper's warm SimPoint checkpoints, but holds more
+// than a steady-state cache: exactly the lines iteration 0 touches.
 func (c *Core) WarmupCaches() {
 	maxLen := 0
 	for _, t := range c.threads {
@@ -397,13 +396,6 @@ func (c *Core) NumThreads() int { return len(c.threads) }
 
 // Config returns the core configuration.
 func (c *Core) Config() Config { return c.cfg }
-
-// Hierarchy exposes the memory subsystem (statistics, probes).
-func (c *Core) Hierarchy() *mem.Hierarchy { return c.hier }
-
-// ICount returns thread tid's fetch-to-issue instruction count, the ICOUNT
-// priority input.
-func (c *Core) ICount(tid int) int { return c.threads[tid].icount }
 
 // PendingL2Miss reports whether tid has a demand L2 miss outstanding.
 func (c *Core) PendingL2Miss(tid int) bool {

@@ -244,7 +244,7 @@ func TestRunaheadNoPrefetchDoesNotPrefetch(t *testing.T) {
 	if st.PrefetchesIssued != 0 {
 		t.Fatal("no-prefetch mode issued prefetches")
 	}
-	if c.Hierarchy().PrefetchIssue != 0 {
+	if c.hier.PrefetchIssue != 0 {
 		t.Fatal("hierarchy saw prefetches in no-prefetch mode")
 	}
 }

@@ -100,7 +100,7 @@ func TestResetMidEpisodeMatchesNew(t *testing.T) {
 						shapes[i].name, block, tid, got, want)
 				}
 			}
-			if got, want := c.Hierarchy().PrefetchIssue, fresh.Hierarchy().PrefetchIssue; got != want {
+			if got, want := c.hier.PrefetchIssue, fresh.hier.PrefetchIssue; got != want {
 				t.Fatalf("%s, block %d: %d prefetches on the reset core, %d on the new one",
 					shapes[i].name, block, got, want)
 			}

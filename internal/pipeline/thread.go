@@ -44,7 +44,11 @@ type ThreadStats struct {
 	// branches.
 	BranchResolved     uint64
 	BranchMispredicted uint64
-	// L2MissLoads counts demand loads served by main memory.
+	// L2MissLoads counts normal-mode demand loads served by main memory,
+	// at each execution. A load that merges into an outstanding MSHR (a
+	// demand miss or a runahead prefetch) counts; stores, instruction
+	// fetches and runahead loads do not. It is not a count of L2 line
+	// misses: every load to a missing line counts, not only the first.
 	L2MissLoads uint64
 	// RunaheadEpisodes counts entries into runahead mode.
 	RunaheadEpisodes uint64

@@ -83,6 +83,9 @@ var metricTable = []metric{
 	{name: "executed", compute: func(res *core.Result, _ []*core.Result) float64 {
 		return float64(res.ExecutedTotal)
 	}},
+	// l2mpki is demand loads served by memory per kilo-instruction
+	// (ThreadResult.L2MissLoads), not L2 line misses: a load that merges
+	// into an outstanding MSHR counts, stores and fetches do not.
 	{name: "l2mpki", compute: func(res *core.Result, _ []*core.Result) float64 {
 		if res.CommittedTotal == 0 {
 			return 0

@@ -269,13 +269,6 @@ func (c *Cache[K, V]) evict() {
 	}
 }
 
-// Len returns the number of registered entries (in flight or completed).
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Stats returns a consistent snapshot of the counters.
 func (c *Cache[K, V]) Stats() Stats {
 	c.mu.Lock()

@@ -36,8 +36,8 @@ func TestSingleComputationManyWaiters(t *testing.T) {
 	if n := computed.Load(); n != 1 {
 		t.Fatalf("computed %d times, want 1", n)
 	}
-	if g.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", g.Len())
+	if n := g.Stats().Entries; n != 1 {
+		t.Fatalf("Entries = %d, want 1", n)
 	}
 	st := g.Stats()
 	if st.Misses != 1 || st.Hits != 31 {
@@ -82,8 +82,8 @@ func TestEntryBoundEvictsLRU(t *testing.T) {
 	fill(t, g, "b", 2)
 	fill(t, g, "a", 1) // touch a: b is now LRU
 	fill(t, g, "c", 3) // evicts b
-	if g.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", g.Len())
+	if n := g.Stats().Entries; n != 2 {
+		t.Fatalf("Entries = %d, want 2", n)
 	}
 	if created := fill(t, g, "a", 1); created {
 		t.Error("a was evicted; want b (LRU) evicted")
@@ -133,8 +133,8 @@ func TestInFlightNeverEvicted(t *testing.T) {
 	}
 	slow.Fulfill(99, nil)
 	// Completing the over-bound in-flight entry trims back to the bound.
-	if n := g.Len(); n != 1 {
-		t.Fatalf("Len after settle = %d, want 1", n)
+	if n := g.Stats().Entries; n != 1 {
+		t.Fatalf("Entries after settle = %d, want 1", n)
 	}
 	if v, err := again.WaitCtx(context.Background()); v != 99 || err != nil {
 		t.Fatalf("WaitCtx = %d, %v", v, err)
@@ -330,8 +330,8 @@ func TestAbandonRefusedWithoutContext(t *testing.T) {
 		t.Fatal("Abandon matched a key that was never registered")
 	}
 	// Every refusal returns the cache unlocked and unchanged.
-	if n := g.Len(); n != 1 {
-		t.Fatalf("Len = %d after refused abandons, want 1", n)
+	if n := g.Stats().Entries; n != 1 {
+		t.Fatalf("Entries = %d after refused abandons, want 1", n)
 	}
 }
 
@@ -357,8 +357,8 @@ func TestConcurrentChurn(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n := g.Len(); n > 8 {
-		t.Fatalf("Len = %d, want <= 8", n)
+	if n := g.Stats().Entries; n > 8 {
+		t.Fatalf("Entries = %d, want <= 8", n)
 	}
 	st := g.Stats()
 	if st.InFlight != 0 {

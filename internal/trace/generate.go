@@ -108,40 +108,6 @@ func (t *Trace) AddrAt(seq uint64) uint64 {
 	return t.coldBase + off
 }
 
-// Summary reports aggregate trace composition, used by the calibration
-// tests.
-type Summary struct {
-	Total       int
-	Loads       int
-	Stores      int
-	Branches    int
-	FPCompute   int
-	ChasedLoads int
-}
-
-// Summarize scans the trace and counts instruction classes.
-func (t *Trace) Summarize() Summary {
-	var s Summary
-	s.Total = len(t.insts)
-	for i := range t.insts {
-		in := &t.insts[i]
-		switch {
-		case in.Op.IsLoad():
-			s.Loads++
-			if in.AddrDependsOnLoad {
-				s.ChasedLoads++
-			}
-		case in.Op.IsStore():
-			s.Stores++
-		case in.Op.IsBranch():
-			s.Branches++
-		case in.Op.IsFP():
-			s.FPCompute++
-		}
-	}
-	return s
-}
-
 // generator carries the mutable state of one generation run.
 type generator struct {
 	p   Profile

@@ -96,9 +96,9 @@ func New(memBytes int64) *Store { return NewBounded(0, memBytes) }
 var defaultStore = sync.OnceValue(func() *Store { return NewBounded(0, DefaultMemBytes) })
 
 // Default returns the process-wide shared store, its recency tier
-// bounded to DefaultMemBytes. workload.Traces routes through it so that
-// every caller in the process — figures, scenarios, references, tests —
-// shares one trace per identity by default.
+// bounded to DefaultMemBytes. workload.TracesVia with a nil store routes
+// through it so that every caller in the process — figures, scenarios,
+// references, tests — shares one trace per identity by default.
 func Default() *Store { return defaultStore() }
 
 // Generate returns the trace for benchmark name under opt, generating it

@@ -49,7 +49,7 @@ func FuzzWorkloadParse(f *testing.F) {
 			t.Fatalf("Parse(%q) returned an unnameable workload", spec)
 		}
 		// Traces must materialize for every valid workload.
-		ts, err := w.Traces(64, 1)
+		ts, err := w.TracesVia(nil, 64, 1)
 		if err != nil {
 			t.Fatalf("Parse(%q) accepted a workload whose traces fail: %v", spec, err)
 		}

@@ -177,22 +177,6 @@ func Parse(spec string) (Workload, error) {
 	return w, nil
 }
 
-// Traces materializes the workload's instruction traces: one per context,
-// deterministic in (workload, seed, length), with disjoint address spaces
-// and decorrelated generation streams (two copies of one benchmark do not
-// march in lockstep). Unknown benchmark names surface as an error (the
-// same one Validate reports).
-//
-// Traces are served through the process-wide tracestore.Default tier: two
-// workloads that place the same (benchmark, seed) at the same context
-// index — or a workload and its single-threaded fairness reference —
-// receive the same shared trace object instead of generating twice. The
-// returned traces are read-only, which is the only way the simulator uses
-// them.
-func (w Workload) Traces(length int, seed uint64) ([]*trace.Trace, error) {
-	return w.TracesVia(nil, length, seed)
-}
-
 // ContextOptions returns the trace generation options for context i of a
 // workload run under (length, seed): the per-context seed derivation and
 // the disjoint address-space placement in one place, so every path that
@@ -206,9 +190,19 @@ func ContextOptions(i int, length int, seed uint64) trace.Options {
 	}
 }
 
-// TracesVia is Traces against an explicit trace tier; a nil store means
-// the process-wide default. Sessions, which keep a private store, pass
-// it here.
+// TracesVia materializes the workload's instruction traces: one per
+// context, deterministic in (workload, seed, length), with disjoint
+// address spaces and decorrelated generation streams (two copies of one
+// benchmark do not march in lockstep). Unknown benchmark names surface as
+// an error (the same one Validate reports).
+//
+// Traces are served through the trace tier ts; a nil store means the
+// process-wide tracestore.Default, and sessions, which keep a private
+// store, pass theirs. Two workloads that place the same (benchmark,
+// seed) at the same context index — or a workload and its
+// single-threaded fairness reference — receive the same shared trace
+// object instead of generating twice. The returned traces are read-only,
+// which is the only way the simulator uses them.
 func (w Workload) TracesVia(ts *tracestore.Store, length int, seed uint64) ([]*trace.Trace, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -227,10 +221,10 @@ func (w Workload) TracesVia(ts *tracestore.Store, length int, seed uint64) ([]*t
 	return out, nil
 }
 
-// MustTraces is Traces for statically known-good workloads (tests and
-// benchmarks); it panics on validation failure.
+// MustTraces is TracesVia on the default tier for statically known-good
+// workloads (tests and benchmarks); it panics on validation failure.
 func (w Workload) MustTraces(length int, seed uint64) []*trace.Trace {
-	ts, err := w.Traces(length, seed)
+	ts, err := w.TracesVia(nil, length, seed)
 	if err != nil {
 		panic(err)
 	}

@@ -176,8 +176,8 @@ func TestValidate(t *testing.T) {
 
 func TestTracesSurfacesUnknownBenchmark(t *testing.T) {
 	w := Workload{Group: "X", Benchmarks: []string{"nonesuch"}}
-	if _, err := w.Traces(100, 1); err == nil {
-		t.Fatal("unknown benchmark accepted by Traces")
+	if _, err := w.TracesVia(nil, 100, 1); err == nil {
+		t.Fatal("unknown benchmark accepted by TracesVia")
 	}
 }
 
@@ -232,8 +232,8 @@ func TestTracesDedupeAcrossWorkloads(t *testing.T) {
 	}
 }
 
-// TestTracesViaNilUsesDefault pins the routing satellite: the plain
-// Traces path serves from the process-wide default tier, so repeated
+// TestTracesViaNilUsesDefault pins the routing: TracesVia with a nil
+// store serves from the process-wide default tier, so repeated
 // materializations of one workload return identical trace objects.
 func TestTracesViaNilUsesDefault(t *testing.T) {
 	w := Workload{Group: "MEM2", Benchmarks: []string{"art", "mcf"}}
