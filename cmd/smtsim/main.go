@@ -56,13 +56,18 @@ func main() {
 	}
 
 	// The machine is core.DefaultConfig, its cycle limit included, with
-	// the flags applied: not the session's figure base.
+	// the flags applied: not the session's figure base. A -tracelen or
+	// -regs of 0 keeps the base value, so -tracelen 0 runs the flag's
+	// 20,000-instruction default rather than core's 60,000.
 	maxCycles := core.DefaultConfig().MaxCycles
 	sp := &scenario.Spec{
 		Name:      "smtsim",
 		Workloads: scenario.WorkloadSpec{Adhoc: []string{"custom/" + strings.ReplaceAll(*threads, ",", "+")}},
-		Base:      scenario.Delta{Policy: policy, TraceLen: traceLen, Seed: seed, MaxCycles: &maxCycles},
+		Base:      scenario.Delta{Policy: policy, Seed: seed, MaxCycles: &maxCycles},
 		Metrics:   []string{"throughput"},
+	}
+	if *traceLen > 0 {
+		sp.Base.TraceLen = traceLen
 	}
 	if *regs > 0 {
 		sp.Base.Regs = regs

@@ -95,3 +95,25 @@ func TestNegativeFlagsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceLenZeroIsDefault: -tracelen 0 keeps the flag's default length,
+// as experiments and smtsimd read it, rather than core's 60,000-instruction
+// run default.
+func TestTraceLenZeroIsDefault(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation run")
+	}
+	args := []string{"-threads", "gzip", "-policy", "ICOUNT"}
+	def, stderr, code := runSmtsim(t, args...)
+	if code != 0 {
+		t.Fatalf("smtsim %s: exit %d, stderr %q", strings.Join(args, " "), code, stderr)
+	}
+	zero, stderr, code := runSmtsim(t, append(args, "-tracelen", "0")...)
+	if code != 0 {
+		t.Fatalf("smtsim -tracelen 0: exit %d, stderr %q", code, stderr)
+	}
+	window := func(out string) string { first, _, _ := strings.Cut(out, "\n"); return first }
+	if window(zero) != window(def) {
+		t.Errorf("-tracelen 0 prints %q, the default prints %q", window(zero), window(def))
+	}
+}

@@ -764,6 +764,34 @@ func TestPlanSharedAcrossFormats(t *testing.T) {
 	}
 }
 
+// TestFormatContentTypes pins the Content-Type each output format is
+// served with.
+func TestFormatContentTypes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation run")
+	}
+	_, ts := newTestServer(t, testOptions())
+	for _, c := range []struct{ format, want string }{
+		{"table", "text/plain; charset=utf-8"},
+		{"json", "application/json"},
+		{"csv", "text/csv"},
+		{"ndjson", "application/x-ndjson"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/scenario?format="+c.format, "application/json", strings.NewReader(testSpec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || got != c.want {
+			t.Errorf("format %s: status %d, Content-Type %q; want 200, %q", c.format, resp.StatusCode, got, c.want)
+		}
+	}
+}
+
 // coldSpec is spec i of a cold-traffic run: two 2-thread workloads at
 // 3000 instructions under a seed no other spec uses, so no trace is
 // shared across specs.

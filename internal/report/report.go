@@ -1,6 +1,6 @@
-// Package report renders the experiment harness's tables and bar charts
-// as plain text, so `cmd/experiments` output reads like the paper's
-// figures.
+// Package report renders aligned text tables and bar charts, and formats
+// their numeric cells (F, Pct), so the figures and scenario tables read
+// like the paper's.
 package report
 
 import (

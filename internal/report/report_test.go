@@ -65,3 +65,25 @@ func TestFormatters(t *testing.T) {
 		t.Fatalf("Pct = %q", Pct(-0.05))
 	}
 }
+
+// TestTableGoldenAlignment locks the exact rendering of a table mixing
+// wide cells, empty cells, and a short row — padding, the two-space
+// gutter, and the rule length are all load-bearing for the figure
+// goldens, so they are asserted byte for byte here.
+func TestTableGoldenAlignment(t *testing.T) {
+	tb := NewTable("golden", "name", "wide-column-header", "v")
+	tb.AddRow("a-very-wide-cell-value", "x", "1")
+	tb.AddRow("b", "", "2") // explicit empty middle cell
+	tb.AddRow("c")          // short row: padded with empty cells
+	got := tb.String()
+	want := "" +
+		"golden\n" +
+		"name                    wide-column-header  v\n" +
+		"----------------------------------------------\n" +
+		"a-very-wide-cell-value  x                   1\n" +
+		"b                                           2\n" +
+		"c                                            \n"
+	if got != want {
+		t.Fatalf("table rendering diverged:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}

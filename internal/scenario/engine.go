@@ -2,8 +2,10 @@ package scenario
 
 import (
 	"context"
+	"encoding/csv"
 	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -281,35 +283,59 @@ func ExecuteStreamCtx(ctx context.Context, p *Plan, emit func(Row) error, flush 
 	return rs, nil
 }
 
-// Dataset flattens the result set for the report emitters: one column for
-// the workload, one per axis, one per metric, then the truncation flag
-// and the configuration fingerprint.
-func (rs *ResultSet) Dataset() *report.Dataset {
-	cols := append([]string{"workload"}, rs.Axes...)
+// columns names the result set's columns in output order: the workload,
+// one per axis, one per metric, then the truncation flag and the
+// configuration fingerprint.
+func (rs *ResultSet) columns() []string {
+	cols := make([]string, 0, len(rs.Axes)+len(rs.Metrics)+3)
+	cols = append(cols, "workload")
+	cols = append(cols, rs.Axes...)
 	cols = append(cols, rs.Metrics...)
-	cols = append(cols, "truncated", "config")
-	d := report.NewDataset(rs.Name, cols...)
-	d.Description = rs.Description
-	for _, row := range rs.Rows {
-		cells := make([]any, 0, len(cols))
-		cells = append(cells, row.Workload)
-		for _, l := range row.Labels {
-			cells = append(cells, l)
-		}
-		for _, v := range row.Values {
-			cells = append(cells, v)
-		}
-		cells = append(cells, row.Truncated, row.Fingerprint)
-		d.AddRow(cells...)
-	}
-	return d
+	return append(cols, "truncated", "config")
 }
 
-// String renders the result set as an aligned text table.
-func (rs *ResultSet) String() string { return rs.Dataset().String() }
+// cells renders the row's cells in columns order into dst[:0], each
+// metric value through num.
+func (row *Row) cells(dst []string, num func(float64) string) []string {
+	dst = append(append(dst[:0], row.Workload), row.Labels...)
+	for _, v := range row.Values {
+		dst = append(dst, num(v))
+	}
+	return append(dst, strconv.FormatBool(row.Truncated), row.Fingerprint)
+}
 
-// WriteCSV emits the result set as CSV.
-func (rs *ResultSet) WriteCSV(w io.Writer) error { return rs.Dataset().WriteCSV(w) }
+// String renders the result set as an aligned text table, metric values
+// in the figures' three-decimal format (report.F).
+func (rs *ResultSet) String() string {
+	t := report.NewTable(rs.Name, rs.columns()...)
+	var cells []string
+	for i := range rs.Rows {
+		cells = rs.Rows[i].cells(cells, report.F)
+		t.AddRow(cells...)
+	}
+	return t.String()
+}
+
+// WriteCSV emits the result set as CSV: a header of column names, then
+// one record per row. Metric values take the shortest form that parses
+// back to the same float64.
+func (rs *ResultSet) WriteCSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(rs.columns()); err != nil {
+		return err
+	}
+	var rec []string
+	for i := range rs.Rows {
+		rec = rs.Rows[i].cells(rec, shortestFloat)
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+func shortestFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // CheckFormat reports whether format names an output format: "table",
 // "json", "csv" or "ndjson". Empty is accepted; the caller's default

@@ -173,9 +173,9 @@ func (rs *ResultSet) WriteNDJSON(w io.Writer) error {
 
 // WriteJSON emits the result set as one indented JSON document: the
 // title and description (each omitted when empty), the column names, and
-// the rows as column-keyed objects. The bytes are exactly those of
-// report.Dataset.WriteJSON, a json.Encoder with SetIndent("", "  ") over
-// maps, without the reflection: the compact document is appended with
+// the rows as column-keyed objects. The bytes are exactly those of a
+// json.Encoder with SetIndent("", "  ") over a struct holding the rows
+// as maps, without the reflection: the compact document is appended with
 // the RowEncoder's row appender, then indented by json.Indent, which is
 // what the Encoder itself does after marshaling compact. A NaN or
 // infinite value returns encoding/json's UnsupportedValueError and
@@ -189,14 +189,14 @@ func (rs *ResultSet) WriteJSON(w io.Writer) error {
 	if rs.Description != "" {
 		b = append(appendString(append(b, `"description":`...), rs.Description), ',')
 	}
-	b = append(b, `"columns":["workload"`...)
-	for _, c := range rs.Axes {
-		b = appendString(append(b, ','), c)
+	b = append(b, `"columns":[`...)
+	for i, c := range rs.columns() {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendString(b, c)
 	}
-	for _, c := range rs.Metrics {
-		b = appendString(append(b, ','), c)
-	}
-	b = append(b, `,"truncated","config"],"rows":[`...)
+	b = append(b, `],"rows":[`...)
 	for i, row := range rs.Rows {
 		if i > 0 {
 			b = append(b, ',')

@@ -2,16 +2,20 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// referenceRow is the encoding the RowEncoder must reproduce byte for
-// byte: the row as a map[string]any through json.Encoder.
-func referenceRow(axes, metrics []string, row Row) ([]byte, error) {
+// referenceObject is the row as the map the reference encodings
+// marshal: a key repeated across the columns keeps its last value.
+func referenceObject(axes, metrics []string, row Row) map[string]any {
 	obj := make(map[string]any, len(axes)+len(metrics)+3)
 	obj["workload"] = row.Workload
 	for i, a := range axes {
@@ -22,9 +26,38 @@ func referenceRow(axes, metrics []string, row Row) ([]byte, error) {
 	}
 	obj["truncated"] = row.Truncated
 	obj["config"] = row.Fingerprint
+	return obj
+}
+
+// referenceRow is the encoding the RowEncoder must reproduce byte for
+// byte: the row as a map[string]any through json.Encoder.
+func referenceRow(axes, metrics []string, row Row) ([]byte, error) {
 	var buf bytes.Buffer
-	err := json.NewEncoder(&buf).Encode(obj)
+	err := json.NewEncoder(&buf).Encode(referenceObject(axes, metrics, row))
 	return buf.Bytes(), err
+}
+
+// referenceJSON is the document WriteJSON must reproduce byte for byte:
+// the header fields and the rows as maps through a json.Encoder with
+// SetIndent("", "  ").
+func referenceJSON(w io.Writer, rs *ResultSet) error {
+	doc := struct {
+		Title       string           `json:"title,omitempty"`
+		Description string           `json:"description,omitempty"`
+		Columns     []string         `json:"columns"`
+		Rows        []map[string]any `json:"rows"`
+	}{
+		Title:       rs.Name,
+		Description: rs.Description,
+		Columns:     append(append(append([]string{"workload"}, rs.Axes...), rs.Metrics...), "truncated", "config"),
+		Rows:        make([]map[string]any, 0, len(rs.Rows)),
+	}
+	for _, row := range rs.Rows {
+		doc.Rows = append(doc.Rows, referenceObject(rs.Axes, rs.Metrics, row))
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
 }
 
 // checkRowEncoder compares one row's encoding with the reference: the
@@ -156,13 +189,13 @@ func FuzzRowEncoder(f *testing.F) {
 	})
 }
 
-// checkWriteJSON compares rs.WriteJSON with its reference, the map-based
-// report.Dataset.WriteJSON: the same bytes, or the same error with
-// nothing written by either.
+// checkWriteJSON compares rs.WriteJSON with its map-based reference,
+// referenceJSON: the same bytes, or the same error with nothing written
+// by either.
 func checkWriteJSON(t *testing.T, rs *ResultSet) {
 	t.Helper()
 	var want, got bytes.Buffer
-	wantErr := rs.Dataset().WriteJSON(&want)
+	wantErr := referenceJSON(&want, rs)
 	err := rs.WriteJSON(&got)
 	if wantErr != nil {
 		var uve *json.UnsupportedValueError
@@ -179,6 +212,51 @@ func checkWriteJSON(t *testing.T, rs *ResultSet) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("JSON document differs from the reference:\ngot  %q\nwant %q", got.Bytes(), want.Bytes())
+	}
+}
+
+// checkWriteCSV parses rs.WriteCSV's output back: a header of the
+// columns, then one record per row holding the row's strings, its
+// truncation flag, and values that parse back to the same float64 bits
+// (a NaN to a NaN). encoding/csv reads a "\r\n" inside a quoted field
+// back as "\n", so the strings are compared after that one rewrite.
+func checkWriteCSV(t *testing.T, rs *ResultSet) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rs.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(bytes.NewReader(buf.Bytes())).ReadAll()
+	if err != nil {
+		t.Fatalf("CSV does not parse: %v\n%q", err, buf.Bytes())
+	}
+	read := func(strs []string) []string {
+		for i, s := range strs {
+			strs[i] = strings.ReplaceAll(s, "\r\n", "\n")
+		}
+		return strs
+	}
+	if len(recs) != len(rs.Rows)+1 {
+		t.Fatalf("%d CSV records, want a header and %d rows:\n%q", len(recs), len(rs.Rows), buf.Bytes())
+	}
+	if cols := read(rs.columns()); !slices.Equal(recs[0], cols) {
+		t.Fatalf("header = %q, want %q", recs[0], cols)
+	}
+	for ri, row := range rs.Rows {
+		rec := recs[ri+1]
+		n := 1 + len(row.Labels)
+		got := append(rec[:n:n], rec[n+len(row.Values):]...)
+		want := append([]string{row.Workload}, row.Labels...)
+		want = read(append(want, strconv.FormatBool(row.Truncated), row.Fingerprint))
+		if !slices.Equal(got, want) {
+			t.Fatalf("row %d strings = %q, want %q", ri, got, want)
+		}
+		for i, v := range row.Values {
+			f, err := strconv.ParseFloat(rec[n+i], 64)
+			if err != nil || math.Float64bits(f) != math.Float64bits(v) && !(math.IsNaN(f) && math.IsNaN(v)) {
+				t.Fatalf("row %d value %q reads back as %v (%v), want %v", ri, rec[n+i], f, err, v)
+			}
+		}
 	}
 }
 
@@ -203,10 +281,11 @@ func jsonResultSet(name, desc string, axes, metrics []string, label string, v1, 
 	return rs
 }
 
-// TestWriteJSONMatchesDataset pins the appended JSON document to the
-// map-based encoding it replaced: empty and absent header fields, empty
-// row sets, names colliding with the fixed columns or each other,
-// escaped and non-ASCII strings, and unsupported values.
+// TestWriteJSONMatchesDataset pins the appended JSON document to
+// referenceJSON, the map-based encoding it replaced (report.Dataset's
+// once): empty and absent header fields, empty row sets, names colliding
+// with the fixed columns or each other, escaped and non-ASCII strings,
+// and unsupported values.
 func TestWriteJSONMatchesDataset(t *testing.T) {
 	one := math.Float64bits(1.25)
 	for _, tc := range []struct {
@@ -232,19 +311,24 @@ func TestWriteJSONMatchesDataset(t *testing.T) {
 	}
 }
 
-// FuzzWriteJSON drives the document comparison from fuzz bytes: any
-// header strings, any axis and metric names (colliding with the fixed
-// columns, each other, or repeated), any labels, any float bit patterns
-// and zero to three rows.
+// FuzzWriteJSON drives the document comparison, and the CSV read-back,
+// from fuzz bytes: any header strings, any axis and metric names
+// (colliding with the fixed columns, each other, or repeated), any
+// labels, any float bit patterns and zero to three rows.
 func FuzzWriteJSON(f *testing.F) {
 	f.Add("rob-sweep", "desc", "rob", "throughput", "MEM2/art+mcf", uint64(0x3ff8000000000000), uint64(0), true, uint8(3))
 	f.Add("", "", "workload", "config", "<script>&amp;", math.Float64bits(1e-7), math.Float64bits(1e21), false, uint8(2))
 	f.Add("x", " ", "truncated", "truncated", "héllo\xff", math.Float64bits(math.NaN()), math.Float64bits(-0.0), false, uint8(1))
 	f.Add("y", "", "x", "x", "日本語", math.Float64bits(5e-324), math.Float64bits(math.Inf(-1)), true, uint8(2))
 	f.Add("empty", "", "rob", "throughput", "", math.Float64bits(math.Inf(1)), uint64(0), true, uint8(0))
+	f.Add("csv", "", "a,b", `"q"`, `MEM2/art,"mcf"`, math.Float64bits(1e-20), math.Float64bits(123456789), true, uint8(3))
+	f.Add("crlf", "", " lead", "x\r\ny", "a\r\nb\rc\n", math.Float64bits(1.0/3), math.Float64bits(-0.0), false, uint8(2))
+	f.Add("dot", "", `\.`, "#", "\t", math.Float64bits(math.NaN()), math.Float64bits(math.Inf(-1)), true, uint8(3))
 	f.Fuzz(func(t *testing.T, name, desc, axis, metric, label string, v1, v2 uint64, truncated bool, rows uint8) {
 		axes := []string{axis, "rob", axis}
 		metrics := []string{metric, "throughput", metric}
-		checkWriteJSON(t, jsonResultSet(name, desc, axes, metrics, label, v1, v2, truncated, int(rows%4)))
+		rs := jsonResultSet(name, desc, axes, metrics, label, v1, v2, truncated, int(rows%4))
+		checkWriteJSON(t, rs)
+		checkWriteCSV(t, rs)
 	})
 }
