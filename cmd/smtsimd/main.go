@@ -44,9 +44,11 @@
 //
 // With -store-dir the daemon adds a persistent on-disk tier beneath the
 // memory cache (internal/resultstore): every completed simulation is
-// written behind its result, a memory miss probes the store before
-// simulating, and -store-bytes bounds the directory's footprint
-// (least-recently-accessed entries are deleted past it). Simulations are
+// written behind its result, a memory miss probes the store in the
+// request's own handler before the cell would queue (a disk hit never
+// reaches the work queue or a worker), and -store-bytes bounds the
+// directory's footprint (least-recently-accessed entries are deleted
+// past it). Simulations are
 // deterministic pure functions of (workload, config), so a killed and
 // restarted daemon — or a second daemon sharing the directory — serves
 // previously-run sweeps byte-identically without re-simulating them;
@@ -498,11 +500,13 @@ func (s *server) streamScenario(ctx context.Context, w http.ResponseWriter, plan
 // leak-smoke step (and any monitor) can assert sweeps do not strand
 // workers, waiters or response plumbing.
 // Queued counts grid cells accepted into the work queue but not yet
-// picked up by a worker — the complement of cache.inFlight, which only
-// counts started cells, so a daemon sitting on a deep backlog no longer
-// reports an idle picture. The scheduler object is the work queue's own
+// picked up by a worker, so a daemon sitting on a deep backlog does not
+// report an idle picture. The scheduler object is the work queue's own
 // view: queued jobs/cells, in-service cells, and per-client queued/
-// in-service accounting (active clients only).
+// in-service accounting (active clients only). Both count only cells
+// that simulate: a memory hit never queues, and a disk hit is read in
+// the request's handler and never queues either, so a restarted daemon
+// replaying stored sweeps reads zero here while diskHits grows.
 type metricsDoc struct {
 	Cache           simcache.Stats   `json:"cache"`
 	Plans           simcache.Stats   `json:"plans"`

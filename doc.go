@@ -76,24 +76,29 @@
 // simulation is a deterministic pure function of (workload,
 // core.Config.Canonical()), so its result can be persisted and replayed:
 // a memory-cache miss probes the store before simulating, and every
-// completed simulation is written behind its result. An entry is a
+// completed simulation is written behind its result. The probe runs in
+// the requester (Session.StartRunCtx), so a disk hit is fulfilled before
+// the cell would queue: it never enters the work queue or wakes a
+// worker, and only cells that simulate use the pool. An entry is a
 // file named by the SHA-256 of its identity (the workload name and the
 // full canonical configuration) and holds one envelope — magic,
 // version, the identity echoed back, the encoded result and a CRC-32
 // trailer. Anything unexpected on read (truncation, corruption, a stale
-// version, an identity mismatch) is a clean miss that deletes the entry
-// and recomputes, never a wrong answer. Writes go to a temp file renamed
-// into place; there is no fsync, so a crash may lose recent entries or
-// leave a torn one, which the next read catches and recomputes — the
-// resultstore package documentation states this durability contract in
-// full. The store is byte-bounded: least-recently-accessed entries are
-// deleted past StoreBytes, with recency persisted in file modification
-// times. A killed-and-restarted smtsimd over the same -store-dir
-// therefore serves previously-run sweeps byte-identically with zero new
-// simulations (visible as diskHits with diskMisses == 0 in /v1/metrics,
-// alongside diskBytes and diskEvictions), and several daemons may share
-// one directory — `smtload -restart-check` proves the contract against
-// a live daemon, and the restart-smoke CI job replays it on every push.
+// version, an identity mismatch, a directory in the entry's place) is
+// a clean miss that deletes the entry and recomputes, never a wrong
+// answer; a file that cannot be opened at all is a miss left in place.
+// Writes go to a temp file renamed into place; there is no fsync, so a
+// crash may lose recent entries or leave a torn one, which the next read
+// catches and recomputes — the resultstore package documentation states
+// this durability contract in full. The store is byte-bounded:
+// least-recently-accessed entries are deleted past StoreBytes, with
+// recency persisted in file modification times. A killed-and-restarted
+// smtsimd over the same -store-dir therefore serves previously-run
+// sweeps byte-identically with zero new simulations (visible as
+// diskHits with diskMisses == 0 in /v1/metrics, alongside diskBytes and
+// diskEvictions), and several daemons may share one directory —
+// `smtload -restart-check` proves the contract against a live daemon,
+// and the restart-smoke CI job replays it on every push.
 // A store directory removed under a running daemon is not recreated:
 // writes fail and count as diskWriteErrors while every sweep is still
 // served, which the same CI job checks after the replay.
@@ -147,10 +152,11 @@
 // above hold for attributed and anonymous sweeps alike; the starvation
 // regression test in internal/experiments locks the fix. The daemon
 // reports the queue in /v1/metrics: "queued" (cells accepted but not yet
-// started — the complement of the cache's inFlight) and a "scheduler"
-// object with queued and in-service cells in total and per client. cmd/smtload prints
-// per-request latency percentiles (min/p50/p99/max) and takes -client to
-// name itself.
+// started; the cache's inFlight counts them too) and a "scheduler"
+// object with queued and in-service cells in total and per client. Only
+// cells that simulate queue: memory and disk hits never appear there.
+// cmd/smtload prints per-request latency percentiles (min/p50/p99/max)
+// and takes -client to name itself.
 //
 // The fairness metric's single-thread reference is defined once, by
 // core.Reference: the benchmark alone, under ICOUNT, on the SMT run's

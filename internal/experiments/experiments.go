@@ -9,7 +9,9 @@
 // workload and core.Config.Canonical(). So figures that overlap — 1, 2
 // and 3 all need the ICOUNT and RaT runs, and Figure 6's 320-register
 // points are the Table 1 machine — still simulate each distinct point
-// exactly once.
+// exactly once. A memory miss probes the disk tier in the requester
+// (Session.StartRunCtx), so a stored cell is served without queueing,
+// and only cells that simulate use the worker pool.
 //
 // The harness is deliberately a library: cmd/experiments wraps it with
 // flags (including -scenario for arbitrary JSON sweeps), and bench_test.go
@@ -66,13 +68,14 @@ type Options struct {
 	CacheEntries int
 	// StoreDir, when non-empty, enables the persistent on-disk result
 	// tier (internal/resultstore) beneath the in-memory cache: a memory
-	// miss probes the store before simulating, and every completed
-	// simulation is written behind the fulfilled result. Because each
-	// simulation is a deterministic pure function of (workload, config),
-	// a restarted process pointed at the same directory serves previous
-	// sweeps without re-simulating, and several processes may share one
-	// directory. StoreBytes bounds the store's on-disk footprint
-	// (least-recently-accessed entries are deleted past it; 0 = unbounded).
+	// miss probes the store in the requester before the cell is queued,
+	// and every completed simulation is written behind the fulfilled
+	// result. Because each simulation is a deterministic pure function
+	// of (workload, config), a restarted process pointed at the same
+	// directory serves previous sweeps without re-simulating, and several
+	// processes may share one directory. StoreBytes bounds the store's
+	// on-disk footprint (least-recently-accessed entries are deleted past
+	// it; 0 = unbounded).
 	StoreDir   string
 	StoreBytes int64
 }
@@ -141,6 +144,14 @@ type runKey struct {
 // worker pops it is abandoned, never simulated. A cell already running
 // always finishes and populates the cache — results are deterministic
 // and shared, so completing them is never wasted work.
+//
+// Only cells that simulate use the pool. With a result store, a memory
+// miss is probed against the store by StartRunCtx itself, on the
+// requester's goroutine, and a disk hit is fulfilled there: it never
+// queues, never wakes a worker and never counts in SchedStats. So the
+// stored cells of one request are read one after another, not spread
+// over the workers; scenario.ExecuteStreamCtx emits each workload's
+// rows as soon as they are read.
 //
 // Session implements scenario.Runner, so a scenario.Plan built on it
 // (scenario.ExecuteStreamCtx) dispatches onto the same pool and cache
@@ -247,8 +258,8 @@ func (s *Session) BatchStats() (batches, cells uint64) { return 0, 0 }
 // SchedStats snapshots the work queue: queued jobs/cells, in-service
 // cells, and per-requester accounting (the smtsimd /v1/metrics
 // "scheduler" payload). Queued cells are work accepted but not yet
-// picked up by a worker — the complement of simcache.Stats.InFlight,
-// which only counts started cells.
+// picked up by a worker. Only cells that simulate are queued: a memory
+// hit or a disk hit never appears here.
 func (s *Session) SchedStats() sched.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -317,17 +328,11 @@ func (s *Session) work() {
 	}
 }
 
-// run computes one cell. It first probes the persistent result tier — a
-// stored result is bit-identical to what the simulation would produce, so
-// a hit skips the simulation entirely — and otherwise simulates on m, the
-// calling worker's machine, against the session's trace tier and writes
-// the result behind.
+// run simulates one cell on m, the calling worker's machine, against the
+// session's trace tier and writes the result behind. It never probes the
+// persistent result tier: StartRunCtx did, before it queued the cell, so
+// every cell that reaches a worker is one the store could not serve.
 func (s *Session) run(m *core.Machine, w workload.Workload, cfg core.Config) (*core.Result, error) {
-	if s.store != nil {
-		if r, ok := s.store.Get(w.Name(), cfg); ok {
-			return r, nil
-		}
-	}
 	r, err := m.Run(cfg, w, s.traces)
 	if err != nil {
 		return nil, fmt.Errorf("%s under %s: %w", w.Name(), cfg.Policy, err)
@@ -342,9 +347,14 @@ func (s *Session) run(m *core.Machine, w workload.Workload, cfg core.Config) (*c
 }
 
 // StartRunCtx schedules (or joins) the simulation of one workload under
-// one complete configuration, returning its call immediately. If every
-// context registered against the cell (this one, plus any concurrent
-// requester's) is done before a worker picks the cell up, it is abandoned
+// one complete configuration, returning its call without waiting for a
+// simulation. A memory miss first probes the persistent result tier here,
+// on the requester's goroutine: a stored result is bit-identical to what
+// the simulation would produce, so a hit returns a call that is already
+// fulfilled, and the cell never enters the work queue or wakes a worker.
+// Only a cell the store cannot serve is queued. If every context
+// registered against a queued cell (this one, plus any concurrent
+// requester's) is done before a worker picks it up, it is abandoned
 // unrun. A cell a worker already started always finishes and populates
 // the cache.
 func (s *Session) StartRunCtx(ctx context.Context, w workload.Workload, cfg core.Config) *simcache.Call[*core.Result] {
@@ -352,6 +362,12 @@ func (s *Session) StartRunCtx(ctx context.Context, w workload.Workload, cfg core
 	c, created := s.cache.BeginCtx(ctx, key)
 	if !created {
 		return c
+	}
+	if s.store != nil {
+		if r, ok := s.store.Get(key.workload, cfg); ok {
+			c.Fulfill(r, nil)
+			return c
+		}
 	}
 	s.dispatch(sched.Requester(ctx), job{key: key, call: c, w: w})
 	return c

@@ -8,7 +8,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/simcache"
 	"repro/internal/workload"
 )
 
@@ -35,10 +37,29 @@ var storeSpec = &scenario.Spec{
 
 func intp(v int) *int { return &v }
 
+// readyProbe runs a plan on a session and fails the test at the first
+// StartRunCtx that returns a call still pending.
+type readyProbe struct {
+	*Session
+	t     *testing.T
+	cells int
+}
+
+func (r *readyProbe) StartRunCtx(ctx context.Context, w workload.Workload, cfg core.Config) *simcache.Call[*core.Result] {
+	c := r.Session.StartRunCtx(ctx, w, cfg)
+	if !c.Ready() {
+		r.t.Fatalf("StartRunCtx of stored cell %s (ROB %d) returned a pending call: the cell queued", w.Name(), cfg.Pipeline.ROBSize)
+	}
+	r.cells++
+	return c
+}
+
 // TestStorePersistsAcrossSessions is the warm-restart contract at the
 // session layer: a second session over the same store directory serves a
 // previously-run sweep entirely from disk — byte-identical output, zero
-// simulations (every memory miss becomes a disk hit).
+// simulations (every memory miss becomes a disk hit). Every stored cell is
+// served inside StartRunCtx: the warm session's pool can start no worker,
+// so a cell that queued would never settle.
 func TestStorePersistsAcrossSessions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
@@ -60,9 +81,21 @@ func TestStorePersistsAcrossSessions(t *testing.T) {
 
 	// "Restart": a fresh session (empty memory cache) on the same dir.
 	warm := mustSession(t, storeOptions(dir))
-	rs2, err := warm.RunScenarioCtx(context.Background(), storeSpec)
+	warm.maxWorkers = 0
+	probe := &readyProbe{Session: warm, t: t}
+	p, err := scenario.NewPlan(probe, storeSpec, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	rs2, err := scenario.ExecuteStreamCtx(context.Background(), p, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probe.cells != len(rs1.Rows) {
+		t.Errorf("warm session started %d cells, want %d", probe.cells, len(rs1.Rows))
+	}
+	if q := warm.SchedStats(); q.QueuedCells != 0 || q.InServiceCells != 0 {
+		t.Errorf("warm session queue = %+v, want no cell queued or in service", q)
 	}
 	st = warm.StoreStats()
 	if st.Misses != 0 {

@@ -21,9 +21,20 @@
 // magic, version, checksum and the echoed identity all match and the
 // payload decodes. Anything else — an absent or unreadable file, a torn
 // or corrupted one, a stale version, an entry for another identity under
-// this name, an undecodable payload — is one counted miss that deletes
-// the file: the caller recomputes and rewrites, and a damaged store
-// degrades to recomputation, never to a wrong answer.
+// this name, an undecodable payload — is one counted miss. A miss whose
+// file opened (or whose path is a directory) deletes whatever sits at
+// the entry's path, so a damaged entry never blocks the rewrite: the
+// caller recomputes and rewrites, and a damaged store degrades to
+// recomputation, never to a wrong answer. A file that could not be
+// opened is left alone: running out of descriptors says nothing about
+// the entry.
+//
+// Get reads an entry with bare system calls (open, read to EOF, close)
+// into a 1 KiB buffer that grows as needed: a read of a few hundred
+// bytes needs no *os.File, no poller registration and no fstat.
+// Get runs on the requester's goroutine (the experiment session probes
+// the store before it queues a cell), so it is the whole cost of a disk
+// hit.
 //
 // # Durability
 //
@@ -58,14 +69,17 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -200,11 +214,16 @@ func entryName(identity []byte) string {
 	return hex.EncodeToString(sum[:]) + suffix
 }
 
-// Get probes the store for a previously stored result. Every defect —
-// absent or unreadable file, bad magic, version or checksum, an identity
-// echo mismatch, or a payload that does not decode — is one counted miss
-// (ok=false) that deletes the file. A hit returns a Result bit-identical
-// to the one stored and marks the entry most recently accessed.
+// Get probes the store for a previously stored result. It reads the
+// entry file whole, to EOF, with bare system calls (readEntry). Every
+// defect — an absent or unreadable file, bad magic, version or checksum,
+// an identity echo mismatch, or a payload that does not decode — is one
+// counted miss (ok=false). A miss deletes what sits at the entry's path
+// when the file opened but its read failed or it was refused, and when
+// the path is a directory (damaged); a file that could not be opened is
+// left alone, since an open can fail for reasons that say nothing about
+// the file. A hit returns a Result bit-identical to the one stored, bumps
+// the file's mtime and marks the entry most recently accessed.
 func (s *Store) Get(workload string, cfg core.Config) (*core.Result, bool) {
 	id := identity(workload, cfg)
 	name := entryName(id)
@@ -212,7 +231,7 @@ func (s *Store) Get(workload string, cfg core.Config) (*core.Result, bool) {
 
 	// File I/O runs outside the lock: per-key dedup lives upstream (the
 	// session's singleflight cache), so the mutex only covers accounting.
-	data, err := os.ReadFile(path)
+	data, err := readEntry(path)
 	if err == nil {
 		if payload, ok := verify(data, id); ok {
 			if r, err := decodePayload(payload); err == nil {
@@ -228,6 +247,8 @@ func (s *Store) Get(workload string, cfg core.Config) (*core.Result, bool) {
 				return r, true
 			}
 		}
+	}
+	if damaged(err) {
 		os.Remove(path)
 	}
 	s.mu.Lock()
@@ -237,6 +258,52 @@ func (s *Store) Get(workload string, cfg core.Config) (*core.Result, bool) {
 	s.forget(name)
 	s.mu.Unlock()
 	return nil, false
+}
+
+// damaged reports whether a probe that failed with err (nil when the file
+// was read but refused) found a bad entry at the path. A failed open says
+// nothing about the file — it is absent, or the process is out of
+// descriptors, or lacks permission — except EISDIR, which some systems
+// report at open for a directory; a failed read or a refused file does.
+func damaged(err error) bool {
+	var pe *fs.PathError
+	return err == nil || errors.Is(err, syscall.EISDIR) || errors.As(err, &pe) && pe.Op != "open"
+}
+
+// sizeHint is the read buffer's starting size; an entry is a few hundred
+// bytes.
+const sizeHint = 1 << 10
+
+// readEntry returns the whole file at path, read to EOF with bare system
+// calls into a buffer that starts at sizeHint bytes and grows as needed.
+// A failure is an *fs.PathError whose Op is "open" or "read", as package
+// os reports it; an interrupted call is retried.
+func readEntry(path string) ([]byte, error) {
+	const flags = syscall.O_RDONLY | syscall.O_CLOEXEC
+	fd, err := syscall.Open(path, flags, 0)
+	for err == syscall.EINTR {
+		fd, err = syscall.Open(path, flags, 0)
+	}
+	if err != nil {
+		return nil, &fs.PathError{Op: "open", Path: path, Err: err}
+	}
+	defer syscall.Close(fd)
+	buf := make([]byte, 0, sizeHint)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := syscall.Read(fd, buf[len(buf):cap(buf)])
+		switch {
+		case err == syscall.EINTR:
+			continue
+		case err != nil:
+			return nil, &fs.PathError{Op: "read", Path: path, Err: err}
+		case n == 0:
+			return buf, nil
+		}
+		buf = buf[:len(buf)+n]
+	}
 }
 
 // verify checks an entry's envelope against identity and returns its

@@ -5,13 +5,16 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash/crc32"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -295,11 +298,13 @@ func reseal(t *testing.T, path string, edit func(body []byte) []byte) {
 }
 
 // TestCorruptEntriesReadAsMiss is the corruption/compat suite: every
-// envelope defect, and a well-formed envelope around a payload the codec
-// refuses, reads as one clean miss that deletes the file — never an
+// envelope defect, a well-formed envelope around a payload the codec
+// refuses, and a path that cannot be read as a file at all reads as one
+// clean miss that deletes what sits at the entry's path — never an
 // error, never a wrong Result — and recompute + rewrite then works. An
 // envelope defect must be caught by verify alone, so a damaged entry
-// never reaches decodePayload.
+// never reaches decodePayload. Every row probes through a reopened store
+// and through the store that wrote the entry.
 func TestCorruptEntriesReadAsMiss(t *testing.T) {
 	// The envelope is "SMRS" | version u16 | identity length u32 |
 	// identity | payload | CRC-32.
@@ -349,6 +354,21 @@ func TestCorruptEntriesReadAsMiss(t *testing.T) {
 				return append(body[:head+idLen:head+idLen], payload...)
 			})
 		}},
+		"bytes appended after the trailer": {corrupt: func(t *testing.T, path string, _ core.Config, _ *core.Result) {
+			// The file outgrew the read's starting buffer: the read must
+			// go on to EOF, and the trailer is then no checksum.
+			rewrite(t, path, func(b []byte) []byte { return append(b, make([]byte, 3*len(b))...) })
+		}},
+		"directory at the entry path": {corrupt: func(t *testing.T, path string, _ core.Config, _ *core.Result) {
+			// An open may succeed where no read can: the miss must still
+			// clear the path, or every later rewrite fails its rename.
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Mkdir(path, 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		"fingerprint mismatch": {corrupt: func(t *testing.T, path string, cfg core.Config, res *core.Result) {
 			// An entry for a DIFFERENT machine parked under this key's file
 			// name (as a colliding or misplaced write would): the identity
@@ -366,36 +386,46 @@ func TestCorruptEntriesReadAsMiss(t *testing.T) {
 		}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, cfg, res, path := storeWith(t)
-			tc.corrupt(t, path, cfg, res)
-			data, _ := os.ReadFile(path)
-			payload, ok := verify(data, identity(res.Workload, cfg))
-			if ok != tc.envelopeOK {
-				t.Fatalf("verify accepted the envelope: %v, want %v", ok, tc.envelopeOK)
-			}
-			if ok {
-				if _, err := decodePayload(payload); err == nil {
-					t.Fatal("the codec accepted a payload it must refuse")
-				}
-			}
-			s := open(t, filepath.Dir(path), 0)
-			if got, ok := s.Get(res.Workload, cfg); ok {
-				t.Fatalf("corrupt entry served as a hit: %+v", got)
-			}
-			if st := s.Stats(); st.Misses != 1 || st.Hits != 0 {
-				t.Errorf("stats = %+v, want 1 miss, 0 hits", st)
-			}
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Errorf("unusable entry not deleted (err=%v)", err)
-			}
-			// Recompute + rewrite: the key is immediately writable and
-			// readable again.
-			if err := s.Put(res.Workload, cfg, res); err != nil {
-				t.Fatalf("rewrite after miss: %v", err)
-			}
-			got, ok := s.Get(res.Workload, cfg)
-			if !ok || !sameResult(res, got) {
-				t.Fatalf("rewrite did not restore the entry (ok=%v)", ok)
+			// A restarted store adopted the damaged entry at Open, with
+			// its on-disk size; the store that wrote it tracks the intact
+			// size. Both must miss, delete, drop the accounting and take
+			// the rewrite.
+			for _, probe := range []string{"reopened", "writer"} {
+				t.Run(probe, func(t *testing.T) {
+					s, cfg, res, path := storeWith(t)
+					tc.corrupt(t, path, cfg, res)
+					data, _ := os.ReadFile(path)
+					payload, ok := verify(data, identity(res.Workload, cfg))
+					if ok != tc.envelopeOK {
+						t.Fatalf("verify accepted the envelope: %v, want %v", ok, tc.envelopeOK)
+					}
+					if ok {
+						if _, err := decodePayload(payload); err == nil {
+							t.Fatal("the codec accepted a payload it must refuse")
+						}
+					}
+					if probe == "reopened" {
+						s = open(t, filepath.Dir(path), 0)
+					}
+					if got, ok := s.Get(res.Workload, cfg); ok {
+						t.Fatalf("corrupt entry served as a hit: %+v", got)
+					}
+					if st := s.Stats(); st.Misses != 1 || st.Hits != 0 || st.Files != 0 || st.Bytes != 0 {
+						t.Errorf("stats = %+v, want 1 miss, 0 hits, nothing tracked", st)
+					}
+					if _, err := os.Stat(path); !os.IsNotExist(err) {
+						t.Errorf("unusable entry not deleted (err=%v)", err)
+					}
+					// Recompute + rewrite: the key is immediately writable
+					// and readable again.
+					if err := s.Put(res.Workload, cfg, res); err != nil {
+						t.Fatalf("rewrite after miss: %v", err)
+					}
+					got, ok := s.Get(res.Workload, cfg)
+					if !ok || !sameResult(res, got) {
+						t.Fatalf("rewrite did not restore the entry (ok=%v)", ok)
+					}
+				})
 			}
 		})
 	}
@@ -600,5 +630,68 @@ func TestEvictionVictimDeterministic(t *testing.T) {
 	a, b := history(), history()
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("identical histories left different survivors:\n a: %v\n b: %v", a, b)
+	}
+}
+
+// TestOnlyADamagedEntryIsDeleted: a miss deletes the file only when it
+// opened and then failed to read or verify, or when a directory sits at
+// its path. An open that fails for want of descriptors, permission or
+// the file itself says nothing about the entry, so a stored result
+// survives it.
+func TestOnlyADamagedEntryIsDeleted(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want bool
+	}{
+		{nil, true}, // read whole, refused by verify or decode
+		{&fs.PathError{Op: "read", Err: syscall.EIO}, true},
+		{&fs.PathError{Op: "read", Err: syscall.EISDIR}, true},
+		{&fs.PathError{Op: "open", Err: syscall.EISDIR}, true},
+		{&fs.PathError{Op: "open", Err: syscall.ENOENT}, false},
+		{&fs.PathError{Op: "open", Err: syscall.EMFILE}, false},
+		{&fs.PathError{Op: "open", Err: syscall.EACCES}, false},
+	} {
+		if got := damaged(tc.err); got != tc.want {
+			t.Errorf("damaged(%v) = %v, want %v", tc.err, got, tc.want)
+		}
+	}
+}
+
+// TestHitKeepsRecencyAcrossReopen: a Get hit bumps its file's mtime, so
+// the entry keeps its place in the eviction order across a restart.
+// Without the bump the hit entry would still be the oldest on disk, and
+// the first a smaller bound deletes at Open.
+func TestHitKeepsRecencyAcrossReopen(t *testing.T) {
+	size := entrySize(t)
+	dir := t.TempDir()
+	s := open(t, dir, 0)
+	const n = 4
+	base := time.Now().Add(-time.Hour)
+	newest := base.Add((n - 1) * time.Minute)
+	for i := 0; i < n; i++ {
+		put(t, s, i)
+		mtime := base.Add(time.Duration(i) * time.Minute) // entry 0 is the oldest
+		if err := os.Chtimes(entryPath(dir, "w", cfgN(i)), mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !has(s, 0) {
+		t.Fatal("entry 0 missing before the reopen")
+	}
+	info, err := os.Stat(entryPath(dir, "w", cfgN(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.ModTime().After(newest) {
+		t.Fatalf("hit left entry 0's mtime at %v, want it after the newest entry's %v", info.ModTime(), newest)
+	}
+	open(t, dir, (n-1)*size)
+	var want []string
+	for _, i := range []int{0, 2, 3} {
+		want = append(want, filepath.Base(entryPath(dir, "w", cfgN(i))))
+	}
+	sort.Strings(want)
+	if got := survivorFiles(t, dir); !reflect.DeepEqual(got, want) {
+		t.Errorf("reopened one entry smaller: kept %v, want entries 0, 2 and 3 %v (entry 1 is the oldest after the hit)", got, want)
 	}
 }

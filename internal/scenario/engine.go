@@ -33,8 +33,10 @@ import (
 //
 // NewPlan reads BaseConfig once per request; ExecuteStreamCtx then only
 // calls StartRunCtx, once per grid cell and per fairness reference, and
-// checks each call's Ready before it waits, so a streaming caller can
-// flush emitted rows before the sweep blocks.
+// checks each call's Ready to emit finished rows between workloads and
+// to flush emitted rows before the sweep blocks. So the rows of calls a
+// runner fulfills inside StartRunCtx (experiments.Session's disk hits)
+// stream while the sweep is still being started.
 type Runner interface {
 	// BaseConfig returns the configuration scenario deltas apply onto.
 	BaseConfig() core.Config
@@ -181,11 +183,14 @@ func (rs *ResultSet) Value(wi, ci, mi int) float64 {
 // receives each reduced Row in fixed grid order (workload-major) as soon
 // as the row's simulations complete, before the full set is assembled —
 // the smtsimd daemon uses it to stream NDJSON while later cells are still
-// simulating. A non-nil error from emit aborts the sweep. When flush is
-// non-nil it is called before the sweep blocks on a simulation that has
-// not finished (the next grid cell, or a fairness reference the next
-// row reads) and some row was emitted since the last flush, so a
-// streaming caller can buffer rows and push them out only before a wait.
+// simulating. A row whose runs are already finished when its workload's
+// cells have been started (a cache or store hit) is emitted before the
+// next workload's cells are started. A non-nil error from emit aborts
+// the sweep. When flush is non-nil it is called before the sweep blocks
+// on a simulation that has not finished (the next grid cell, or a
+// fairness reference the next row reads) and some row was emitted since
+// the last flush, so a streaming caller can buffer rows and push them
+// out only before a wait.
 // flush is not called after the last row.
 //
 // Once ctx is done the sweep returns ctx's error promptly, cells not yet
@@ -195,31 +200,6 @@ func ExecuteStreamCtx(ctx context.Context, p *Plan, emit func(Row) error, flush 
 	sp, r, ws, combos := p.Spec, p.runner, p.workloads, p.combos
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
-	}
-
-	// Dispatch the whole grid (plus references, when a metric reads them)
-	// before collecting anything, so the pool stays saturated. Every cell
-	// is registered under the sweep's context: whatever cancellation
-	// leaves unstarted is never simulated.
-	calls := make([][]*simcache.Call[*core.Result], len(ws))
-	var refCalls [][][]*simcache.Call[*core.Result]
-	if p.needRef {
-		refCalls = make([][][]*simcache.Call[*core.Result], len(ws))
-	}
-	for wi, w := range ws {
-		calls[wi] = make([]*simcache.Call[*core.Result], len(combos))
-		for ci, combo := range combos {
-			calls[wi][ci] = r.StartRunCtx(ctx, w, combo.Config)
-		}
-		if p.needRef {
-			refCalls[wi] = make([][]*simcache.Call[*core.Result], len(combos))
-			for ci, combo := range combos {
-				refCalls[wi][ci] = make([]*simcache.Call[*core.Result], len(w.Benchmarks))
-				for bi, b := range w.Benchmarks {
-					refCalls[wi][ci][bi] = startReference(ctx, r, b, combo.Config)
-				}
-			}
-		}
 	}
 
 	// wait collects one call, first flushing emitted rows when the call
@@ -232,6 +212,11 @@ func ExecuteStreamCtx(ctx context.Context, p *Plan, emit func(Row) error, flush 
 		}
 		return c.WaitCtx(ctx)
 	}
+	calls := make([][]*simcache.Call[*core.Result], len(ws))
+	var refCalls [][][]*simcache.Call[*core.Result]
+	if p.needRef {
+		refCalls = make([][][]*simcache.Call[*core.Result], len(ws))
+	}
 	rs := &ResultSet{
 		Name:        sp.Name,
 		Description: sp.Description,
@@ -242,42 +227,93 @@ func ExecuteStreamCtx(ctx context.Context, p *Plan, emit func(Row) error, flush 
 		Rows:        make([]Row, 0, len(ws)*len(combos)),
 		raw:         make([][]*core.Result, len(ws)),
 	}
+	// ready reports whether every run of the next row (grid order,
+	// workload-major) has finished; collect waits for them and reduces
+	// and emits that row.
+	ready := func() bool {
+		wi, ci := len(rs.Rows)/len(combos), len(rs.Rows)%len(combos)
+		if !calls[wi][ci].Ready() {
+			return false
+		}
+		if p.needRef {
+			for _, c := range refCalls[wi][ci] {
+				if !c.Ready() {
+					return false
+				}
+			}
+		}
+		return true
+	}
 	var refs []*core.Result
+	collect := func() error {
+		wi, ci := len(rs.Rows)/len(combos), len(rs.Rows)%len(combos)
+		w, combo := ws[wi], combos[ci]
+		res, err := wait(calls[wi][ci])
+		if err != nil {
+			return fmt.Errorf("scenario %s: %w", sp.Name, err)
+		}
+		rs.raw[wi][ci] = res
+		if p.needRef {
+			refs = refs[:0]
+			for bi, c := range refCalls[wi][ci] {
+				ref, err := wait(c)
+				if err != nil {
+					return fmt.Errorf("scenario %s: reference %s: %w", sp.Name, w.Benchmarks[bi], err)
+				}
+				refs = append(refs, ref)
+			}
+		}
+		row := Row{
+			Workload:    w.Name(),
+			Labels:      combo.Labels,
+			Fingerprint: combo.Fingerprint,
+			Values:      make([]float64, len(p.metrics)),
+			Truncated:   res.Truncated,
+		}
+		for mi, m := range p.metrics {
+			row.Values[mi] = m.compute(res, refs)
+		}
+		if emit != nil {
+			if err := emit(row); err != nil {
+				return fmt.Errorf("scenario %s: emit: %w", sp.Name, err)
+			}
+			unflushed = flush != nil
+		}
+		rs.Rows = append(rs.Rows, row)
+		return nil
+	}
+
+	// Dispatch the whole grid (plus references, when a metric reads them)
+	// before waiting on anything, so the pool stays saturated. Every cell
+	// is registered under the sweep's context: whatever cancellation
+	// leaves unstarted is never simulated. Between workloads, the rows
+	// whose runs already finished (memory or disk hits, served inside
+	// StartRunCtx) are emitted without waiting, so a stored sweep streams
+	// while its later cells are still being started.
 	for wi, w := range ws {
+		calls[wi] = make([]*simcache.Call[*core.Result], len(combos))
 		rs.raw[wi] = make([]*core.Result, len(combos))
 		for ci, combo := range combos {
-			res, err := wait(calls[wi][ci])
-			if err != nil {
-				return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
-			}
-			rs.raw[wi][ci] = res
-			if p.needRef {
-				refs = refs[:0]
-				for bi, c := range refCalls[wi][ci] {
-					ref, err := wait(c)
-					if err != nil {
-						return nil, fmt.Errorf("scenario %s: reference %s: %w", sp.Name, w.Benchmarks[bi], err)
-					}
-					refs = append(refs, ref)
+			calls[wi][ci] = r.StartRunCtx(ctx, w, combo.Config)
+		}
+		if p.needRef {
+			refCalls[wi] = make([][]*simcache.Call[*core.Result], len(combos))
+			for ci, combo := range combos {
+				refCalls[wi][ci] = make([]*simcache.Call[*core.Result], len(w.Benchmarks))
+				for bi, b := range w.Benchmarks {
+					refCalls[wi][ci][bi] = startReference(ctx, r, b, combo.Config)
 				}
 			}
-			row := Row{
-				Workload:    w.Name(),
-				Labels:      combo.Labels,
-				Fingerprint: combo.Fingerprint,
-				Values:      make([]float64, len(p.metrics)),
-				Truncated:   res.Truncated,
+		}
+		for len(rs.Rows) < (wi+1)*len(combos) && ready() {
+			if err := collect(); err != nil {
+				return nil, err
 			}
-			for mi, m := range p.metrics {
-				row.Values[mi] = m.compute(res, refs)
-			}
-			if emit != nil {
-				if err := emit(row); err != nil {
-					return nil, fmt.Errorf("scenario %s: emit: %w", sp.Name, err)
-				}
-				unflushed = flush != nil
-			}
-			rs.Rows = append(rs.Rows, row)
+		}
+	}
+	for len(rs.Rows) < len(ws)*len(combos) {
+		if err := collect(); err != nil {
+			return nil, err
 		}
 	}
 	return rs, nil

@@ -186,6 +186,30 @@ func TestExecuteFlushesOnlyBeforeAWait(t *testing.T) {
 	}
 }
 
+// TestFinishedRowsStreamWhileStarting: rows whose runs finished inside
+// StartRunCtx (a runner's cache or store hits) are emitted before the
+// next workload's cells are started, not after the whole grid is.
+func TestFinishedRowsStreamWhileStarting(t *testing.T) {
+	r := newRecordingRunner(true)
+	sp := planSpec()
+	sp.Metrics = []string{"throughput"}
+	p, err := NewPlan(r, sp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	var seen []int
+	r.onStart = func() { seen = append(seen, rows) }
+	if _, err := ExecuteStreamCtx(context.Background(), p, func(Row) error { rows++; return nil }, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	// Two workloads of three cells each: the second workload's starts see
+	// the first workload's three rows out.
+	if want := []int{0, 0, 0, 3, 3, 3}; !slices.Equal(seen, want) {
+		t.Errorf("rows emitted at each start = %v, want %v", seen, want)
+	}
+}
+
 // recordingRunner records the requester stamp of every StartRunCtx call.
 // A run completes at once when settle is set and otherwise never
 // settles; onStart, when set, runs on each call.
