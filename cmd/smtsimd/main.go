@@ -18,14 +18,15 @@
 //	    finished row never waits behind a running cell, and a fully
 //	    cached replay goes out in one write. table, json and csv buffer
 //	    the full result set before writing. Every distinct body is
-//	    decoded and planned once (scenario.NewPlan): its plan is cached
-//	    by the body's bytes for the daemon's life, within fixed entry
-//	    and byte bounds, and every request with that body, in any
-//	    format, executes the cached plan. Spec errors (anything after
-//	    the spec document included) return 400 with a JSON {"error"}
-//	    body, and a body over -max-body returns 413; simulation
-//	    failures return 500 (buffered formats) or an {"error"} NDJSON
-//	    line terminating the stream.
+//	    decoded and planned once (scenario.NewPlan, which also prepares
+//	    every cell's cache and store keys): its plan is cached by the
+//	    body's bytes for the daemon's life, within fixed entry and byte
+//	    bounds (the byte bound counts the prepared cells), and every
+//	    request with that body, in any format, executes the cached
+//	    plan. Spec errors (anything after the spec document included)
+//	    return 400 with a JSON {"error"} body, and a body over -max-body
+//	    returns 413; simulation failures return 500 (buffered formats)
+//	    or an {"error"} NDJSON line terminating the stream.
 //	GET /v1/metrics
 //	    Cache hit/miss/eviction/in-flight counters, configured bounds,
 //	    request/row totals, the plan cache's counters (under "plans"),

@@ -50,8 +50,10 @@
 // Spec to /v1/scenario and reduced rows stream back as NDJSON in a fixed
 // workload-major order as each grid cell's simulation completes (or
 // buffered as table/json/csv via ?format=). Each request is planned once
-// (scenario.NewPlan: validated, workloads selected, grid expanded and
-// fingerprinted) and the plan executes as is; streamed rows are flushed
+// (scenario.NewPlan: validated, workloads selected, grid expanded, each
+// point's canonical configuration rendered and fingerprinted once, and
+// every cell prepared by the session, store key included) and the plan
+// executes as is, however often it is served; streamed rows are flushed
 // to the client only before the sweep waits on an unfinished simulation,
 // so a fully cached replay leaves in one write. /v1/metrics reports cache
 // hit/miss/eviction/in-flight counters and /healthz answers liveness
@@ -83,10 +85,13 @@
 // file named by the SHA-256 of its identity (the workload name and the
 // full canonical configuration) and holds one envelope — magic,
 // version, the identity echoed back, the encoded result and a CRC-32
-// trailer. Anything unexpected on read (truncation, corruption, a stale
-// version, an identity mismatch, a directory in the entry's place) is
-// a clean miss that deletes the entry and recomputes, never a wrong
-// answer; a file that cannot be opened at all is a miss left in place.
+// trailer. The entry name is computed once per plan cell
+// (resultstore.Key), so a disk hit only opens, reads, checks, decodes
+// and bumps the file's times on the descriptor it holds. Anything
+// unexpected on read (truncation, corruption, a stale version, an
+// identity mismatch, a directory in the entry's place) is a clean miss
+// that deletes the entry and recomputes, never a wrong answer; a file
+// that cannot be opened at all is a miss left in place.
 // Writes go to a temp file renamed into place; there is no fsync, so a
 // crash may lose recent entries or leave a torn one, which the next read
 // catches and recomputes — the resultstore package documentation states

@@ -447,8 +447,20 @@ func perCycle(n, cycles uint64) float64 {
 // run's geometry, seed and trace length, or the speedup would compare
 // different machines or even different instruction streams.
 func Reference(cfg Config, benchmark string) (workload.Workload, Config) {
+	return ReferenceWorkload(benchmark), ReferenceConfig(cfg)
+}
+
+// ReferenceWorkload is the workload half of Reference: benchmark alone,
+// whatever the machine.
+func ReferenceWorkload(benchmark string) workload.Workload {
+	return workload.Workload{Group: "ST", Benchmarks: []string{benchmark}}
+}
+
+// ReferenceConfig is the machine half of Reference: cfg under the
+// baseline policy, the same for every benchmark of the SMT run.
+func ReferenceConfig(cfg Config) Config {
 	cfg.Policy = PolicyICount
-	return workload.Workload{Group: "ST", Benchmarks: []string{benchmark}}, cfg
+	return cfg
 }
 
 // RunSingle measures one benchmark running alone: the Reference run.

@@ -32,9 +32,21 @@ func (c Config) Canonical() string {
 // (persistent keys).
 func (c Config) Fingerprint() string {
 	var buf [canonicalBufLen]byte
+	return fingerprint(c.appendCanonical(buf[:0]))
+}
+
+// FingerprintOf returns the Fingerprint of the configuration whose
+// Canonical rendering is canonical, without rendering it again: a caller
+// that holds the canonical string (a scenario plan's combo) derives the
+// label from that same rendering.
+func FingerprintOf(canonical string) string { return fingerprint(canonical) }
+
+// fingerprint is the 64-bit FNV-1a sum of a canonical rendering as 16
+// lowercase hex digits.
+func fingerprint[T string | []byte](canonical T) string {
 	h := uint64(fnvOffset64)
-	for _, x := range c.appendCanonical(buf[:0]) {
-		h ^= uint64(x)
+	for i := 0; i < len(canonical); i++ {
+		h ^= uint64(canonical[i])
 		h *= fnvPrime64
 	}
 	var hex [16]byte

@@ -84,6 +84,9 @@ func TestCanonicalFingerprintProperties(t *testing.T) {
 		if c.Canonical() != canon || c.Fingerprint() != fp {
 			t.Fatalf("config %d: Canonical/Fingerprint not idempotent", i)
 		}
+		if FingerprintOf(canon) != fp {
+			t.Fatalf("config %d: FingerprintOf(Canonical) = %s, want Fingerprint %s", i, FingerprintOf(canon), fp)
+		}
 		checkReference(t, c)
 		if prev, ok := byCanonical[canon]; ok {
 			if prev != c {

@@ -50,7 +50,7 @@ func TestCanceledCellsNeverSimulate(t *testing.T) {
 		cfg := s.BaseConfig()
 		cfg.Pipeline.ROBSize = 64 + 16*i
 		cfgs = append(cfgs, cfg)
-		calls = append(calls, s.StartRunCtx(ctx, w, cfg))
+		calls = append(calls, start(ctx, s, w, cfg))
 	}
 	for i, c := range calls {
 		if _, err := c.WaitCtx(context.Background()); !errors.Is(err, context.Canceled) {
@@ -71,7 +71,7 @@ func TestCanceledCellsNeverSimulate(t *testing.T) {
 	// The same cells requested with a live context now simulate normally:
 	// abandonment forgot the keys, it did not poison them.
 	live := context.Background()
-	if _, err := s.StartRunCtx(live, w, cfgs[0]).WaitCtx(live); err != nil {
+	if _, err := start(live, s, w, cfgs[0]).WaitCtx(live); err != nil {
 		t.Fatalf("recompute after abandonment: %v", err)
 	}
 }
@@ -176,7 +176,7 @@ func TestCanceledWaitsReturnPromptly(t *testing.T) {
 		call func(*Session, context.Context) error
 	}{
 		{"StartRunCtx", func(s *Session, ctx context.Context) error {
-			_, err := s.StartRunCtx(ctx, w, s.BaseConfig()).WaitCtx(ctx)
+			_, err := start(ctx, s, w, s.BaseConfig()).WaitCtx(ctx)
 			return err
 		}},
 		{"Fig1", func(s *Session, ctx context.Context) error { _, err := s.Fig1(ctx); return err }},

@@ -9,7 +9,9 @@
 // workload and core.Config.Canonical(). So figures that overlap — 1, 2
 // and 3 all need the ICOUNT and RaT runs, and Figure 6's 320-register
 // points are the Table 1 machine — still simulate each distinct point
-// exactly once. A memory miss probes the disk tier in the requester
+// exactly once. A scenario plan has the session prepare each of its
+// cells once (Session.Prepare: the cache key's parts and the store key),
+// and a memory miss probes the disk tier with that key in the requester
 // (Session.StartRunCtx), so a stored cell is served without queueing,
 // and only cells that simulate use the worker pool.
 //
@@ -25,6 +27,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -156,7 +159,13 @@ type runKey struct {
 // Session implements scenario.Runner, so a scenario.Plan built on it
 // (scenario.ExecuteStreamCtx) dispatches onto the same pool and cache
 // the figures use — grid cells and their core.Reference fairness runs
-// alike.
+// alike. scenario.NewPlan calls Prepare once per cell, and the prepared
+// cell holds everything about it that no request changes: the parts of
+// its runKey (the plan's workload name, built once per workload, and a
+// pointer to the plan's configuration) and its resultstore.Key (entry
+// name, workload name and the plan's per-point canonical string). A
+// served sweep so renders, joins and hashes nothing per cell: a disk hit
+// costs the store's read and its recency bump.
 type Session struct {
 	opt    Options
 	base   core.Config
@@ -171,11 +180,28 @@ type Session struct {
 }
 
 // job is one queued simulation: the call its requesters hold plus the
-// workload and configuration (key.config) that compute it.
+// prepared cell that computes it.
 type job struct {
 	key  runKey
 	call *simcache.Call[*core.Result]
-	w    workload.Workload
+	cell *cell
+}
+
+// cell is a cell the session prepared for a scenario plan (Prepare):
+// everything about it that no request changes. It shares its workload,
+// name, configuration and canonical string with the plan, and owns only
+// its store entry's name.
+type cell struct {
+	w      workload.Workload
+	name   string       // w.Name(), the cache key's workload
+	config *core.Config // the plan's; never modified
+	key    resultstore.Key
+}
+
+// SizeBytes is the cell plus its entry name, the only bytes it does not
+// share with its plan.
+func (c *cell) SizeBytes() int64 {
+	return int64(unsafe.Sizeof(*c)) + int64(len(c.key.Name()))
 }
 
 // NewSession builds a session, validating the workload selection up
@@ -315,7 +341,7 @@ func (s *Session) work() {
 		var err error
 		abandoned := s.cache.Abandon(j.key, j.call, context.Canceled)
 		if !abandoned {
-			res, err = s.run(&m, j.w, j.key.config)
+			res, err = s.run(&m, j.cell)
 		}
 		// Release the in-service account before waking the waiters, so a
 		// requester holding its result never sees its cell in service.
@@ -329,48 +355,63 @@ func (s *Session) work() {
 }
 
 // run simulates one cell on m, the calling worker's machine, against the
-// session's trace tier and writes the result behind. It never probes the
-// persistent result tier: StartRunCtx did, before it queued the cell, so
-// every cell that reaches a worker is one the store could not serve.
-func (s *Session) run(m *core.Machine, w workload.Workload, cfg core.Config) (*core.Result, error) {
-	r, err := m.Run(cfg, w, s.traces)
+// session's trace tier and writes the result behind under the cell's
+// prepared key. It never probes the persistent result tier: StartRunCtx
+// did, before it queued the cell, so every cell that reaches a worker is
+// one the store could not serve.
+func (s *Session) run(m *core.Machine, c *cell) (*core.Result, error) {
+	r, err := m.Run(*c.config, c.w, s.traces)
 	if err != nil {
-		return nil, fmt.Errorf("%s under %s: %w", w.Name(), cfg.Policy, err)
+		return nil, fmt.Errorf("%s under %s: %w", c.name, c.config.Policy, err)
 	}
 	if s.store != nil {
 		// Write-behind: persistence is best-effort — a full disk or
 		// unwritable store costs future recomputation, never this result.
 		// Failures are visible in StoreStats().WriteErrors.
-		_ = s.store.Put(w.Name(), cfg, r)
+		_ = s.store.PutKey(c.key, r)
 	}
 	return r, nil
 }
 
-// StartRunCtx schedules (or joins) the simulation of one workload under
-// one complete configuration, returning its call without waiting for a
-// simulation. A memory miss first probes the persistent result tier here,
-// on the requester's goroutine: a stored result is bit-identical to what
-// the simulation would produce, so a hit returns a call that is already
-// fulfilled, and the cell never enters the work queue or wakes a worker.
-// Only a cell the store cannot serve is queued. If every context
-// registered against a queued cell (this one, plus any concurrent
-// requester's) is done before a worker picks it up, it is abandoned
-// unrun. A cell a worker already started always finishes and populates
-// the cache.
-func (s *Session) StartRunCtx(ctx context.Context, w workload.Workload, cfg core.Config) *simcache.Call[*core.Result] {
-	key := runKey{workload: w.Name(), config: cfg}
-	c, created := s.cache.BeginCtx(ctx, key)
+// Prepare readies one cell of a scenario plan (scenario.Runner): it keeps
+// the plan's workload, name and configuration, and, when the session has
+// a result store, prepares the cell's store key (resultstore.NewKey) from
+// the plan's canonical string, so no request renders or hashes the
+// cell's identity again.
+func (s *Session) Prepare(w workload.Workload, name string, cfg *core.Config, canonical string) scenario.Cell {
+	c := &cell{w: w, name: name, config: cfg}
+	if s.store != nil {
+		c.key = resultstore.NewKey(name, canonical)
+	}
+	return c
+}
+
+// StartRunCtx schedules (or joins) the simulation of one prepared cell
+// (Prepare), returning its call without waiting for a simulation. A
+// memory miss first probes the persistent result tier with the cell's
+// prepared key, here, on the requester's goroutine: a stored result is
+// bit-identical to what the simulation would produce, so a hit returns a
+// call that is already fulfilled, and the cell never enters the work
+// queue or wakes a worker. Only a cell the store cannot serve is queued.
+// If every context registered against a queued cell (this one, plus any
+// concurrent requester's) is done before a worker picks it up, it is
+// abandoned unrun. A cell a worker already started always finishes and
+// populates the cache.
+func (s *Session) StartRunCtx(ctx context.Context, sc scenario.Cell) *simcache.Call[*core.Result] {
+	c := sc.(*cell)
+	key := runKey{workload: c.name, config: *c.config}
+	call, created := s.cache.BeginCtx(ctx, key)
 	if !created {
-		return c
+		return call
 	}
 	if s.store != nil {
-		if r, ok := s.store.Get(key.workload, cfg); ok {
-			c.Fulfill(r, nil)
-			return c
+		if r, ok := s.store.GetKey(c.key); ok {
+			call.Fulfill(r, nil)
+			return call
 		}
 	}
-	s.dispatch(sched.Requester(ctx), job{key: key, call: c, w: w})
-	return c
+	s.dispatch(sched.Requester(ctx), job{key: key, call: call, cell: c})
+	return call
 }
 
 // RunScenarioCtx plans (scenario.NewPlan, with no cell bound) and

@@ -302,7 +302,7 @@ func TestFairnessReferenceIsCoreReference(t *testing.T) {
 	for _, b := range rs.Workloads[0].Benchmarks {
 		before := s.CacheStats()
 		w, ref := core.Reference(cfg, b)
-		got, err := s.StartRunCtx(ctx, w, ref).WaitCtx(ctx)
+		got, err := start(ctx, s, w, ref).WaitCtx(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -66,11 +66,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 	cfg := seq.BaseConfig()
 	cfg.Policy = core.PolicyRaT
 	ctx := context.Background()
-	sr, err := seq.StartRunCtx(ctx, w, cfg).WaitCtx(ctx)
+	sr, err := start(ctx, seq, w, cfg).WaitCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := par.StartRunCtx(ctx, w, cfg).WaitCtx(ctx)
+	pr, err := start(ctx, par, w, cfg).WaitCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func TestStarvationRegression(t *testing.T) {
 		for i := range bigCalls {
 			cfg := s.BaseConfig()
 			cfg.Pipeline.ROBSize = 64 + 8*i
-			bigCalls[i] = s.StartRunCtx(bigCtx, w, cfg)
+			bigCalls[i] = start(bigCtx, s, w, cfg)
 		}
 
 		// The probe: one cell from another client, queued behind the
@@ -41,7 +41,7 @@ func TestStarvationRegression(t *testing.T) {
 		smallCtx := sched.WithRequester(context.Background(), "small")
 		smallCfg := s.BaseConfig()
 		smallCfg.Pipeline.ROBSize = 500
-		smallCall := s.StartRunCtx(smallCtx, w, smallCfg)
+		smallCall := start(smallCtx, s, w, smallCfg)
 
 		ctx := context.Background()
 		if _, err := smallCall.WaitCtx(ctx); err != nil {
@@ -72,11 +72,11 @@ func TestStarvationRegression(t *testing.T) {
 
 		// Scheduling must not change answers: the probe matches a
 		// fresh Workers=1 session's unattributed run.
-		wantRes, err := mustSession(t, o).StartRunCtx(ctx, w, smallCfg).WaitCtx(ctx)
+		wantRes, err := start(ctx, mustSession(t, o), w, smallCfg).WaitCtx(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRes, err := s.StartRunCtx(ctx, w, smallCfg).WaitCtx(ctx)
+		gotRes, err := start(ctx, s, w, smallCfg).WaitCtx(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

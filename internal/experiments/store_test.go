@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/resultstore"
 	"repro/internal/scenario"
 	"repro/internal/simcache"
 	"repro/internal/workload"
@@ -37,6 +38,12 @@ var storeSpec = &scenario.Spec{
 
 func intp(v int) *int { return &v }
 
+// start prepares one cell as a plan would and starts it: the session's
+// only way to start a cell, for tests that start cells one by one.
+func start(ctx context.Context, s *Session, w workload.Workload, cfg core.Config) *simcache.Call[*core.Result] {
+	return s.StartRunCtx(ctx, s.Prepare(w, w.Name(), &cfg, cfg.Canonical()))
+}
+
 // readyProbe runs a plan on a session and fails the test at the first
 // StartRunCtx that returns a call still pending.
 type readyProbe struct {
@@ -45,10 +52,10 @@ type readyProbe struct {
 	cells int
 }
 
-func (r *readyProbe) StartRunCtx(ctx context.Context, w workload.Workload, cfg core.Config) *simcache.Call[*core.Result] {
-	c := r.Session.StartRunCtx(ctx, w, cfg)
-	if !c.Ready() {
-		r.t.Fatalf("StartRunCtx of stored cell %s (ROB %d) returned a pending call: the cell queued", w.Name(), cfg.Pipeline.ROBSize)
+func (r *readyProbe) StartRunCtx(ctx context.Context, sc scenario.Cell) *simcache.Call[*core.Result] {
+	c := r.Session.StartRunCtx(ctx, sc)
+	if cl := sc.(*cell); !c.Ready() {
+		r.t.Fatalf("StartRunCtx of stored cell %s (ROB %d) returned a pending call: the cell queued", cl.name, cl.config.Pipeline.ROBSize)
 	}
 	r.cells++
 	return c
@@ -133,7 +140,7 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 	w := workload.Workload{Group: "AD", Benchmarks: []string{"art", "mcf"}}
 
 	cold := mustSession(t, storeOptions(dir))
-	want, err := cold.StartRunCtx(ctx, w, cold.BaseConfig()).WaitCtx(ctx)
+	want, err := start(ctx, cold, w, cold.BaseConfig()).WaitCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +162,7 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 	}
 
 	warm := mustSession(t, storeOptions(dir))
-	got, err := warm.StartRunCtx(ctx, w, warm.BaseConfig()).WaitCtx(ctx)
+	got, err := start(ctx, warm, w, warm.BaseConfig()).WaitCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +176,7 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 
 	// The rewrite healed the store: a third session hits.
 	healed := mustSession(t, storeOptions(dir))
-	if _, err := healed.StartRunCtx(ctx, w, healed.BaseConfig()).WaitCtx(ctx); err != nil {
+	if _, err := start(ctx, healed, w, healed.BaseConfig()).WaitCtx(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if st := healed.StoreStats(); st.Hits == 0 || st.Misses != 0 {
@@ -197,13 +204,13 @@ func TestUnwritableStoreKeepsResults(t *testing.T) {
 	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.StartRunCtx(ctx, w, s.BaseConfig()).WaitCtx(ctx)
+	got, err := start(ctx, s, w, s.BaseConfig()).WaitCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	plain := mustSession(t, storeOptions(""))
-	want, err := plain.StartRunCtx(ctx, w, plain.BaseConfig()).WaitCtx(ctx)
+	want, err := start(ctx, plain, w, plain.BaseConfig()).WaitCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,5 +228,88 @@ func TestStorelessSessionUnchanged(t *testing.T) {
 	s := mustSession(t, tinyOptions())
 	if st := s.StoreStats(); st != (s.StoreStats()) || st.Hits != 0 || st.Files != 0 {
 		t.Errorf("storeless session store stats = %+v, want zero", st)
+	}
+}
+
+// namingProbe records the store entry name of every cell its session
+// prepares, and fails the test at a prepared key other than the one
+// Get and Put build from the cell's workload and configuration.
+type namingProbe struct {
+	*Session
+	t     *testing.T
+	names map[string]bool
+}
+
+func (r *namingProbe) Prepare(w workload.Workload, name string, cfg *core.Config, canonical string) scenario.Cell {
+	c := r.Session.Prepare(w, name, cfg, canonical)
+	got, want := c.(*cell).key, resultstore.NewKey(w.Name(), cfg.Canonical())
+	if got != want {
+		r.t.Fatalf("cell %s (ROB %d, %s) prepared key %s, want %s", w.Name(), cfg.Pipeline.ROBSize, cfg.Policy, got.Name(), want.Name())
+	}
+	r.names[got.Name()] = true
+	return c
+}
+
+// TestPreparedKeysNameTheStoredEntries: after a cold run of a sweep that
+// reads fairness, the store directory holds exactly the entries the plan
+// prepared keys for, grid cells and references together, and each key
+// is the one Get and Put build for the cell. A prepared key that named
+// another file than the write, or than an earlier release's entry, would
+// miss forever.
+func TestPreparedKeysNameTheStoredEntries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation run")
+	}
+	dir := t.TempDir()
+	probe := &namingProbe{Session: mustSession(t, storeOptions(dir)), t: t, names: map[string]bool{}}
+	// Under RaT, the references' machine (ICOUNT) differs from the grid's.
+	rat := string(core.PolicyRaT)
+	sp := *storeSpec
+	sp.Base.Policy = &rat
+	sp.Metrics = []string{"throughput", "fairness"}
+	p, err := scenario.NewPlan(probe, &sp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 2 grid cells, and art's and mcf's references on both machines.
+	if len(probe.names) != 2+2*2 {
+		t.Fatalf("plan prepared %d distinct keys, want 6", len(probe.names))
+	}
+	if _, err := scenario.ExecuteStreamCtx(context.Background(), p, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := map[string]bool{}
+	for _, de := range des {
+		if filepath.Ext(de.Name()) == ".smtres" {
+			stored[de.Name()] = true
+		}
+	}
+	if !reflect.DeepEqual(stored, probe.names) {
+		t.Errorf("stored entries %v, want the prepared keys %v", stored, probe.names)
+	}
+}
+
+// TestPlanSizeCountsEntryNames: on a session with a store, every cell a
+// plan adds grows the plan's SizeBytes by at least its entry name, so the
+// daemon's plan cache bound counts what the prepared keys retain.
+func TestPlanSizeCountsEntryNames(t *testing.T) {
+	s := mustSession(t, storeOptions(t.TempDir()))
+	size := func(workloads ...string) int64 {
+		sp := *storeSpec
+		sp.Workloads = scenario.WorkloadSpec{Adhoc: workloads}
+		p, err := scenario.NewPlan(s, &sp, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.SizeBytes()
+	}
+	one, three := size("art+mcf"), size("art+mcf", "gzip+bzip2", "swim+twolf")
+	name := int64(len(resultstore.NewKey("", "").Name()))
+	if added := int64(2 * len(storeSpec.Axes[0].Points)); three-one < added*name {
+		t.Errorf("%d more cells grew the plan by %d bytes, want at least %d (their entry names)", added, three-one, added*name)
 	}
 }

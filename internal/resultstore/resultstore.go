@@ -29,12 +29,25 @@
 // opened is left alone: running out of descriptors says nothing about
 // the entry.
 //
-// Get reads an entry with bare system calls (open, read to EOF, close)
-// into a 1 KiB buffer that grows as needed: a read of a few hundred
-// bytes needs no *os.File, no poller registration and no fstat.
-// Get runs on the requester's goroutine (the experiment session probes
-// the store before it queues a cell), so it is the whole cost of a disk
-// hit.
+// # Keys
+//
+// A Key (NewKey) is a cell's identity prepared once: the entry name and
+// the two pieces of the identity, the workload name and the canonical
+// string the caller already holds. The experiment session prepares one
+// per cell when a scenario plan is built, so a served sweep hashes and
+// renders nothing per request. GetKey and PutKey take a Key; Get and Put
+// build one from (workload, config) and call them.
+//
+// A keyed hit does only a disk hit's work. It opens the entry and reads
+// it to EOF with bare system calls (open, read, close) into a pooled
+// buffer: no *os.File, no poller registration, no fstat. It compares the
+// echoed identity piece by piece against the key without building it,
+// decodes the payload, and bumps recency on the descriptor it already
+// holds (utimensat with a nil path on Linux; os.Chtimes by path on other
+// systems). The Result it returns is its only allocation beyond the
+// path. GetKey runs on the requester's goroutine (the experiment session
+// probes the store before it queues a cell), so it is the whole cost of
+// a disk hit.
 //
 // # Durability
 //
@@ -72,6 +85,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"math"
 	"os"
@@ -203,50 +217,69 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	return s, nil
 }
 
-// identity is the full, collision-free key of a cell.
-func identity(workload string, cfg core.Config) []byte {
-	return []byte(workload + "\x00" + cfg.Canonical())
+// Key is a cell's prepared identity (NewKey): its entry file name and
+// the two pieces of the identity its entry echoes.
+type Key struct {
+	name      string // hex SHA-256 of the identity, plus suffix
+	workload  string
+	canonical string
 }
 
-// entryName derives the entry file for an identity.
-func entryName(identity []byte) string {
-	sum := sha256.Sum256(identity)
-	return hex.EncodeToString(sum[:]) + suffix
+// NewKey prepares the key of a cell: workload is its workload name and
+// canonical its configuration's core.Config.Canonical rendering. The
+// identity is workload + "\x00" + canonical, hashed here once; the key
+// keeps the two pieces, not their concatenation, so keys that share a
+// canonical string share its bytes.
+func NewKey(workload, canonical string) Key {
+	h := sha256.New()
+	io.WriteString(h, workload)
+	h.Write([]byte{0})
+	io.WriteString(h, canonical)
+	var sum [sha256.Size]byte
+	var name [2*sha256.Size + len(suffix)]byte
+	hex.Encode(name[:], h.Sum(sum[:0]))
+	copy(name[2*sha256.Size:], suffix)
+	return Key{name: string(name[:]), workload: workload, canonical: canonical}
 }
 
-// Get probes the store for a previously stored result. It reads the
-// entry file whole, to EOF, with bare system calls (readEntry). Every
-// defect — an absent or unreadable file, bad magic, version or checksum,
-// an identity echo mismatch, or a payload that does not decode — is one
-// counted miss (ok=false). A miss deletes what sits at the entry's path
-// when the file opened but its read failed or it was refused, and when
-// the path is a directory (damaged); a file that could not be opened is
-// left alone, since an open can fail for reasons that say nothing about
-// the file. A hit returns a Result bit-identical to the one stored, bumps
-// the file's mtime and marks the entry most recently accessed.
+// Name returns the key's entry file name (within the store directory).
+func (k Key) Name() string { return k.name }
+
+// idLen is the length of the key's identity.
+func (k Key) idLen() int { return len(k.workload) + 1 + len(k.canonical) }
+
+// Get probes the store for the result of workload under cfg: GetKey of
+// NewKey(workload, cfg.Canonical()).
 func (s *Store) Get(workload string, cfg core.Config) (*core.Result, bool) {
-	id := identity(workload, cfg)
-	name := entryName(id)
-	path := filepath.Join(s.dir, name)
+	return s.GetKey(NewKey(workload, cfg.Canonical()))
+}
+
+// GetKey probes the store for a previously stored result. It reads the
+// entry file whole, to EOF, into a pooled buffer with bare system calls
+// (readEntry). Every defect — an absent or unreadable file, bad magic,
+// version or checksum, an identity echo mismatch, or a payload that does
+// not decode — is one counted miss (ok=false). A miss deletes what sits
+// at the entry's path when the file opened but its read failed or it
+// was refused, and when the path is a directory (damaged); a file that
+// could not be opened is left alone, since an open can fail for reasons
+// that say nothing about the file. A hit returns a Result bit-identical
+// to the one stored, bumps the file's times through the open descriptor
+// (bumpRecency) and marks the entry most recently accessed.
+func (s *Store) GetKey(k Key) (*core.Result, bool) {
+	path := filepath.Join(s.dir, k.name)
 
 	// File I/O runs outside the lock: per-key dedup lives upstream (the
 	// session's singleflight cache), so the mutex only covers accounting.
-	data, err := readEntry(path)
-	if err == nil {
-		if payload, ok := verify(data, id); ok {
-			if r, err := decodePayload(payload); err == nil {
-				now := time.Now()
-				os.Chtimes(path, now, now) // persist recency; best-effort
-				s.mu.Lock()
-				s.hits++
-				// touch also adopts an entry written by a sharing process;
-				// evict then re-enforces the bound the adoption may break.
-				s.touch(name, int64(len(data)))
-				s.evict()
-				s.mu.Unlock()
-				return r, true
-			}
-		}
+	r, size, err := readEntry(path, k)
+	if r != nil {
+		s.mu.Lock()
+		s.hits++
+		// touch also adopts an entry written by a sharing process; evict
+		// then re-enforces the bound the adoption may break.
+		s.touch(k.name, int64(size))
+		s.evict()
+		s.mu.Unlock()
+		return r, true
 	}
 	if damaged(err) {
 		os.Remove(path)
@@ -255,7 +288,7 @@ func (s *Store) Get(workload string, cfg core.Config) (*core.Result, bool) {
 	s.misses++
 	// Dropping the accounting of a gone or damaged file keeps Bytes
 	// honest and stops evict chasing ghosts.
-	s.forget(name)
+	s.forget(k.name)
 	s.mu.Unlock()
 	return nil, false
 }
@@ -270,85 +303,129 @@ func damaged(err error) bool {
 	return err == nil || errors.Is(err, syscall.EISDIR) || errors.As(err, &pe) && pe.Op != "open"
 }
 
-// sizeHint is the read buffer's starting size; an entry is a few hundred
-// bytes.
-const sizeHint = 1 << 10
+const (
+	// sizeHint is a pooled read buffer's starting size; an entry is a few
+	// hundred bytes.
+	sizeHint = 1 << 10
+	// maxPooled is the largest read buffer returned to the pool, so one
+	// oversized file does not pin its buffer.
+	maxPooled = 64 << 10
+)
 
-// readEntry returns the whole file at path, read to EOF with bare system
-// calls into a buffer that starts at sizeHint bytes and grows as needed.
-// A failure is an *fs.PathError whose Op is "open" or "read", as package
-// os reports it; an interrupted call is retried.
-func readEntry(path string) ([]byte, error) {
+// readBufs holds the read buffers of concurrent probes.
+var readBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, sizeHint)
+	return &b
+}}
+
+// readEntry opens the entry at path and reads it to EOF with bare
+// system calls into a pooled buffer, checks its envelope against k and
+// decodes its payload. On success it bumps the file's times through the
+// descriptor it holds (bumpRecency) and returns the Result and the
+// file's size. Otherwise the Result is nil and the error an
+// *fs.PathError whose Op is "open" or "read", as package os reports it,
+// or nil when the file was read whole but refused. An interrupted call is
+// retried. The buffer goes back to the pool before readEntry returns; the
+// Result shares none of it.
+func readEntry(path string, k Key) (*core.Result, int, error) {
 	const flags = syscall.O_RDONLY | syscall.O_CLOEXEC
 	fd, err := syscall.Open(path, flags, 0)
 	for err == syscall.EINTR {
 		fd, err = syscall.Open(path, flags, 0)
 	}
 	if err != nil {
-		return nil, &fs.PathError{Op: "open", Path: path, Err: err}
+		return nil, 0, &fs.PathError{Op: "open", Path: path, Err: err}
 	}
 	defer syscall.Close(fd)
-	buf := make([]byte, 0, sizeHint)
+	bp := readBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	defer func() {
+		if cap(buf) <= maxPooled {
+			*bp = buf[:0]
+			readBufs.Put(bp)
+		}
+	}()
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
 		n, err := syscall.Read(fd, buf[len(buf):cap(buf)])
-		switch {
-		case err == syscall.EINTR:
+		if err == syscall.EINTR {
 			continue
-		case err != nil:
-			return nil, &fs.PathError{Op: "read", Path: path, Err: err}
-		case n == 0:
-			return buf, nil
+		}
+		if err != nil {
+			return nil, 0, &fs.PathError{Op: "read", Path: path, Err: err}
+		}
+		if n == 0 {
+			break
 		}
 		buf = buf[:len(buf)+n]
 	}
+	payload, ok := k.verify(buf)
+	if !ok {
+		return nil, 0, nil
+	}
+	r, err := decodePayload(payload)
+	if err != nil {
+		return nil, 0, nil
+	}
+	bumpRecency(fd, path) // persist recency; best-effort
+	return r, len(buf), nil
 }
 
-// verify checks an entry's envelope against identity and returns its
-// payload.
-func verify(data, identity []byte) ([]byte, bool) {
-	if len(data) < headLen+len(identity)+4 {
+// verify checks an entry's envelope against the key and returns its
+// payload. The echoed identity is compared piece by piece — workload, the
+// NUL, canonical — so no identity is built.
+func (k Key) verify(data []byte) ([]byte, bool) {
+	idLen := k.idLen()
+	if len(data) < headLen+idLen+4 {
 		return nil, false
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
+	id, w := body[headLen:headLen+idLen], len(k.workload)
 	if string(body[:len(magic)]) != magic ||
 		binary.LittleEndian.Uint16(body[len(magic):]) != schemaVersion ||
-		crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) ||
-		binary.LittleEndian.Uint32(body[headLen-4:]) != uint32(len(identity)) ||
-		string(body[headLen:headLen+len(identity)]) != string(identity) {
+		binary.LittleEndian.Uint32(body[headLen-4:]) != uint32(idLen) ||
+		string(id[:w]) != k.workload || id[w] != 0 || string(id[w+1:]) != k.canonical ||
+		crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
 		return nil, false
 	}
-	return body[headLen+len(identity):], true
+	return body[headLen+idLen:], true
 }
 
-// Put stores a result, atomically replacing any previous entry for the
-// key, then enforces the byte bound. Failures are counted in WriteErrors
-// and returned but leave the store consistent; callers for whom
-// persistence is best-effort (the experiment session) may ignore the
-// error.
+// Put stores the result of workload under cfg: PutKey of
+// NewKey(workload, cfg.Canonical()).
 func (s *Store) Put(workload string, cfg core.Config, r *core.Result) error {
-	id := identity(workload, cfg)
+	return s.PutKey(NewKey(workload, cfg.Canonical()), r)
+}
+
+// PutKey stores a result under a prepared key, atomically replacing any
+// previous entry for it, then enforces the byte bound. Failures are
+// counted in WriteErrors and returned but leave the store consistent;
+// callers for whom persistence is best-effort (the experiment session)
+// may ignore the error.
+func (s *Store) PutKey(k Key, r *core.Result) error {
+	idLen := k.idLen()
 	payload := encodePayload(r)
-	data := make([]byte, 0, headLen+len(id)+len(payload)+4)
+	data := make([]byte, 0, headLen+idLen+len(payload)+4)
 	data = append(data, magic...)
 	data = binary.LittleEndian.AppendUint16(data, schemaVersion)
-	data = binary.LittleEndian.AppendUint32(data, uint32(len(id)))
-	data = append(data, id...)
+	data = binary.LittleEndian.AppendUint32(data, uint32(idLen))
+	data = append(data, k.workload...)
+	data = append(data, 0)
+	data = append(data, k.canonical...)
 	data = append(data, payload...)
 	data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(data))
 
-	name := entryName(id)
-	if err := s.write(name, data); err != nil {
+	if err := s.write(k.name, data); err != nil {
 		s.mu.Lock()
 		s.werrs++
 		s.mu.Unlock()
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	s.mu.Lock()
-	s.forget(name) // replacing an entry drops its old accounting
-	s.touch(name, int64(len(data)))
+	s.forget(k.name) // replacing an entry drops its old accounting
+	s.touch(k.name, int64(len(data)))
 	s.evict()
 	s.mu.Unlock()
 	return nil
@@ -362,7 +439,7 @@ var writeTemp = func(f *os.File, data []byte) error {
 }
 
 // write lands data under name via a temp file and an atomic rename. Like
-// Get's read, it runs outside the lock.
+// GetKey's read, it runs outside the lock.
 func (s *Store) write(name string, data []byte) error {
 	tmp, err := os.CreateTemp(s.dir, tmpPrefix+"*")
 	if err != nil {
@@ -485,8 +562,11 @@ func decodePayload(data []byte) (*core.Result, error) {
 	if d.err == nil && uint64(n)*minThreadLen > uint64(len(data)) {
 		return nil, fmt.Errorf("resultstore: implausible thread count %d", n)
 	}
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		r.Threads = append(r.Threads, core.ThreadResult{
+	if n > 0 && d.err == nil {
+		r.Threads = make([]core.ThreadResult, n)
+	}
+	for i := range r.Threads {
+		r.Threads[i] = core.ThreadResult{
 			Benchmark:        d.string(),
 			Committed:        d.uint64(),
 			IPC:              math.Float64frombits(d.uint64()),
@@ -499,7 +579,7 @@ func decodePayload(data []byte) (*core.Result, error) {
 			RegsNormal:       math.Float64frombits(d.uint64()),
 			RegsRunahead:     math.Float64frombits(d.uint64()),
 			CyclesInRunahead: d.uint64(),
-		})
+		}
 	}
 	if d.err != nil {
 		return nil, d.err

@@ -369,6 +369,23 @@ func TestCorruptEntriesReadAsMiss(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		"NUL moved within the identity echo": {corrupt: func(t *testing.T, path string, _ core.Config, res *core.Result) {
+			// An echo of the right length, the same bytes around it, and its
+			// NUL one byte early ("art+mc\x00f..."): the piecewise check
+			// must find the separator where the key puts it.
+			reseal(t, path, func(body []byte) []byte {
+				at := head + len(res.Workload)
+				body[at-1], body[at] = body[at], body[at-1]
+				return body
+			})
+		}},
+		"separator replaced within the identity echo": {corrupt: func(t *testing.T, path string, _ core.Config, res *core.Result) {
+			// Workload and canonical bytes intact, no NUL between them.
+			reseal(t, path, func(body []byte) []byte {
+				body[head+len(res.Workload)] = '/'
+				return body
+			})
+		}},
 		"fingerprint mismatch": {corrupt: func(t *testing.T, path string, cfg core.Config, res *core.Result) {
 			// An entry for a DIFFERENT machine parked under this key's file
 			// name (as a colliding or misplaced write would): the identity
@@ -395,7 +412,7 @@ func TestCorruptEntriesReadAsMiss(t *testing.T) {
 					s, cfg, res, path := storeWith(t)
 					tc.corrupt(t, path, cfg, res)
 					data, _ := os.ReadFile(path)
-					payload, ok := verify(data, identity(res.Workload, cfg))
+					payload, ok := NewKey(res.Workload, cfg.Canonical()).verify(data)
 					if ok != tc.envelopeOK {
 						t.Fatalf("verify accepted the envelope: %v, want %v", ok, tc.envelopeOK)
 					}
@@ -442,13 +459,13 @@ func TestVerifyRefusesEveryPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := identity(res.Workload, cfg)
-	if _, ok := verify(entry, id); !ok {
+	k := NewKey(res.Workload, cfg.Canonical())
+	if _, ok := k.verify(entry); !ok {
 		t.Fatal("the intact entry failed the envelope check")
 	}
-	for k := 0; k < len(entry); k++ {
-		if _, ok := verify(entry[:k], id); ok {
-			t.Fatalf("entry torn at %d of %d bytes passed the envelope check", k, len(entry))
+	for n := 0; n < len(entry); n++ {
+		if _, ok := k.verify(entry[:n]); ok {
+			t.Fatalf("entry torn at %d of %d bytes passed the envelope check", n, len(entry))
 		}
 	}
 }
@@ -534,7 +551,7 @@ func TestPutReplacesAtomically(t *testing.T) {
 		t.Fatal(err)
 	}
 	// magic, version, identity length, identity, payload, CRC.
-	want := int64(4 + 2 + 4 + len(identity(res.Workload, cfg)) + len(encodePayload(res2)) + 4)
+	want := int64(4 + 2 + 4 + NewKey(res.Workload, cfg.Canonical()).idLen() + len(encodePayload(res2)) + 4)
 	if st := s.Stats(); st.Files != 1 || st.Bytes != want {
 		t.Errorf("stats = %+v after overwrite, want 1 file of %d bytes", st, want)
 	}
@@ -693,5 +710,59 @@ func TestHitKeepsRecencyAcrossReopen(t *testing.T) {
 	sort.Strings(want)
 	if got := survivorFiles(t, dir); !reflect.DeepEqual(got, want) {
 		t.Errorf("reopened one entry smaller: kept %v, want entries 0, 2 and 3 %v (entry 1 is the oldest after the hit)", got, want)
+	}
+}
+
+// hitEntry stores one two-thread cell, shaped like a served sweep's, and
+// returns the store and its prepared key.
+func hitEntry(t testing.TB) (*Store, Key) {
+	t.Helper()
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &core.Result{Workload: "MEM2/art+mcf", Policy: core.PolicyRaT, Cycles: 12345,
+		ExecutedTotal: 9000, CommittedTotal: 6000, Threads: []core.ThreadResult{
+			{Benchmark: "art", Committed: 3000, IPC: 0.4, L2MissLoads: 17},
+			{Benchmark: "mcf", Committed: 3000, IPC: 0.3, RunaheadEpisodes: 5},
+		}}
+	k := NewKey(res.Workload, core.DefaultConfig().Canonical())
+	if err := s.PutKey(k, res); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.GetKey(k); !ok || !sameResult(res, got) {
+		t.Fatalf("stored cell did not read back (ok=%v)", ok)
+	}
+	return s, k
+}
+
+// TestDiskHitAllocs pins what a keyed hit allocates: the entry path and
+// its NUL-terminated copy for the open, and the Result with its strings and
+// thread slice (six for two threads). The identity, the entry name and
+// the read buffer cost nothing per probe.
+func TestDiskHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	s, k := hitEntry(t)
+	const want = 8
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := s.GetKey(k); !ok {
+			t.Fatal("stored cell missed")
+		}
+	}); n > want {
+		t.Errorf("a keyed disk hit makes %v allocations, want at most %d", n, want)
+	}
+}
+
+// BenchmarkGetHit measures one keyed disk hit of a two-thread cell: the
+// open, read, envelope check, decode and recency bump.
+func BenchmarkGetHit(b *testing.B) {
+	s, k := hitEntry(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, ok := s.GetKey(k); !ok {
+			b.Fatal("stored cell missed")
+		}
 	}
 }

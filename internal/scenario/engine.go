@@ -22,34 +22,46 @@ import (
 // points — or a scenario point and a figure — that describe the same
 // machine share one simulation.
 //
+// A runner sees a cell twice. NewPlan calls Prepare once per grid cell
+// and per fairness reference (core.Reference) when the plan is built,
+// and the runner computes there everything about the cell that no
+// request changes (experiments.Session: its cache key and its store
+// entry's name). ExecuteStreamCtx then calls StartRunCtx with the
+// prepared cell, once per grid cell and per fairness reference of every
+// request, and checks each call's Ready to emit finished rows between
+// workloads and to flush emitted rows before the sweep blocks. So the
+// rows of calls a runner fulfills inside StartRunCtx
+// (experiments.Session's disk hits) stream while the sweep is still
+// being started. StartRunCtx is the only way to start a cell.
+//
 // StartRunCtx takes the requesting sweep's context: a cell whose
 // interested requesters have all canceled before it starts must never
 // be simulated, while a cell that is already running finishes and
 // populates the shared cache. The context also carries the requester
 // identity for fair scheduling (sched.WithRequester): the engine threads
 // it unchanged into every dispatch — grid cells and fairness references
-// (core.Reference) alike — so the runner's queue can attribute all of a
-// sweep's work to the client that asked for it.
-//
-// NewPlan reads BaseConfig once per request; ExecuteStreamCtx then only
-// calls StartRunCtx, once per grid cell and per fairness reference, and
-// checks each call's Ready to emit finished rows between workloads and
-// to flush emitted rows before the sweep blocks. So the rows of calls a
-// runner fulfills inside StartRunCtx (experiments.Session's disk hits)
-// stream while the sweep is still being started.
+// alike — so the runner's queue can attribute all of a sweep's work to
+// the client that asked for it.
 type Runner interface {
 	// BaseConfig returns the configuration scenario deltas apply onto.
 	BaseConfig() core.Config
-	// StartRunCtx schedules (or joins) one simulation without blocking
-	// and returns its pending call.
-	StartRunCtx(ctx context.Context, w workload.Workload, cfg core.Config) *simcache.Call[*core.Result]
+	// Prepare readies one simulation of a plan: workload w, whose
+	// canonical name is name, on the machine cfg, whose
+	// core.Config.Canonical rendering is canonical. The plan owns name,
+	// *cfg and canonical, shares them among its cells and never changes
+	// them, so the cell may keep them without copying.
+	Prepare(w workload.Workload, name string, cfg *core.Config, canonical string) Cell
+	// StartRunCtx schedules (or joins) one prepared cell's simulation
+	// without blocking and returns its pending call. c comes from this
+	// runner's Prepare.
+	StartRunCtx(ctx context.Context, c Cell) *simcache.Call[*core.Result]
 }
 
-// startReference schedules (or joins) benchmark b's single-thread
-// fairness reference (core.Reference) on cfg's machine.
-func startReference(ctx context.Context, r Runner, b string, cfg core.Config) *simcache.Call[*core.Result] {
-	w, ref := core.Reference(cfg, b)
-	return r.StartRunCtx(ctx, w, ref)
+// Cell is one simulation a Runner prepared for a plan.
+type Cell interface {
+	// SizeBytes approximates the memory the cell retains beyond what it
+	// shares with its plan, for the plan's own SizeBytes.
+	SizeBytes() int64
 }
 
 // metric is one per-cell reduction. Reference-relative metrics
@@ -198,6 +210,7 @@ func (rs *ResultSet) Value(wi, ci, mi int) float64 {
 // runner's cache; rows already emitted stand.
 func ExecuteStreamCtx(ctx context.Context, p *Plan, emit func(Row) error, flush func()) (*ResultSet, error) {
 	sp, r, ws, combos := p.Spec, p.runner, p.workloads, p.combos
+	nc := len(combos)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
 	}
@@ -224,14 +237,14 @@ func ExecuteStreamCtx(ctx context.Context, p *Plan, emit func(Row) error, flush 
 		Metrics:     sp.metrics(),
 		Workloads:   ws,
 		Combos:      combos,
-		Rows:        make([]Row, 0, len(ws)*len(combos)),
+		Rows:        make([]Row, 0, len(ws)*nc),
 		raw:         make([][]*core.Result, len(ws)),
 	}
 	// ready reports whether every run of the next row (grid order,
 	// workload-major) has finished; collect waits for them and reduces
 	// and emits that row.
 	ready := func() bool {
-		wi, ci := len(rs.Rows)/len(combos), len(rs.Rows)%len(combos)
+		wi, ci := len(rs.Rows)/nc, len(rs.Rows)%nc
 		if !calls[wi][ci].Ready() {
 			return false
 		}
@@ -246,8 +259,7 @@ func ExecuteStreamCtx(ctx context.Context, p *Plan, emit func(Row) error, flush 
 	}
 	var refs []*core.Result
 	collect := func() error {
-		wi, ci := len(rs.Rows)/len(combos), len(rs.Rows)%len(combos)
-		w, combo := ws[wi], combos[ci]
+		wi, ci := len(rs.Rows)/nc, len(rs.Rows)%nc
 		res, err := wait(calls[wi][ci])
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w", sp.Name, err)
@@ -258,15 +270,15 @@ func ExecuteStreamCtx(ctx context.Context, p *Plan, emit func(Row) error, flush 
 			for bi, c := range refCalls[wi][ci] {
 				ref, err := wait(c)
 				if err != nil {
-					return fmt.Errorf("scenario %s: reference %s: %w", sp.Name, w.Benchmarks[bi], err)
+					return fmt.Errorf("scenario %s: reference %s: %w", sp.Name, ws[wi].Benchmarks[bi], err)
 				}
 				refs = append(refs, ref)
 			}
 		}
 		row := Row{
-			Workload:    w.Name(),
-			Labels:      combo.Labels,
-			Fingerprint: combo.Fingerprint,
+			Workload:    p.names[wi],
+			Labels:      combos[ci].Labels,
+			Fingerprint: combos[ci].Fingerprint,
 			Values:      make([]float64, len(p.metrics)),
 			Truncated:   res.Truncated,
 		}
@@ -283,7 +295,7 @@ func ExecuteStreamCtx(ctx context.Context, p *Plan, emit func(Row) error, flush 
 		return nil
 	}
 
-	// Dispatch the whole grid (plus references, when a metric reads them)
+	// Start the whole grid (plus references, when a metric reads them)
 	// before waiting on anything, so the pool stays saturated. Every cell
 	// is registered under the sweep's context: whatever cancellation
 	// leaves unstarted is never simulated. Between workloads, the rows
@@ -291,27 +303,27 @@ func ExecuteStreamCtx(ctx context.Context, p *Plan, emit func(Row) error, flush 
 	// StartRunCtx) are emitted without waiting, so a stored sweep streams
 	// while its later cells are still being started.
 	for wi, w := range ws {
-		calls[wi] = make([]*simcache.Call[*core.Result], len(combos))
-		rs.raw[wi] = make([]*core.Result, len(combos))
-		for ci, combo := range combos {
-			calls[wi][ci] = r.StartRunCtx(ctx, w, combo.Config)
+		calls[wi] = make([]*simcache.Call[*core.Result], nc)
+		rs.raw[wi] = make([]*core.Result, nc)
+		for ci := range combos {
+			calls[wi][ci] = r.StartRunCtx(ctx, p.cells[wi*nc+ci])
 		}
 		if p.needRef {
-			refCalls[wi] = make([][]*simcache.Call[*core.Result], len(combos))
-			for ci, combo := range combos {
+			refCalls[wi] = make([][]*simcache.Call[*core.Result], nc)
+			for ci := range combos {
 				refCalls[wi][ci] = make([]*simcache.Call[*core.Result], len(w.Benchmarks))
-				for bi, b := range w.Benchmarks {
-					refCalls[wi][ci][bi] = startReference(ctx, r, b, combo.Config)
+				for bi, j := range p.refAt[wi] {
+					refCalls[wi][ci][bi] = r.StartRunCtx(ctx, p.refs[j*nc+ci])
 				}
 			}
 		}
-		for len(rs.Rows) < (wi+1)*len(combos) && ready() {
+		for len(rs.Rows) < (wi+1)*nc && ready() {
 			if err := collect(); err != nil {
 				return nil, err
 			}
 		}
 	}
-	for len(rs.Rows) < len(ws)*len(combos) {
+	for len(rs.Rows) < len(ws)*nc {
 		if err := collect(); err != nil {
 			return nil, err
 		}

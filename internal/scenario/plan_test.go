@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -15,10 +16,29 @@ import (
 	"repro/internal/workload"
 )
 
+// testCell is the test runners' prepared cell: what Prepare was handed.
+type testCell struct {
+	name string
+	cfg  *core.Config
+}
+
+func (c *testCell) SizeBytes() int64 { return int64(unsafe.Sizeof(*c)) }
+
+// preparer gives a test runner its Prepare: each cell carries the
+// workload name and machine it was prepared for, and prepared counts
+// the calls.
+type preparer struct{ prepared int }
+
+func (p *preparer) Prepare(_ workload.Workload, name string, cfg *core.Config, _ string) Cell {
+	p.prepared++
+	return &testCell{name: name, cfg: cfg}
+}
+
 // stubRunner satisfies Runner without simulating: every run it is asked
 // for is already complete, one thread at IPC 1.5. It counts BaseConfig
 // calls, and so grid expansions.
 type stubRunner struct {
+	preparer
 	bases int
 	runs  int
 }
@@ -28,7 +48,7 @@ func (r *stubRunner) BaseConfig() core.Config {
 	return core.DefaultConfig()
 }
 
-func (r *stubRunner) StartRunCtx(ctx context.Context, _ workload.Workload, _ core.Config) *simcache.Call[*core.Result] {
+func (r *stubRunner) StartRunCtx(ctx context.Context, _ Cell) *simcache.Call[*core.Result] {
 	r.runs++
 	c, _ := simcache.New[int, *core.Result](0, 0, nil).BeginCtx(ctx, 0)
 	c.Fulfill(&core.Result{Threads: []core.ThreadResult{{IPC: 1.5}, {IPC: 0.5}}}, nil)
@@ -77,6 +97,62 @@ func TestPlanExpandsOnce(t *testing.T) {
 	}
 }
 
+// TestPlanPreparesOnce: NewPlan prepares every grid cell and each
+// distinct (benchmark, point) fairness reference once, and executing the
+// plan again starts its cells again without preparing any.
+func TestPlanPreparesOnce(t *testing.T) {
+	r := &stubRunner{}
+	p, err := NewPlan(r, planSpec(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 6 grid cells; art, mcf, gzip and bzip2 on each of 3 machines.
+	const want = 6 + 4*3
+	if r.prepared != want {
+		t.Fatalf("NewPlan prepared %d cells, want %d", r.prepared, want)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := ExecuteStreamCtx(context.Background(), p, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.prepared != want || r.runs != 2*(6+6*2) {
+		t.Errorf("two executions: %d prepared, %d started; want %d prepared, %d started", r.prepared, r.runs, want, 2*(6+6*2))
+	}
+}
+
+// ownedCell is a prepared cell that reports owning n bytes.
+type ownedCell struct{ n int64 }
+
+func (c ownedCell) SizeBytes() int64 { return c.n }
+
+// owningRunner prepares cells that each own 1 KiB.
+type owningRunner struct{ stubRunner }
+
+func (*owningRunner) Prepare(workload.Workload, string, *core.Config, string) Cell {
+	return ownedCell{1 << 10}
+}
+
+// TestPlanSizeCountsCells: a plan's size grows with every cell its
+// runner prepares, by at least what the cell reports.
+func TestPlanSizeCountsCells(t *testing.T) {
+	size := func(workloads ...string) int64 {
+		sp := planSpec()
+		sp.Workloads.Adhoc = workloads
+		p, err := NewPlan(&owningRunner{}, sp, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.SizeBytes()
+	}
+	// gzip+bzip2 adds 3 grid cells and its two benchmarks' references on
+	// each of the 3 machines.
+	one, two := size("art+mcf"), size("art+mcf", "gzip+bzip2")
+	if added := int64(3 + 2*3); two-one < added<<10 {
+		t.Errorf("%d more cells grew the plan by %d bytes, want at least %d", added, two-one, added<<10)
+	}
+}
+
 // TestPlanRejectsOversizedGridBeforeExpanding: a grid over the cell
 // bound fails before any configuration is built.
 func TestPlanRejectsOversizedGridBeforeExpanding(t *testing.T) {
@@ -99,6 +175,7 @@ func TestPlanRejectsOversizedGridBeforeExpanding(t *testing.T) {
 // key (workload name and ROB size) is listed in pending stays in flight
 // until the test fulfills it; every other run completes at once.
 type gatedRunner struct {
+	preparer
 	cache   *simcache.Cache[string, *core.Result]
 	pending map[string]bool
 	calls   map[string]*simcache.Call[*core.Result]
@@ -106,16 +183,17 @@ type gatedRunner struct {
 
 func (g *gatedRunner) BaseConfig() core.Config { return core.DefaultConfig() }
 
-func (g *gatedRunner) StartRunCtx(ctx context.Context, w workload.Workload, cfg core.Config) *simcache.Call[*core.Result] {
-	key := fmt.Sprintf("%s@%d", w.Name(), cfg.Pipeline.ROBSize)
-	c, created := g.cache.BeginCtx(ctx, key)
+func (g *gatedRunner) StartRunCtx(ctx context.Context, c Cell) *simcache.Call[*core.Result] {
+	tc := c.(*testCell)
+	key := fmt.Sprintf("%s@%d", tc.name, tc.cfg.Pipeline.ROBSize)
+	call, created := g.cache.BeginCtx(ctx, key)
 	if created {
-		g.calls[key] = c
+		g.calls[key] = call
 		if !g.pending[key] {
-			c.Fulfill(&core.Result{Threads: []core.ThreadResult{{IPC: 1}, {IPC: 1}}}, nil)
+			call.Fulfill(&core.Result{Threads: []core.ThreadResult{{IPC: 1}, {IPC: 1}}}, nil)
 		}
 	}
-	return c
+	return call
 }
 
 // flushTrace runs planSpec's first workload under g and reports, for
@@ -214,6 +292,7 @@ func TestFinishedRowsStreamWhileStarting(t *testing.T) {
 // A run completes at once when settle is set and otherwise never
 // settles; onStart, when set, runs on each call.
 type recordingRunner struct {
+	preparer
 	cache   *simcache.Cache[string, *core.Result]
 	settle  bool
 	onStart func()
@@ -226,16 +305,17 @@ func newRecordingRunner(settle bool) *recordingRunner {
 
 func (r *recordingRunner) BaseConfig() core.Config { return core.DefaultConfig() }
 
-func (r *recordingRunner) StartRunCtx(ctx context.Context, w workload.Workload, cfg core.Config) *simcache.Call[*core.Result] {
+func (r *recordingRunner) StartRunCtx(ctx context.Context, c Cell) *simcache.Call[*core.Result] {
 	r.stamps = append(r.stamps, sched.Requester(ctx))
 	if r.onStart != nil {
 		r.onStart()
 	}
-	c, created := r.cache.BeginCtx(ctx, w.Name()+"@"+cfg.Fingerprint())
+	tc := c.(*testCell)
+	call, created := r.cache.BeginCtx(ctx, tc.name+"@"+tc.cfg.Fingerprint())
 	if created && r.settle {
-		c.Fulfill(&core.Result{Threads: []core.ThreadResult{{IPC: 1}, {IPC: 1}}}, nil)
+		call.Fulfill(&core.Result{Threads: []core.ThreadResult{{IPC: 1}, {IPC: 1}}}, nil)
 	}
-	return c
+	return call
 }
 
 // TestEveryStartCarriesTheRequester: the sweep hands its context to

@@ -356,13 +356,18 @@ type Combo struct {
 	Labels []string
 	// Config is the complete machine configuration of this point.
 	Config core.Config
-	// Fingerprint is Config.Fingerprint(), for output labelling.
+	// Canonical is Config.Canonical(), rendered once per point: the
+	// runner keys persisted results by it.
+	Canonical string
+	// Fingerprint is Config.Fingerprint(), derived from Canonical, for
+	// output labelling.
 	Fingerprint string
 }
 
 // Combos expands the cross-product of the axes onto base (after the
-// spec's own Base delta), leftmost axis slowest-varying, and validates
-// every resulting machine configuration.
+// spec's own Base delta), leftmost axis slowest-varying, validates every
+// resulting machine configuration and renders its canonical string and
+// fingerprint.
 func (sp *Spec) Combos(base core.Config) ([]Combo, error) {
 	cfg := base
 	if err := sp.Base.Apply(&cfg); err != nil {
@@ -393,7 +398,8 @@ func (sp *Spec) Combos(base core.Config) ([]Combo, error) {
 			}
 			return nil, fmt.Errorf("scenario %s: point %s: %w", sp.Name, point, err)
 		}
-		combos[i].Fingerprint = combos[i].Config.Fingerprint()
+		combos[i].Canonical = combos[i].Config.Canonical()
+		combos[i].Fingerprint = core.FingerprintOf(combos[i].Canonical)
 	}
 	return combos, nil
 }
